@@ -220,12 +220,12 @@ impl CampaignRunner {
         Ok(())
     }
 
-    /// Loads a checkpoint written by [`attach_checkpoint`]
-    /// (CampaignRunner::attach_checkpoint) into the memo cache and returns
-    /// the number of cells restored. A missing file restores zero cells
-    /// (a first run is just an empty resume); malformed lines — e.g. the
-    /// torn final line of a killed process — are skipped with a warning,
-    /// so the interrupted cell is simply recomputed.
+    /// Loads a checkpoint written by
+    /// [`attach_checkpoint`](CampaignRunner::attach_checkpoint) into the
+    /// memo cache and returns the number of cells restored. A missing file
+    /// restores zero cells (a first run is just an empty resume); malformed
+    /// lines — e.g. the torn final line of a killed process — are skipped
+    /// with a warning, so the interrupted cell is simply recomputed.
     ///
     /// # Errors
     ///
@@ -258,8 +258,8 @@ impl CampaignRunner {
         Ok(restored)
     }
 
-    /// Cells restored from checkpoints by [`resume_from`]
-    /// (CampaignRunner::resume_from).
+    /// Cells restored from checkpoints by
+    /// [`resume_from`](CampaignRunner::resume_from).
     pub fn resumed_cells(&self) -> usize {
         self.resumed
     }

@@ -40,7 +40,7 @@ pub struct HwConfig {
     /// Width of the dedicated ELL compute path ("In Copernicus, we set this
     /// width to six").
     pub ell_hw_width: usize,
-    /// When true, [`crate::Platform`] cross-checks every decompressed row
+    /// When true, [`crate::Session`] runs cross-check every decompressed row
     /// against the dense reference — the analog of the paper's C/RTL
     /// co-simulation. Costs time on large runs; on by default.
     pub verify_functional: bool,

@@ -17,8 +17,9 @@
 //!   `offsets` reads),
 //! * a fine-grained dot-product engine (multiplier array + balanced adder
 //!   tree, [`HwConfig::dot_latency`]),
-//! * the three-stage outer pipeline ([`Platform`] — memory-read, compute,
-//!   memory-write, bottleneck-overlapped across partitions),
+//! * the three-stage outer pipeline ([`pipeline`] — memory-read, compute,
+//!   memory-write, bottleneck-overlapped across partitions), driven by a
+//!   [`Session`],
 //! * synthesis-side models: FPGA [`resources`] (Table 2) and [`power`]
 //!   (Table 2 + Fig. 13),
 //! * pluggable hardware [`backend`]s behind one trait: the HLS pipeline
@@ -79,7 +80,7 @@ pub use config::{ceil_log2, HwConfig};
 pub use decomp::{decompress, decompress_with, Decompression};
 pub use encode::{EncodedPartition, Stream};
 pub use explain::{explain, CostBreakdown, CostTerm};
-pub use pipeline::{ParallelReport, PartitionTiming, Platform, PlatformError, RunReport};
+pub use pipeline::{ParallelReport, PartitionTiming, PlatformError, RunReport};
 pub use power::PowerBreakdown;
 pub use resources::Resources;
 pub use scratch::EncodeScratch;

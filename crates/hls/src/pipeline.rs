@@ -1,13 +1,12 @@
 //! The three-stage streaming platform of Fig. 2: memory-read → compute
 //! (decompress + dot-product) → memory-write, pipelined across partitions.
 
-use crate::backend::backend_for;
+use crate::backend::Backend;
 use crate::{decompress_with, Decompression, EncodeScratch, EncodedPartition, HwConfig};
 use copernicus_telemetry::{
-    CancelToken, NullSink, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
+    CancelToken, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
 };
-use sparsemat::{Coo, FormatKind, Partition, PartitionGrid, SparseError};
-use std::sync::Arc;
+use sparsemat::{FormatKind, Partition, PartitionGrid, SparseError};
 
 /// Errors produced by platform runs.
 #[derive(Debug)]
@@ -181,9 +180,9 @@ impl RunReport {
     }
 }
 
-/// Incremental [`RunReport`] builder. Every run entry point funnels its
-/// per-partition timings through one of these, so reports are identical no
-/// matter which path (instrumented or not) produced them.
+/// Incremental [`RunReport`] builder. Every run funnels its per-partition
+/// timings through one of these, so reports are identical no matter which
+/// path (instrumented or not) produced them.
 struct ReportBuilder {
     report: RunReport,
     balance_sum: f64,
@@ -193,8 +192,7 @@ struct ReportBuilder {
 }
 
 impl ReportBuilder {
-    fn new(format: FormatKind, cfg: &HwConfig) -> Self {
-        let backend = backend_for(cfg.backend);
+    fn new(format: FormatKind, cfg: &HwConfig, backend: &dyn Backend) -> Self {
         ReportBuilder {
             report: RunReport {
                 format,
@@ -288,8 +286,7 @@ impl SpanScheduler {
 }
 
 /// Emits the trace events of one placed partition: its start marker plus
-/// the four stage spans. Shared by the serial loop and the tile-parallel
-/// reduce so both paths produce byte-identical traces.
+/// the four stage spans.
 fn emit_partition_spans<S: TraceSink + ?Sized>(
     sink: &mut S,
     schedule: &mut SpanScheduler,
@@ -317,370 +314,6 @@ fn emit_partition_spans<S: TraceSink + ?Sized>(
             start_cycle,
             cycles,
         });
-    }
-}
-
-/// One partition's outcome from a tile worker, reduced in grid order.
-type TileResult = Result<(PartitionTiming, Decompression), PlatformError>;
-
-/// The modeled platform: a validated [`HwConfig`] plus the run entry points.
-#[derive(Debug, Clone)]
-pub struct Platform {
-    cfg: HwConfig,
-    /// Optional wall-clock phase profiler (shared, cloned with the
-    /// platform). Never consulted by the timing model: reports are
-    /// bit-identical with and without it.
-    profiler: Option<Arc<PhaseProfiler>>,
-    /// Worker threads processing one run's partitions concurrently
-    /// (1 = serial). Never visible in the output: partitions are reduced
-    /// back in grid order, so reports, traces and SpMV results are
-    /// byte-identical at any setting.
-    tile_jobs: usize,
-    /// Optional cooperative cancellation token, polled between partitions.
-    /// A successful run is byte-identical with and without one; a
-    /// cancelled run fails with [`PlatformError::Cancelled`] and produces
-    /// no report.
-    cancel: Option<CancelToken>,
-}
-
-impl Platform {
-    /// Builds a platform from a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::Config`] when the configuration fails
-    /// [`HwConfig::validate`].
-    pub fn new(cfg: HwConfig) -> Result<Self, PlatformError> {
-        cfg.validate().map_err(PlatformError::Config)?;
-        Ok(Platform {
-            cfg,
-            profiler: None,
-            tile_jobs: 1,
-            cancel: None,
-        })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HwConfig {
-        &self.cfg
-    }
-
-    /// Sets how many worker threads process one run's partitions
-    /// concurrently (clamped to at least 1 = serial). The timing model is
-    /// unaffected: tiles are processed out of order but reduced back in
-    /// grid order, so reports, traces and SpMV results are byte-identical
-    /// at any worker count (test-enforced).
-    pub fn set_tile_jobs(&mut self, jobs: usize) {
-        self.tile_jobs = jobs.max(1);
-    }
-
-    /// The configured intra-run worker count.
-    pub fn tile_jobs(&self) -> usize {
-        self.tile_jobs
-    }
-
-    /// Selects the hardware backend costing subsequent runs. The encode /
-    /// decompress pass is backend-independent; only the cycle charges (and
-    /// the reported clock) change.
-    pub fn set_backend(&mut self, backend: crate::BackendKind) {
-        self.cfg.backend = backend;
-    }
-
-    /// The backend subsequent runs are costed on.
-    pub fn backend(&self) -> crate::BackendKind {
-        self.cfg.backend
-    }
-
-    /// Attaches (or with `None`, detaches) a wall-clock phase profiler.
-    /// Runs then observe per-run encode / decompress / verify / compute
-    /// phase durations into it; the modeled reports are unaffected.
-    pub fn set_profiler(&mut self, profiler: Option<Arc<PhaseProfiler>>) {
-        self.profiler = profiler;
-    }
-
-    /// The attached phase profiler, if any.
-    pub fn profiler(&self) -> Option<&Arc<PhaseProfiler>> {
-        self.profiler.as_ref()
-    }
-
-    /// Attaches (or with `None`, detaches) a cooperative cancellation
-    /// token. The pipeline polls it between partitions: once it reports
-    /// cancelled, the run fails with [`PlatformError::Cancelled`] instead
-    /// of producing a report. A run that completes before cancellation is
-    /// byte-identical to an untokened run.
-    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
-        self.cancel = cancel;
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// True when a token is attached and reports cancelled.
-    fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// The single shared partition loop: processes each tile exactly once,
-    /// hands its decompression to `consume` (the SpMV path applies the row
-    /// contributions there), emits trace events, aggregates the report, and
-    /// recycles every per-tile buffer into `scratch`.
-    pub(crate) fn run_grid_scratch<S, F>(
-        &self,
-        grid: &PartitionGrid<f32>,
-        format: FormatKind,
-        sink: &mut S,
-        mut consume: F,
-        scratch: &mut EncodeScratch,
-    ) -> Result<RunReport, PlatformError>
-    where
-        S: TraceSink + ?Sized,
-        F: FnMut(&Partition<f32>, &Decompression),
-    {
-        if sink.enabled() {
-            sink.record(&PipelineEvent::RunStart {
-                format: format.to_string(),
-                partitions: grid.partitions().len(),
-                partition_size: self.cfg.partition_size,
-            });
-        }
-        let mut builder = ReportBuilder::new(format, &self.cfg);
-        let mut schedule = SpanScheduler::default();
-        let run_start = self.profiler.as_ref().map(|_| std::time::Instant::now());
-        let mut acc = PhaseAcc::new(self.profiler.is_some());
-        // Cooperative cancellation: a deadline that expired (or a shutdown
-        // that fired) before this run starts stops it up front; the
-        // per-partition poll below bounds how much work happens after.
-        if self.cancelled() {
-            return Err(PlatformError::Cancelled);
-        }
-        if self.tile_jobs > 1 && grid.partitions().len() > 1 {
-            // Tile-parallel pass: workers process partitions out of order,
-            // then this loop reduces them back in grid order so every
-            // observable byte (report, spans, SpMV accumulation order)
-            // matches the serial path.
-            let (mut pool, mut slots) = self.process_grid_parallel(grid, format, scratch, &mut acc);
-            let mut failure: Option<PlatformError> = None;
-            for (idx, part) in grid.partitions().iter().enumerate() {
-                let Some((wid, result)) = slots[idx].take() else {
-                    continue;
-                };
-                match result {
-                    Ok((timing, d)) => {
-                        // Work past the first failing partition is
-                        // discarded, exactly as the serial path never
-                        // reaches it.
-                        if failure.is_none() {
-                            consume(part, &d);
-                            if sink.enabled() {
-                                emit_partition_spans(sink, &mut schedule, idx, part, &timing);
-                            }
-                            builder.push(&timing);
-                        }
-                        pool[wid].recycle_decompression(d);
-                    }
-                    Err(e) => {
-                        if failure.is_none() {
-                            if let PlatformError::FunctionalMismatch { format, grid } = &e {
-                                if sink.enabled() {
-                                    sink.record(&PipelineEvent::FunctionalMismatch {
-                                        partition: idx,
-                                        detail: format!(
-                                            "decompressing {format} partition ({}, {})",
-                                            grid.0, grid.1
-                                        ),
-                                    });
-                                }
-                            }
-                            failure = Some(e);
-                        }
-                    }
-                }
-            }
-            scratch.give_workers(pool);
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            if self.cancelled() {
-                return Err(PlatformError::Cancelled);
-            }
-        } else {
-            for (idx, part) in grid.partitions().iter().enumerate() {
-                if self.cancelled() {
-                    return Err(PlatformError::Cancelled);
-                }
-                let (timing, d) = self.process_partition(
-                    &part.coo,
-                    format,
-                    (part.grid_row, part.grid_col),
-                    sink,
-                    idx,
-                    scratch,
-                    &mut acc,
-                )?;
-                consume(part, &d);
-                scratch.recycle_decompression(d);
-                if sink.enabled() {
-                    emit_partition_spans(sink, &mut schedule, idx, part, &timing);
-                }
-                builder.push(&timing);
-            }
-        }
-        let report = builder.finish();
-        if sink.enabled() {
-            sink.record(&PipelineEvent::RunComplete {
-                total_cycles: report.total_cycles,
-            });
-        }
-        if let (Some(profiler), Some(start)) = (&self.profiler, run_start) {
-            profiler.flush_run(&acc, start.elapsed().as_secs_f64());
-        }
-        Ok(report)
-    }
-
-    /// Encode → decompress → (optional) functional verification for one
-    /// tile; the one place real per-partition work happens. All buffers
-    /// come from (and the encoded structure returns to) `scratch`. Phase
-    /// wall time accumulates into `acc` (a no-op unless a profiler is
-    /// attached); the modeled timing never reads the clock.
-    #[allow(clippy::too_many_arguments)]
-    fn process_partition<S: TraceSink + ?Sized>(
-        &self,
-        tile: &Coo<f32>,
-        format: FormatKind,
-        grid_pos: (usize, usize),
-        sink: &mut S,
-        idx: usize,
-        scratch: &mut EncodeScratch,
-        acc: &mut PhaseAcc,
-    ) -> Result<(PartitionTiming, Decompression), PlatformError> {
-        acc.mark();
-        let encoded = EncodedPartition::encode_with(tile, format, &self.cfg, scratch)?;
-        acc.lap(Phase::Encode);
-        let d = decompress_with(&encoded, &self.cfg, scratch);
-        acc.lap(Phase::Decompress);
-        if self.cfg.verify_functional && !scratch.verify_tile(&d, tile, self.cfg.partition_size) {
-            if sink.enabled() {
-                sink.record(&PipelineEvent::FunctionalMismatch {
-                    partition: idx,
-                    detail: format!(
-                        "decompressing {format} partition ({}, {})",
-                        grid_pos.0, grid_pos.1
-                    ),
-                });
-            }
-            return Err(PlatformError::FunctionalMismatch {
-                format,
-                grid: grid_pos,
-            });
-        }
-        if self.cfg.verify_functional {
-            acc.lap(Phase::Verify);
-        }
-        // The configured backend prices what the encode/decompress pass
-        // produced: on the HLS pipeline the second-stage decoder sits in
-        // front of the structural decompressor, so its cycles join the
-        // compute stage — the trade the codec sweep measures is fewer
-        // memory-read cycles against exactly that compute-side surcharge.
-        let timing = backend_for(self.cfg.backend).partition_timing(&encoded, &d, &self.cfg);
-        scratch.recycle_encoded(encoded);
-        Ok((timing, d))
-    }
-
-    /// Processes every partition of `grid` on up to [`Platform::tile_jobs`]
-    /// scoped worker threads: one pooled [`EncodeScratch`] per worker,
-    /// tiles claimed from an atomic cursor. Returns the worker scratches
-    /// (for buffer recycling plus hand-back) and one `(worker, result)`
-    /// slot per partition for the caller's in-grid-order reduce. Worker
-    /// phase time folds into `acc` (summed across workers).
-    ///
-    /// Workers trace into a [`NullSink`]: the only event
-    /// [`Platform::process_partition`] can emit is the functional-mismatch
-    /// marker, which the reduce re-emits in grid order from the returned
-    /// error so traces match the serial path byte for byte.
-    fn process_grid_parallel(
-        &self,
-        grid: &PartitionGrid<f32>,
-        format: FormatKind,
-        scratch: &mut EncodeScratch,
-        acc: &mut PhaseAcc,
-    ) -> (Vec<EncodeScratch>, Vec<Option<(usize, TileResult)>>) {
-        let parts = grid.partitions();
-        let n = parts.len();
-        let profiled = self.profiler.is_some();
-        let pool = scratch.take_workers(self.tile_jobs.min(n));
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<(usize, TileResult)>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let mut returned: Vec<EncodeScratch> = Vec::with_capacity(pool.len());
-        std::thread::scope(|s| {
-            let cursor = &cursor;
-            let handles: Vec<_> = pool
-                .into_iter()
-                .map(|mut ws| {
-                    s.spawn(move || {
-                        let mut wacc = PhaseAcc::new(profiled);
-                        let mut done: Vec<(usize, TileResult)> = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if idx >= n {
-                                break;
-                            }
-                            let part = &parts[idx];
-                            let result = self.process_partition(
-                                &part.coo,
-                                format,
-                                (part.grid_row, part.grid_col),
-                                &mut NullSink,
-                                idx,
-                                &mut ws,
-                                &mut wacc,
-                            );
-                            done.push((idx, result));
-                        }
-                        (ws, wacc, done)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (ws, wacc, done) = match handle.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                acc.merge(&wacc);
-                for (idx, result) in done {
-                    slots[idx] = Some((returned.len(), result));
-                }
-                returned.push(ws);
-            }
-        });
-        (returned, slots)
-    }
-
-    /// Runs a single `p×p` tile (already in tile-local coordinates) through
-    /// encode → decompress → dot-product accounting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures and functional mismatches (when
-    /// [`HwConfig::verify_functional`] is set).
-    pub fn run_partition(
-        &self,
-        tile: Coo<f32>,
-        format: FormatKind,
-        grid_pos: (usize, usize),
-    ) -> Result<PartitionTiming, PlatformError> {
-        self.process_partition(
-            &tile,
-            format,
-            grid_pos,
-            &mut NullSink,
-            0,
-            &mut EncodeScratch::new(),
-            &mut PhaseAcc::disabled(),
-        )
-        .map(|(timing, _)| timing)
     }
 }
 
@@ -781,10 +414,84 @@ impl ParallelReport {
     }
 }
 
-impl Platform {
-    /// The aggregated-lanes engine over a pre-built grid: one shared memory
-    /// channel, `lanes` decompress+dot pipelines, online-LPT dealing.
-    pub(crate) fn run_parallel_grid_scratch<S: TraceSink + ?Sized>(
+/// One partition's outcome from a tile worker, reduced in grid order.
+type TileResult = Result<(PartitionTiming, Decompression), PlatformError>;
+
+/// One run's settings: the owning [`Session`](crate::Session)'s state with
+/// the request's backend and tile-jobs overrides resolved. Borrowed for
+/// the run and shared read-only with the tile workers.
+pub(crate) struct Run<'a> {
+    pub(crate) cfg: &'a HwConfig,
+    pub(crate) backend: &'static dyn Backend,
+    /// Worker threads processing the run's partitions (1 = serial). Never
+    /// visible in the output: tiles are reduced back in grid order.
+    pub(crate) tile_jobs: usize,
+    /// Polled before every tile; a cancelled run produces no report.
+    pub(crate) cancel: Option<&'a CancelToken>,
+    /// Wall-clock phase profiler; never consulted by the timing model.
+    pub(crate) profiler: Option<&'a PhaseProfiler>,
+}
+
+impl Run<'_> {
+    /// True when a token is attached and reports cancelled.
+    fn cancelled(&self) -> bool {
+        self.cancel.is_some_and(CancelToken::is_cancelled)
+    }
+
+    fn record_run_start<S: TraceSink + ?Sized>(
+        &self,
+        sink: &mut S,
+        grid: &PartitionGrid<f32>,
+        format: FormatKind,
+    ) {
+        if sink.enabled() {
+            sink.record(&PipelineEvent::RunStart {
+                format: format.to_string(),
+                partitions: grid.partitions().len(),
+                partition_size: self.cfg.partition_size,
+            });
+        }
+    }
+
+    /// A run through the single three-stage pipeline: each tile's
+    /// decompression goes to `consume` (the SpMV path applies the row
+    /// contributions there), its spans to `sink` and its timing to the
+    /// report.
+    pub(crate) fn pipeline<S, F>(
+        &self,
+        grid: &PartitionGrid<f32>,
+        format: FormatKind,
+        sink: &mut S,
+        scratch: &mut EncodeScratch,
+        mut consume: F,
+    ) -> Result<RunReport, PlatformError>
+    where
+        S: TraceSink + ?Sized,
+        F: FnMut(&Partition<f32>, &Decompression),
+    {
+        self.record_run_start(sink, grid, format);
+        let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
+        let mut schedule = SpanScheduler::default();
+        self.for_each_tile(grid, format, sink, scratch, |sink, idx, part, timing, d| {
+            consume(part, d);
+            if sink.enabled() {
+                emit_partition_spans(sink, &mut schedule, idx, part, timing);
+            }
+            builder.push(timing);
+        })?;
+        let report = builder.finish();
+        if sink.enabled() {
+            sink.record(&PipelineEvent::RunComplete {
+                total_cycles: report.total_cycles,
+            });
+        }
+        Ok(report)
+    }
+
+    /// The aggregated-lanes run (§5.1): the same per-tile work as
+    /// [`Run::pipeline`], rescheduled onto `lanes` decompress+dot pipelines
+    /// that share one memory channel, dealt by online LPT.
+    pub(crate) fn lanes<S: TraceSink + ?Sized>(
         &self,
         grid: &PartitionGrid<f32>,
         format: FormatKind,
@@ -795,83 +502,14 @@ impl Platform {
         if lanes == 0 {
             return Err(PlatformError::Config("lane count must be positive".into()));
         }
-        if sink.enabled() {
-            sink.record(&PipelineEvent::RunStart {
-                format: format.to_string(),
-                partitions: grid.partitions().len(),
-                partition_size: self.cfg.partition_size,
-            });
-        }
-        let mut builder = ReportBuilder::new(format, &self.cfg);
+        self.record_run_start(sink, grid, format);
+        let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
         let mut timings = Vec::with_capacity(grid.partitions().len());
-        let run_start = self.profiler.as_ref().map(|_| std::time::Instant::now());
-        let mut acc = PhaseAcc::new(self.profiler.is_some());
-        if self.cancelled() {
-            return Err(PlatformError::Cancelled);
-        }
-        if self.tile_jobs > 1 && grid.partitions().len() > 1 {
-            let (mut pool, mut slots) = self.process_grid_parallel(grid, format, scratch, &mut acc);
-            let mut failure: Option<PlatformError> = None;
-            for (idx, slot) in slots.iter_mut().enumerate() {
-                let Some((wid, result)) = slot.take() else {
-                    continue;
-                };
-                match result {
-                    Ok((timing, d)) => {
-                        if failure.is_none() {
-                            builder.push(&timing);
-                            timings.push(timing);
-                        }
-                        pool[wid].recycle_decompression(d);
-                    }
-                    Err(e) => {
-                        if failure.is_none() {
-                            if let PlatformError::FunctionalMismatch { format, grid } = &e {
-                                if sink.enabled() {
-                                    sink.record(&PipelineEvent::FunctionalMismatch {
-                                        partition: idx,
-                                        detail: format!(
-                                            "decompressing {format} partition ({}, {})",
-                                            grid.0, grid.1
-                                        ),
-                                    });
-                                }
-                            }
-                            failure = Some(e);
-                        }
-                    }
-                }
-            }
-            scratch.give_workers(pool);
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            if self.cancelled() {
-                return Err(PlatformError::Cancelled);
-            }
-        } else {
-            for (idx, part) in grid.partitions().iter().enumerate() {
-                if self.cancelled() {
-                    return Err(PlatformError::Cancelled);
-                }
-                let (timing, d) = self.process_partition(
-                    &part.coo,
-                    format,
-                    (part.grid_row, part.grid_col),
-                    sink,
-                    idx,
-                    scratch,
-                    &mut acc,
-                )?;
-                scratch.recycle_decompression(d);
-                builder.push(&timing);
-                timings.push(timing);
-            }
-        }
+        self.for_each_tile(grid, format, sink, scratch, |_, _, _, timing, _| {
+            builder.push(timing);
+            timings.push(*timing);
+        })?;
         let single_lane = builder.finish();
-        if let (Some(profiler), Some(start)) = (&self.profiler, run_start) {
-            profiler.flush_run(&acc, start.elapsed().as_secs_f64());
-        }
 
         let mut shared_mem_cycles = 0u64;
         let mut lane_compute = vec![0u64; lanes];
@@ -925,16 +563,172 @@ impl Platform {
             single_lane,
         })
     }
-}
 
-impl Default for Platform {
-    fn default() -> Self {
-        match Platform::new(HwConfig::default()) {
-            Ok(p) => p,
-            // HwConfig::default() is validated by the hls test suite; a
-            // rejection here is a bug in the validator itself.
-            Err(e) => unreachable!("default config is valid: {e}"),
+    /// The one tile loop: processes every partition of `grid` exactly once
+    /// and hands `(sink, index, partition, timing, decompression)` to
+    /// `each` in grid order, so every observable byte is the same at any
+    /// worker count. One worker processes each tile inline and recycles
+    /// its buffers into `scratch` right away; more workers run
+    /// [`Run::process_grid_parallel`] and reduce its slots in grid order.
+    /// The cancellation token is polled before every tile in both modes.
+    fn for_each_tile<S, F>(
+        &self,
+        grid: &PartitionGrid<f32>,
+        format: FormatKind,
+        sink: &mut S,
+        scratch: &mut EncodeScratch,
+        mut each: F,
+    ) -> Result<(), PlatformError>
+    where
+        S: TraceSink + ?Sized,
+        F: FnMut(&mut S, usize, &Partition<f32>, &PartitionTiming, &Decompression),
+    {
+        let parts = grid.partitions();
+        let run_start = self.profiler.map(|_| std::time::Instant::now());
+        let mut acc = PhaseAcc::new(self.profiler.is_some());
+        // The reduce: the one place a tile's outcome reaches the consumer,
+        // and the one place a functional mismatch reaches the trace. Work
+        // past the first failing tile is discarded, exactly as the serial
+        // loop never reaches it.
+        let mut reduce = |idx: usize,
+                          result: TileResult,
+                          recycle: &mut EncodeScratch|
+         -> Result<(), PlatformError> {
+            let (timing, d) = result.inspect_err(|e| {
+                if let PlatformError::FunctionalMismatch { format, grid } = e {
+                    if sink.enabled() {
+                        sink.record(&PipelineEvent::FunctionalMismatch {
+                            partition: idx,
+                            detail: format!(
+                                "decompressing {format} partition ({}, {})",
+                                grid.0, grid.1
+                            ),
+                        });
+                    }
+                }
+            })?;
+            each(sink, idx, &parts[idx], &timing, &d);
+            recycle.recycle_decompression(d);
+            Ok(())
+        };
+        if self.tile_jobs > 1 && parts.len() > 1 {
+            let (mut pool, slots) = self.process_grid_parallel(parts, format, scratch, &mut acc);
+            // Workers claim tiles in grid order, so the first empty slot
+            // marks where they stopped on cancellation.
+            let reduced = slots.into_iter().enumerate().try_for_each(|(idx, slot)| {
+                let (wid, result) = slot.ok_or(PlatformError::Cancelled)?;
+                reduce(idx, result, &mut pool[wid])
+            });
+            scratch.give_workers(pool);
+            reduced?;
+        } else {
+            for (idx, part) in parts.iter().enumerate() {
+                if self.cancelled() {
+                    return Err(PlatformError::Cancelled);
+                }
+                let result = self.process_partition(part, format, scratch, &mut acc);
+                reduce(idx, result, scratch)?;
+            }
         }
+        if let (Some(profiler), Some(start)) = (self.profiler, run_start) {
+            profiler.flush_run(&acc, start.elapsed().as_secs_f64());
+        }
+        Ok(())
+    }
+
+    /// Encode → decompress → (optional) functional verification → backend
+    /// pricing for one tile; the one place real per-partition work
+    /// happens. All buffers come from (and the encoded structure returns
+    /// to) `scratch`. Phase wall time accumulates into `acc` (a no-op
+    /// unless a profiler is attached); the modeled timing never reads the
+    /// clock.
+    fn process_partition(
+        &self,
+        part: &Partition<f32>,
+        format: FormatKind,
+        scratch: &mut EncodeScratch,
+        acc: &mut PhaseAcc,
+    ) -> TileResult {
+        let tile = &part.coo;
+        acc.mark();
+        let encoded = EncodedPartition::encode_with(tile, format, self.cfg, scratch)?;
+        acc.lap(Phase::Encode);
+        let d = decompress_with(&encoded, self.cfg, scratch);
+        acc.lap(Phase::Decompress);
+        if self.cfg.verify_functional {
+            if !scratch.verify_tile(&d, tile, self.cfg.partition_size) {
+                return Err(PlatformError::FunctionalMismatch {
+                    format,
+                    grid: (part.grid_row, part.grid_col),
+                });
+            }
+            acc.lap(Phase::Verify);
+        }
+        // The backend prices what the encode/decompress pass produced: on
+        // the HLS pipeline the second-stage decoder sits in front of the
+        // structural decompressor, so its cycles join the compute stage —
+        // the trade the codec sweep measures is fewer memory-read cycles
+        // against exactly that compute-side surcharge.
+        let timing = self.backend.partition_timing(&encoded, &d, self.cfg);
+        scratch.recycle_encoded(encoded);
+        Ok((timing, d))
+    }
+
+    /// Processes `parts` on up to [`Run::tile_jobs`] scoped worker threads:
+    /// one pooled [`EncodeScratch`] per worker, tiles claimed from an
+    /// atomic cursor, each worker polling the cancellation token before it
+    /// claims. Returns the worker scratches (for buffer recycling plus
+    /// hand-back) and one `(worker, result)` slot per partition, empty for
+    /// tiles nobody claimed. Worker phase time folds into `acc` (summed
+    /// across workers).
+    fn process_grid_parallel(
+        &self,
+        parts: &[Partition<f32>],
+        format: FormatKind,
+        scratch: &mut EncodeScratch,
+        acc: &mut PhaseAcc,
+    ) -> (Vec<EncodeScratch>, Vec<Option<(usize, TileResult)>>) {
+        let n = parts.len();
+        let profiled = self.profiler.is_some();
+        let pool = scratch.take_workers(self.tile_jobs.min(n));
+        let cursor = std::sync::atomic::AtomicUsize::new(0);
+        let mut slots: Vec<Option<(usize, TileResult)>> = Vec::with_capacity(n);
+        slots.resize_with(n, || None);
+        let mut returned: Vec<EncodeScratch> = Vec::with_capacity(pool.len());
+        std::thread::scope(|s| {
+            let cursor = &cursor;
+            let handles: Vec<_> = pool
+                .into_iter()
+                .map(|mut ws| {
+                    s.spawn(move || {
+                        let mut wacc = PhaseAcc::new(profiled);
+                        let mut done: Vec<(usize, TileResult)> = Vec::new();
+                        while !self.cancelled() {
+                            let idx = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if idx >= n {
+                                break;
+                            }
+                            let result =
+                                self.process_partition(&parts[idx], format, &mut ws, &mut wacc);
+                            done.push((idx, result));
+                        }
+                        (ws, wacc, done)
+                    })
+                })
+                .collect();
+            for handle in handles {
+                let (ws, wacc, done) = match handle.join() {
+                    Ok(v) => v,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                };
+                acc.merge(&wacc);
+                for (idx, result) in done {
+                    slots[idx] = Some((returned.len(), result));
+                }
+                returned.push(ws);
+            }
+        });
+        (returned, slots)
     }
 }
 
@@ -959,7 +753,7 @@ mod tests {
     }
 
     fn session() -> Session {
-        Session::from_platform(Platform::default())
+        Session::new(HwConfig::default()).unwrap()
     }
 
     fn run(s: &mut Session, m: &Coo<f32>, kind: FormatKind) -> RunReport {
@@ -1108,7 +902,7 @@ mod tests {
             partition_size: 0,
             ..HwConfig::default()
         };
-        assert!(matches!(Platform::new(cfg), Err(PlatformError::Config(_))));
+        assert!(matches!(Session::new(cfg), Err(PlatformError::Config(_))));
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! decompressor. On a campaign sweeping hundreds of thousands of tiles the
 //! harness spent more time in the allocator than in the model.
 //!
-//! [`EncodeScratch`] pools all of those buffers. One scratch lives for the
-//! duration of a [`Session`](crate::Session) (or one deprecated
-//! `Platform::run*` shim call) and is threaded through
+//! [`EncodeScratch`] pools all of those buffers. One scratch lives as long
+//! as its [`Session`](crate::Session) and is threaded through
 //! [`EncodedPartition::encode_with`](crate::EncodedPartition::encode_with)
 //! and [`decompress_with`](crate::decompress_with); the pipeline recycles
 //! every buffer after the tile's timing has been extracted. Buffer reuse is

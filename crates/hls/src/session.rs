@@ -1,10 +1,12 @@
-//! The unified run API: one [`Session`] replaces the eight
-//! `Platform::run*` variants.
+//! The run API: one [`Session`] streams matrices through the modeled
+//! platform.
 //!
-//! A session owns a validated [`Platform`] plus the [`EncodeScratch`]
-//! buffer pool, so consecutive runs share their per-tile buffers instead of
-//! re-allocating them. Every combination the old methods offered is
-//! expressed as one [`RunRequest`]:
+//! A session owns all run state: the validated [`HwConfig`], the optional
+//! phase profiler and cancellation token, the tile worker count, and the
+//! [`EncodeScratch`] buffer pool, so consecutive runs share their per-tile
+//! buffers instead of re-allocating them. Each run is one [`RunRequest`]
+//! (input, format and opt-in options); plain, SpMV and aggregated-lanes
+//! runs all go through the same tile loop:
 //!
 //! ```
 //! use copernicus_hls::{HwConfig, RunRequest, Session};
@@ -22,12 +24,13 @@
 //! assert!(report.total_cycles > 0);
 //! ```
 
-use crate::pipeline::apply_contributions;
+use crate::pipeline::{apply_contributions, Run};
 use crate::{
-    BackendKind, EncodeScratch, HwConfig, ParallelReport, Platform, PlatformError, RunReport,
+    backend_for, BackendKind, EncodeScratch, HwConfig, ParallelReport, PlatformError, RunReport,
 };
-use copernicus_telemetry::{NullSink, TraceSink};
+use copernicus_telemetry::{CancelToken, NullSink, PhaseProfiler, TraceSink};
 use sparsemat::{Coo, FormatKind, PartitionGrid, SparseError};
+use std::sync::Arc;
 
 /// What a [`RunRequest`] streams through the platform: a raw matrix (tiled
 /// at the configured partition size) or a pre-built grid shared across a
@@ -44,16 +47,15 @@ pub enum Input<'a> {
 /// One run through the platform, built fluently: input and format are
 /// mandatory, everything else opts in.
 ///
-/// | old `Platform` method       | request                                        |
-/// |-----------------------------|------------------------------------------------|
-/// | `run`                       | `RunRequest::matrix(m, f)`                     |
-/// | `run_with_sink`             | `...matrix(m, f).with_sink(s)`                 |
-/// | `run_grid`                  | `RunRequest::grid(g, f)`                       |
-/// | `run_grid_with_sink`        | `...grid(g, f).with_sink(s)`                   |
-/// | `run_spmv`                  | `...matrix(m, f).consume_spmv(x)`              |
-/// | `run_spmv_with_sink`        | `...matrix(m, f).consume_spmv(x).with_sink(s)` |
-/// | `run_parallel`              | `...matrix(m, f).with_lanes(n)`                |
-/// | `run_parallel_with_sink`    | `...matrix(m, f).with_lanes(n).with_sink(s)`   |
+/// | option                     | request                                 |
+/// |----------------------------|-----------------------------------------|
+/// | timing report              | `RunRequest::matrix(m, f)`              |
+/// | over a pre-built grid      | `RunRequest::grid(g, f)`                |
+/// | trace events               | `...with_sink(s)`                       |
+/// | `y = A·x`                  | `...consume_spmv(x)`                    |
+/// | aggregated lanes           | `...with_lanes(n)`                      |
+/// | tile workers for this run  | `...par_tiles(j)`                       |
+/// | backend for this run       | `...backend(b)`                         |
 pub struct RunRequest<'a> {
     input: Input<'a>,
     format: FormatKind,
@@ -158,8 +160,8 @@ impl<'a> RunRequest<'a> {
 /// halves mirror the request's options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
-    /// The timing report (for a lanes run: the single-lane baseline, as
-    /// `run_parallel` reported inside [`ParallelReport`]).
+    /// The timing report (for a lanes run: the single-lane baseline,
+    /// [`ParallelReport::single_lane`]).
     pub report: RunReport,
     /// `y = A·x`, present iff the request used
     /// [`RunRequest::consume_spmv`].
@@ -169,11 +171,23 @@ pub struct RunOutcome {
     pub parallel: Option<ParallelReport>,
 }
 
-/// A platform plus its reusable scratch buffers — the one entry point for
-/// streaming matrices through the modeled hardware.
+/// The one entry point for streaming matrices through the modeled
+/// hardware: a validated [`HwConfig`] plus everything that persists across
+/// runs — the phase profiler, the tile worker count, the cancellation
+/// token and the reusable scratch buffers.
 #[derive(Debug)]
 pub struct Session {
-    platform: Platform,
+    cfg: HwConfig,
+    /// Optional wall-clock phase profiler. Never consulted by the timing
+    /// model: reports are bit-identical with and without it.
+    profiler: Option<Arc<PhaseProfiler>>,
+    /// Worker threads processing one run's partitions concurrently
+    /// (1 = serial). Never visible in the output: partitions are reduced
+    /// back in grid order, so reports, traces and SpMV results are
+    /// byte-identical at any setting.
+    tile_jobs: usize,
+    /// Optional cooperative cancellation token, polled before every tile.
+    cancel: Option<CancelToken>,
     scratch: EncodeScratch,
 }
 
@@ -185,43 +199,32 @@ impl Session {
     /// Returns [`PlatformError::Config`] when the configuration fails
     /// [`HwConfig::validate`].
     pub fn new(cfg: HwConfig) -> Result<Self, PlatformError> {
-        Ok(Session::from_platform(Platform::new(cfg)?))
-    }
-
-    /// Wraps an already-validated platform.
-    pub fn from_platform(platform: Platform) -> Self {
-        Session {
-            platform,
+        cfg.validate().map_err(PlatformError::Config)?;
+        Ok(Session {
+            cfg,
+            profiler: None,
+            tile_jobs: 1,
+            cancel: None,
             scratch: EncodeScratch::new(),
-        }
-    }
-
-    /// The underlying platform.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
+        })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &HwConfig {
-        self.platform.config()
+        &self.cfg
     }
 
-    /// Attaches (or detaches) a wall-clock phase profiler. Profiling sits
-    /// outside the deterministic artifact path: reports and traces are
-    /// byte-identical with or without it.
-    pub fn set_profiler(
-        &mut self,
-        profiler: Option<std::sync::Arc<copernicus_telemetry::PhaseProfiler>>,
-    ) {
-        self.platform.set_profiler(profiler);
+    /// Attaches (or detaches) a wall-clock phase profiler. Runs then
+    /// observe per-run encode / decompress / verify / compute phase
+    /// durations into it. Profiling sits outside the deterministic artifact
+    /// path: reports and traces are byte-identical with or without it.
+    pub fn set_profiler(&mut self, profiler: Option<Arc<PhaseProfiler>>) {
+        self.profiler = profiler;
     }
 
     /// Builder-style [`Session::set_profiler`].
     #[must_use]
-    pub fn with_profiler(
-        mut self,
-        profiler: std::sync::Arc<copernicus_telemetry::PhaseProfiler>,
-    ) -> Self {
+    pub fn with_profiler(mut self, profiler: Arc<PhaseProfiler>) -> Self {
         self.set_profiler(Some(profiler));
         self
     }
@@ -231,7 +234,7 @@ impl Session {
     /// speedup: every run's outputs are byte-identical at any worker count
     /// (test-enforced). [`RunRequest::par_tiles`] overrides this per run.
     pub fn set_tile_jobs(&mut self, jobs: usize) {
-        self.platform.set_tile_jobs(jobs);
+        self.tile_jobs = jobs.max(1);
     }
 
     /// Builder-style [`Session::set_tile_jobs`].
@@ -243,21 +246,21 @@ impl Session {
 
     /// The session-wide intra-run worker count.
     pub fn tile_jobs(&self) -> usize {
-        self.platform.tile_jobs()
+        self.tile_jobs
     }
 
     /// Attaches (or with `None`, detaches) a cooperative cancellation
-    /// token, polled between partitions of every subsequent run. Once the
+    /// token, polled before every tile of every subsequent run. Once the
     /// token reports cancelled, runs fail with
     /// [`PlatformError::Cancelled`]; runs that complete first are
     /// byte-identical to untokened runs.
-    pub fn set_cancel(&mut self, cancel: Option<copernicus_telemetry::CancelToken>) {
-        self.platform.set_cancel(cancel);
+    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
+        self.cancel = cancel;
     }
 
     /// Builder-style [`Session::set_cancel`].
     #[must_use]
-    pub fn with_cancel(mut self, cancel: copernicus_telemetry::CancelToken) -> Self {
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.set_cancel(Some(cancel));
         self
     }
@@ -270,7 +273,8 @@ impl Session {
     /// SpMV consume; [`PlatformError::Sparse`] when the SpMV operand length
     /// does not match the matrix column count, or partitioning/encoding
     /// fails; [`PlatformError::FunctionalMismatch`] when verification is on
-    /// and a decompressor disagrees with its reference tile.
+    /// and a decompressor disagrees with its reference tile;
+    /// [`PlatformError::Cancelled`] when the attached token fires first.
     pub fn run(&mut self, request: RunRequest<'_>) -> Result<RunOutcome, PlatformError> {
         let RunRequest {
             input,
@@ -281,30 +285,14 @@ impl Session {
             tile_jobs,
             backend,
         } = request;
-        let session_jobs = self.platform.tile_jobs();
-        if let Some(jobs) = tile_jobs {
-            self.platform.set_tile_jobs(jobs);
-        }
-        let session_backend = self.platform.backend();
-        if let Some(b) = backend {
-            self.platform.set_backend(b);
-        }
-        let outcome = self.dispatch(input, format, sink, spmv_x, lanes);
-        self.platform.set_backend(session_backend);
-        self.platform.set_tile_jobs(session_jobs);
-        outcome
-    }
-
-    /// The option dispatch behind [`Session::run`], after the per-request
-    /// tile-jobs override has been applied.
-    fn dispatch(
-        &mut self,
-        input: Input<'_>,
-        format: FormatKind,
-        sink: Option<&mut dyn TraceSink>,
-        spmv_x: Option<&[f32]>,
-        lanes: Option<usize>,
-    ) -> Result<RunOutcome, PlatformError> {
+        let run = Run {
+            cfg: &self.cfg,
+            backend: backend_for(backend.unwrap_or(self.cfg.backend)),
+            tile_jobs: tile_jobs.map_or(self.tile_jobs, |jobs| jobs.max(1)),
+            cancel: self.cancel.as_ref(),
+            profiler: self.profiler.as_deref(),
+        };
+        let scratch = &mut self.scratch;
         let mut null = NullSink;
         let sink: &mut dyn TraceSink = match sink {
             Some(sink) => sink,
@@ -314,7 +302,7 @@ impl Session {
         let grid = match input {
             Input::Grid(grid) => grid,
             Input::Matrix(matrix) => {
-                built = PartitionGrid::new(matrix, self.config().partition_size)?;
+                built = PartitionGrid::new(matrix, self.cfg.partition_size)?;
                 &built
             }
         };
@@ -324,48 +312,36 @@ impl Session {
                     "SpMV consume is not supported with aggregated lanes".into(),
                 ));
             }
-            let parallel = self.platform.run_parallel_grid_scratch(
-                grid,
-                format,
-                lanes,
-                sink,
-                &mut self.scratch,
-            )?;
+            let parallel = run.lanes(grid, format, lanes, sink, scratch)?;
             return Ok(RunOutcome {
                 report: parallel.single_lane.clone(),
                 y: None,
                 parallel: Some(parallel),
             });
         }
-        if let Some(x) = spmv_x {
-            let (nrows, ncols) = grid.shape();
-            if x.len() != ncols {
-                return Err(PlatformError::Sparse(SparseError::ShapeMismatch {
-                    expected: (ncols, 1),
-                    found: (x.len(), 1),
-                }));
-            }
-            let p = self.config().partition_size;
-            let mut y = vec![0.0f32; nrows];
-            let report = self.platform.run_grid_scratch(
-                grid,
-                format,
-                sink,
-                |part, d| apply_contributions(part, d, p, x, &mut y),
-                &mut self.scratch,
-            )?;
+        let Some(x) = spmv_x else {
+            let report = run.pipeline(grid, format, sink, scratch, |_, _| {})?;
             return Ok(RunOutcome {
                 report,
-                y: Some(y),
+                y: None,
                 parallel: None,
             });
+        };
+        let (nrows, ncols) = grid.shape();
+        if x.len() != ncols {
+            return Err(PlatformError::Sparse(SparseError::ShapeMismatch {
+                expected: (ncols, 1),
+                found: (x.len(), 1),
+            }));
         }
-        let report =
-            self.platform
-                .run_grid_scratch(grid, format, sink, |_, _| {}, &mut self.scratch)?;
+        let p = self.cfg.partition_size;
+        let mut y = vec![0.0f32; nrows];
+        let report = run.pipeline(grid, format, sink, scratch, |part, d| {
+            apply_contributions(part, d, p, x, &mut y)
+        })?;
         Ok(RunOutcome {
             report,
-            y: None,
+            y: Some(y),
             parallel: None,
         })
     }

@@ -4,8 +4,8 @@
 //! any worker count. Timings are closed-form cycle counts reduced back in
 //! grid order, so parallelism is purely a host-side speedup.
 
-use copernicus_hls::{HwConfig, RunRequest, Session};
-use copernicus_telemetry::{PhaseProfiler, RecordingSink};
+use copernicus_hls::{HwConfig, PlatformError, RunRequest, Session};
+use copernicus_telemetry::{CancelToken, PhaseProfiler, RecordingSink};
 use sparsemat::{Coo, FormatKind, Matrix};
 
 /// A multi-partition matrix (48×48 over 16-wide tiles = a 3×3 grid) with
@@ -78,15 +78,70 @@ fn lane_scaling_reports_identical_under_tile_parallelism() {
     let mut par = Session::new(HwConfig::default()).unwrap().with_tile_jobs(4);
     for kind in FormatKind::CHARACTERIZED {
         for lanes in [1usize, 2, 4] {
+            let mut sink_s = RecordingSink::new();
+            let mut sink_p = RecordingSink::new();
             let base = serial
-                .run(RunRequest::matrix(&m, kind).with_lanes(lanes))
+                .run(
+                    RunRequest::matrix(&m, kind)
+                        .with_lanes(lanes)
+                        .with_sink(&mut sink_s),
+                )
                 .unwrap();
             let tiled = par
-                .run(RunRequest::matrix(&m, kind).with_lanes(lanes))
+                .run(
+                    RunRequest::matrix(&m, kind)
+                        .with_lanes(lanes)
+                        .with_sink(&mut sink_p),
+                )
                 .unwrap();
             assert_eq!(
                 base.parallel, tiled.parallel,
                 "{kind} lane report diverged at lanes={lanes}"
+            );
+            assert_eq!(
+                sink_s, sink_p,
+                "{kind} lane trace diverged at lanes={lanes}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cancelled_token_stops_every_run_shape_at_any_worker_count() {
+    let m = matrix();
+    let x: Vec<f32> = (0..m.ncols()).map(|i| (i % 5) as f32 - 2.0).collect();
+    // Plain, SpMV-consuming and four-lane runs of the same matrix.
+    let request = |shape: usize| {
+        let plain = RunRequest::matrix(&m, FormatKind::Csr);
+        match shape {
+            0 => plain,
+            1 => plain.consume_spmv(&x),
+            _ => plain.with_lanes(4),
+        }
+    };
+    let token = CancelToken::new();
+    token.cancel();
+    for jobs in [1usize, 4] {
+        let mut session = Session::new(HwConfig::default())
+            .unwrap()
+            .with_tile_jobs(jobs)
+            .with_cancel(token.clone());
+        for shape in 0..3 {
+            assert!(
+                matches!(session.run(request(shape)), Err(PlatformError::Cancelled)),
+                "{:?} was not cancelled at tile_jobs={jobs}",
+                request(shape)
+            );
+        }
+        // Detaching the token leaves no trace of the cancelled runs.
+        session.set_cancel(None);
+        let mut fresh = Session::new(HwConfig::default()).unwrap();
+        for shape in 0..3 {
+            assert_eq!(
+                session.run(request(shape)).unwrap(),
+                fresh.run(request(shape)).unwrap(),
+                "{:?} diverged after set_cancel(None) at tile_jobs={jobs}",
+                request(shape)
             );
         }
     }

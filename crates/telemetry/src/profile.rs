@@ -174,8 +174,8 @@ impl PhaseProfiler {
         lock_clean(&self.workers).clone()
     }
 
-    /// Total campaign wall seconds observed via [`record_pool`]
-    /// (PhaseProfiler::record_pool).
+    /// Total campaign wall seconds observed via
+    /// [`record_pool`](PhaseProfiler::record_pool).
     pub fn wall_secs(&self) -> f64 {
         *lock_clean(&self.wall)
     }
@@ -281,11 +281,6 @@ impl PhaseAcc {
         }
     }
 
-    /// A permanently disabled accumulator.
-    pub fn disabled() -> Self {
-        Self::new(false)
-    }
-
     /// Starts (or restarts) the lap clock.
     pub fn mark(&mut self) {
         if self.enabled {
@@ -354,7 +349,7 @@ mod tests {
     #[test]
     fn disabled_acc_records_nothing() {
         let p = PhaseProfiler::new();
-        let mut acc = PhaseAcc::disabled();
+        let mut acc = PhaseAcc::new(false);
         acc.mark();
         acc.lap(Phase::Encode);
         p.flush_run(&acc, 5.0);

@@ -3,15 +3,15 @@
 //! an append-only machine-readable `progress.jsonl`.
 //!
 //! The reporter is the single progress code path: campaign workers call
-//! [`ProgressReporter::cell_done`] / [`record_retry`]
-//! (ProgressReporter::record_retry) / [`record_failure`]
-//! (ProgressReporter::record_failure) on shared atomics (no locks on the
-//! worker path), and a background heartbeat thread periodically renders a
-//! snapshot — cells done/total, rate, ETA, retries, failures. Everything
-//! here is wall-clock and lives outside the byte-identical artifact
-//! contract: `progress.jsonl` is excluded from determinism diffs, and the
-//! deterministic artifacts (metrics.tsv, traces, measurements) never read
-//! from the reporter.
+//! [`ProgressReporter::cell_done`] /
+//! [`record_retry`](ProgressReporter::record_retry) /
+//! [`record_failure`](ProgressReporter::record_failure) on shared atomics
+//! (no locks on the worker path), and a background heartbeat thread
+//! periodically renders a snapshot — cells done/total, rate, ETA,
+//! retries, failures. Everything here is wall-clock and lives outside the
+//! byte-identical artifact contract: `progress.jsonl` is excluded from
+//! determinism diffs, and the deterministic artifacts (metrics.tsv,
+//! traces, measurements) never read from the reporter.
 //!
 //! The JSONL file is truncated when the reporter opens it and appended to
 //! line-by-line while the run progresses (safe to `tail -f`); within a run
@@ -240,9 +240,12 @@ impl ProgressReporter {
             Some(std::thread::spawn(move || loop {
                 let stopped = {
                     let guard = lock_clean(&beat.shutdown);
+                    // Checks the flag before sleeping: a `finish` that
+                    // lands before this thread first waits must not cost
+                    // a whole heartbeat interval.
                     let (guard, _) = beat
                         .wake
-                        .wait_timeout(guard, interval)
+                        .wait_timeout_while(guard, interval, |stopped| !*stopped)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     *guard
                 };

@@ -4,6 +4,7 @@
 
 use copernicus_repro::hls::{HwConfig, RunRequest, Session};
 use copernicus_repro::sparsemat::{FormatKind, Matrix};
+use copernicus_repro::telemetry::JsonlSink;
 use copernicus_repro::workloads::Workload;
 
 fn session() -> Session {
@@ -116,6 +117,46 @@ fn golden_run_report_json_snapshot() {
         json.trim(),
         golden.trim(),
         "RunReport JSON drifted from tests/data/run_report_band16_csr.json"
+    );
+}
+
+/// FNV-1a (64-bit) over a byte stream: a fixed, dependency-free hash, so a
+/// pinned value cannot drift with the toolchain's `Hasher`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The JSONL trace of one run over Band(128, 16) at seed 42, CSR, p=16,
+/// reduced to `(event count, FNV-1a of the bytes)`.
+fn band16_csr_trace(lanes: Option<usize>) -> (usize, u64) {
+    let m = Workload::Band { n: 128, width: 16 }.generate(0, 42);
+    let mut sink = JsonlSink::new(Vec::new());
+    let mut request = RunRequest::matrix(&m, FormatKind::Csr).with_sink(&mut sink);
+    if let Some(lanes) = lanes {
+        request = request.with_lanes(lanes);
+    }
+    session().run(request).unwrap();
+    let bytes = sink.into_inner().unwrap();
+    let events = bytes.iter().filter(|&&b| b == b'\n').count();
+    (events, fnv1a(&bytes))
+}
+
+#[test]
+fn golden_band16_trace_snapshot() {
+    // Serial-vs-parallel equality cannot catch a change both paths share;
+    // this pins the serialized event stream itself, for the plain pipeline
+    // and for the four-lane schedule.
+    assert_eq!(
+        band16_csr_trace(None),
+        (112, 15451799246447777762),
+        "plain CSR trace drifted"
+    );
+    assert_eq!(
+        band16_csr_trace(Some(4)),
+        (90, 10686700278699598669),
+        "4-lane CSR trace drifted"
     );
 }
 
