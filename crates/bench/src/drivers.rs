@@ -1,12 +1,9 @@
 //! One driver function per regeneration command, behind a single
 //! dispatcher.
 //!
-//! Historically every figure/table had its own binary with a copy of the
-//! flag-parsing and telemetry boilerplate. All of that now lives here: the
-//! multi-call `copernicus-bench` binary dispatches its first argument
-//! through [`run`], and the per-figure binaries are one-line wrappers
-//! passing their own name. `copernicus-bench fig05 --tsv` and
-//! `cargo run --bin fig05 -- --tsv` are byte-identical.
+//! The flag parsing and telemetry boilerplate every command shares lives
+//! here: the multi-call `copernicus-bench` binary dispatches its first
+//! argument through [`run`].
 //!
 //! Four commands parse their own flags instead of [`Cli`] and live in
 //! sibling modules: [`crate::perf`] (the hot-path benchmark harness and
@@ -56,13 +53,9 @@ pub const COMMANDS: &[&str] = &[
 
 /// Runs one regeneration command and returns the process exit code.
 ///
-/// `cmd` is matched with `-`/`_` treated as equivalent. When the
-/// `COPERNICUS_BENCH_CMD` environment variable is set it overrides `cmd`
-/// — that is the re-exec trampoline the [`crate::perf`] harness uses to
-/// turn any wrapper binary back into `repro_all`.
+/// `cmd` is matched with `-`/`_` treated as equivalent.
 pub fn run(cmd: &str, args: Vec<String>) -> i32 {
-    let forced = std::env::var("COPERNICUS_BENCH_CMD").ok();
-    let cmd = forced.as_deref().unwrap_or(cmd).replace('-', "_");
+    let cmd = cmd.replace('-', "_");
     if cmd == "perf" {
         return crate::perf::perf(args);
     }
@@ -778,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn command_list_covers_every_wrapper_binary() {
+    fn command_list_covers_every_command() {
         for cmd in [
             "repro_all",
             "table1",

@@ -1,10 +1,8 @@
-//! Shared plumbing for the figure/table regeneration binaries.
+//! Shared plumbing for the figure/table regeneration commands.
 //!
-//! The binaries are thin wrappers: each one calls [`run`] with its command
-//! name, and the multi-call `copernicus-bench` binary dispatches its first
-//! argument through the same function — `copernicus-bench fig05 --tsv` and
-//! `cargo run --bin fig05 -- --tsv` are identical. The drivers themselves
-//! live in [`drivers`].
+//! The `copernicus-bench` binary dispatches its first argument through
+//! [`run`] — `copernicus-bench fig05 --tsv` regenerates Fig. 5 as TSV. The
+//! drivers themselves live in [`drivers`].
 //!
 //! Every command accepts the same flags:
 //!

@@ -2,17 +2,11 @@
 //!
 //! The first argument picks the command (`repro_all`, `fig05`, `perf`,
 //! ...); everything after it is the command's flag list, shared across all
-//! of them (see [`copernicus_bench::Cli`]). The per-figure binaries
-//! (`cargo run --bin fig05`) are one-line wrappers over the same
-//! dispatcher, so both spellings behave identically.
+//! of them (see [`copernicus_bench::Cli`]).
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // The perf harness re-execs this binary with the command in
-    // COPERNICUS_BENCH_CMD and only flags on the command line.
-    let cmd = if let Ok(forced) = std::env::var("COPERNICUS_BENCH_CMD") {
-        forced
-    } else if !args.is_empty() && !args[0].starts_with('-') {
+    let cmd = if !args.is_empty() && !args[0].starts_with('-') {
         args.remove(0)
     } else {
         eprintln!(

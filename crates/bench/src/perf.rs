@@ -2,17 +2,13 @@
 //! command (`repro_all` by default, any command via `--cmd`), a labeled
 //! performance trajectory, and the CI regression gate.
 //!
-//! Each repetition spawns the current executable again with
-//! `COPERNICUS_BENCH_CMD=<cmd>` (the re-exec trampoline, so the
-//! measurement works from any wrapper binary) and times it end to end —
-//! exactly what a user-facing `copernicus-bench <cmd> --jobs N`
-//! computes. Three artifacts flow out of a run:
+//! Each repetition spawns the current executable again as
+//! `copernicus-bench <cmd> --jobs N` and times it end to end — exactly
+//! what a user-facing invocation computes. Two things can follow a run:
 //!
-//! * `--out FILE` (default `BENCH_hotpath.json`) — the single-run evidence
-//!   document, unchanged from earlier hot-path work.
 //! * `--record LABEL` — appends a labeled [`TrajectoryPoint`] to the
 //!   trajectory file (default `BENCH_trajectory.json`), the append-only
-//!   history CI regresses against.
+//!   history CI regresses against. It is the one artifact `perf` writes.
 //! * `--check` — compares this run's best-of-N against the most recent
 //!   trajectory point with the same command, scale, job count and hardware
 //!   backend, and exits nonzero
@@ -223,12 +219,10 @@ pub fn regression_gate(
 /// the hardware backend the child costs on (default `hls`); `--iters N`
 /// repetitions (default 3, best-of is reported); `--warmup N` unrecorded
 /// warmup runs before the sample (default 1); `--jobs N` worker threads
-/// for each child (default 1); `--out FILE` evidence path (default
-/// `BENCH_hotpath.json`); `--baseline-secs X` a reference wall time for
-/// `improvement_pct`; `--trajectory FILE` the trajectory path (default
-/// `BENCH_trajectory.json`); `--record LABEL` appends this run to the
-/// trajectory; `--check` gates against the trajectory; `--threshold-pct X`
-/// the gate's noise allowance (default 50).
+/// for each child (default 1); `--trajectory FILE` the trajectory path
+/// (default `BENCH_trajectory.json`); `--record LABEL` appends this run to
+/// the trajectory; `--check` gates against the trajectory;
+/// `--threshold-pct X` the gate's noise allowance (default 50).
 pub fn perf(args: Vec<String>) -> i32 {
     let mut paper = false;
     let mut cmd = "repro_all".to_string();
@@ -236,13 +230,11 @@ pub fn perf(args: Vec<String>) -> i32 {
     let mut iters = 3usize;
     let mut warmup = 1usize;
     let mut jobs = 1usize;
-    let mut out = std::path::PathBuf::from("BENCH_hotpath.json");
-    let mut baseline: Option<f64> = None;
     let mut trajectory_path = std::path::PathBuf::from("BENCH_trajectory.json");
     let mut record: Option<String> = None;
     let mut check = false;
     let mut threshold_pct = 50.0f64;
-    let usage = "usage: perf [--quick|--paper] [--cmd NAME] [--backend hls|cpu|hetero] [--iters N] [--warmup N] [--jobs N] [--out FILE] [--baseline-secs X] [--trajectory FILE] [--record LABEL] [--check] [--threshold-pct X]";
+    let usage = "usage: perf [--quick|--paper] [--cmd NAME] [--backend hls|cpu|hetero] [--iters N] [--warmup N] [--jobs N] [--trajectory FILE] [--record LABEL] [--check] [--threshold-pct X]";
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value\n{usage}"));
@@ -284,14 +276,6 @@ pub fn perf(args: Vec<String>) -> i32 {
                 }
                 Ok(())
             }),
-            "--out" => value("--out").map(|v| out = std::path::PathBuf::from(v)),
-            "--baseline-secs" => value("--baseline-secs").and_then(|v| {
-                baseline = Some(
-                    v.parse()
-                        .map_err(|e| format!("bad --baseline-secs {v:?}: {e}"))?,
-                );
-                Ok(())
-            }),
             "--trajectory" => {
                 value("--trajectory").map(|v| trajectory_path = std::path::PathBuf::from(v))
             }
@@ -326,7 +310,7 @@ pub fn perf(args: Vec<String>) -> i32 {
     };
     let scale = if paper { "paper" } else { "quick" };
     let backend = backend.to_string();
-    let mut child_args: Vec<String> = vec!["--jobs".into(), jobs.to_string()];
+    let mut child_args: Vec<String> = vec![cmd.clone(), "--jobs".into(), jobs.to_string()];
     if paper {
         child_args.push("--paper".into());
     }
@@ -341,7 +325,6 @@ pub fn perf(args: Vec<String>) -> i32 {
         let started = std::time::Instant::now();
         let status = std::process::Command::new(&exe)
             .args(&child_args)
-            .env("COPERNICUS_BENCH_CMD", &cmd)
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null())
             .status();
@@ -378,48 +361,10 @@ pub fn perf(args: Vec<String>) -> i32 {
     let mean = runs.iter().sum::<f64>() / runs.len() as f64;
     let (stddev, cv) = noise_stats(&runs, mean);
 
-    let mut doc = vec![
-        ("benchmark".to_string(), Value::Str(cmd.clone())),
-        ("scale".to_string(), Value::Str(scale.to_string())),
-        ("jobs".to_string(), Value::UInt(jobs as u64)),
-        ("backend".to_string(), Value::Str(backend.clone())),
-        ("iterations".to_string(), Value::UInt(iters as u64)),
-        (
-            "runs_secs".to_string(),
-            Value::Seq(runs.iter().map(|&s| Value::Float(s)).collect()),
-        ),
-        ("best_secs".to_string(), Value::Float(best)),
-        ("mean_secs".to_string(), Value::Float(mean)),
-        ("stddev_secs".to_string(), Value::Float(stddev)),
-        ("cv".to_string(), Value::Float(cv)),
-        ("warmup".to_string(), Value::UInt(warmup as u64)),
-    ];
-    if let Some(base) = baseline {
-        doc.push(("baseline_secs".to_string(), Value::Float(base)));
-        if base > 0.0 {
-            doc.push((
-                "improvement_pct".to_string(),
-                Value::Float((base - best) / base * 100.0),
-            ));
-        }
-    }
-    let json = serde::json::to_string_pretty(&Value::Map(doc));
-    if let Err(e) = copernicus_telemetry::atomic_write(&out, format!("{json}\n")) {
-        eprintln!("perf: could not write {}: {e}", out.display());
-        return 1;
-    }
-    match baseline {
-        Some(base) => println!(
-            "{scale} {cmd} [{backend}] --jobs {jobs}: best {best:.3}s / mean {mean:.3}s ± {stddev:.3}s (cv {:.1}%) over {iters} run(s); baseline {base:.3}s ({:+.1}%)",
-            cv * 100.0,
-            (base - best) / base * 100.0
-        ),
-        None => println!(
-            "{scale} {cmd} [{backend}] --jobs {jobs}: best {best:.3}s / mean {mean:.3}s ± {stddev:.3}s (cv {:.1}%) over {iters} run(s)",
-            cv * 100.0
-        ),
-    }
-    println!("wrote {}", out.display());
+    println!(
+        "{scale} {cmd} [{backend}] --jobs {jobs}: best {best:.3}s / mean {mean:.3}s ± {stddev:.3}s (cv {:.1}%) over {iters} run(s)",
+        cv * 100.0
+    );
 
     let points = match std::fs::read_to_string(&trajectory_path) {
         Ok(text) => parse_trajectory(&text),

@@ -12,26 +12,22 @@
 //! ```
 //!
 //! Signals only flip an `AtomicBool` (the only async-signal-safe thing a
-//! handler may do); the accept loop polls it. Installation uses a raw
-//! `signal(2)` FFI declaration because the workspace is offline — no
-//! `libc` crate — and is `#[cfg(unix)]`-gated; elsewhere only
-//! `POST /admin/drain` triggers a drain.
+//! handler may do); the accept loop polls it and then calls
+//! `ServiceState::begin_drain`. `POST /admin/drain` calls `begin_drain`
+//! itself, so its `200` is sent only after admission has closed.
+//! Installation uses a raw `signal(2)` FFI declaration because the
+//! workspace is offline — no `libc` crate — and is `#[cfg(unix)]`-gated;
+//! elsewhere only `POST /admin/drain` triggers a drain.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler (or [`request_shutdown`]); polled by the
-/// accept loop. Process-global because signal handlers cannot carry state.
+/// Set by the signal handler; polled by the accept loop. Process-global
+/// because signal handlers cannot carry state.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// True once a shutdown has been requested by signal or admin endpoint.
+/// True once a shutdown has been requested by signal.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Requests a graceful drain (the `POST /admin/drain` path, also used by
-/// tests).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
@@ -62,17 +58,3 @@ pub fn install_signal_handlers() {
 /// the drain trigger.
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn request_shutdown_flips_the_flag() {
-        // Process-global state: this test is the only one in the crate
-        // touching it outside the serve loop, so it only asserts the
-        // post-condition (the flag may already be set by a prior run).
-        request_shutdown();
-        assert!(shutdown_requested());
-    }
-}

@@ -78,9 +78,9 @@ pub struct ServiceState {
     pub active_jobs: AtomicUsize,
     /// Responses admitted but not yet written back to their client.
     pub pending_replies: AtomicUsize,
-    /// Flipped once shutdown is requested; `/readyz` and admission key off
-    /// this.
-    pub draining: AtomicBool,
+    /// Flipped once by [`ServiceState::begin_drain`]; `/readyz` and
+    /// admission key off this.
+    draining: AtomicBool,
     /// Request journal/result/checkpoint root (`--spool`).
     pub spool: Option<PathBuf>,
     /// Parser limits.
@@ -118,6 +118,16 @@ impl ServiceState {
     /// True once a drain has begun.
     pub fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
+    }
+
+    /// Closes admission: from the moment this returns, `/readyz` answers
+    /// `503` and new work is refused. Admitted work still runs to
+    /// completion. Idempotent.
+    pub(crate) fn begin_drain(&self) {
+        if !self.draining.swap(true, Ordering::SeqCst) {
+            self.queue.close();
+            eprintln!("serve: draining (admission closed)");
+        }
     }
 
     /// The spool directory for a request id, created on demand. `None`
@@ -313,9 +323,15 @@ pub fn serve(args: Vec<String>) -> i32 {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
+    // True after one poll tick that found the drain complete with no
+    // connection accepted since: exit needs two such ticks in a row, so a
+    // connection accepted just before the end still has a full tick to be
+    // answered (e.g. a `/readyz` probe sent right after the drain reply).
+    let mut quiet_tick = false;
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                quiet_tick = false;
                 let state = Arc::clone(&state);
                 // Detached: connection lifetime is bounded by the socket
                 // timeouts, and the drain barrier below waits on admitted
@@ -323,18 +339,17 @@ pub fn serve(args: Vec<String>) -> i32 {
                 std::thread::spawn(move || handle_connection(stream, &state));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if drain::shutdown_requested() && !state.draining() {
-                    state.draining.store(true, Ordering::SeqCst);
-                    state.queue.close();
-                    eprintln!("serve: draining (admission closed)");
+                if drain::shutdown_requested() {
+                    state.begin_drain();
                 }
-                if state.draining()
+                let drained = state.draining()
                     && state.queue.is_empty()
                     && state.active_jobs.load(Ordering::SeqCst) == 0
-                    && state.pending_replies.load(Ordering::SeqCst) == 0
-                {
+                    && state.pending_replies.load(Ordering::SeqCst) == 0;
+                if drained && quiet_tick {
                     break;
                 }
+                quiet_tick = drained;
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(e) => {
@@ -483,7 +498,7 @@ fn route(req: &Request, state: &Arc<ServiceState>) -> Response {
             lookup_request(state, &target["/requests/".len()..])
         }
         ("POST", "/admin/drain") => {
-            drain::request_shutdown();
+            state.begin_drain();
             Response::json(200, "OK", simple_body("status", "draining"))
         }
         ("POST", "/characterize") => admit(req, state),
@@ -700,6 +715,27 @@ mod tests {
         assert_eq!(doc.get("accepted").and_then(Value::as_u64), Some(3));
         assert_eq!(doc.get("queue_depth").and_then(Value::as_u64), Some(0));
         assert!(doc.get("draining").is_some());
+    }
+
+    #[test]
+    fn drain_closes_admission_before_it_is_acknowledged() {
+        let state = ServiceState::for_tests();
+        let request = |method: &str, target: &str, body: &str| Request {
+            method: method.to_string(),
+            target: target.to_string(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        };
+        let ack = route(&request("POST", "/admin/drain", ""), &state);
+        assert_eq!(ack.status, 200);
+        // No accept-loop tick in between: the acknowledgement itself
+        // guarantees admission is already closed.
+        assert_eq!(route(&request("GET", "/readyz", ""), &state).status, 503);
+        let spec = r#"{"id":"late-1","workload":{"kind":"random","n":16,"density":0.1},"formats":["csr"],"partition_sizes":[8],"seed":1}"#;
+        RequestSpec::parse(spec.as_bytes()).expect("the refused request is valid");
+        let refused = route(&request("POST", "/characterize", spec), &state);
+        assert_eq!(refused.status, 503);
+        assert_eq!(state.stats.rejected_draining.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Hammers `POST /characterize` from N concurrent keep-alive clients at
 //! each requested concurrency level, records per-request latency, and
-//! writes p50/p99 + throughput into `BENCH_serve.json` (same spirit as the
-//! `BENCH_<host>.json` files the `perf` harness produces).
+//! writes p50/p99 + throughput into `BENCH_serve.json` (the serve
+//! counterpart of the trajectory points the `perf` harness records).
 //!
-//! Without `--addr` the storm spawns its own daemon via the
-//! `COPERNICUS_BENCH_CMD` re-exec trampoline, parses the bound port off
-//! its stdout, and drains it afterwards.
+//! Without `--addr` the storm spawns its own daemon by re-executing itself
+//! as `copernicus-bench serve`, parses the bound port off its stdout, and
+//! drains it afterwards.
 //!
 //! `--chaos` turns the storm into a crash-recovery audit: the daemon runs
 //! with a spool, gets `SIGKILL`ed mid-storm, is restarted on the same
@@ -437,7 +437,7 @@ fn read_response<R: BufRead>(reader: &mut R) -> Result<(u16, String), String> {
 // Daemon child management
 // ---------------------------------------------------------------------------
 
-/// A daemon child spawned via the `COPERNICUS_BENCH_CMD` trampoline.
+/// A daemon child: this executable re-run as `copernicus-bench serve`.
 struct ServerHandle {
     child: Child,
     addr: String,
@@ -449,7 +449,7 @@ impl ServerHandle {
     fn spawn(extra_args: &[&str]) -> Result<ServerHandle, String> {
         let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
         let mut child = Command::new(exe)
-            .env("COPERNICUS_BENCH_CMD", "serve")
+            .arg("serve")
             .args(extra_args)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())

@@ -332,14 +332,24 @@ fn drain_flips_readyz_refuses_work_and_answers_everything_admitted() {
                 &spec(&format!("dr-{i}"), 48),
             )
         }));
-        // Make sure each lands before the drain request below.
-        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Every job must be admitted before the drain request below: a job
+    // that reaches the server after the drain is rightly refused.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, _, stats) = http(&server.addr, "GET", "/stats", "").expect("stats");
+        let doc: Value = serde::json::from_str(&stats).expect("stats JSON");
+        if doc.get("accepted").and_then(Value::as_u64) == Some(jobs) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "jobs never admitted: {stats}");
+        std::thread::sleep(Duration::from_millis(2));
     }
     let (status, _, _) = http(&server.addr, "POST", "/admin/drain", "").expect("drain");
     assert_eq!(status, 200);
 
-    // The accept loop flips the draining flag on its next poll tick; from
-    // then until exit, readyz must read 503 and admission must refuse.
+    // The drain reply is sent after admission has closed; from then until
+    // exit, readyz must read 503 and admission must refuse.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut saw_unready = false;
     while Instant::now() < deadline {

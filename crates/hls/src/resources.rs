@@ -5,7 +5,7 @@
 //! module therefore anchors each format's BRAM_18K / FF / LUT figures on the
 //! paper's published design points (partition sizes 8, 16, 32 — Table 2)
 //! and interpolates geometrically in `log2(p)` between / beyond them so the
-//! ablation benches can explore non-paper partition sizes with sane
+//! ablation sweeps can explore non-paper partition sizes with sane
 //! structural scaling.
 //!
 //! At the paper's partition sizes the model reproduces Table 2 exactly by

@@ -60,7 +60,6 @@ pub mod dense;
 pub mod dia;
 pub mod dok;
 pub mod ell;
-pub mod ellcoo;
 pub mod error;
 pub mod jds;
 pub mod lil;
@@ -68,7 +67,6 @@ pub mod ops;
 pub mod partition;
 pub mod scalar;
 pub mod sell;
-pub mod sellcs;
 pub mod triplet;
 
 pub use bcsc::Bcsc;
@@ -81,14 +79,12 @@ pub use dense::Dense;
 pub use dia::Dia;
 pub use dok::Dok;
 pub use ell::Ell;
-pub use ellcoo::EllCoo;
 pub use error::SparseError;
 pub use jds::Jds;
 pub use lil::{Axis, Lil};
 pub use partition::{Partition, PartitionGrid, PartitionStats};
 pub use scalar::Scalar;
 pub use sell::Sell;
-pub use sellcs::SellCSigma;
 pub use triplet::Triplet;
 
 use std::fmt::Debug;

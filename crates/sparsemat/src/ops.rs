@@ -1,6 +1,6 @@
 //! Linear-algebra operations shared by the example applications
 //! (element-wise combination, scaling, sparse matrix–matrix product, vector
-//! helpers for the iterative solvers).
+//! helpers for the iterative examples).
 
 use crate::{Coo, Csr, Matrix, Scalar, SparseError, Triplet};
 

@@ -13,7 +13,6 @@
 
 use copernicus::table::{f3, TextTable};
 use copernicus_hls::{HwConfig, RunRequest, Session};
-use copernicus_solvers::{sparse_mlp_forward, SparseLayer};
 use copernicus_workloads::{ml, seeded_rng};
 use sparsemat::{Coo, FormatKind, Matrix, PartitionGrid};
 
@@ -43,12 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, structured) in [("unstructured", false), ("block-structured", true)] {
         let weights = build_mlp(structured, 77);
 
-        // Functional forward pass through the software kernels.
-        let layers: Vec<SparseLayer> = weights
-            .iter()
-            .map(|(_, w)| SparseLayer::new(w, vec![0.0; w.nrows()], true))
-            .collect::<Result<_, _>>()?;
-        let logits = sparse_mlp_forward(&layers, &input)?;
+        // Functional forward pass: relu(W·x) per layer (the bias is zero).
+        let mut logits = input.clone();
+        for (_, w) in &weights {
+            logits = w.spmv(&logits)?.into_iter().map(|y| y.max(0.0)).collect();
+        }
 
         println!("\n== {name} pruning (density {DENSITY}) ==");
         println!("logit head: {:?}", &logits[..4.min(logits.len())]);

@@ -110,8 +110,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nThe 5-point Laplacian is a 5-diagonal band matrix, so DIA's \n\
          per-row diagonal scan stays cheap here. §8 of the paper warns the \n\
          DIA/row-engine mismatch becomes a compute bottleneck as non-zeros \n\
-         scatter over many partial diagonals — see `cargo run -p \n\
-         copernicus-bench --bin fig06` for that sweep."
+         scatter over many partial diagonals — see `cargo run --release \n\
+         -p copernicus-bench -- fig06` for that sweep."
     );
     Ok(())
 }

@@ -7,15 +7,12 @@
 //! * `workloads` ([`copernicus_workloads`]) — workload generators and the
 //!   Table-1 registry,
 //! * `hls` ([`copernicus_hls`]) — the cycle-level hardware model,
-//! * `solvers` ([`copernicus_solvers`]) — the application kernels §3.3
-//!   motivates (CG/BiCGSTAB, PageRank/BFS, sparse NN inference),
 //! * `telemetry` ([`copernicus_telemetry`]) — trace sinks, metrics and run
 //!   manifests,
 //! * [`copernicus`] — metrics, the experiment runner and figure drivers.
 
 pub use copernicus;
 pub use copernicus_hls as hls;
-pub use copernicus_solvers as solvers;
 pub use copernicus_telemetry as telemetry;
 pub use copernicus_workloads as workloads;
 pub use sparsemat;

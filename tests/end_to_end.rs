@@ -81,7 +81,7 @@ fn partition_grid_is_shared_consistently_across_formats() {
 
 #[test]
 fn umbrella_crate_re_exports_work() {
-    // The root crate exposes all four member crates.
+    // The root crate exposes the member crates.
     let coo = copernicus_repro::sparsemat::Coo::<f32>::new(4, 4);
     assert_eq!(coo.nnz(), 0);
     assert_eq!(copernicus_repro::workloads::SUITE.len(), 20);
