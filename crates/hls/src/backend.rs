@@ -18,6 +18,11 @@
 //!   stay on the HLS pipeline. CPU cycles are rescaled into the HLS
 //!   clock domain so one report stays internally consistent.
 //!
+//! A backend prices [`TileCounters`] — bytes, decoder cycles, dot issues
+//! and BRAM reads — so it never sees how they were obtained: read off a
+//! walked encode → decompress pass, or evaluated from a tile's structure
+//! ([`TileStats`](crate::TileStats)).
+//!
 //! The format/codec half of [`HwConfig`] (partition size, stream
 //! widths, `stream_codec`) is backend-independent: it describes *what*
 //! is transferred and decoded. Backends only own *how much that costs*.
@@ -149,9 +154,9 @@ impl Default for CpuParams {
 impl CpuParams {
     /// Rejects parameter combinations the model cannot cost sensibly.
     pub fn validate(&self) -> Result<(), String> {
-        if self.clock_mhz.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        if !(self.clock_mhz > 0.0 && self.clock_mhz.is_finite()) {
             return Err(format!(
-                "cpu clock_mhz must be positive, got {}",
+                "cpu clock_mhz must be positive and finite, got {}",
                 self.clock_mhz
             ));
         }
@@ -176,9 +181,9 @@ impl CpuParams {
                 self.l1_latency, self.l2_latency, self.llc_latency, self.dram_latency
             ));
         }
-        if self.tdp_watts < 0.0 || self.tdp_watts.is_nan() {
+        if !(self.tdp_watts >= 0.0 && self.tdp_watts.is_finite()) {
             return Err(format!(
-                "cpu tdp_watts must be non-negative, got {}",
+                "cpu tdp_watts must be non-negative and finite, got {}",
                 self.tdp_watts
             ));
         }
@@ -209,8 +214,51 @@ impl CpuParams {
     }
 }
 
-/// A hardware cost model: turns one partition's encoded streams and
-/// decompression trace into stage cycle counts.
+/// Everything a [`Backend`] reads about one partition: its transfer
+/// accounting and its decompression schedule, without the rows.
+///
+/// Two sources produce the same value: [`TileCounters::walked`] reads it
+/// off an encoded partition and its walked decompression, and
+/// [`TileStats::counters`](crate::TileStats::counters) evaluates the
+/// DESIGN.md §3 closed forms from one structural pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileCounters {
+    /// Bytes of the structural encoding (data + metadata).
+    pub bytes: u64,
+    /// Bytes crossing the bus after the second-stage codec.
+    pub coded_bytes: u64,
+    /// Bytes of useful payload (the non-zero values).
+    pub useful_bytes: u64,
+    /// Second-stage decoder cycles (zero without a codec).
+    pub entropy_cycles: u64,
+    /// Structural-decompression cycles (`T_decomp` of Eq. 1).
+    pub decomp_cycles: u64,
+    /// Dot products issued to the engine.
+    pub dot_issues: u64,
+    /// Width of the engine the dot products go to.
+    pub engine_width: usize,
+    /// BRAM read transactions.
+    pub bram_reads: u64,
+}
+
+impl TileCounters {
+    /// The counters of an encoded partition and its walked decompression.
+    pub fn walked(encoded: &EncodedPartition, d: &Decompression, cfg: &HwConfig) -> Self {
+        TileCounters {
+            bytes: encoded.total_bytes(),
+            coded_bytes: encoded.transfer_bytes(),
+            useful_bytes: encoded.useful_bytes,
+            entropy_cycles: encoded.entropy_cycles(cfg),
+            decomp_cycles: d.decomp_cycles,
+            dot_issues: d.dot_issues,
+            engine_width: d.engine_width,
+            bram_reads: d.bram_reads,
+        }
+    }
+}
+
+/// A hardware cost model: turns one partition's [`TileCounters`] into
+/// stage cycle counts.
 ///
 /// Implementations are stateless — all tunables come from the
 /// [`HwConfig`] passed at each call, so a `&'static` instance can be
@@ -221,12 +269,18 @@ pub trait Backend: Sync {
 
     /// Cost one partition: memory-read, compute (structural decompress +
     /// entropy decode + dot products), and write-back stage cycles.
+    fn price(&self, c: &TileCounters, cfg: &HwConfig) -> PartitionTiming;
+
+    /// [`Backend::price`] over an encoded partition and its walked
+    /// decompression.
     fn partition_timing(
         &self,
         encoded: &EncodedPartition,
         d: &Decompression,
         cfg: &HwConfig,
-    ) -> PartitionTiming;
+    ) -> PartitionTiming {
+        self.price(&TileCounters::walked(encoded, d, cfg), cfg)
+    }
 
     /// Compute cycles a dense `p×p` partition would take on this
     /// backend — the σ (Eq. 1) normalization baseline.
@@ -266,24 +320,20 @@ impl Backend for HlsStreamBackend {
         BackendKind::Hls
     }
 
-    fn partition_timing(
-        &self,
-        encoded: &EncodedPartition,
-        d: &Decompression,
-        cfg: &HwConfig,
-    ) -> PartitionTiming {
-        let entropy_cycles = encoded.entropy_cycles(cfg);
+    fn price(&self, c: &TileCounters, cfg: &HwConfig) -> PartitionTiming {
         PartitionTiming {
-            mem_cycles: encoded.memory_cycles(cfg),
-            compute_cycles: d.compute_cycles(cfg) + entropy_cycles,
-            decomp_cycles: d.decomp_cycles,
-            entropy_cycles,
+            mem_cycles: cfg.transfer_cycles(c.coded_bytes),
+            compute_cycles: c.decomp_cycles
+                + c.dot_issues * cfg.dot_latency(c.engine_width)
+                + c.entropy_cycles,
+            decomp_cycles: c.decomp_cycles,
+            entropy_cycles: c.entropy_cycles,
             writeback_cycles: cfg.transfer_cycles((cfg.partition_size * cfg.value_bytes) as u64),
-            dot_issues: d.dot_issues,
-            bytes: encoded.total_bytes(),
-            coded_bytes: encoded.transfer_bytes(),
-            useful_bytes: encoded.useful_bytes,
-            bram_reads: d.bram_reads,
+            dot_issues: c.dot_issues,
+            bytes: c.bytes,
+            coded_bytes: c.coded_bytes,
+            useful_bytes: c.useful_bytes,
+            bram_reads: c.bram_reads,
         }
     }
 
@@ -324,33 +374,27 @@ impl Backend for CpuCacheBackend {
         BackendKind::Cpu
     }
 
-    fn partition_timing(
-        &self,
-        encoded: &EncodedPartition,
-        d: &Decompression,
-        cfg: &HwConfig,
-    ) -> PartitionTiming {
+    fn price(&self, c: &TileCounters, cfg: &HwConfig) -> PartitionTiming {
         let cpu = &cfg.cpu;
         // Entropy decode prices from the same codec cost tables the HLS
         // second-stage decoder uses (cycles here tick at the CPU clock).
-        let entropy_cycles = encoded.entropy_cycles(cfg);
-        // The structural working set picks the cache level every
-        // element access pays for.
-        let latency = cpu.access_latency(encoded.total_bytes());
-        let access_cycles = (d.bram_reads + d.dot_issues) * latency;
-        let dot_cycles = d.dot_issues * cpu.dot_latency(d.engine_width);
+        // The structural working set picks the cache level every element
+        // access pays for.
+        let latency = cpu.access_latency(c.bytes);
+        let access_cycles = (c.bram_reads + c.dot_issues) * latency;
+        let dot_cycles = c.dot_issues * cpu.dot_latency(c.engine_width);
         let stream = |bytes: u64| cpu.dram_latency + bytes.div_ceil(cpu.dram_bytes_per_cycle);
         PartitionTiming {
-            mem_cycles: stream(encoded.transfer_bytes()),
-            compute_cycles: entropy_cycles + d.decomp_cycles + access_cycles + dot_cycles,
-            decomp_cycles: d.decomp_cycles,
-            entropy_cycles,
+            mem_cycles: stream(c.coded_bytes),
+            compute_cycles: c.entropy_cycles + c.decomp_cycles + access_cycles + dot_cycles,
+            decomp_cycles: c.decomp_cycles,
+            entropy_cycles: c.entropy_cycles,
             writeback_cycles: stream((cfg.partition_size * cfg.value_bytes) as u64),
-            dot_issues: d.dot_issues,
-            bytes: encoded.total_bytes(),
-            coded_bytes: encoded.transfer_bytes(),
-            useful_bytes: encoded.useful_bytes,
-            bram_reads: d.bram_reads,
+            dot_issues: c.dot_issues,
+            bytes: c.bytes,
+            coded_bytes: c.coded_bytes,
+            useful_bytes: c.useful_bytes,
+            bram_reads: c.bram_reads,
         }
     }
 
@@ -394,7 +438,8 @@ impl Backend for CpuCacheBackend {
 pub struct HeteroBackend;
 
 /// Rescales a CPU-clock cycle count into HLS-clock cycles, rounding up
-/// so a dispatched partition never costs zero.
+/// so a dispatched partition never costs zero ([`CpuParams::validate`]
+/// rejects the infinite CPU clock that would round every cost to zero).
 fn rescale(cycles: u64, cfg: &HwConfig) -> u64 {
     (cycles as f64 * cfg.clock_mhz / cfg.cpu.clock_mhz).ceil() as u64
 }
@@ -404,20 +449,15 @@ impl Backend for HeteroBackend {
         BackendKind::Hetero
     }
 
-    fn partition_timing(
-        &self,
-        encoded: &EncodedPartition,
-        d: &Decompression,
-        cfg: &HwConfig,
-    ) -> PartitionTiming {
-        let hls = HlsStreamBackend.partition_timing(encoded, d, cfg);
+    fn price(&self, c: &TileCounters, cfg: &HwConfig) -> PartitionTiming {
+        let hls = HlsStreamBackend.price(c, cfg);
         if hls.mem_cycles <= hls.compute_cycles {
             // Compute-bound on the FPGA: the accelerator earns its keep.
             return hls;
         }
         // Memory-bound: dispatch to the CPU and bring its cycles into
         // the HLS clock domain.
-        let cpu = CpuCacheBackend.partition_timing(encoded, d, cfg);
+        let cpu = CpuCacheBackend.price(c, cfg);
         PartitionTiming {
             mem_cycles: rescale(cpu.mem_cycles, cfg),
             compute_cycles: rescale(cpu.compute_cycles, cfg),
@@ -504,6 +544,20 @@ mod tests {
             ..CpuParams::default()
         };
         assert!(p.validate().is_err(), "zero-lane SIMD must fail");
+        for clock_mhz in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let p = CpuParams {
+                clock_mhz,
+                ..CpuParams::default()
+            };
+            assert!(p.validate().is_err(), "clock {clock_mhz} must fail");
+        }
+        for tdp_watts in [-1.0, f64::NAN, f64::INFINITY] {
+            let p = CpuParams {
+                tdp_watts,
+                ..CpuParams::default()
+            };
+            assert!(p.validate().is_err(), "tdp {tdp_watts} must fail");
+        }
     }
 
     #[test]

@@ -42,7 +42,10 @@ pub struct HwConfig {
     pub ell_hw_width: usize,
     /// When true, [`crate::Session`] runs cross-check every decompressed row
     /// against the dense reference — the analog of the paper's C/RTL
-    /// co-simulation. Costs time on large runs; on by default.
+    /// co-simulation. Costs time on large runs; on by default. When false,
+    /// runs that need no decompressed rows (no codec, no SpMV consume)
+    /// price each tile from its structure ([`crate::TileStats`]) instead of
+    /// encoding and decompressing it; the reports are identical.
     pub verify_functional: bool,
     /// Second-stage codec applied to every transfer stream after structural
     /// encoding ([`CodecKind::None`] reproduces the paper's platform
@@ -119,10 +122,14 @@ impl HwConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint (zero sizes,
-    /// zero clock, block larger than partition).
+    /// a clock that is not positive and finite, block larger than
+    /// partition).
     pub fn validate(&self) -> Result<(), String> {
-        if self.clock_mhz <= 0.0 {
-            return Err(format!("clock must be positive, got {}", self.clock_mhz));
+        if !(self.clock_mhz > 0.0 && self.clock_mhz.is_finite()) {
+            return Err(format!(
+                "clock must be positive and finite, got {}",
+                self.clock_mhz
+            ));
         }
         if self.bus_bytes_per_cycle == 0 {
             return Err("bus width must be positive".into());
@@ -231,6 +238,10 @@ mod tests {
         assert!(bad(|c| c.bcsr_block = 64));
         assert!(bad(|c| c.partition_size = 0));
         assert!(bad(|c| c.clock_mhz = 0.0));
+        assert!(bad(|c| c.clock_mhz = f64::NAN));
+        assert!(bad(|c| c.clock_mhz = f64::INFINITY));
+        assert!(bad(|c| c.cpu.clock_mhz = f64::INFINITY));
+        assert!(bad(|c| c.cpu.tdp_watts = f64::INFINITY));
         assert!(bad(|c| c.ell_hw_width = 0));
     }
 }

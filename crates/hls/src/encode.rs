@@ -227,9 +227,7 @@ impl EncodedPartition {
                 AnyMatrix::Dia(dia)
             }
             other @ (FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds) => {
-                return Err(SparseError::UnknownFormat(format!(
-                    "{other} is not part of the characterized platform"
-                )));
+                return Err(uncharacterized(other));
             }
         };
 
@@ -316,6 +314,13 @@ impl EncodedPartition {
     pub fn kind(&self) -> FormatKind {
         self.matrix.kind()
     }
+}
+
+/// The error for a format the platform does not characterize.
+pub(crate) fn uncharacterized(format: FormatKind) -> SparseError {
+    SparseError::UnknownFormat(format!(
+        "{format} is not part of the characterized platform"
+    ))
 }
 
 /// Appends the first `width` little-endian bytes of `le`, zero-padded when

@@ -4,7 +4,8 @@
 //! = 1808 cycles").
 //!
 //! Every breakdown is tested to sum exactly to the corresponding
-//! [`decompress`](crate::decompress) cycle count — the explanation can
+//! [`decompress`](crate::decompress) cycle count and to the
+//! [`TileStats`](crate::TileStats) closed form — the explanation can
 //! never drift from the model.
 
 use crate::{decompress, EncodedPartition, HwConfig};
@@ -185,6 +186,7 @@ fn dia_count(m: &Dia<f32>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EncodeScratch, TileStats};
     use sparsemat::{Coo, FormatKind};
 
     fn tile() -> Coo<f32> {
@@ -201,12 +203,19 @@ mod tests {
     fn terms_sum_exactly_to_the_model_for_every_format() {
         let cfg = HwConfig::with_partition_size(16);
         let t = tile();
+        let stats = TileStats::measure(&t, &cfg, &mut EncodeScratch::new()).unwrap();
         for kind in FormatKind::CHARACTERIZED {
             let part = EncodedPartition::encode(&t, kind, &cfg).unwrap();
             let d = decompress(&part, &cfg);
             let b = explain(&part, &cfg);
             let term_sum: u64 = b.decomp_terms.iter().map(|t| t.cycles).sum();
             assert_eq!(term_sum, d.decomp_cycles, "{kind} decomp terms drifted");
+            // The structural closed forms tell the same story.
+            let counters = stats.counters(kind, &cfg).unwrap();
+            assert_eq!(
+                term_sum, counters.decomp_cycles,
+                "{kind} closed form drifted"
+            );
             assert_eq!(
                 term_sum + b.dot_term.cycles,
                 b.compute_cycles,

@@ -15,6 +15,9 @@
 //!   the paper's HLS listings 1–7 statement by statement (II=1 pipelined
 //!   loops, single-cycle unrolled bodies over partitioned BRAMs, explicit
 //!   `offsets` reads),
+//! * a structural pricing pass ([`structure`]) that evaluates the
+//!   decompressors' closed forms from one pass over a tile, used instead
+//!   of encode → decompress when nothing reads the decompressed rows,
 //! * a fine-grained dot-product engine (multiplier array + balanced adder
 //!   tree, [`HwConfig::dot_latency`]),
 //! * the three-stage outer pipeline ([`pipeline`] — memory-read, compute,
@@ -71,9 +74,11 @@ pub mod power;
 pub mod resources;
 pub mod scratch;
 pub mod session;
+pub mod structure;
 
 pub use backend::{
     backend_for, Backend, BackendKind, CpuCacheBackend, CpuParams, HeteroBackend, HlsStreamBackend,
+    TileCounters,
 };
 pub use codec::{codec_for, Codec, CodecCost, CodecError, CodecKind, CodecScratch};
 pub use config::{ceil_log2, HwConfig};
@@ -85,3 +90,4 @@ pub use power::PowerBreakdown;
 pub use resources::Resources;
 pub use scratch::EncodeScratch;
 pub use session::{Input, RunOutcome, RunRequest, Session};
+pub use structure::TileStats;

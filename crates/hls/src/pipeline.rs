@@ -2,7 +2,8 @@
 //! (decompress + dot-product) → memory-write, pipelined across partitions.
 
 use crate::backend::Backend;
-use crate::{decompress_with, Decompression, EncodeScratch, EncodedPartition, HwConfig};
+use crate::codec::CodecKind;
+use crate::{decompress_with, Decompression, EncodeScratch, EncodedPartition, HwConfig, TileStats};
 use copernicus_telemetry::{
     CancelToken, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
 };
@@ -414,8 +415,12 @@ impl ParallelReport {
     }
 }
 
-/// One partition's outcome from a tile worker, reduced in grid order.
-type TileResult = Result<(PartitionTiming, Decompression), PlatformError>;
+/// One partition's outcome from a tile worker, reduced in grid order: its
+/// timing, plus its decompression when the tile was walked.
+type TileResult = Result<(PartitionTiming, Option<Decompression>), PlatformError>;
+
+/// Reads each walked tile's decompressed rows (the SpMV path).
+pub(crate) type RowConsumer<'a> = &'a mut dyn FnMut(&Partition<f32>, &Decompression);
 
 /// One run's settings: the owning [`Session`](crate::Session)'s state with
 /// the request's backend and tile-jobs overrides resolved. Borrowed for
@@ -454,31 +459,41 @@ impl Run<'_> {
     }
 
     /// A run through the single three-stage pipeline: each tile's
-    /// decompression goes to `consume` (the SpMV path applies the row
-    /// contributions there), its spans to `sink` and its timing to the
-    /// report.
-    pub(crate) fn pipeline<S, F>(
+    /// decompression goes to `consume` when there is one (the SpMV path
+    /// applies the row contributions there), its spans to `sink` and its
+    /// timing to the report.
+    pub(crate) fn pipeline<S>(
         &self,
         grid: &PartitionGrid<f32>,
         format: FormatKind,
         sink: &mut S,
         scratch: &mut EncodeScratch,
-        mut consume: F,
+        mut consume: Option<RowConsumer<'_>>,
     ) -> Result<RunReport, PlatformError>
     where
         S: TraceSink + ?Sized,
-        F: FnMut(&Partition<f32>, &Decompression),
     {
         self.record_run_start(sink, grid, format);
         let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
         let mut schedule = SpanScheduler::default();
-        self.for_each_tile(grid, format, sink, scratch, |sink, idx, part, timing, d| {
-            consume(part, d);
-            if sink.enabled() {
-                emit_partition_spans(sink, &mut schedule, idx, part, timing);
-            }
-            builder.push(timing);
-        })?;
+        let rows_needed = consume.is_some();
+        self.for_each_tile(
+            grid,
+            format,
+            rows_needed,
+            sink,
+            scratch,
+            |sink, idx, part, timing, d| {
+                // A consumer makes every tile walk, so its rows are present.
+                if let (Some(consume), Some(d)) = (consume.as_mut(), d) {
+                    consume(part, d);
+                }
+                if sink.enabled() {
+                    emit_partition_spans(sink, &mut schedule, idx, part, timing);
+                }
+                builder.push(timing);
+            },
+        )?;
         let report = builder.finish();
         if sink.enabled() {
             sink.record(&PipelineEvent::RunComplete {
@@ -505,7 +520,7 @@ impl Run<'_> {
         self.record_run_start(sink, grid, format);
         let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
         let mut timings = Vec::with_capacity(grid.partitions().len());
-        self.for_each_tile(grid, format, sink, scratch, |_, _, _, timing, _| {
+        self.for_each_tile(grid, format, false, sink, scratch, |_, _, _, timing, _| {
             builder.push(timing);
             timings.push(*timing);
         })?;
@@ -571,18 +586,25 @@ impl Run<'_> {
     /// its buffers into `scratch` right away; more workers run
     /// [`Run::process_grid_parallel`] and reduce its slots in grid order.
     /// The cancellation token is polled before every tile in both modes.
+    ///
+    /// Tiles are priced from structure, with no decompression handed on,
+    /// when nothing reads the decompressed rows: `rows_needed` is false,
+    /// verification is off and no codec needs the encoded bytes.
     fn for_each_tile<S, F>(
         &self,
         grid: &PartitionGrid<f32>,
         format: FormatKind,
+        rows_needed: bool,
         sink: &mut S,
         scratch: &mut EncodeScratch,
         mut each: F,
     ) -> Result<(), PlatformError>
     where
         S: TraceSink + ?Sized,
-        F: FnMut(&mut S, usize, &Partition<f32>, &PartitionTiming, &Decompression),
+        F: FnMut(&mut S, usize, &Partition<f32>, &PartitionTiming, Option<&Decompression>),
     {
+        let structural =
+            !rows_needed && !self.cfg.verify_functional && self.cfg.stream_codec == CodecKind::None;
         let parts = grid.partitions();
         let run_start = self.profiler.map(|_| std::time::Instant::now());
         let mut acc = PhaseAcc::new(self.profiler.is_some());
@@ -607,12 +629,15 @@ impl Run<'_> {
                     }
                 }
             })?;
-            each(sink, idx, &parts[idx], &timing, &d);
-            recycle.recycle_decompression(d);
+            each(sink, idx, &parts[idx], &timing, d.as_ref());
+            if let Some(d) = d {
+                recycle.recycle_decompression(d);
+            }
             Ok(())
         };
         if self.tile_jobs > 1 && parts.len() > 1 {
-            let (mut pool, slots) = self.process_grid_parallel(parts, format, scratch, &mut acc);
+            let (mut pool, slots) =
+                self.process_grid_parallel(parts, format, structural, scratch, &mut acc);
             // Workers claim tiles in grid order, so the first empty slot
             // marks where they stopped on cancellation.
             let reduced = slots.into_iter().enumerate().try_for_each(|(idx, slot)| {
@@ -626,7 +651,7 @@ impl Run<'_> {
                 if self.cancelled() {
                     return Err(PlatformError::Cancelled);
                 }
-                let result = self.process_partition(part, format, scratch, &mut acc);
+                let result = self.process_partition(part, format, structural, scratch, &mut acc);
                 reduce(idx, result, scratch)?;
             }
         }
@@ -642,15 +667,28 @@ impl Run<'_> {
     /// to) `scratch`. Phase wall time accumulates into `acc` (a no-op
     /// unless a profiler is attached); the modeled timing never reads the
     /// clock.
+    ///
+    /// With `structural` set, a tile [`TileStats::measure`] accepts is
+    /// priced from its closed-form counters instead (lapped as
+    /// [`Phase::Encode`]) and hands back no decompression; a tile it
+    /// declines — a duplicate coordinate or an explicit zero — is walked.
     fn process_partition(
         &self,
         part: &Partition<f32>,
         format: FormatKind,
+        structural: bool,
         scratch: &mut EncodeScratch,
         acc: &mut PhaseAcc,
     ) -> TileResult {
         let tile = &part.coo;
         acc.mark();
+        if structural {
+            if let Some(stats) = TileStats::measure(tile, self.cfg, scratch) {
+                let counters = stats.counters(format, self.cfg)?;
+                acc.lap(Phase::Encode);
+                return Ok((self.backend.price(&counters, self.cfg), None));
+            }
+        }
         let encoded = EncodedPartition::encode_with(tile, format, self.cfg, scratch)?;
         acc.lap(Phase::Encode);
         let d = decompress_with(&encoded, self.cfg, scratch);
@@ -671,7 +709,7 @@ impl Run<'_> {
         // against exactly that compute-side surcharge.
         let timing = self.backend.partition_timing(&encoded, &d, self.cfg);
         scratch.recycle_encoded(encoded);
-        Ok((timing, d))
+        Ok((timing, Some(d)))
     }
 
     /// Processes `parts` on up to [`Run::tile_jobs`] scoped worker threads:
@@ -685,6 +723,7 @@ impl Run<'_> {
         &self,
         parts: &[Partition<f32>],
         format: FormatKind,
+        structural: bool,
         scratch: &mut EncodeScratch,
         acc: &mut PhaseAcc,
     ) -> (Vec<EncodeScratch>, Vec<Option<(usize, TileResult)>>) {
@@ -708,8 +747,13 @@ impl Run<'_> {
                             if idx >= n {
                                 break;
                             }
-                            let result =
-                                self.process_partition(&parts[idx], format, &mut ws, &mut wacc);
+                            let result = self.process_partition(
+                                &parts[idx],
+                                format,
+                                structural,
+                                &mut ws,
+                                &mut wacc,
+                            );
                             done.push((idx, result));
                         }
                         (ws, wacc, done)
@@ -1242,5 +1286,37 @@ mod tests {
         assert!(r.total_mem_cycles < base.total_mem_cycles);
         let again = run(&mut het, &m, FormatKind::Dense);
         assert_eq!(r, again);
+    }
+
+    #[test]
+    fn only_runs_nobody_reads_rows_from_skip_the_decompressor() {
+        // A profiled run laps `decompress` exactly when tiles are walked.
+        let walks = |cfg: HwConfig, m: &Coo<f32>, spmv: bool| {
+            let profiler = std::sync::Arc::new(PhaseProfiler::new());
+            let mut s = Session::new(cfg).unwrap().with_profiler(profiler.clone());
+            let x = vec![1.0f32; m.ncols()];
+            let mut request = RunRequest::matrix(m, FormatKind::Csr);
+            if spmv {
+                request = request.consume_spmv(&x);
+            }
+            s.run(request).unwrap();
+            profiler.histogram(Phase::Decompress).is_some()
+        };
+        let off = HwConfig {
+            verify_functional: false,
+            ..HwConfig::default()
+        };
+        let m = matrix();
+        assert!(!walks(off.clone(), &m, false), "structural path");
+        assert!(walks(HwConfig::default(), &m, false), "verification walks");
+        assert!(walks(off.clone(), &m, true), "an SpMV consumer walks");
+        let coded = HwConfig {
+            stream_codec: CodecKind::Rle,
+            ..off.clone()
+        };
+        assert!(walks(coded, &m, false), "a codec walks");
+        let mut dup = m.clone();
+        dup.push(3, 3, 1.0).unwrap();
+        assert!(walks(off, &dup, false), "a duplicate coordinate walks");
     }
 }

@@ -19,6 +19,7 @@
 use crate::codec::CodecScratch;
 use crate::decomp::Decompression;
 use crate::encode::{EncodedPartition, Stream};
+use crate::structure::StatsScratch;
 use sparsemat::{AnyMatrix, Coo, FormatKind, Matrix, Triplet};
 
 /// Reusable buffers threaded through the encode → decompress → verify path
@@ -61,6 +62,8 @@ pub struct EncodeScratch {
     tmp_triplets: Vec<Triplet<f32>>,
     /// Pooled second-stage decoder state (Huffman primary table).
     codec: CodecScratch,
+    /// Bitsets and counters of the structural tile pass.
+    stats: StatsScratch,
     /// Per-worker scratches for the intra-run tile-parallel path, kept warm
     /// between runs of the same session.
     workers: Vec<EncodeScratch>,
@@ -102,6 +105,11 @@ impl EncodeScratch {
     /// [`Codec::decode_bytes_with`](crate::Codec::decode_bytes_with).
     pub fn codec_scratch(&mut self) -> &mut CodecScratch {
         &mut self.codec
+    }
+
+    /// The tables of [`TileStats::measure`](crate::TileStats::measure).
+    pub(crate) fn stats_scratch(&mut self) -> &mut StatsScratch {
+        &mut self.stats
     }
 
     /// Takes exactly `n` worker scratches for a tile-parallel pass,

@@ -320,7 +320,7 @@ impl Session {
             });
         }
         let Some(x) = spmv_x else {
-            let report = run.pipeline(grid, format, sink, scratch, |_, _| {})?;
+            let report = run.pipeline(grid, format, sink, scratch, None)?;
             return Ok(RunOutcome {
                 report,
                 y: None,
@@ -336,9 +336,13 @@ impl Session {
         }
         let p = self.cfg.partition_size;
         let mut y = vec![0.0f32; nrows];
-        let report = run.pipeline(grid, format, sink, scratch, |part, d| {
-            apply_contributions(part, d, p, x, &mut y)
-        })?;
+        let report = run.pipeline(
+            grid,
+            format,
+            sink,
+            scratch,
+            Some(&mut |part, d| apply_contributions(part, d, p, x, &mut y)),
+        )?;
         Ok(RunOutcome {
             report,
             y: Some(y),

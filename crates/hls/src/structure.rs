@@ -1,0 +1,313 @@
+//! Structural tile pricing: the closed forms of §5.2 evaluated from one
+//! pass over a tile's COO, instead of building the encoded matrix and
+//! walking its decompressor.
+//!
+//! Every format's transfer bytes, `T_decomp`, dot issues and BRAM reads
+//! are closed forms in a handful of structural counts (DESIGN.md §3):
+//! nnz, non-zero rows, the longest row and column, distinct diagonals,
+//! distinct blocks and non-zero block-rows. [`TileStats::measure`] gathers
+//! them in one allocation-free pass and [`TileStats::counters`] turns them
+//! into the [`TileCounters`] a [`Backend`](crate::Backend) prices — the
+//! same counters [`TileCounters::walked`] reads off an encoded partition
+//! and its walked [`Decompression`](crate::Decompression). The walked path
+//! stays the oracle: the property suite asserts both give identical
+//! [`PartitionTiming`](crate::PartitionTiming)s for every format, backend
+//! and partition size.
+//!
+//! The closed forms assume the encoded structure holds exactly the tile's
+//! entries. A tile with a duplicate coordinate (the formats merge it, and
+//! the merge may cancel) or an explicit zero (the formats drop it) breaks
+//! that, so [`TileStats::measure`] declines such tiles and the caller walks
+//! them. Entry order does not matter.
+
+use crate::backend::TileCounters;
+use crate::encode::uncharacterized;
+use crate::{EncodeScratch, HwConfig};
+use sparsemat::{Coo, FormatKind, Matrix, SparseError};
+
+/// Reusable bitsets and counters for [`TileStats::measure`], kept zeroed
+/// between tiles by clearing exactly the slots the last tile touched.
+#[derive(Debug, Default)]
+pub(crate) struct StatsScratch {
+    /// One bit per tile cell (`r·p + c`): duplicate detection.
+    cells: Vec<u64>,
+    /// Entries per row.
+    rows: Vec<u32>,
+    /// Entries per column.
+    cols: Vec<u32>,
+    /// Occupied diagonals, indexed `c − r + p − 1`.
+    diags: Vec<bool>,
+    /// Occupied `b×b` blocks, indexed `br·⌈p/b⌉ + bc`.
+    blocks: Vec<bool>,
+    /// Occupied block-rows.
+    block_rows: Vec<bool>,
+    /// `i / b` for every tile index `i`: a table lookup instead of two
+    /// integer divisions per entry.
+    block_of: Vec<usize>,
+    /// The `(p, b)` the tables were last fitted to.
+    fitted: (usize, usize),
+}
+
+impl StatsScratch {
+    /// Fits every table to a `p×p` tile at block size `b`. Grown slots are
+    /// zero, and the pass leaves every slot it touched zero again, so the
+    /// tables are clean between tiles.
+    fn fit(&mut self, p: usize, b: usize) {
+        fn grow<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
+            if v.len() < n {
+                v.resize(n, T::default());
+            }
+        }
+        if self.fitted == (p, b) {
+            return;
+        }
+        let nb = p.div_ceil(b);
+        grow(&mut self.cells, (p * p).div_ceil(64));
+        grow(&mut self.rows, p);
+        grow(&mut self.cols, p);
+        grow(&mut self.diags, 2 * p - 1);
+        grow(&mut self.blocks, nb * nb);
+        grow(&mut self.block_rows, nb);
+        self.block_of.clear();
+        self.block_of.extend((0..p).map(|i| i / b));
+        self.fitted = (p, b);
+    }
+}
+
+/// The structural counts of one `p×p` tile that every format's cost is a
+/// closed form in (DESIGN.md §3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileStats {
+    /// Partition size `p` the tile was measured at.
+    pub p: usize,
+    /// BCSR block edge `b` the blocks were counted at.
+    pub b: usize,
+    /// Stored entries.
+    pub nnz: u64,
+    /// Rows holding at least one entry.
+    pub nzr: u64,
+    /// Entries in the longest row (ELL's natural width `w`).
+    pub max_row: u64,
+    /// Entries in the longest column (LIL's height less its end marker).
+    pub max_col: u64,
+    /// Distinct diagonals `c − r` (DIA's `ndiag`).
+    pub ndiag: u64,
+    /// Distinct `b×b` blocks (BCSR's `nblk`).
+    pub nblk: u64,
+    /// Block-rows holding at least one block (BCSR's `nbr`).
+    pub nbr: u64,
+    /// Σ over non-zero block-rows `br` of `min(b, p − br·b)`: the tile rows
+    /// those block-rows cover, each one a BCSR dot issue.
+    pub block_row_lines: u64,
+}
+
+impl TileStats {
+    /// Gathers the structural counts of `tile` in one pass at the
+    /// configured partition and block size, drawing its tables from
+    /// `scratch` (no allocation once they are warm).
+    ///
+    /// Returns `None` — price the tile by walking it instead — when the
+    /// tile is not `p×p`, or holds a duplicate coordinate or an explicit
+    /// zero: the encoders merge or drop those, so the encoded structure
+    /// would no longer match the tile's entries.
+    pub fn measure(tile: &Coo<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Option<Self> {
+        let p = cfg.partition_size;
+        let b = cfg.bcsr_block;
+        if tile.nrows() != p || tile.ncols() != p || b == 0 {
+            return None;
+        }
+        let s = scratch.stats_scratch();
+        s.fit(p, b);
+        let nb = p.div_ceil(b);
+        let mut stats = TileStats {
+            p,
+            b,
+            nnz: 0,
+            nzr: 0,
+            max_row: 0,
+            max_col: 0,
+            ndiag: 0,
+            nblk: 0,
+            nbr: 0,
+            block_row_lines: 0,
+        };
+        let mut clean = true;
+        let mut seen = 0;
+        for t in tile.iter() {
+            let cell = t.row * p + t.col;
+            let (word, bit) = (cell / 64, 1u64 << (cell % 64));
+            if t.val == 0.0 || s.cells[word] & bit != 0 {
+                clean = false;
+                break;
+            }
+            s.cells[word] |= bit;
+            seen += 1;
+            let row = &mut s.rows[t.row];
+            stats.nzr += u64::from(*row == 0);
+            *row += 1;
+            stats.max_row = stats.max_row.max(u64::from(*row));
+            let col = &mut s.cols[t.col];
+            *col += 1;
+            stats.max_col = stats.max_col.max(u64::from(*col));
+            let diag = &mut s.diags[t.col + p - 1 - t.row];
+            stats.ndiag += u64::from(!*diag);
+            *diag = true;
+            let br = s.block_of[t.row];
+            let block = &mut s.blocks[br * nb + s.block_of[t.col]];
+            stats.nblk += u64::from(!*block);
+            *block = true;
+            let block_row = &mut s.block_rows[br];
+            if !*block_row {
+                *block_row = true;
+                stats.nbr += 1;
+                stats.block_row_lines += b.min(p - br * b) as u64;
+            }
+        }
+        // Zero every slot this tile touched, so the next tile starts clean.
+        for t in tile.iter().take(seen) {
+            let br = s.block_of[t.row];
+            s.cells[(t.row * p + t.col) / 64] = 0;
+            s.rows[t.row] = 0;
+            s.cols[t.col] = 0;
+            s.diags[t.col + p - 1 - t.row] = false;
+            s.blocks[br * nb + s.block_of[t.col]] = false;
+            s.block_rows[br] = false;
+        }
+        stats.nnz = seen as u64;
+        clean.then_some(stats)
+    }
+
+    /// The counters the walked path would read off this tile encoded in
+    /// `format` and decompressed — the DESIGN.md §3 table, row by row.
+    /// Without a second-stage codec, so coded bytes equal structural bytes
+    /// and no entropy cycles are charged.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseError::UnknownFormat`] for the formats the platform does not
+    /// characterize, exactly as [`EncodedPartition::encode`](crate::EncodedPartition::encode)
+    /// rejects them.
+    pub fn counters(
+        &self,
+        format: FormatKind,
+        cfg: &HwConfig,
+    ) -> Result<TileCounters, SparseError> {
+        let TileStats {
+            nnz,
+            nzr,
+            max_row,
+            max_col,
+            ndiag,
+            nblk,
+            nbr,
+            block_row_lines,
+            ..
+        } = *self;
+        let p = self.p as u64;
+        let b = self.b as u64;
+        let (vb, ib) = (cfg.value_bytes as u64, cfg.index_bytes as u64);
+        let l = cfg.bram_read_latency;
+        let width = self.p;
+        // (structural bytes, decomp cycles, dot issues, engine width, BRAM reads)
+        let (bytes, decomp_cycles, dot_issues, engine_width, bram_reads) = match format {
+            FormatKind::Dense => (p * p * vb, 0, p, width, p),
+            FormatKind::Csr => (
+                (p + 1) * ib + nnz * (ib + vb),
+                nzr * l + nnz,
+                nzr,
+                width,
+                nzr + nnz,
+            ),
+            FormatKind::Csc => ((p + 1) * ib + nnz * (ib + vb), p * nnz, nzr, width, p * nnz),
+            FormatKind::Bcsr => (
+                (p.div_ceil(b) + 1) * ib + nblk * ib + nblk * b * b * vb,
+                nbr * l + nblk,
+                block_row_lines,
+                width,
+                nbr + nblk,
+            ),
+            FormatKind::Coo | FormatKind::Dok => (nnz * (2 * ib + vb), l + nnz, nzr, width, nnz),
+            FormatKind::Lil => (
+                (max_col + 1) * p * (ib + vb),
+                nzr * (l + 2) + l,
+                nzr,
+                width,
+                (nzr + 1) * p,
+            ),
+            FormatKind::Ell => (max_row * p * (ib + vb), p, p, cfg.ell_hw_width, p),
+            FormatKind::Dia => (ndiag * (p + 1) * vb, l + p * ndiag, nzr, width, p * ndiag),
+            other @ (FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds) => {
+                return Err(uncharacterized(other))
+            }
+        };
+        Ok(TileCounters {
+            bytes,
+            coded_bytes: bytes,
+            useful_bytes: nnz * vb,
+            entropy_cycles: 0,
+            decomp_cycles,
+            dot_issues,
+            engine_width,
+            bram_reads,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tile(entries: &[(usize, usize, f32)], p: usize) -> Coo<f32> {
+        let mut coo = Coo::new(p, p);
+        for &(r, c, v) in entries {
+            coo.push(r, c, v).unwrap();
+        }
+        coo
+    }
+
+    #[test]
+    fn counts_match_a_hand_worked_tile() {
+        // Unsorted on purpose: order must not matter.
+        let t = tile(
+            &[
+                (9, 0, 4.0),
+                (0, 5, 2.0),
+                (3, 3, 3.0),
+                (0, 0, 1.0),
+                (15, 15, 5.0),
+                (3, 4, -1.0),
+            ],
+            16,
+        );
+        let cfg = HwConfig::with_partition_size(16);
+        let s = TileStats::measure(&t, &cfg, &mut EncodeScratch::new()).unwrap();
+        assert_eq!((s.nnz, s.nzr, s.max_row, s.max_col), (6, 4, 2, 2));
+        // Diagonals {-9, 0, 1, 5}; blocks (0,0) (0,1) (2,0) (3,3).
+        assert_eq!((s.ndiag, s.nblk, s.nbr, s.block_row_lines), (4, 4, 3, 12));
+        // Formats the encoder rejects are rejected here too.
+        assert!(s.counters(FormatKind::Sell, &cfg).is_err());
+    }
+
+    #[test]
+    fn duplicates_and_explicit_zeros_are_declined_and_the_tables_reset() {
+        let cfg = HwConfig::with_partition_size(8);
+        let mut scratch = EncodeScratch::new();
+        let mut dup = tile(&[(1, 2, 1.0), (4, 4, 2.0)], 8);
+        dup.push(1, 2, -1.0).unwrap();
+        assert_eq!(TileStats::measure(&dup, &cfg, &mut scratch), None);
+        let zero = Coo::from_triplets(8, 8, vec![sparsemat::Triplet::new(0, 0, 0.0f32)]).unwrap();
+        assert_eq!(TileStats::measure(&zero, &cfg, &mut scratch), None);
+        // A declined tile leaves nothing behind for the next one.
+        let clean = tile(&[(1, 2, 1.0), (4, 4, 2.0)], 8);
+        let warm = TileStats::measure(&clean, &cfg, &mut scratch).unwrap();
+        assert_eq!(
+            Some(warm),
+            TileStats::measure(&clean, &cfg, &mut EncodeScratch::new())
+        );
+        // A tile of the wrong shape is declined too.
+        assert_eq!(
+            TileStats::measure(&tile(&[(0, 0, 1.0)], 4), &cfg, &mut scratch),
+            None
+        );
+    }
+}

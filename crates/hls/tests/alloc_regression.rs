@@ -1,7 +1,8 @@
 //! Allocation-regression contract for the simulator hot path: once a
 //! session's scratch pools are warm, streaming a grid through
-//! encode → codec → decompress → verify performs **zero** steady-state heap
-//! allocations per tile. A counting global allocator meters the runs; any
+//! encode → codec → decompress → verify — or, with verification and the
+//! codec off, through the structural tile pass — performs **zero**
+//! steady-state heap allocations per tile. A counting global allocator meters the runs; any
 //! new allocation in the per-tile loops (a fresh `Vec`, a `format!`, a map
 //! rebuild) fails this test before it can show up as a throughput cliff.
 
@@ -119,6 +120,36 @@ fn warm_sessions_run_allocation_free_per_tile() {
         assert_eq!(
             large_allocs, 0,
             "{kind}: a warm 6×6 run allocated {large_allocs} time(s)"
+        );
+    }
+}
+
+#[test]
+fn warm_structural_sessions_run_allocation_free_per_tile() {
+    // Verification and the codec off: every tile is priced from the
+    // structural pass, whose tables live in the session's scratch.
+    let cfg = HwConfig {
+        verify_functional: false,
+        stream_codec: CodecKind::None,
+        ..HwConfig::default()
+    };
+    let small = matrix(48);
+    let large = matrix(96);
+    let small_grid = PartitionGrid::new(&small, cfg.partition_size).unwrap();
+    let large_grid = PartitionGrid::new(&large, cfg.partition_size).unwrap();
+
+    for kind in FormatKind::CHARACTERIZED {
+        let mut session = Session::new(cfg.clone()).unwrap();
+        session.run(RunRequest::grid(&small_grid, kind)).unwrap();
+        session.run(RunRequest::grid(&large_grid, kind)).unwrap();
+        let (small_allocs, _) =
+            count_allocs(|| session.run(RunRequest::grid(&small_grid, kind)).unwrap());
+        let (large_allocs, _) =
+            count_allocs(|| session.run(RunRequest::grid(&large_grid, kind)).unwrap());
+        assert_eq!(
+            (small_allocs, large_allocs),
+            (0, 0),
+            "{kind}: warm structural runs allocated"
         );
     }
 }

@@ -1,7 +1,10 @@
 //! Property-based tests of the platform model: functional correctness of
 //! every decompressor, closed-form cycle identities, and metric invariants.
 
-use copernicus_hls::{decompress, EncodedPartition, HwConfig, RunRequest, Session};
+use copernicus_hls::{
+    backend_for, decompress, BackendKind, EncodeScratch, EncodedPartition, HwConfig, RunRequest,
+    Session, TileStats,
+};
 use proptest::prelude::*;
 use sparsemat::{Coo, Dia, FormatKind, Lil, Matrix, Triplet};
 
@@ -15,6 +18,68 @@ fn tile_strategy(p: usize) -> impl Strategy<Value = Coo<f32>> {
                 .map(|(cell, v)| Triplet::new(cell / p, cell % p, v as f32))
                 .collect();
             Coo::from_triplets(p, p, triplets).expect("in range")
+        })
+}
+
+/// How a [`structural_tile_strategy`] tile is built from its unique cells.
+#[derive(Debug, Clone, Copy)]
+enum TileShape {
+    /// No entries at all.
+    Empty,
+    /// Unique cells in row-major order.
+    Sorted,
+    /// The same cells pushed in reverse order.
+    Unsorted,
+    /// One cell pushed twice with values that add up.
+    Duplicate,
+    /// One cell pushed twice with values that cancel to zero.
+    Cancelling,
+}
+
+/// Strategy: a `p×p` tile at one of the paper's partition sizes or at
+/// p = 10 (where the 4-wide BCSR blocks do not divide p), built in one
+/// of the [`TileShape`]s.
+fn structural_tile_strategy() -> impl Strategy<Value = (usize, TileShape, Coo<f32>)> {
+    let shape = prop_oneof![
+        Just(TileShape::Empty),
+        Just(TileShape::Sorted),
+        Just(TileShape::Unsorted),
+        Just(TileShape::Duplicate),
+        Just(TileShape::Cancelling),
+    ];
+    (
+        prop_oneof![Just(8usize), Just(10), Just(16), Just(32)],
+        shape,
+    )
+        .prop_flat_map(|(p, shape)| {
+            let cells = p * p;
+            proptest::collection::btree_map(
+                0..cells,
+                prop_oneof![-9i32..0, 1i32..=9],
+                1..=cells / 3,
+            )
+            .prop_map(move |map| {
+                let mut triplets: Vec<Triplet<f32>> = map
+                    .into_iter()
+                    .map(|(cell, v)| Triplet::new(cell / p, cell % p, v as f32))
+                    .collect();
+                let first = triplets[0];
+                match shape {
+                    TileShape::Empty => triplets.clear(),
+                    TileShape::Sorted => {}
+                    TileShape::Unsorted => triplets.reverse(),
+                    TileShape::Duplicate => triplets.push(Triplet { val: 0.5, ..first }),
+                    TileShape::Cancelling => triplets.push(Triplet {
+                        val: -first.val,
+                        ..first
+                    }),
+                }
+                (
+                    p,
+                    shape,
+                    Coo::from_triplets(p, p, triplets).expect("in range"),
+                )
+            })
         })
 }
 
@@ -184,6 +249,46 @@ proptest! {
             prop_assert_eq!(sink.stage_cycles(Stage::Decompress), traced.total_decomp_cycles, "{}", kind);
             prop_assert_eq!(sink.stage_cycles(Stage::WriteBack), traced.total_writeback_cycles, "{}", kind);
             prop_assert_eq!(sink.count("partition_start"), traced.partitions, "{}", kind);
+        }
+    }
+
+    #[test]
+    fn structural_pricing_equals_the_walked_oracle((p, shape, tile) in structural_tile_strategy()) {
+        let mut scratch = EncodeScratch::new();
+        for backend in BackendKind::ALL {
+            let cfg = HwConfig {
+                backend,
+                ..HwConfig::with_partition_size(p)
+            };
+            let stats = TileStats::measure(&tile, &cfg, &mut scratch);
+            // Merged duplicates may cancel, so those tiles must be walked.
+            prop_assert_eq!(
+                stats.is_none(),
+                matches!(shape, TileShape::Duplicate | TileShape::Cancelling),
+                "{:?}", shape
+            );
+            for kind in FormatKind::CHARACTERIZED {
+                let enc = EncodedPartition::encode(&tile, kind, &cfg).unwrap();
+                let d = decompress(&enc, &cfg);
+                let walked = backend_for(backend).partition_timing(&enc, &d, &cfg);
+                if let Some(stats) = &stats {
+                    let priced = backend_for(backend).price(&stats.counters(kind, &cfg).unwrap(), &cfg);
+                    prop_assert_eq!(priced, walked, "{} on {} at p={}", kind, backend, p);
+                }
+                // End to end: a verify-off run (structural when it may be)
+                // reports exactly what a verifying run (always walked) does.
+                let verified = Session::new(cfg.clone())
+                    .unwrap()
+                    .run(RunRequest::matrix(&tile, kind))
+                    .unwrap()
+                    .report;
+                let structural = Session::new(HwConfig { verify_functional: false, ..cfg.clone() })
+                    .unwrap()
+                    .run(RunRequest::matrix(&tile, kind))
+                    .unwrap()
+                    .report;
+                prop_assert_eq!(&structural, &verified, "{} on {} at p={}", kind, backend, p);
+            }
         }
     }
 

@@ -75,7 +75,7 @@ impl<T: Scalar> PartitionGrid<T> {
     pub fn from_triplets(
         nrows: usize,
         ncols: usize,
-        triplets: Vec<Triplet<T>>,
+        mut triplets: Vec<Triplet<T>>,
         size: usize,
     ) -> Result<Self, SparseError> {
         if size == 0 {
@@ -84,32 +84,38 @@ impl<T: Scalar> PartitionGrid<T> {
                 requirement: "partition size must be positive",
             });
         }
-        let mut buckets: std::collections::BTreeMap<(usize, usize), Coo<T>> =
-            std::collections::BTreeMap::new();
-        for t in triplets {
-            if t.row >= nrows || t.col >= ncols {
-                return Err(SparseError::IndexOutOfBounds {
-                    index: (t.row, t.col),
-                    shape: (nrows, ncols),
-                });
-            }
-            let key = (t.row / size, t.col / size);
-            buckets
-                .entry(key)
-                .or_insert_with(|| Coo::new(size, size))
-                .push(t.row % size, t.col % size, t.val)?;
+        if let Some(t) = triplets.iter().find(|t| t.row >= nrows || t.col >= ncols) {
+            return Err(SparseError::IndexOutOfBounds {
+                index: (t.row, t.col),
+                shape: (nrows, ncols),
+            });
         }
-        // COO pushes drop explicit zeros, so a bucket can end up empty only
-        // if every triplet it received was zero; drop those.
-        buckets.retain(|_, coo| coo.nnz() > 0);
-        let partitions = buckets
-            .into_iter()
-            .map(|((grid_row, grid_col), coo)| Partition {
-                grid_row,
-                grid_col,
-                coo,
+        // Explicit zeros are not entries (`Coo::push` drops them too), so a
+        // tile holding only zeros is never formed.
+        triplets.retain(|t| !t.val.is_zero());
+        // A stable sort by tile groups each tile's entries in input order,
+        // tiles in row-major grid order. Each tile's buffer is then
+        // allocated once at its exact size, in the order tiles are later
+        // walked, which keeps per-tile passes over the grid cache-friendly.
+        // The row-major tile index is a u128, so it cannot overflow.
+        let grid_cols = ncols.div_ceil(size) as u128;
+        let tile_of = |t: &Triplet<T>| (t.row / size) as u128 * grid_cols + (t.col / size) as u128;
+        triplets.sort_by_cached_key(tile_of);
+        let partitions = triplets
+            .chunk_by(|a, b| tile_of(a) == tile_of(b))
+            .map(|tile| {
+                let (grid_row, grid_col) = (tile[0].row / size, tile[0].col / size);
+                let mut coo = Coo::with_capacity(size, size, tile.len());
+                for t in tile {
+                    coo.push(t.row % size, t.col % size, t.val)?;
+                }
+                Ok(Partition {
+                    grid_row,
+                    grid_col,
+                    coo,
+                })
             })
-            .collect();
+            .collect::<Result<_, SparseError>>()?;
         Ok(PartitionGrid {
             nrows,
             ncols,
@@ -292,6 +298,43 @@ mod tests {
             );
             assert_eq!(grid.nnz(), coo.nnz(), "size {size}");
         }
+    }
+
+    #[test]
+    fn tiles_keep_their_entries_in_input_order() {
+        // Duplicates sum in input order downstream, so tiling must not
+        // reorder a tile's entries; zeros never reach a tile.
+        let triplets = vec![
+            Triplet::new(5, 5, 1.0f32),
+            Triplet::new(0, 1, 2.0),
+            Triplet::new(5, 4, 0.0),
+            Triplet::new(0, 1, -2.0),
+            Triplet::new(1, 0, 3.0),
+            Triplet::new(6, 7, 0.0),
+        ];
+        let grid = PartitionGrid::from_triplets(8, 8, triplets, 4).unwrap();
+        let tiles: Vec<Vec<(usize, usize, f32)>> = grid
+            .partitions()
+            .iter()
+            .map(|p| p.coo.iter().map(|t| (t.row, t.col, t.val)).collect())
+            .collect();
+        assert_eq!(
+            tiles,
+            vec![
+                vec![(0, 1, 2.0), (0, 1, -2.0), (1, 0, 3.0)],
+                vec![(1, 1, 1.0)],
+            ]
+        );
+        // The first stray triplet in input order is the one reported.
+        let stray = vec![
+            Triplet::new(0, 0, 1.0f32),
+            Triplet::new(9, 0, 1.0),
+            Triplet::new(0, 9, 1.0),
+        ];
+        assert!(matches!(
+            PartitionGrid::from_triplets(8, 8, stray, 4),
+            Err(SparseError::IndexOutOfBounds { index: (9, 0), .. })
+        ));
     }
 
     #[test]

@@ -28,7 +28,9 @@ use crate::locks::lock_clean;
 /// The harness phases the profiler attributes wall time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Building the per-tile compressed representation.
+    /// Building the per-tile compressed representation, or — for tiles
+    /// priced from their structure (no verification, codec or SpMV) — the
+    /// one structural pass that replaces encode and decompress.
     Encode,
     /// Running the modeled decompressor over the encoded tile.
     Decompress,

@@ -161,6 +161,59 @@ fn golden_band16_trace_snapshot() {
 }
 
 #[test]
+fn golden_snapshots_hold_on_the_structural_path() {
+    // Every golden above verifies, so its tiles are walked. With
+    // verification off (and no codec or SpMV) tiles are priced from their
+    // structure instead; the pinned values must not move.
+    let off = || {
+        Session::new(HwConfig {
+            verify_functional: false,
+            ..HwConfig::with_partition_size(16)
+        })
+        .unwrap()
+    };
+    let band = Workload::Band { n: 128, width: 16 }.generate(0, 42);
+    let report = off()
+        .run(RunRequest::matrix(&band, FormatKind::Csr))
+        .unwrap()
+        .report;
+    assert_eq!(report, quick_csr_report());
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/run_report_band16_csr.json"
+    );
+    let golden = std::fs::read_to_string(path).unwrap();
+    assert_eq!(serde::json::to_string_pretty(&report).trim(), golden.trim());
+    assert_eq!(report.total_compute_cycles, csr_compute(&band));
+
+    let trace = |lanes: Option<usize>| {
+        let mut sink = JsonlSink::new(Vec::new());
+        let mut request = RunRequest::matrix(&band, FormatKind::Csr).with_sink(&mut sink);
+        if let Some(lanes) = lanes {
+            request = request.with_lanes(lanes);
+        }
+        off().run(request).unwrap();
+        let bytes = sink.into_inner().unwrap();
+        (bytes.iter().filter(|&&b| b == b'\n').count(), fnv1a(&bytes))
+    };
+    assert_eq!(trace(None), (112, 15451799246447777762));
+    assert_eq!(trace(Some(4)), (90, 10686700278699598669));
+
+    let random = Workload::Random {
+        n: 96,
+        density: 0.05,
+    }
+    .generate(0, 7);
+    for m in [&band, &random] {
+        for kind in FormatKind::CHARACTERIZED {
+            let walked = session().run(RunRequest::matrix(m, kind)).unwrap();
+            let structural = off().run(RunRequest::matrix(m, kind)).unwrap();
+            assert_eq!(structural, walked, "{kind}");
+        }
+    }
+}
+
+#[test]
 fn run_report_and_partition_timing_round_trip_through_json() {
     let report = quick_csr_report();
     let text = serde::json::to_string(&report);
