@@ -326,7 +326,7 @@ fn repro_all(cli: &Cli) -> i32 {
         copernicus::manifest_for(
             cfg,
             &ex::fig07::all_class_workloads(cfg),
-            &ex::FIGURE_FORMATS,
+            &FormatKind::CHARACTERIZED,
             &ex::FIGURE_PARTITION_SIZES,
         )
         .with_note("binary=repro_all (trace covers all figures)")
@@ -416,7 +416,7 @@ fn repro_all(cli: &Cli) -> i32 {
         "campaign",
         runner.run_campaign(
             &ex::fig07::all_class_workloads(cfg),
-            &ex::FIGURE_FORMATS,
+            &FormatKind::CHARACTERIZED,
             &ex::FIGURE_PARTITION_SIZES,
             cfg,
             &mut telemetry.instruments(),

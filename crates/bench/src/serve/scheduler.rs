@@ -498,6 +498,24 @@ mod tests {
                 br#"{"workload": {"kind": "band", "n": 8, "width": 2}, "formats": ["NOPE"]}"#,
                 "NOPE",
             ),
+            // The §2 variants the paper does not characterize are unknown
+            // names, refused before anything is spooled or run.
+            (
+                br#"{"workload": {"kind": "band", "n": 8, "width": 2}, "formats": ["SELL"]}"#,
+                "SELL",
+            ),
+            (
+                br#"{"workload": {"kind": "band", "n": 8, "width": 2}, "formats": ["JDS"]}"#,
+                "JDS",
+            ),
+            (
+                br#"{"workload": {"kind": "band", "n": 8, "width": 2}, "formats": ["csr", "BCSC"]}"#,
+                "BCSC",
+            ),
+            (
+                br#"{"workload": {"kind": "band", "n": 8, "width": 2}, "formats": ["DOK"]}"#,
+                "DOK",
+            ),
             (
                 br#"{"workload": {"kind": "band", "n": 8, "width": 2}, "partition_sizes": []}"#,
                 "partition_sizes",
@@ -525,6 +543,11 @@ mod tests {
         let e = RequestSpec::parse(b"{}").expect_err("must fail");
         assert!(matches!(e, ProtocolError::Unprocessable(_)), "{e}");
         assert_eq!(e.status(), Some((422, "Unprocessable Entity")));
+        let e = RequestSpec::parse(
+            br#"{"workload": {"kind": "band", "n": 8, "width": 2}, "formats": ["SELL"]}"#,
+        )
+        .expect_err("must fail");
+        assert_eq!(e.status(), Some((422, "Unprocessable Entity")), "{e}");
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub fn run_on(
 ) -> Result<Vec<Fig04Row>, CampaignError> {
     let ms = runner.characterize_with(
         &Workload::paper_suite(),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &[super::DEFAULT_PARTITION],
         cfg,
         instruments,
@@ -79,7 +79,7 @@ pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
     crate::manifest_for(
         cfg,
         &Workload::paper_suite(),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &[super::DEFAULT_PARTITION],
     )
     .with_note("figure=fig04")
@@ -135,7 +135,7 @@ mod tests {
             v.iter().sum::<f64>() / v.len() as f64
         };
         let csc = mean(FormatKind::Csc);
-        for f in super::super::FIGURE_FORMATS {
+        for f in FormatKind::CHARACTERIZED {
             assert!(csc >= mean(f), "CSC mean {csc} < {f} mean {}", mean(f));
         }
         let workloads: Vec<String> = {
@@ -153,7 +153,7 @@ mod tests {
                         .sigma
                 };
                 let csc = of(FormatKind::Csc);
-                super::super::FIGURE_FORMATS
+                FormatKind::CHARACTERIZED
                     .iter()
                     .all(|&f| csc >= of(f) - 1e-9)
             })

@@ -56,14 +56,14 @@ pub fn run_on(
     let workloads = Workload::paper_random_sweep(cfg.sweep_dim);
     let ms = runner.characterize_with(
         &workloads,
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &[super::DEFAULT_PARTITION],
         cfg,
         instruments,
     )?;
     Ok(workloads
         .iter()
-        .zip(ms.chunks(super::FIGURE_FORMATS.len()))
+        .zip(ms.chunks(FormatKind::CHARACTERIZED.len()))
         .flat_map(|(w, chunk)| {
             // Report the *requested* density so the sweep axis is exact even
             // when rounding changes the generated nnz slightly.
@@ -85,7 +85,7 @@ pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
     crate::manifest_for(
         cfg,
         &Workload::paper_random_sweep(cfg.sweep_dim),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &[super::DEFAULT_PARTITION],
     )
     .with_note("figure=fig05")

@@ -39,7 +39,7 @@ pub fn aggregate(ms: &[Measurement]) -> Vec<Fig07Row> {
         WorkloadClass::Band,
     ] {
         for &p in &super::FIGURE_PARTITION_SIZES {
-            for format in super::FIGURE_FORMATS {
+            for format in FormatKind::CHARACTERIZED {
                 let sigmas: Vec<f64> = ms
                     .iter()
                     .filter(|m| m.class == class && m.partition_size == p && m.format == format)
@@ -97,7 +97,7 @@ pub fn run_on(
 ) -> Result<Vec<Fig07Row>, CampaignError> {
     let ms = runner.characterize_with(
         &all_class_workloads(cfg),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
         cfg,
         instruments,
@@ -110,7 +110,7 @@ pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
     crate::manifest_for(
         cfg,
         &all_class_workloads(cfg),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
     )
     .with_note("figure=fig07")
@@ -175,7 +175,7 @@ mod tests {
         let rows = rows();
         for r in &rows {
             if r.format == FormatKind::Csc {
-                for other in super::super::FIGURE_FORMATS {
+                for other in FormatKind::CHARACTERIZED {
                     let o = mean(&rows, r.class, r.partition_size, other);
                     assert!(r.mean_sigma >= o - 1e-9, "{:?} vs {other}", r);
                 }

@@ -88,7 +88,7 @@ pub fn run_on(
 ) -> Result<Vec<Fig08Row>, CampaignError> {
     let ms = runner.characterize_with(
         &super::fig07::all_class_workloads(cfg),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
         cfg,
         instruments,
@@ -101,7 +101,7 @@ pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
     crate::manifest_for(
         cfg,
         &super::fig07::all_class_workloads(cfg),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
     )
     .with_note("figure=fig08")

@@ -62,7 +62,7 @@ pub fn run_on(
     let workloads = Workload::paper_random_sweep(cfg.sweep_dim);
     let ms = runner.characterize_with(
         &workloads,
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
         cfg,
         instruments,
@@ -89,7 +89,7 @@ pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
     crate::manifest_for(
         cfg,
         &Workload::paper_random_sweep(cfg.sweep_dim),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
     )
     .with_note("figure=fig09")
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn time_grows_with_density_for_every_format() {
         let rows = rows();
-        for f in super::super::FIGURE_FORMATS {
+        for f in FormatKind::CHARACTERIZED {
             let sparse: f64 = rows
                 .iter()
                 .filter(|r| r.format == f && r.partition_size == 16 && r.density <= 0.001)

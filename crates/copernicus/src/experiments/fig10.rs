@@ -56,14 +56,14 @@ pub fn run_on(
     let workloads = Workload::paper_random_sweep(cfg.sweep_dim);
     let ms = runner.characterize_with(
         &workloads,
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &[super::DEFAULT_PARTITION],
         cfg,
         instruments,
     )?;
     Ok(workloads
         .iter()
-        .zip(ms.chunks(super::FIGURE_FORMATS.len()))
+        .zip(ms.chunks(FormatKind::CHARACTERIZED.len()))
         .flat_map(|(w, chunk)| {
             let density = match w {
                 Workload::Random { density, .. } => *density,
@@ -83,7 +83,7 @@ pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
     crate::manifest_for(
         cfg,
         &Workload::paper_random_sweep(cfg.sweep_dim),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &[super::DEFAULT_PARTITION],
     )
     .with_note("figure=fig10")

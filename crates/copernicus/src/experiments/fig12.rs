@@ -29,7 +29,7 @@ pub fn aggregate(ms: &[Measurement]) -> Vec<Fig12Row> {
         WorkloadClass::Band,
     ] {
         for &p in &super::FIGURE_PARTITION_SIZES {
-            for format in super::FIGURE_FORMATS {
+            for format in FormatKind::CHARACTERIZED {
                 let utils: Vec<f64> = ms
                     .iter()
                     .filter(|m| m.class == class && m.partition_size == p && m.format == format)
@@ -87,7 +87,7 @@ pub fn run_on(
 ) -> Result<Vec<Fig12Row>, CampaignError> {
     let ms = runner.characterize_with(
         &super::fig07::all_class_workloads(cfg),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
         cfg,
         instruments,
@@ -100,7 +100,7 @@ pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
     crate::manifest_for(
         cfg,
         &super::fig07::all_class_workloads(cfg),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
     )
     .with_note("figure=fig12")

@@ -23,13 +23,9 @@ pub struct Fig13Row {
 /// Produces the Fig.-13 breakdown for the given partition sizes.
 pub fn run(partition_sizes: &[usize]) -> Vec<Fig13Row> {
     let mut rows = Vec::new();
-    for format in super::FIGURE_FORMATS {
+    for format in FormatKind::CHARACTERIZED {
         for &p in partition_sizes {
-            // Every FIGURE_FORMATS entry carries a power model; a format
-            // without one simply contributes no bar.
-            let Some(b) = power::breakdown(format, p) else {
-                continue;
-            };
+            let b = power::breakdown(format, p);
             rows.push(Fig13Row {
                 format,
                 partition_size: p,
@@ -70,7 +66,7 @@ mod tests {
     fn totals_match_table2_dynamic_power() {
         for r in rows() {
             let total = r.logic_w + r.bram_w + r.signals_w;
-            let table2 = power::dynamic_power(r.format, r.partition_size).unwrap();
+            let table2 = power::dynamic_power(r.format, r.partition_size);
             assert!((total - table2).abs() < 1e-12, "{r:?}");
         }
     }

@@ -5,6 +5,7 @@ use crate::measure::ExperimentConfig;
 use crate::summary::{normalized_summary, MetricKind, SummaryRow};
 use crate::table::{f3, TextTable};
 use crate::CampaignError;
+use sparsemat::FormatKind;
 
 /// Runs the full campaign and normalizes into Fig.-14 rows.
 ///
@@ -43,7 +44,7 @@ pub fn run_on(
 ) -> Result<Vec<SummaryRow>, CampaignError> {
     let ms = runner.characterize_with(
         &super::fig07::all_class_workloads(cfg),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
         cfg,
         instruments,
@@ -56,7 +57,7 @@ pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
     crate::manifest_for(
         cfg,
         &super::fig07::all_class_workloads(cfg),
-        &super::FIGURE_FORMATS,
+        &FormatKind::CHARACTERIZED,
         &super::FIGURE_PARTITION_SIZES,
     )
     .with_note("figure=fig14")
@@ -79,7 +80,6 @@ pub fn render(rows: &[SummaryRow]) -> String {
 mod tests {
     use super::*;
     use copernicus_workloads::WorkloadClass;
-    use sparsemat::FormatKind;
 
     fn rows() -> Vec<SummaryRow> {
         crate::summary::normalized_summary(crate::testsupport::campaign())

@@ -23,11 +23,6 @@ pub mod fig14;
 pub mod table1;
 pub mod table2;
 
-use sparsemat::FormatKind;
-
-/// The format order the paper's figures use.
-pub const FIGURE_FORMATS: [FormatKind; 8] = FormatKind::CHARACTERIZED;
-
 /// The partition sizes the paper sweeps.
 pub const FIGURE_PARTITION_SIZES: [usize; 3] = [8, 16, 32];
 

@@ -28,25 +28,17 @@ pub struct Table2Row {
 /// default; other sizes are model extrapolations).
 pub fn run(partition_sizes: &[usize]) -> Vec<Table2Row> {
     let mut rows = Vec::new();
-    for format in super::FIGURE_FORMATS {
+    for format in FormatKind::CHARACTERIZED {
         for &p in partition_sizes {
-            // Every FIGURE_FORMATS entry carries resource and power models;
-            // a format without them simply contributes no row.
-            let (Some(r), Some(dynamic_power_w), Some(static_power_w)) = (
-                resources::estimate(format, p),
-                power::dynamic_power(format, p),
-                power::static_power(format),
-            ) else {
-                continue;
-            };
+            let r = resources::estimate(format, p);
             rows.push(Table2Row {
                 format,
                 partition_size: p,
                 bram_18k: r.bram_18k,
                 ff_k: r.ff_k,
                 lut_k: r.lut_k,
-                dynamic_power_w,
-                static_power_w,
+                dynamic_power_w: power::dynamic_power(format, p),
+                static_power_w: power::static_power(format),
             });
         }
     }
@@ -74,7 +66,7 @@ pub fn render(rows: &[Table2Row]) -> String {
 
     let formats: Vec<FormatKind> = {
         let mut f: Vec<FormatKind> = rows.iter().map(|r| r.format).collect();
-        let order = super::FIGURE_FORMATS;
+        let order = FormatKind::CHARACTERIZED;
         f.sort_by_key(|k| order.iter().position(|o| o == k));
         f.dedup();
         f

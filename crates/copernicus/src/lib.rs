@@ -80,8 +80,9 @@ pub(crate) mod testsupport {
     //! full workload × format × partition cross product.
 
     use crate::experiments::fig07::all_class_workloads;
-    use crate::experiments::{FIGURE_FORMATS, FIGURE_PARTITION_SIZES};
+    use crate::experiments::FIGURE_PARTITION_SIZES;
     use crate::{characterize, ExperimentConfig, Measurement};
+    use sparsemat::FormatKind;
     use std::sync::OnceLock;
 
     static CAMPAIGN: OnceLock<Vec<Measurement>> = OnceLock::new();
@@ -92,7 +93,7 @@ pub(crate) mod testsupport {
             let cfg = ExperimentConfig::quick();
             characterize(
                 &all_class_workloads(&cfg),
-                &FIGURE_FORMATS,
+                &FormatKind::CHARACTERIZED,
                 &FIGURE_PARTITION_SIZES,
                 &cfg,
             )

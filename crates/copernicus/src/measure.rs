@@ -124,12 +124,6 @@ impl Measurement {
     pub fn bandwidth_utilization(&self) -> f64 {
         self.report.bandwidth_utilization()
     }
-
-    /// Total energy in joules (dynamic + static power over the run time);
-    /// `None` for formats without a synthesized power model.
-    pub fn energy_joules(&self) -> Option<f64> {
-        copernicus_hls::power::energy_joules(self.format, self.partition_size, self.total_seconds())
-    }
 }
 
 /// Runs the full cross product `workloads × formats × partition_sizes`.
@@ -246,6 +240,5 @@ mod tests {
         assert!(m.balance_ratio() > 0.0);
         assert!(m.throughput() > 0.0);
         assert!((0.0..=1.0).contains(&m.bandwidth_utilization()));
-        assert!(m.energy_joules().unwrap() > 0.0);
     }
 }

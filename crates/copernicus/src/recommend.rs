@@ -186,7 +186,6 @@ pub fn recommend_measured(
             Goal::Throughput => r.throughput_bytes_per_sec(),
             Goal::Power => {
                 -copernicus_hls::power::energy_joules(format, cfg.partition_size, r.total_seconds())
-                    .unwrap_or(f64::INFINITY)
             }
             Goal::Balance => -r.balance_ratio.max(1e-12).ln().abs(),
             Goal::BandwidthUtilization => r.bandwidth_utilization(),

@@ -105,7 +105,7 @@ fn raw_metric(ms: &[&Measurement], metric: MetricKind) -> f64 {
         }
         MetricKind::Power => {
             ms.iter()
-                .filter_map(|m| copernicus_hls::power::dynamic_power(m.format, m.partition_size))
+                .map(|m| copernicus_hls::power::dynamic_power(m.format, m.partition_size))
                 .sum::<f64>()
                 .max(1e-12)
                 / n

@@ -33,14 +33,11 @@ use std::fmt;
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
-use sparsemat::FormatKind;
 
 use crate::config::{ceil_log2, HwConfig};
 use crate::decomp::Decompression;
 use crate::encode::EncodedPartition;
 use crate::pipeline::PartitionTiming;
-use crate::resources::Resources;
-use crate::{power, resources};
 
 /// Which hardware model costs each partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -129,7 +126,7 @@ pub struct CpuParams {
     pub dram_latency: u64,
     /// Streaming DRAM bandwidth in bytes per CPU cycle.
     pub dram_bytes_per_cycle: u64,
-    /// Package power draw for the energy estimate, in watts.
+    /// Package power draw, in watts.
     pub tdp_watts: f64,
 }
 
@@ -288,20 +285,6 @@ pub trait Backend: Sync {
 
     /// Clock the reported cycles tick at, in MHz.
     fn clock_mhz(&self, cfg: &HwConfig) -> f64;
-
-    /// Energy for a run of `seconds`, when the backend has a power
-    /// model for this format/partition point.
-    fn energy_joules(
-        &self,
-        format: FormatKind,
-        p: usize,
-        seconds: f64,
-        cfg: &HwConfig,
-    ) -> Option<f64>;
-
-    /// Device resources consumed by the decompressor + engine, when the
-    /// backend models them (FPGA only).
-    fn resources(&self, format: FormatKind, p: usize) -> Option<Resources>;
 }
 
 impl fmt::Debug for dyn Backend {
@@ -343,20 +326,6 @@ impl Backend for HlsStreamBackend {
 
     fn clock_mhz(&self, cfg: &HwConfig) -> f64 {
         cfg.clock_mhz
-    }
-
-    fn energy_joules(
-        &self,
-        format: FormatKind,
-        p: usize,
-        seconds: f64,
-        _cfg: &HwConfig,
-    ) -> Option<f64> {
-        power::energy_joules(format, p, seconds)
-    }
-
-    fn resources(&self, format: FormatKind, p: usize) -> Option<Resources> {
-        resources::estimate(format, p)
     }
 }
 
@@ -405,20 +374,6 @@ impl Backend for CpuCacheBackend {
 
     fn clock_mhz(&self, cfg: &HwConfig) -> f64 {
         cfg.cpu.clock_mhz
-    }
-
-    fn energy_joules(
-        &self,
-        _format: FormatKind,
-        _p: usize,
-        seconds: f64,
-        cfg: &HwConfig,
-    ) -> Option<f64> {
-        Some(cfg.cpu.tdp_watts * seconds)
-    }
-
-    fn resources(&self, _format: FormatKind, _p: usize) -> Option<Resources> {
-        None
     }
 }
 
@@ -476,22 +431,6 @@ impl Backend for HeteroBackend {
 
     fn clock_mhz(&self, cfg: &HwConfig) -> f64 {
         cfg.clock_mhz
-    }
-
-    fn energy_joules(
-        &self,
-        _format: FormatKind,
-        _p: usize,
-        _seconds: f64,
-        _cfg: &HwConfig,
-    ) -> Option<f64> {
-        // Mixed dispatch spans two power domains; no single estimate.
-        None
-    }
-
-    fn resources(&self, format: FormatKind, p: usize) -> Option<Resources> {
-        // The FPGA half still has to be synthesized in full.
-        resources::estimate(format, p)
     }
 }
 

@@ -75,15 +75,10 @@ pub fn decompress_with(
         AnyMatrix::Csr(m) => csr(m, cfg, scratch),
         AnyMatrix::Csc(m) => csc(m, cfg, scratch),
         AnyMatrix::Bcsr(m) => bcsr(m, cfg, scratch),
-        // §5.2: "The same procedure is also applicable to DOK."
         AnyMatrix::Coo(m) => coo(m, cfg, scratch),
-        AnyMatrix::Dok(m) => coo(&m.to_coo(), cfg, scratch),
         AnyMatrix::Lil(m) => lil(m, cfg, scratch),
         AnyMatrix::Ell(m) => ell(m, cfg, scratch),
         AnyMatrix::Dia(m) => dia(m, cfg, scratch),
-        AnyMatrix::Bcsc(_) | AnyMatrix::Sell(_) | AnyMatrix::Jds(_) => {
-            unreachable!("EncodedPartition rejects uncharacterized formats")
-        }
     }
 }
 
@@ -421,23 +416,6 @@ mod tests {
             let d = decompress(&part, &cfg);
             assert_eq!(d.assemble(16), expect, "{kind} corrupted the tile");
         }
-    }
-
-    #[test]
-    fn dok_decompresses_like_coo() {
-        let t = sample();
-        let cfg = cfg();
-        let c = decompress(
-            &EncodedPartition::encode(&t, FormatKind::Coo, &cfg).unwrap(),
-            &cfg,
-        );
-        let k = decompress(
-            &EncodedPartition::encode(&t, FormatKind::Dok, &cfg).unwrap(),
-            &cfg,
-        );
-        assert_eq!(c.decomp_cycles, k.decomp_cycles);
-        assert_eq!(c.dot_issues, k.dot_issues);
-        assert_eq!(c.assemble(16), k.assemble(16));
     }
 
     #[test]

@@ -54,13 +54,10 @@ impl EncodedPartition {
     /// Encodes one partition's COO tile in the given format and computes its
     /// transfer accounting.
     ///
-    /// `Dok` is accepted and accounted exactly like `Coo` — §5.2: "The same
-    /// procedure is also applicable to DOK."
-    ///
     /// # Errors
     ///
-    /// Returns [`SparseError::UnknownFormat`] for formats the paper does not
-    /// characterize on the platform (`Sell`, `Jds`).
+    /// Returns [`SparseError::InvalidBlockSize`] for a BCSR tile when
+    /// `cfg.bcsr_block` is zero.
     pub fn encode(
         tile: &Coo<f32>,
         format: FormatKind,
@@ -151,8 +148,8 @@ impl EncodedPartition {
                 streams.push(Stream::structural("values", nblk * b2 * vb));
                 AnyMatrix::Bcsr(bcsr)
             }
-            FormatKind::Coo | FormatKind::Dok => {
-                // (row, col, value) per entry; DOK streams identically.
+            FormatKind::Coo => {
+                // (row, col, value) per entry.
                 // Duplicate coordinates merge during encoding exactly as
                 // CSR/CSC merge them, so every format accounts (and ships)
                 // the *encoded* structure, not the raw triplet list.
@@ -225,9 +222,6 @@ impl EncodedPartition {
                     dia.num_diagonals() as u64 * (p + 1) * vb,
                 ));
                 AnyMatrix::Dia(dia)
-            }
-            other @ (FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds) => {
-                return Err(uncharacterized(other));
             }
         };
 
@@ -314,13 +308,6 @@ impl EncodedPartition {
     pub fn kind(&self) -> FormatKind {
         self.matrix.kind()
     }
-}
-
-/// The error for a format the platform does not characterize.
-pub(crate) fn uncharacterized(format: FormatKind) -> SparseError {
-    SparseError::UnknownFormat(format!(
-        "{format} is not part of the characterized platform"
-    ))
 }
 
 /// Appends the first `width` little-endian bytes of `le`, zero-padded when
@@ -478,15 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn dok_accounts_like_coo() {
-        let t = tile(&[(0, 0, 1.0), (3, 7, 2.0)], 16);
-        let coo = EncodedPartition::encode(&t, FormatKind::Coo, &cfg()).unwrap();
-        let dok = EncodedPartition::encode(&t, FormatKind::Dok, &cfg()).unwrap();
-        assert_eq!(coo.total_bytes(), dok.total_bytes());
-        assert_eq!(coo.useful_bytes, dok.useful_bytes);
-    }
-
-    #[test]
     fn dia_utilization_near_one_for_diagonal_tile() {
         // §6.3: DIA's utilization on diagonal matrices is p/(p+1), the
         // "slight difference [...] because of saving the diagonal number."
@@ -549,13 +527,6 @@ mod tests {
         let cfg = cfg();
         let e = EncodedPartition::encode(&t, FormatKind::Dense, &cfg).unwrap();
         assert_eq!(e.memory_cycles(&cfg), 4 + (16 * 16 * 4) / 8);
-    }
-
-    #[test]
-    fn uncharacterized_formats_are_rejected() {
-        let t = tile(&[(0, 0, 1.0)], 16);
-        assert!(EncodedPartition::encode(&t, FormatKind::Sell, &cfg()).is_err());
-        assert!(EncodedPartition::encode(&t, FormatKind::Jds, &cfg()).is_err());
     }
 
     #[test]

@@ -684,7 +684,7 @@ impl Run<'_> {
         acc.mark();
         if structural {
             if let Some(stats) = TileStats::measure(tile, self.cfg, scratch) {
-                let counters = stats.counters(format, self.cfg)?;
+                let counters = stats.counters(format, self.cfg);
                 acc.lap(Phase::Encode);
                 return Ok((self.backend.price(&counters, self.cfg), None));
             }

@@ -38,26 +38,20 @@ impl PowerBreakdown {
 
 /// Total dynamic power (W) of a format's platform at partition size `p` —
 /// Table 2's `DY Power(W)` columns at the paper's sizes, interpolated
-/// elsewhere. `None` for formats without a synthesized instance.
-pub fn dynamic_power(format: FormatKind, p: usize) -> Option<f64> {
-    let anchors = resources::dyn_power_anchor(format)?;
-    Some(resources::interpolate(anchors, p))
+/// elsewhere.
+pub fn dynamic_power(format: FormatKind, p: usize) -> f64 {
+    resources::interpolate(resources::dyn_power_anchor(format), p)
 }
 
 /// Static power (W) of a format's design (§6.4 gives two classes).
-///
-/// `None` for formats without a synthesized instance.
-pub fn static_power(format: FormatKind) -> Option<f64> {
+pub fn static_power(format: FormatKind) -> f64 {
     match format {
         FormatKind::Dense
         | FormatKind::Csr
         | FormatKind::Bcsr
         | FormatKind::Lil
-        | FormatKind::Ell => Some(STATIC_POWER_HIGH_W),
-        FormatKind::Csc | FormatKind::Coo | FormatKind::Dok | FormatKind::Dia => {
-            Some(STATIC_POWER_LOW_W)
-        }
-        FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds => None,
+        | FormatKind::Ell => STATIC_POWER_HIGH_W,
+        FormatKind::Csc | FormatKind::Coo | FormatKind::Dia => STATIC_POWER_LOW_W,
     }
 }
 
@@ -75,9 +69,9 @@ const LOGIC_W_PER_KLUT: f64 = 0.004;
 /// remainder — matching §6.4's observation that "the trend of overall
 /// dynamic power consumption partially depends on BRAM, but more generally
 /// follows the same trend as the power consumption of signals."
-pub fn breakdown(format: FormatKind, p: usize) -> Option<PowerBreakdown> {
-    let total = dynamic_power(format, p)?;
-    let r: Resources = resources::estimate(format, p)?;
+pub fn breakdown(format: FormatKind, p: usize) -> PowerBreakdown {
+    let total = dynamic_power(format, p);
+    let r: Resources = resources::estimate(format, p);
     let bram_raw = r.bram_18k * BRAM_W_PER_BLOCK;
     let logic_raw = r.lut_k * LOGIC_W_PER_KLUT;
     // Cap structural components at 70% of the total so signals always hold
@@ -90,17 +84,17 @@ pub fn breakdown(format: FormatKind, p: usize) -> Option<PowerBreakdown> {
     };
     let bram_w = bram_raw * scale;
     let logic_w = logic_raw * scale;
-    Some(PowerBreakdown {
+    PowerBreakdown {
         logic_w,
         bram_w,
         signals_w: total - bram_w - logic_w,
-    })
+    }
 }
 
 /// Energy in joules for a run of `seconds` on a format's platform:
-/// `(dynamic + static) × time`. `None` for unsynthesized formats.
-pub fn energy_joules(format: FormatKind, p: usize, seconds: f64) -> Option<f64> {
-    Some((dynamic_power(format, p)? + static_power(format)?) * seconds)
+/// `(dynamic + static) × time`.
+pub fn energy_joules(format: FormatKind, p: usize, seconds: f64) -> f64 {
+    (dynamic_power(format, p) + static_power(format)) * seconds
 }
 
 #[cfg(test)]
@@ -109,10 +103,10 @@ mod tests {
 
     #[test]
     fn dynamic_power_matches_table2() {
-        assert_eq!(dynamic_power(FormatKind::Dense, 16), Some(0.08));
-        assert_eq!(dynamic_power(FormatKind::Dia, 16), Some(0.12));
-        assert_eq!(dynamic_power(FormatKind::Csc, 8), Some(0.01));
-        assert_eq!(dynamic_power(FormatKind::Coo, 32), Some(0.04));
+        assert_eq!(dynamic_power(FormatKind::Dense, 16), 0.08);
+        assert_eq!(dynamic_power(FormatKind::Dia, 16), 0.12);
+        assert_eq!(dynamic_power(FormatKind::Csc, 8), 0.01);
+        assert_eq!(dynamic_power(FormatKind::Coo, 32), 0.04);
     }
 
     #[test]
@@ -124,20 +118,19 @@ mod tests {
             FormatKind::Lil,
             FormatKind::Ell,
         ] {
-            assert_eq!(static_power(kind), Some(STATIC_POWER_HIGH_W), "{kind}");
+            assert_eq!(static_power(kind), STATIC_POWER_HIGH_W, "{kind}");
         }
         for kind in [FormatKind::Csc, FormatKind::Coo, FormatKind::Dia] {
-            assert_eq!(static_power(kind), Some(STATIC_POWER_LOW_W), "{kind}");
+            assert_eq!(static_power(kind), STATIC_POWER_LOW_W, "{kind}");
         }
-        assert!(static_power(FormatKind::Sell).is_none());
     }
 
     #[test]
     fn breakdown_sums_to_total() {
         for kind in FormatKind::CHARACTERIZED {
             for p in [8, 16, 32] {
-                let b = breakdown(kind, p).unwrap();
-                let total = dynamic_power(kind, p).unwrap();
+                let b = breakdown(kind, p);
+                let total = dynamic_power(kind, p);
                 assert!((b.total_w() - total).abs() < 1e-12, "{kind} p={p}");
                 assert!(b.logic_w >= 0.0 && b.bram_w >= 0.0 && b.signals_w >= 0.0);
             }
@@ -149,7 +142,7 @@ mod tests {
         // §6.4: overall dynamic power "more generally follows the same trend
         // as the power consumption of signals" — signals must never vanish.
         for kind in FormatKind::CHARACTERIZED {
-            let b = breakdown(kind, 16).unwrap();
+            let b = breakdown(kind, 16);
             let total = b.total_w();
             assert!(b.signals_w >= 0.3 * total, "{kind}: {b:?}");
         }
@@ -160,7 +153,7 @@ mod tests {
         // §6.4: "for SuiteSparse matrices, not only does COO consume the
         // least dynamic power..." (CSC's 8×8 point is lower, but at the
         // default 16 COO ties for the minimum among the sparse formats).
-        let coo = dynamic_power(FormatKind::Coo, 16).unwrap();
+        let coo = dynamic_power(FormatKind::Coo, 16);
         for kind in [
             FormatKind::Csr,
             FormatKind::Bcsr,
@@ -168,22 +161,13 @@ mod tests {
             FormatKind::Ell,
             FormatKind::Dia,
         ] {
-            assert!(coo <= dynamic_power(kind, 16).unwrap(), "{kind}");
+            assert!(coo <= dynamic_power(kind, 16), "{kind}");
         }
     }
 
     #[test]
     fn energy_combines_dynamic_and_static() {
-        let e = energy_joules(FormatKind::Coo, 16, 2.0).unwrap();
+        let e = energy_joules(FormatKind::Coo, 16, 2.0);
         assert!((e - (0.04 + STATIC_POWER_LOW_W) * 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dok_inherits_coo_power() {
-        assert_eq!(
-            dynamic_power(FormatKind::Dok, 16),
-            dynamic_power(FormatKind::Coo, 16)
-        );
-        assert_eq!(static_power(FormatKind::Dok), Some(STATIC_POWER_LOW_W));
     }
 }

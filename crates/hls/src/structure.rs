@@ -21,9 +21,8 @@
 //! them. Entry order does not matter.
 
 use crate::backend::TileCounters;
-use crate::encode::uncharacterized;
 use crate::{EncodeScratch, HwConfig};
-use sparsemat::{Coo, FormatKind, Matrix, SparseError};
+use sparsemat::{Coo, FormatKind, Matrix};
 
 /// Reusable bitsets and counters for [`TileStats::measure`], kept zeroed
 /// between tiles by clearing exactly the slots the last tile touched.
@@ -181,17 +180,7 @@ impl TileStats {
     /// `format` and decompressed — the DESIGN.md §3 table, row by row.
     /// Without a second-stage codec, so coded bytes equal structural bytes
     /// and no entropy cycles are charged.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseError::UnknownFormat`] for the formats the platform does not
-    /// characterize, exactly as [`EncodedPartition::encode`](crate::EncodedPartition::encode)
-    /// rejects them.
-    pub fn counters(
-        &self,
-        format: FormatKind,
-        cfg: &HwConfig,
-    ) -> Result<TileCounters, SparseError> {
+    pub fn counters(&self, format: FormatKind, cfg: &HwConfig) -> TileCounters {
         let TileStats {
             nnz,
             nzr,
@@ -226,7 +215,7 @@ impl TileStats {
                 width,
                 nbr + nblk,
             ),
-            FormatKind::Coo | FormatKind::Dok => (nnz * (2 * ib + vb), l + nnz, nzr, width, nnz),
+            FormatKind::Coo => (nnz * (2 * ib + vb), l + nnz, nzr, width, nnz),
             FormatKind::Lil => (
                 (max_col + 1) * p * (ib + vb),
                 nzr * (l + 2) + l,
@@ -236,11 +225,8 @@ impl TileStats {
             ),
             FormatKind::Ell => (max_row * p * (ib + vb), p, p, cfg.ell_hw_width, p),
             FormatKind::Dia => (ndiag * (p + 1) * vb, l + p * ndiag, nzr, width, p * ndiag),
-            other @ (FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds) => {
-                return Err(uncharacterized(other))
-            }
         };
-        Ok(TileCounters {
+        TileCounters {
             bytes,
             coded_bytes: bytes,
             useful_bytes: nnz * vb,
@@ -249,7 +235,7 @@ impl TileStats {
             dot_issues,
             engine_width,
             bram_reads,
-        })
+        }
     }
 }
 
@@ -284,8 +270,6 @@ mod tests {
         assert_eq!((s.nnz, s.nzr, s.max_row, s.max_col), (6, 4, 2, 2));
         // Diagonals {-9, 0, 1, 5}; blocks (0,0) (0,1) (2,0) (3,3).
         assert_eq!((s.ndiag, s.nblk, s.nbr, s.block_row_lines), (4, 4, 3, 12));
-        // Formats the encoder rejects are rejected here too.
-        assert!(s.counters(FormatKind::Sell, &cfg).is_err());
     }
 
     #[test]

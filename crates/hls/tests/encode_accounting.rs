@@ -1,7 +1,7 @@
 //! Property tests pinning `EncodedPartition::encode` stream-byte accounting
 //! to the *actual* lengths of the encoded `sparsemat` structures — for
 //! every characterized format, including tiles with duplicate coordinates.
-//! Every format merges duplicates during encoding (COO/DOK compress their
+//! Every format merges duplicates during encoding (COO compresses its
 //! tuple list exactly as CSR/CSC merge theirs), so the accounting always
 //! describes the encoded structure, never the raw pre-merge triplet list.
 
@@ -85,8 +85,8 @@ proptest! {
                         m.num_blocks() as u64 * b2 * vb
                     );
                 }
-                (AnyMatrix::Coo(m), FormatKind::Coo | FormatKind::Dok) => {
-                    // COO/DOK merge duplicate coordinates during encoding,
+                (AnyMatrix::Coo(m), FormatKind::Coo) => {
+                    // COO merges duplicate coordinates during encoding,
                     // so the streamed tuple count is the *stored* count —
                     // the same count CSR arrives at.
                     let stored = m.nnz() as u64;
@@ -125,17 +125,15 @@ proptest! {
 
     #[test]
     fn coo_accounts_duplicates_exactly_like_csr(tile in dup_tile_strategy()) {
-        // The regression this pins: COO/DOK used to size their streams from
+        // The regression this pins: COO used to size their streams from
         // the raw pre-merge nnz while CSR/CSC sized from the merged stored
         // count, so the same tile was accounted inconsistently across
         // formats whenever it contained duplicate coordinates.
         let cfg = HwConfig::with_partition_size(P);
         let coo = EncodedPartition::encode(&tile, FormatKind::Coo, &cfg).unwrap();
-        let dok = EncodedPartition::encode(&tile, FormatKind::Dok, &cfg).unwrap();
         let csr = EncodedPartition::encode(&tile, FormatKind::Csr, &cfg).unwrap();
         prop_assert_eq!(coo.matrix.nnz(), csr.matrix.nnz());
         prop_assert_eq!(coo.useful_bytes, csr.useful_bytes);
-        prop_assert_eq!(coo.total_bytes(), dok.total_bytes());
         // Same stored entries -> same per-entry stream sizes: COO's value
         // stream equals CSR's, its index streams equal CSR's colInx.
         let vals = |e: &EncodedPartition| {

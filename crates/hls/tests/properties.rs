@@ -272,7 +272,7 @@ proptest! {
                 let d = decompress(&enc, &cfg);
                 let walked = backend_for(backend).partition_timing(&enc, &d, &cfg);
                 if let Some(stats) = &stats {
-                    let priced = backend_for(backend).price(&stats.counters(kind, &cfg).unwrap(), &cfg);
+                    let priced = backend_for(backend).price(&stats.counters(kind, &cfg), &cfg);
                     prop_assert_eq!(priced, walked, "{} on {} at p={}", kind, backend, p);
                 }
                 // End to end: a verify-off run (structural when it may be)

@@ -54,8 +54,8 @@ impl<T: Scalar> Ell<T> {
     /// # Errors
     ///
     /// Returns [`SparseError::InvalidStructure`] if any row holds more than
-    /// `width` entries — such matrices need [`crate::Sell`] or a hybrid
-    /// ELL+COO split (§2 mentions ELL+COO exactly for this case).
+    /// `width` entries — such matrices need a wider ELL or a hybrid ELL+COO
+    /// split (§2 mentions ELL+COO exactly for this case).
     pub fn from_coo_with_width(coo: &Coo<T>, width: usize) -> Result<Self, SparseError> {
         Self::from_csr_with_width(&crate::Csr::from(coo), width)
     }

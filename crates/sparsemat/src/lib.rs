@@ -1,21 +1,18 @@
 //! Sparse-matrix substrate for the Copernicus characterization.
 //!
-//! This crate implements every compression format studied by the paper
-//! *Copernicus: Characterizing the Performance Implications of Compression
-//! Formats Used in Sparse Workloads* (IISWC 2021) — plus the ELL variants it
-//! discusses — as first-class, losslessly convertible matrix types:
+//! This crate implements every compression format characterized by the
+//! paper *Copernicus: Characterizing the Performance Implications of
+//! Compression Formats Used in Sparse Workloads* (IISWC 2021) as
+//! first-class, losslessly convertible matrix types:
 //!
 //! | Type | Paper section | Notes |
 //! |---|---|---|
 //! | [`Dense`] | baseline | row-major dense storage |
 //! | [`Csr`] / [`Csc`] | §2 CSR/CSC | offsets + indices + values |
-//! | [`Bcsr`] | §2 BCSR/BCSC | block-wise CSR, any square block size |
+//! | [`Bcsr`] | §2 BCSR | block-wise CSR, any square block size |
 //! | [`Coo`] | §2 COO | triplet list; the conversion hub |
-//! | [`Dok`] | §2 DOK | hash-map of (row, col) → value |
 //! | [`Lil`] | §2 LIL | per-line lists; Copernicus uses column lists |
 //! | [`Ell`] | §2 ELL | fixed-width rows with padding |
-//! | [`Sell`] | §2 SELL | row-sliced ELL |
-//! | [`Jds`] | §2 (ELL variants) | jagged diagonal storage |
 //! | [`Dia`] | §2 DIA | non-zero diagonals with offset headers |
 //!
 //! Every format implements the [`Matrix`] trait (shape, random access,
@@ -50,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bcsc;
 pub mod bcsr;
 pub mod convert;
 pub mod coo;
@@ -58,18 +54,14 @@ pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod dia;
-pub mod dok;
 pub mod ell;
 pub mod error;
-pub mod jds;
 pub mod lil;
 pub mod ops;
 pub mod partition;
 pub mod scalar;
-pub mod sell;
 pub mod triplet;
 
-pub use bcsc::Bcsc;
 pub use bcsr::Bcsr;
 pub use convert::AnyMatrix;
 pub use coo::Coo;
@@ -77,14 +69,11 @@ pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
 pub use dia::Dia;
-pub use dok::Dok;
 pub use ell::Ell;
 pub use error::SparseError;
-pub use jds::Jds;
 pub use lil::{Axis, Lil};
 pub use partition::{Partition, PartitionGrid, PartitionStats};
 pub use scalar::Scalar;
-pub use sell::Sell;
 pub use triplet::Triplet;
 
 use std::fmt::Debug;
@@ -92,8 +81,9 @@ use std::fmt::Debug;
 /// The compression formats studied by Copernicus, as a plain identifier.
 ///
 /// `Dense` is the paper's baseline; the seven characterized formats are
-/// `Csr`, `Csc`, `Bcsr`, `Coo`, `Lil`, `Ell` and `Dia`. `Dok`, `Sell` and
-/// `Jds` are the variants §2 discusses alongside them.
+/// `Csr`, `Csc`, `Bcsr`, `Coo`, `Lil`, `Ell` and `Dia`. The variants §2
+/// mentions alongside them (DOK, SELL, JDS, BCSC) are not implemented: the
+/// paper characterizes none of them, and §5.2 runs DOK as COO.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
 )]
@@ -106,27 +96,19 @@ pub enum FormatKind {
     Csc,
     /// Block compressed sparse row (4×4 blocks in the paper).
     Bcsr,
-    /// Block compressed sparse column.
-    Bcsc,
     /// Coordinate (triplet) list.
     Coo,
-    /// Dictionary of keys.
-    Dok,
     /// List of lists (column lists in Copernicus).
     Lil,
     /// ELLPACK with padding.
     Ell,
-    /// Sliced ELLPACK.
-    Sell,
-    /// Jagged diagonal storage.
-    Jds,
     /// Diagonal storage.
     Dia,
 }
 
 impl FormatKind {
-    /// The seven formats characterized by the paper plus the dense baseline,
-    /// in the order the paper's figures list them.
+    /// Every format: the seven characterized by the paper plus the dense
+    /// baseline, in the order the paper's figures list them.
     pub const CHARACTERIZED: [FormatKind; 8] = [
         FormatKind::Dense,
         FormatKind::Csr,
@@ -138,22 +120,6 @@ impl FormatKind {
         FormatKind::Dia,
     ];
 
-    /// All formats implemented by this crate.
-    pub const ALL: [FormatKind; 12] = [
-        FormatKind::Dense,
-        FormatKind::Csr,
-        FormatKind::Csc,
-        FormatKind::Bcsr,
-        FormatKind::Bcsc,
-        FormatKind::Coo,
-        FormatKind::Dok,
-        FormatKind::Lil,
-        FormatKind::Ell,
-        FormatKind::Sell,
-        FormatKind::Jds,
-        FormatKind::Dia,
-    ];
-
     /// Short uppercase label used in tables and figures (e.g. `"BCSR"`).
     pub fn label(self) -> &'static str {
         match self {
@@ -161,13 +127,9 @@ impl FormatKind {
             FormatKind::Csr => "CSR",
             FormatKind::Csc => "CSC",
             FormatKind::Bcsr => "BCSR",
-            FormatKind::Bcsc => "BCSC",
             FormatKind::Coo => "COO",
-            FormatKind::Dok => "DOK",
             FormatKind::Lil => "LIL",
             FormatKind::Ell => "ELL",
-            FormatKind::Sell => "SELL",
-            FormatKind::Jds => "JDS",
             FormatKind::Dia => "DIA",
         }
     }
@@ -184,7 +146,7 @@ impl std::str::FromStr for FormatKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let up = s.trim().to_ascii_uppercase();
-        FormatKind::ALL
+        FormatKind::CHARACTERIZED
             .iter()
             .copied()
             .find(|k| k.label() == up)

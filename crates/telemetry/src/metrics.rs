@@ -13,12 +13,17 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-/// Number of histogram buckets. Bucket `i` covers values `<= 2^(i + MIN_EXP)`;
-/// the final bucket is the overflow catch-all.
+/// Number of histogram buckets. Bucket `i` covers values
+/// `<= 2^(i + min_exp)`; the final bucket is the overflow catch-all.
 const BUCKETS: usize = 48;
-/// Exponent of the first bucket's upper bound: 2^-8 = 1/256, small enough
-/// for compute-balance ratios and sigma values well below one.
+/// Exponent of the first bucket's upper bound in the registry's
+/// histograms: 2^-8 = 1/256, small enough for compute-balance ratios and
+/// sigma values well below one.
 const MIN_EXP: i32 = -8;
+/// Exponent of the first bucket's upper bound for wall-clock seconds:
+/// 2^-24 s ≈ 60 ns, below any lap the profiler takes, while the last
+/// finite bucket still reaches 2^22 s.
+const SECONDS_MIN_EXP: i32 = -24;
 
 /// A fixed-bucket log2 histogram with exact count/sum/min/max sidecars.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,52 +33,60 @@ pub struct Histogram {
     sum: f64,
     min: f64,
     max: f64,
+    /// Exponent of the first bucket's upper bound.
+    min_exp: i32,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
+        Histogram::with_min_exp(MIN_EXP)
+    }
+}
+
+impl Histogram {
+    /// An empty histogram whose first bucket ends at 2^-8.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty histogram for wall-clock seconds, whose first bucket ends
+    /// at 2^-24 s so sub-millisecond laps land in distinct buckets.
+    pub fn seconds() -> Self {
+        Histogram::with_min_exp(SECONDS_MIN_EXP)
+    }
+
+    fn with_min_exp(min_exp: i32) -> Self {
         Histogram {
             counts: [0; BUCKETS],
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
+            min_exp,
         }
     }
-}
 
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_index(value: f64) -> usize {
+    fn bucket_index(&self, value: f64) -> usize {
         if value.is_nan() {
             return BUCKETS - 1;
         }
-        let mut i = 0;
-        while i < BUCKETS - 1 {
-            if value <= Self::bucket_bound(i) {
-                return i;
-            }
-            i += 1;
-        }
-        BUCKETS - 1
+        (0..BUCKETS - 1)
+            .find(|&i| value <= self.bucket_bound(i))
+            .unwrap_or(BUCKETS - 1)
     }
 
     /// Upper bound of bucket `i` (`+inf` for the overflow bucket).
-    pub fn bucket_bound(i: usize) -> f64 {
+    pub fn bucket_bound(&self, i: usize) -> f64 {
         if i >= BUCKETS - 1 {
             f64::INFINITY
         } else {
-            (2.0f64).powi(i as i32 + MIN_EXP)
+            (2.0f64).powi(i as i32 + self.min_exp)
         }
     }
 
     /// Records one observation.
     pub fn observe(&mut self, value: f64) {
-        self.counts[Self::bucket_index(value)] += 1;
+        self.counts[self.bucket_index(value)] += 1;
         self.count += 1;
         self.sum += value;
         self.min = self.min.min(value);
@@ -121,7 +134,7 @@ impl Histogram {
             seen += self.counts[i];
             if seen >= target {
                 // Clamp the coarse bucket bound by the exact extrema.
-                return Self::bucket_bound(i).min(self.max).max(self.min);
+                return self.bucket_bound(i).min(self.max).max(self.min);
             }
         }
         self.max
@@ -131,7 +144,7 @@ impl Histogram {
     pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
         (0..BUCKETS)
             .filter(|&i| self.counts[i] > 0)
-            .map(|i| (Self::bucket_bound(i), self.counts[i]))
+            .map(|i| (self.bucket_bound(i), self.counts[i]))
             .collect()
     }
 
@@ -322,6 +335,10 @@ mod tests {
         let buckets = h.nonzero_buckets();
         assert_eq!(buckets.iter().map(|&(_, n)| n).sum::<u64>(), 4);
         assert!(buckets.last().unwrap().0.is_infinite());
+        // The registry's first bucket stays at 2^-8, so metrics.tsv bytes
+        // do not depend on the seconds floor.
+        assert_eq!(h.bucket_bound(0), 1.0 / 256.0);
+        assert_eq!(Histogram::seconds().bucket_bound(0), 2f64.powi(-24));
     }
 
     #[test]

@@ -95,12 +95,22 @@ pub struct WorkerStats {
 ///
 /// All state is wall-clock-derived and therefore scheduling-dependent; the
 /// profiler must never feed the deterministic metrics registry.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PhaseProfiler {
     phases: Mutex<[Histogram; 6]>,
     workers: Mutex<Vec<WorkerStats>>,
     /// Campaign wall seconds (coordinator-measured), summed over campaigns.
     wall: Mutex<f64>,
+}
+
+impl Default for PhaseProfiler {
+    fn default() -> Self {
+        PhaseProfiler {
+            phases: Mutex::new(std::array::from_fn(|_| Histogram::seconds())),
+            workers: Mutex::default(),
+            wall: Mutex::default(),
+        }
+    }
 }
 
 impl PhaseProfiler {
@@ -346,6 +356,33 @@ mod tests {
         assert_eq!(compute.count(), 1);
         assert!(compute.sum() <= 1.0);
         assert!(p.histogram(Phase::QueueWait).is_none());
+    }
+
+    #[test]
+    fn quantiles_resolve_sub_millisecond_laps() {
+        // Laps spread log-uniformly from 10 µs to 10 ms: every reported
+        // quantile is the upper bound of the exact quantile's log2 bucket,
+        // so it lies within one bucket (×2) above the exact value.
+        let p = PhaseProfiler::new();
+        let n = 301;
+        let mut laps: Vec<f64> = (0..n)
+            .map(|i| 1e-5 * 1e3f64.powf(i as f64 / (n - 1) as f64))
+            .collect();
+        for &secs in &laps {
+            p.record(Phase::Encode, secs);
+        }
+        laps.sort_by(f64::total_cmp);
+        let h = p.histogram(Phase::Encode).unwrap();
+        for q in [0.0, 0.05, 0.5, 0.95, 0.99, 1.0] {
+            let rank = ((q * n as f64).ceil() as usize).max(1);
+            let exact = laps[rank - 1];
+            let got = h.quantile(q);
+            assert!(
+                exact <= got && got <= 2.0 * exact,
+                "q={q}: reported {got}, exact {exact}"
+            );
+        }
+        assert!(h.quantile(0.5) < h.quantile(0.95));
     }
 
     #[test]
