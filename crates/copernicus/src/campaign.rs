@@ -84,7 +84,7 @@ use crate::fault::{
     panic_message, CampaignError, CampaignPolicy, CellFailure, FailureKind, FaultKind,
 };
 use crate::{ExperimentConfig, Instruments, Measurement};
-use copernicus_hls::{PlatformError, RunRequest, Session};
+use copernicus_hls::{GridStats, PlatformError, RunRequest, Session};
 use copernicus_telemetry::{
     replay, CancelToken, Phase, PhaseProfiler, PipelineEvent, ProgressReporter, RecordingSink,
     TraceSink, WorkerStats,
@@ -599,9 +599,19 @@ impl CampaignRunner {
                         let mut session = cfg.session(p)?;
                         session.set_profiler(observers.profiler.clone());
                         session.set_tile_jobs(tile_jobs);
-                        *prepared = Some((entry, session));
+                        let stats = session.measure(&entry.grid);
+                        *prepared = Some(Prepared {
+                            entry,
+                            session,
+                            stats,
+                        });
                     }
-                    let Some((entry, session)) = prepared.as_mut() else {
+                    let Some(Prepared {
+                        entry,
+                        session,
+                        stats,
+                    }) = prepared.as_mut()
+                    else {
                         // Unreachable: the branch above just filled it.
                         return Err(AttemptError::Platform(PlatformError::Config(
                             "unit preparation lost".to_string(),
@@ -610,7 +620,10 @@ impl CampaignRunner {
                     // (Re)arm this attempt's token — the session outlives
                     // the attempt, the deadline must not.
                     session.set_cancel(attempt_cancel.clone());
-                    let request = RunRequest::grid(&entry.grid, format);
+                    let request = match stats {
+                        Some(stats) => RunRequest::measured(&entry.grid, stats, format),
+                        None => RunRequest::grid(&entry.grid, format),
+                    };
                     let report = if trace {
                         session.run(request.with_sink(&mut *sink))?.report
                     } else {
@@ -685,9 +698,16 @@ impl CampaignRunner {
 }
 
 /// What one `(workload, partition size)` unit prepares once and shares
-/// across its format sweep: the cached tiling (plus matrix density) and a
-/// [`Session`] whose scratch buffers the eight format runs reuse.
-type Prepared = (Arc<CachedGrid>, Session);
+/// across its format sweep.
+struct Prepared {
+    /// The cached tiling, plus the matrix density.
+    entry: Arc<CachedGrid>,
+    /// The session whose scratch buffers the eight format runs reuse.
+    session: Session,
+    /// The tiling's structural classes, measured once for all eight runs
+    /// when the session prices from structure.
+    stats: Option<GridStats>,
+}
 
 /// What a single computation attempt can fail with (before classification).
 enum AttemptError {

@@ -91,6 +91,14 @@ impl HwConfig {
         }
     }
 
+    /// Whether runs price tiles from their structure ([`crate::TileStats`])
+    /// instead of encoding and decompressing them: nothing checks the
+    /// decompressed rows (verification off) and no codec needs the encoded
+    /// bytes. A run with an SpMV consumer walks regardless.
+    pub fn prices_from_structure(&self) -> bool {
+        !self.verify_functional && self.stream_codec == CodecKind::None
+    }
+
     /// Latency in cycles of one dot-product issue on an engine of `width`
     /// lanes: one multiplier stage, a balanced adder tree of
     /// `⌈log2 width⌉` stages, and one accumulate stage.

@@ -90,4 +90,4 @@ pub use power::PowerBreakdown;
 pub use resources::Resources;
 pub use scratch::EncodeScratch;
 pub use session::{Input, RunOutcome, RunRequest, Session};
-pub use structure::TileStats;
+pub use structure::{GridStats, TileStats};

@@ -2,8 +2,9 @@
 //! (decompress + dot-product) → memory-write, pipelined across partitions.
 
 use crate::backend::Backend;
-use crate::codec::CodecKind;
-use crate::{decompress_with, Decompression, EncodeScratch, EncodedPartition, HwConfig, TileStats};
+use crate::{
+    decompress_with, Decompression, EncodeScratch, EncodedPartition, GridStats, HwConfig, TileStats,
+};
 use copernicus_telemetry::{
     CancelToken, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
 };
@@ -435,6 +436,9 @@ pub(crate) struct Run<'a> {
     pub(crate) cancel: Option<&'a CancelToken>,
     /// Wall-clock phase profiler; never consulted by the timing model.
     pub(crate) profiler: Option<&'a PhaseProfiler>,
+    /// The grid's tile classes, when the request carried them (already
+    /// checked against the grid and the config).
+    pub(crate) measured: Option<&'a GridStats>,
 }
 
 impl Run<'_> {
@@ -585,11 +589,14 @@ impl Run<'_> {
     /// worker count. One worker processes each tile inline and recycles
     /// its buffers into `scratch` right away; more workers run
     /// [`Run::process_grid_parallel`] and reduce its slots in grid order.
-    /// The cancellation token is polled before every tile in both modes.
+    /// The cancellation token is polled before every tile in every mode.
     ///
     /// Tiles are priced from structure, with no decompression handed on,
-    /// when nothing reads the decompressed rows: `rows_needed` is false,
-    /// verification is off and no codec needs the encoded bytes.
+    /// when nothing reads the decompressed rows: `rows_needed` is false and
+    /// the config [prices from structure](HwConfig::prices_from_structure).
+    /// With [`Run::measured`] stats as well, the backend prices each class
+    /// once and the tiles are handed on inline, in grid order, each with
+    /// its class's timing; a declined tile is walked in its place.
     fn for_each_tile<S, F>(
         &self,
         grid: &PartitionGrid<f32>,
@@ -603,18 +610,19 @@ impl Run<'_> {
         S: TraceSink + ?Sized,
         F: FnMut(&mut S, usize, &Partition<f32>, &PartitionTiming, Option<&Decompression>),
     {
-        let structural =
-            !rows_needed && !self.cfg.verify_functional && self.cfg.stream_codec == CodecKind::None;
+        let structural = !rows_needed && self.cfg.prices_from_structure();
         let parts = grid.partitions();
         let run_start = self.profiler.map(|_| std::time::Instant::now());
         let mut acc = PhaseAcc::new(self.profiler.is_some());
-        // The reduce: the one place a tile's outcome reaches the consumer,
-        // and the one place a functional mismatch reaches the trace. Work
-        // past the first failing tile is discarded, exactly as the serial
-        // loop never reaches it.
-        let mut reduce = |idx: usize,
-                          result: TileResult,
-                          recycle: &mut EncodeScratch|
+        // The reduce: the one place a processed tile's outcome reaches the
+        // consumer, and the one place a functional mismatch reaches the
+        // trace. Work past the first failing tile is discarded, exactly as
+        // the serial loop never reaches it.
+        let reduce = |sink: &mut S,
+                      each: &mut F,
+                      idx: usize,
+                      result: TileResult,
+                      recycle: &mut EncodeScratch|
          -> Result<(), PlatformError> {
             let (timing, d) = result.inspect_err(|e| {
                 if let PlatformError::FunctionalMismatch { format, grid } = e {
@@ -635,14 +643,41 @@ impl Run<'_> {
             }
             Ok(())
         };
-        if self.tile_jobs > 1 && parts.len() > 1 {
+        if let Some(stats) = self.measured.filter(|_| structural) {
+            acc.mark();
+            let mut timings = scratch.take_class_timings();
+            timings.extend(stats.classes().iter().map(|class| {
+                self.backend
+                    .price(&class.counters(format, self.cfg), self.cfg)
+            }));
+            acc.lap(Phase::Encode);
+            // An accepted tile goes straight to `each`: routed through the
+            // reduce's `Result`, it cost about four times as much.
+            let reduced = parts
+                .iter()
+                .zip(stats.tile_classes())
+                .enumerate()
+                .try_for_each(|(idx, (part, class))| {
+                    if self.cancelled() {
+                        return Err(PlatformError::Cancelled);
+                    }
+                    if let Some(class) = class {
+                        each(sink, idx, part, &timings[class], None);
+                        return Ok(());
+                    }
+                    let result = self.process_partition(part, format, false, scratch, &mut acc);
+                    reduce(sink, &mut each, idx, result, scratch)
+                });
+            scratch.give_class_timings(timings);
+            reduced?;
+        } else if self.tile_jobs > 1 && parts.len() > 1 {
             let (mut pool, slots) =
                 self.process_grid_parallel(parts, format, structural, scratch, &mut acc);
             // Workers claim tiles in grid order, so the first empty slot
             // marks where they stopped on cancellation.
             let reduced = slots.into_iter().enumerate().try_for_each(|(idx, slot)| {
                 let (wid, result) = slot.ok_or(PlatformError::Cancelled)?;
-                reduce(idx, result, &mut pool[wid])
+                reduce(sink, &mut each, idx, result, &mut pool[wid])
             });
             scratch.give_workers(pool);
             reduced?;
@@ -652,7 +687,7 @@ impl Run<'_> {
                     return Err(PlatformError::Cancelled);
                 }
                 let result = self.process_partition(part, format, structural, scratch, &mut acc);
-                reduce(idx, result, scratch)?;
+                reduce(sink, &mut each, idx, result, scratch)?;
             }
         }
         if let (Some(profiler), Some(start)) = (self.profiler, run_start) {
@@ -779,7 +814,7 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RunRequest, Session};
+    use crate::{CodecKind, RunRequest, Session};
     use sparsemat::{Coo, Matrix};
 
     fn matrix() -> Coo<f32> {

@@ -19,6 +19,7 @@
 use crate::codec::CodecScratch;
 use crate::decomp::Decompression;
 use crate::encode::{EncodedPartition, Stream};
+use crate::pipeline::PartitionTiming;
 use crate::structure::StatsScratch;
 use sparsemat::{AnyMatrix, Coo, FormatKind, Matrix, Triplet};
 
@@ -64,6 +65,9 @@ pub struct EncodeScratch {
     codec: CodecScratch,
     /// Bitsets and counters of the structural tile pass.
     stats: StatsScratch,
+    /// One timing per [`GridStats`](crate::GridStats) class for a measured
+    /// run.
+    class_timings: Vec<PartitionTiming>,
     /// Per-worker scratches for the intra-run tile-parallel path, kept warm
     /// between runs of the same session.
     workers: Vec<EncodeScratch>,
@@ -110,6 +114,18 @@ impl EncodeScratch {
     /// The tables of [`TileStats::measure`](crate::TileStats::measure).
     pub(crate) fn stats_scratch(&mut self) -> &mut StatsScratch {
         &mut self.stats
+    }
+
+    /// Takes the (empty) per-class timing list for a measured run.
+    pub(crate) fn take_class_timings(&mut self) -> Vec<PartitionTiming> {
+        let mut timings = std::mem::take(&mut self.class_timings);
+        timings.clear();
+        timings
+    }
+
+    /// Returns the per-class timing list after a measured run.
+    pub(crate) fn give_class_timings(&mut self, timings: Vec<PartitionTiming>) {
+        self.class_timings = timings;
     }
 
     /// Takes exactly `n` worker scratches for a tile-parallel pass,

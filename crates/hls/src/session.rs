@@ -26,15 +26,16 @@
 
 use crate::pipeline::{apply_contributions, Run};
 use crate::{
-    backend_for, BackendKind, EncodeScratch, HwConfig, ParallelReport, PlatformError, RunReport,
+    backend_for, BackendKind, EncodeScratch, GridStats, HwConfig, ParallelReport, PlatformError,
+    RunReport,
 };
-use copernicus_telemetry::{CancelToken, NullSink, PhaseProfiler, TraceSink};
+use copernicus_telemetry::{CancelToken, NullSink, Phase, PhaseProfiler, TraceSink};
 use sparsemat::{Coo, FormatKind, PartitionGrid, SparseError};
 use std::sync::Arc;
 
 /// What a [`RunRequest`] streams through the platform: a raw matrix (tiled
-/// at the configured partition size) or a pre-built grid shared across a
-/// format sweep.
+/// at the configured partition size), a pre-built grid shared across a
+/// format sweep, or such a grid with its tiles already measured.
 #[derive(Debug)]
 pub enum Input<'a> {
     /// A COO matrix, partitioned by the session.
@@ -42,6 +43,9 @@ pub enum Input<'a> {
     /// An already-partitioned grid (reused across formats without
     /// re-tiling).
     Grid(&'a PartitionGrid<f32>),
+    /// A grid plus its [`GridStats`] from [`Session::measure`]: each
+    /// distinct tile is priced once per run instead of once per tile.
+    Measured(&'a PartitionGrid<f32>, &'a GridStats),
 }
 
 /// One run through the platform, built fluently: input and format are
@@ -51,6 +55,7 @@ pub enum Input<'a> {
 /// |----------------------------|-----------------------------------------|
 /// | timing report              | `RunRequest::matrix(m, f)`              |
 /// | over a pre-built grid      | `RunRequest::grid(g, f)`                |
+/// | over a measured grid       | `RunRequest::measured(g, s, f)`         |
 /// | trace events               | `...with_sink(s)`                       |
 /// | `y = A·x`                  | `...consume_spmv(x)`                    |
 /// | aggregated lanes           | `...with_lanes(n)`                      |
@@ -84,22 +89,31 @@ impl<'a> RunRequest<'a> {
     /// A run over a raw matrix; the session tiles it at the configured
     /// partition size.
     pub fn matrix(matrix: &'a Coo<f32>, format: FormatKind) -> Self {
-        RunRequest {
-            input: Input::Matrix(matrix),
-            format,
-            sink: None,
-            spmv_x: None,
-            lanes: None,
-            tile_jobs: None,
-            backend: None,
-        }
+        Self::with_input(Input::Matrix(matrix), format)
     }
 
     /// A run over an already-partitioned grid (lets one grid feed the whole
     /// 8-format sweep).
     pub fn grid(grid: &'a PartitionGrid<f32>, format: FormatKind) -> Self {
+        Self::with_input(Input::Grid(grid), format)
+    }
+
+    /// A run over a grid whose tiles [`Session::measure`] has measured:
+    /// each distinct tile is priced once and every tile reduced in grid
+    /// order, with the same report and trace as [`RunRequest::grid`]. A run
+    /// that reads decompressed rows (an SpMV consumer, verification or a
+    /// codec) walks its tiles and ignores the stats.
+    pub fn measured(
+        grid: &'a PartitionGrid<f32>,
+        stats: &'a GridStats,
+        format: FormatKind,
+    ) -> Self {
+        Self::with_input(Input::Measured(grid, stats), format)
+    }
+
+    fn with_input(input: Input<'a>, format: FormatKind) -> Self {
         RunRequest {
-            input: Input::Grid(grid),
+            input,
             format,
             sink: None,
             spmv_x: None,
@@ -265,14 +279,26 @@ impl Session {
         self
     }
 
+    /// Measures every tile of `grid` once, for [`RunRequest::measured`] runs
+    /// in any format and on any backend. Returns `None` when this session
+    /// does not price from structure ([`HwConfig::prices_from_structure`]).
+    pub fn measure(&mut self, grid: &PartitionGrid<f32>) -> Option<GridStats> {
+        if !self.cfg.prices_from_structure() {
+            return None;
+        }
+        let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Encode));
+        Some(GridStats::measure(grid, &self.cfg, &mut self.scratch))
+    }
+
     /// Executes one request. See [`RunRequest`] for the option matrix.
     ///
     /// # Errors
     ///
     /// [`PlatformError::Config`] when `lanes` is zero or combined with an
-    /// SpMV consume; [`PlatformError::Sparse`] when the SpMV operand length
-    /// does not match the matrix column count, or partitioning/encoding
-    /// fails; [`PlatformError::FunctionalMismatch`] when verification is on
+    /// SpMV consume, or when measured stats do not match the grid or this
+    /// session's partition and block size; [`PlatformError::Sparse`] when
+    /// the SpMV operand length does not match the matrix column count, or
+    /// partitioning/encoding fails; [`PlatformError::FunctionalMismatch`] when verification is on
     /// and a decompressor disagrees with its reference tile;
     /// [`PlatformError::Cancelled`] when the attached token fires first.
     pub fn run(&mut self, request: RunRequest<'_>) -> Result<RunOutcome, PlatformError> {
@@ -285,26 +311,31 @@ impl Session {
             tile_jobs,
             backend,
         } = request;
+        let built;
+        let (grid, measured) = match input {
+            Input::Grid(grid) => (grid, None),
+            Input::Measured(grid, stats) => {
+                stats.check(grid, &self.cfg)?;
+                (grid, Some(stats))
+            }
+            Input::Matrix(matrix) => {
+                built = PartitionGrid::new(matrix, self.cfg.partition_size)?;
+                (&built, None)
+            }
+        };
         let run = Run {
             cfg: &self.cfg,
             backend: backend_for(backend.unwrap_or(self.cfg.backend)),
             tile_jobs: tile_jobs.map_or(self.tile_jobs, |jobs| jobs.max(1)),
             cancel: self.cancel.as_ref(),
             profiler: self.profiler.as_deref(),
+            measured,
         };
         let scratch = &mut self.scratch;
         let mut null = NullSink;
         let sink: &mut dyn TraceSink = match sink {
             Some(sink) => sink,
             None => &mut null,
-        };
-        let built;
-        let grid = match input {
-            Input::Grid(grid) => grid,
-            Input::Matrix(matrix) => {
-                built = PartitionGrid::new(matrix, self.cfg.partition_size)?;
-                &built
-            }
         };
         if let Some(lanes) = lanes {
             if spmv_x.is_some() {
@@ -498,6 +529,113 @@ mod tests {
             .unwrap()
             .report;
         assert_eq!(after, hls);
+    }
+
+    fn structural(p: usize) -> HwConfig {
+        HwConfig {
+            verify_functional: false,
+            ..HwConfig::with_partition_size(p)
+        }
+    }
+
+    #[test]
+    fn measure_only_when_the_config_prices_from_structure() {
+        let grid = PartitionGrid::new(&matrix(), 16).unwrap();
+        let mut verifying = Session::new(HwConfig::default()).unwrap();
+        assert_eq!(verifying.measure(&grid), None);
+        let mut coded = Session::new(HwConfig {
+            stream_codec: crate::CodecKind::Rle,
+            ..structural(16)
+        })
+        .unwrap();
+        assert_eq!(coded.measure(&grid), None);
+        let stats = Session::new(structural(16))
+            .unwrap()
+            .measure(&grid)
+            .unwrap();
+        assert_eq!(stats.tiles(), grid.nonzero_tiles());
+        assert_eq!(stats.declined(), 0);
+        // A band: the interior tiles all share one class.
+        assert!(stats.classes().len() < stats.tiles());
+    }
+
+    #[test]
+    fn stats_of_another_p_block_or_grid_are_rejected() {
+        let m = matrix();
+        let grid = PartitionGrid::new(&m, 16).unwrap();
+        let mut session = Session::new(structural(16)).unwrap();
+        let stats = session.measure(&grid).unwrap();
+        let other_p = PartitionGrid::new(&m, 8).unwrap();
+        let p8 = Session::new(structural(8))
+            .unwrap()
+            .measure(&other_p)
+            .unwrap();
+        let b2 = Session::new(HwConfig {
+            bcsr_block: 2,
+            ..structural(16)
+        })
+        .unwrap()
+        .measure(&grid)
+        .unwrap();
+        let mut smaller = Coo::new(48, 48);
+        smaller.push(0, 0, 1.0).unwrap();
+        let other_grid = PartitionGrid::new(&smaller, 16).unwrap();
+        for (grid, stats) in [
+            (&grid, &p8),
+            (&grid, &b2),
+            (&other_grid, &stats),
+            (&other_p, &p8),
+        ] {
+            assert!(matches!(
+                session.run(RunRequest::measured(grid, stats, FormatKind::Csr)),
+                Err(PlatformError::Config(_))
+            ));
+        }
+        assert!(session
+            .run(RunRequest::measured(&grid, &stats, FormatKind::Csr))
+            .is_ok());
+    }
+
+    #[test]
+    fn runs_that_read_rows_walk_past_the_stats() {
+        let m = matrix();
+        let grid = PartitionGrid::new(&m, 16).unwrap();
+        let mut session = Session::new(structural(16)).unwrap();
+        let stats = session.measure(&grid).unwrap();
+        let x: Vec<f32> = (0..48).map(|i| (i % 7) as f32 - 3.0).collect();
+        let spmv = session
+            .run(RunRequest::measured(&grid, &stats, FormatKind::Ell).consume_spmv(&x))
+            .unwrap();
+        assert_eq!(spmv.y.unwrap(), m.spmv(&x).unwrap());
+        // A verifying session walks every tile, stats or not.
+        let mut verifying = Session::new(HwConfig::default()).unwrap();
+        for kind in FormatKind::CHARACTERIZED {
+            assert_eq!(
+                verifying
+                    .run(RunRequest::measured(&grid, &stats, kind))
+                    .unwrap(),
+                verifying.run(RunRequest::grid(&grid, kind)).unwrap(),
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn measured_runs_poll_the_cancellation_token() {
+        let grid = PartitionGrid::new(&matrix(), 16).unwrap();
+        let token = CancelToken::new();
+        let mut session = Session::new(structural(16))
+            .unwrap()
+            .with_cancel(token.clone());
+        let stats = session.measure(&grid).unwrap();
+        assert!(session
+            .run(RunRequest::measured(&grid, &stats, FormatKind::Coo))
+            .is_ok());
+        token.cancel();
+        assert!(matches!(
+            session.run(RunRequest::measured(&grid, &stats, FormatKind::Coo)),
+            Err(PlatformError::Cancelled)
+        ));
     }
 
     #[test]

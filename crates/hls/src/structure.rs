@@ -19,10 +19,18 @@
 //! the merge may cancel) or an explicit zero (the formats drop it) breaks
 //! that, so [`TileStats::measure`] declines such tiles and the caller walks
 //! them. Entry order does not matter.
+//!
+//! A tile's counts depend on the tile, `p` and the BCSR block size, not on
+//! the format or the backend, so [`GridStats`] measures a whole grid once:
+//! a table of its distinct [`TileStats`] and one class id per tile. A run
+//! over it prices each class once and hands every tile its class's timing
+//! in grid order.
 
 use crate::backend::TileCounters;
-use crate::{EncodeScratch, HwConfig};
-use sparsemat::{Coo, FormatKind, Matrix};
+use crate::{EncodeScratch, HwConfig, PlatformError};
+use sparsemat::{Coo, FormatKind, Matrix, PartitionGrid};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Reusable bitsets and counters for [`TileStats::measure`], kept zeroed
 /// between tiles by clearing exactly the slots the last tile touched.
@@ -75,7 +83,7 @@ impl StatsScratch {
 
 /// The structural counts of one `p×p` tile that every format's cost is a
 /// closed form in (DESIGN.md §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileStats {
     /// Partition size `p` the tile was measured at.
     pub p: usize,
@@ -236,6 +244,143 @@ impl TileStats {
             engine_width,
             bram_reads,
         }
+    }
+}
+
+/// The class id of a tile [`TileStats::measure`] declined.
+const DECLINED: u32 = u32::MAX;
+
+/// A multiply-rotate hasher for the class table's keys. The keys are
+/// counts this module derives from the tiles, each at most `p²`, and a
+/// collision only slows a lookup, so SipHash's flooding resistance buys
+/// nothing here; it cost as much as measuring the tiles.
+#[derive(Default)]
+struct ClassHasher(u64);
+
+impl Hasher for ClassHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The structural counts of every tile of one grid, measured once and
+/// priced for any format and backend: a table of the distinct
+/// [`TileStats`] values, in order of first appearance, and per tile, in
+/// grid order, the id of its class or a marker for a declined tile.
+///
+/// Built by [`Session::measure`](crate::Session::measure) and consumed by
+/// [`RunRequest::measured`](crate::RunRequest::measured).
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridStats {
+    /// Shape of the measured grid's matrix.
+    shape: (usize, usize),
+    /// Partition size the tiles were measured at.
+    p: usize,
+    /// BCSR block size the blocks were counted at.
+    b: usize,
+    /// Distinct tile statistics.
+    classes: Vec<TileStats>,
+    /// Per tile in grid order: an index into `classes`, or [`DECLINED`].
+    tile_class: Vec<u32>,
+}
+
+impl GridStats {
+    /// Measures every tile of `grid` at the configured partition and block
+    /// size. A tile [`TileStats::measure`] declines is marked, for the run
+    /// to walk.
+    pub(crate) fn measure(
+        grid: &PartitionGrid<f32>,
+        cfg: &HwConfig,
+        scratch: &mut EncodeScratch,
+    ) -> Self {
+        let mut ids: HashMap<TileStats, u32, BuildHasherDefault<ClassHasher>> = HashMap::default();
+        let mut classes = Vec::new();
+        let tile_class = grid
+            .partitions()
+            .iter()
+            .map(|part| match TileStats::measure(&part.coo, cfg, scratch) {
+                // Ids stay below the marker: past 2^32 − 1 classes, the
+                // remaining tiles are walked.
+                Some(stats) if classes.len() < DECLINED as usize => {
+                    *ids.entry(stats).or_insert_with(|| {
+                        classes.push(stats);
+                        (classes.len() - 1) as u32
+                    })
+                }
+                _ => DECLINED,
+            })
+            .collect();
+        GridStats {
+            shape: grid.shape(),
+            p: cfg.partition_size,
+            b: cfg.bcsr_block,
+            classes,
+            tile_class,
+        }
+    }
+
+    /// The distinct tile statistics, in order of first appearance.
+    pub fn classes(&self) -> &[TileStats] {
+        &self.classes
+    }
+
+    /// Number of tiles measured.
+    pub fn tiles(&self) -> usize {
+        self.tile_class.len()
+    }
+
+    /// Number of tiles [`TileStats::measure`] declined.
+    pub fn declined(&self) -> usize {
+        self.tile_class.iter().filter(|&&c| c == DECLINED).count()
+    }
+
+    /// Per tile in grid order: the index of its class in
+    /// [`GridStats::classes`], or `None` for a declined tile.
+    pub(crate) fn tile_classes(&self) -> impl Iterator<Item = Option<usize>> + '_ {
+        self.tile_class
+            .iter()
+            .map(|&c| (c != DECLINED).then_some(c as usize))
+    }
+
+    /// Checks that these stats describe `grid` tiled and priced under
+    /// `cfg`: the same shape, partition size, block size and tile count.
+    pub(crate) fn check(
+        &self,
+        grid: &PartitionGrid<f32>,
+        cfg: &HwConfig,
+    ) -> Result<(), PlatformError> {
+        let (nrows, ncols) = grid.shape();
+        let tiles = grid.partitions().len();
+        if (self.shape, self.p, self.b, self.tiles())
+            == (grid.shape(), cfg.partition_size, cfg.bcsr_block, tiles)
+        {
+            return Ok(());
+        }
+        Err(PlatformError::Config(format!(
+            "grid stats of a {}×{} grid with {} tiles at p={} b={} do not match \
+             this run's {nrows}×{ncols} grid with {tiles} tiles at p={} b={}",
+            self.shape.0,
+            self.shape.1,
+            self.tiles(),
+            self.p,
+            self.b,
+            cfg.partition_size,
+            cfg.bcsr_block,
+        )))
     }
 }
 

@@ -1,7 +1,8 @@
 //! Allocation-regression contract for the simulator hot path: once a
 //! session's scratch pools are warm, streaming a grid through
 //! encode → codec → decompress → verify — or, with verification and the
-//! codec off, through the structural tile pass — performs **zero**
+//! codec off, through the structural tile pass or over a measured grid's
+//! class table — performs **zero**
 //! steady-state heap allocations per tile. A counting global allocator meters the runs; any
 //! new allocation in the per-tile loops (a fresh `Vec`, a `format!`, a map
 //! rebuild) fails this test before it can show up as a throughput cliff.
@@ -151,5 +152,31 @@ fn warm_structural_sessions_run_allocation_free_per_tile() {
             (0, 0),
             "{kind}: warm structural runs allocated"
         );
+    }
+}
+
+#[test]
+fn warm_measured_sessions_run_allocation_free() {
+    // A measured grid: the class timings live in the session's scratch,
+    // and the tiles are handed on without touching the heap.
+    let cfg = HwConfig {
+        verify_functional: false,
+        stream_codec: CodecKind::None,
+        ..HwConfig::default()
+    };
+    let grid = PartitionGrid::new(&matrix(96), cfg.partition_size).unwrap();
+    let mut session = Session::new(cfg).unwrap();
+    let stats = session.measure(&grid).unwrap();
+    assert_eq!(stats.declined(), 0);
+    for kind in FormatKind::CHARACTERIZED {
+        session
+            .run(RunRequest::measured(&grid, &stats, kind))
+            .unwrap();
+        let (allocs, _) = count_allocs(|| {
+            session
+                .run(RunRequest::measured(&grid, &stats, kind))
+                .unwrap()
+        });
+        assert_eq!(allocs, 0, "{kind}: a warm measured run allocated");
     }
 }

@@ -5,8 +5,9 @@ use copernicus_hls::{
     backend_for, decompress, BackendKind, EncodeScratch, EncodedPartition, HwConfig, RunRequest,
     Session, TileStats,
 };
+use copernicus_telemetry::RecordingSink;
 use proptest::prelude::*;
-use sparsemat::{Coo, Dia, FormatKind, Lil, Matrix, Triplet};
+use sparsemat::{Coo, Dia, FormatKind, Lil, Matrix, PartitionGrid, Triplet};
 
 /// Strategy: a random tile exactly `p×p` with unique coordinates.
 fn tile_strategy(p: usize) -> impl Strategy<Value = Coo<f32>> {
@@ -81,6 +82,43 @@ fn structural_tile_strategy() -> impl Strategy<Value = (usize, TileShape, Coo<f3
                 )
             })
         })
+}
+
+/// Strategy: a matrix of a few tiles at one of the paper's partition sizes
+/// or at p = 10, over a shape `p` need not divide, with a few entries
+/// pushed a second time — doubled, or negated so the pair cancels — so a
+/// grid mixes tiles [`TileStats::measure`] accepts with tiles it declines.
+fn structural_grid_strategy() -> impl Strategy<Value = (usize, Coo<f32>)> {
+    prop_oneof![Just(8usize), Just(10), Just(16), Just(32)].prop_flat_map(|p| {
+        let dim = p..=2 * p + 5;
+        (dim.clone(), dim).prop_flat_map(move |(nrows, ncols)| {
+            let cells = nrows * ncols;
+            let repeats = (0..cells, prop_oneof![Just(false), Just(true)]);
+            (
+                proptest::collection::btree_map(
+                    0..cells,
+                    prop_oneof![-9i32..0, 1i32..=9],
+                    1..=cells.min(90),
+                ),
+                proptest::collection::vec(repeats, 0..=3),
+            )
+                .prop_map(move |(map, repeats)| {
+                    let mut triplets: Vec<Triplet<f32>> = map
+                        .into_iter()
+                        .map(|(cell, v)| Triplet::new(cell / ncols, cell % ncols, v as f32))
+                        .collect();
+                    for (pick, cancel) in repeats {
+                        let t = triplets[pick % triplets.len()];
+                        let val = if cancel { -t.val } else { 0.5 };
+                        triplets.push(Triplet { val, ..t });
+                    }
+                    (
+                        p,
+                        Coo::from_triplets(nrows, ncols, triplets).expect("in range"),
+                    )
+                })
+        })
+    })
 }
 
 /// Strategy: a random matrix larger than one partition.
@@ -288,6 +326,55 @@ proptest! {
                     .unwrap()
                     .report;
                 prop_assert_eq!(&structural, &verified, "{} on {} at p={}", kind, backend, p);
+            }
+        }
+    }
+
+    #[test]
+    fn measured_grids_equal_the_walked_oracle((p, m) in structural_grid_strategy()) {
+        // One measurement prices every format on every backend, plain or
+        // in lanes, at any tile worker count, exactly as a verifying run
+        // (always walked) does: same outcome, same trace events.
+        let grid = PartitionGrid::new(&m, p).unwrap();
+        for backend in BackendKind::ALL {
+            let verified = HwConfig {
+                backend,
+                ..HwConfig::with_partition_size(p)
+            };
+            let mut oracle = Session::new(verified.clone()).unwrap();
+            let mut session = Session::new(HwConfig {
+                verify_functional: false,
+                ..verified
+            })
+            .unwrap();
+            let stats = session.measure(&grid).unwrap();
+            prop_assert_eq!(stats.tiles(), grid.nonzero_tiles());
+            for kind in FormatKind::CHARACTERIZED {
+                for lanes in [None, Some(3)] {
+                    let mut want_events = RecordingSink::new();
+                    let request = RunRequest::grid(&grid, kind).with_sink(&mut want_events);
+                    let want = oracle
+                        .run(match lanes {
+                            Some(n) => request.with_lanes(n),
+                            None => request,
+                        })
+                        .unwrap();
+                    for jobs in [1, 2] {
+                        let mut events = RecordingSink::new();
+                        let request = RunRequest::measured(&grid, &stats, kind)
+                            .with_sink(&mut events)
+                            .par_tiles(jobs);
+                        let got = session
+                            .run(match lanes {
+                                Some(n) => request.with_lanes(n),
+                                None => request,
+                            })
+                            .unwrap();
+                        let case = format!("{kind} on {backend} at p={p}, lanes {lanes:?}, {jobs} jobs");
+                        prop_assert_eq!(&got, &want, "{}", case);
+                        prop_assert_eq!(&events.events, &want_events.events, "{}", case);
+                    }
+                }
             }
         }
     }

@@ -97,17 +97,19 @@ impl<T: Scalar> PartitionGrid<T> {
         // tiles in row-major grid order. Each tile's buffer is then
         // allocated once at its exact size, in the order tiles are later
         // walked, which keeps per-tile passes over the grid cache-friendly.
-        // The row-major tile index is a u128, so it cannot overflow.
-        let grid_cols = ncols.div_ceil(size) as u128;
-        let tile_of = |t: &Triplet<T>| (t.row / size) as u128 * grid_cols + (t.col / size) as u128;
-        triplets.sort_by_cached_key(tile_of);
+        // A shift in place of a division at the paper's power-of-two
+        // sizes: the sort maps every index once per pass.
+        let (pow2, shift) = (size.is_power_of_two(), size.trailing_zeros());
+        let tile = move |i: usize| if pow2 { i >> shift } else { i / size };
+        sort_by_tile(&mut triplets, tile);
         let partitions = triplets
-            .chunk_by(|a, b| tile_of(a) == tile_of(b))
-            .map(|tile| {
-                let (grid_row, grid_col) = (tile[0].row / size, tile[0].col / size);
-                let mut coo = Coo::with_capacity(size, size, tile.len());
-                for t in tile {
-                    coo.push(t.row % size, t.col % size, t.val)?;
+            .chunk_by(|a, b| (tile(a.row), tile(a.col)) == (tile(b.row), tile(b.col)))
+            .map(|entries| {
+                let (grid_row, grid_col) = (tile(entries[0].row), tile(entries[0].col));
+                let (row0, col0) = (grid_row * size, grid_col * size);
+                let mut coo = Coo::with_capacity(size, size, entries.len());
+                for t in entries {
+                    coo.push(t.row - row0, t.col - col0, t.val)?;
                 }
                 Ok(Partition {
                     grid_row,
@@ -183,6 +185,54 @@ impl<T: Scalar> PartitionGrid<T> {
             }
         }
         out
+    }
+}
+
+/// Bits of a tile index one counting pass of [`sort_by_tile`] sorts on.
+const RADIX_BITS: u32 = 11;
+
+/// Stably sorts `triplets` into row-major tile order, `tile` mapping a
+/// matrix index to its tile index: an LSD radix sort on the tile column,
+/// then the tile row, [`RADIX_BITS`] per pass. Only the passes the largest
+/// tile row and column present need are run, and a pass that leaves every
+/// entry in one bucket is skipped. Scratch is one triplet buffer plus
+/// `2^RADIX_BITS` counters, whatever the matrix's dimensions.
+fn sort_by_tile<T: Copy>(triplets: &mut Vec<Triplet<T>>, tile: impl Fn(usize) -> usize) {
+    const MASK: usize = (1 << RADIX_BITS) - 1;
+    let (max_row, max_col) = triplets
+        .iter()
+        .fold((0, 0), |(r, c), t| (r.max(t.row), c.max(t.col)));
+    let passes = |max: usize| (usize::BITS - tile(max).leading_zeros()).div_ceil(RADIX_BITS);
+    let digits = (0..passes(max_col))
+        .map(|pass| (false, pass * RADIX_BITS))
+        .chain((0..passes(max_row)).map(|pass| (true, pass * RADIX_BITS)));
+    let mut offsets = vec![0usize; MASK + 1];
+    let mut buf = Vec::new();
+    for (by_row, shift) in digits {
+        let digit = |t: &Triplet<T>| (tile(if by_row { t.row } else { t.col }) >> shift) & MASK;
+        offsets.fill(0);
+        for t in triplets.iter() {
+            offsets[digit(t)] += 1;
+        }
+        if triplets
+            .first()
+            .is_none_or(|t| offsets[digit(t)] == triplets.len())
+        {
+            continue;
+        }
+        let mut start = 0;
+        for slot in &mut offsets {
+            (*slot, start) = (start, start + *slot);
+        }
+        if buf.len() != triplets.len() {
+            buf.clone_from(triplets);
+        }
+        for t in triplets.iter() {
+            let slot = &mut offsets[digit(t)];
+            buf[*slot] = *t;
+            *slot += 1;
+        }
+        std::mem::swap(triplets, &mut buf);
     }
 }
 
@@ -335,6 +385,35 @@ mod tests {
             PartitionGrid::from_triplets(8, 8, stray, 4),
             Err(SparseError::IndexOutOfBounds { index: (9, 0), .. })
         ));
+    }
+
+    #[test]
+    fn tiling_memory_does_not_scale_with_the_matrix_dimensions() {
+        // A counting sort sized by the grid's tile rows or columns (2^37
+        // each here) would need a terabyte of counters.
+        let n = 1usize << 40;
+        let triplets = vec![
+            Triplet::new(n - 1, 3, 1.0f32),
+            Triplet::new(5, n - 2, 2.0),
+            Triplet::new(6, 0, 3.0),
+        ];
+        let grid = PartitionGrid::from_triplets(n, n, triplets, 8).unwrap();
+        let tiles: Vec<_> = grid
+            .partitions()
+            .iter()
+            .map(|p| {
+                let t = p.coo.iter().next().unwrap();
+                (p.grid_row, p.grid_col, t.row, t.col, t.val)
+            })
+            .collect();
+        assert_eq!(
+            tiles,
+            vec![
+                (0, 0, 6, 0, 3.0),
+                (0, (n - 2) / 8, 5, 6, 2.0),
+                ((n - 1) / 8, 0, 7, 3, 1.0),
+            ]
+        );
     }
 
     #[test]

@@ -258,3 +258,50 @@ proptest! {
         }
     }
 }
+
+/// Strategy: a raw triplet list for [`PartitionGrid::from_triplets`] —
+/// unsorted, with duplicate coordinates and explicit zeros — over shapes
+/// from a few cells to 2^40, at a partition size that need not divide
+/// them. Large shapes put the tile indices past one radix digit.
+fn tiling_input() -> impl Strategy<Value = (usize, usize, usize, Vec<Triplet<f32>>)> {
+    let dim = prop_oneof![1usize..=40, 2000usize..=40_000, Just(1usize << 40)];
+    (dim.clone(), dim, 1usize..=9).prop_flat_map(|(nrows, ncols, p)| {
+        let entry =
+            (0..nrows, 0..ncols, -2i32..=2).prop_map(|(r, c, v)| Triplet::new(r, c, v as f32));
+        let entries = proptest::collection::vec(entry, 0..=80).prop_flat_map(|ts| {
+            // Repeat a prefix so some coordinates occur more than once.
+            (0..=ts.len()).prop_map(move |k| {
+                let mut all = ts.clone();
+                all.extend_from_slice(&ts[..k]);
+                all
+            })
+        });
+        (Just(nrows), Just(ncols), Just(p), entries)
+    })
+}
+
+proptest! {
+    #[test]
+    fn tiling_matches_a_stable_sort_by_tile((nrows, ncols, p, triplets) in tiling_input()) {
+        let grid = PartitionGrid::from_triplets(nrows, ncols, triplets.clone(), p).unwrap();
+        let got: Vec<_> = grid
+            .partitions()
+            .iter()
+            .map(|t| {
+                let entries: Vec<_> = t.coo.iter().map(|e| (e.row, e.col, e.val)).collect();
+                (t.grid_row, t.grid_col, entries)
+            })
+            .collect();
+        let mut reference: Vec<Triplet<f32>> =
+            triplets.into_iter().filter(|t| t.val != 0.0).collect();
+        reference.sort_by_key(|t| (t.row / p, t.col / p));
+        let expect: Vec<_> = reference
+            .chunk_by(|a, b| (a.row / p, a.col / p) == (b.row / p, b.col / p))
+            .map(|tile| {
+                let entries: Vec<_> = tile.iter().map(|e| (e.row % p, e.col % p, e.val)).collect();
+                (tile[0].row / p, tile[0].col / p, entries)
+            })
+            .collect();
+        prop_assert_eq!(got, expect);
+    }
+}
