@@ -45,7 +45,11 @@ fn cli(args: &[&str]) -> Cli {
 /// telemetry bundle (which seals `progress.jsonl` and writes
 /// `profile.json`). Returns the measurements.
 fn run_to_completion(cli: &Cli) -> Vec<Measurement> {
-    let cfg = ExperimentConfig::quick();
+    run_config_to_completion(cli, &ExperimentConfig::quick())
+}
+
+/// [`run_to_completion`] under `cfg`.
+fn run_config_to_completion(cli: &Cli, cfg: &ExperimentConfig) -> Vec<Measurement> {
     let runner = cli.runner();
     let mut telemetry = cli.telemetry();
     let ms = runner
@@ -53,18 +57,30 @@ fn run_to_completion(cli: &Cli) -> Vec<Measurement> {
             &grid_workloads(),
             &FORMATS,
             &SIZES,
-            &cfg,
+            cfg,
             &mut telemetry.instruments(),
         )
         .expect("campaign completes");
     let code = telemetry.finish(copernicus::manifest_for(
-        &cfg,
+        cfg,
         &grid_workloads(),
         &FORMATS,
         &SIZES,
     ));
     assert_eq!(code, 0);
     ms
+}
+
+/// The `profile.json` phase histograms written under `dir`.
+fn profile_phases(dir: &std::path::Path) -> Vec<(String, Value)> {
+    let profile: Value =
+        serde::json::parse(&std::fs::read_to_string(dir.join("profile.json")).expect("profile"))
+            .expect("profile parses");
+    profile
+        .get("phases")
+        .and_then(Value::as_map)
+        .expect("phases")
+        .to_vec()
 }
 
 /// Parses every `progress.jsonl` line as JSON and checks the stream
@@ -204,10 +220,7 @@ fn profile_json_captures_phases_and_workers_without_touching_determinism() {
             &std::fs::read_to_string(dir.join("profile.json")).expect("profile"),
         )
         .expect("profile parses");
-        let phases = profile
-            .get("phases")
-            .and_then(Value::as_map)
-            .expect("phases");
+        let phases = profile_phases(dir);
         for phase in ["encode", "compute", "cache_lookup"] {
             let count = phases
                 .iter()
@@ -230,4 +243,36 @@ fn profile_json_captures_phases_and_workers_without_touching_determinism() {
     }
     let _ = std::fs::remove_dir_all(&dir1);
     let _ = std::fs::remove_dir_all(&dir4);
+}
+
+#[test]
+fn structural_campaigns_lap_the_tile_sort_as_partition() {
+    // Verification off: every unit measures its matrix, and the tile sort
+    // that measure starts with is the `partition` phase; the measuring
+    // itself stays `encode`.
+    let dir = scratch_dir("profile-structural");
+    let cfg = ExperimentConfig {
+        hw: copernicus_hls::HwConfig {
+            verify_functional: false,
+            ..copernicus_hls::HwConfig::default()
+        },
+        ..ExperimentConfig::quick()
+    };
+    run_config_to_completion(&cli(&["--jobs", "1", "--out", dir.to_str().unwrap()]), &cfg);
+    let phases = profile_phases(&dir);
+    let field = |phase: &str, key: &str| {
+        phases
+            .iter()
+            .find(|(name, _)| name == phase)
+            .and_then(|(_, h)| h.get(key).cloned())
+            .unwrap_or_else(|| panic!("profile.json has no {phase:?} {key:?}"))
+    };
+    // One measure, so one partition lap, per (workload, p) unit.
+    let units = (grid_workloads().len() * SIZES.len()) as u64;
+    assert_eq!(field("partition", "count").as_u64(), Some(units));
+    assert!(field("partition", "sum_secs")
+        .as_f64()
+        .is_some_and(|s| s > 0.0));
+    assert!(field("encode", "count").as_u64().is_some_and(|n| n > 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }

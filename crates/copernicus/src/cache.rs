@@ -1,9 +1,14 @@
 //! The campaign-scoped workload cache: each `(workload, seed, cap)` matrix
-//! is generated once and each `(workload, seed, cap, p)` tiling is built
-//! once, then shared — across the 8-format sweep of a unit, across the
+//! is generated once and each `(workload, seed, cap, p)` tiling entry is
+//! made once, then shared — across the 8-format sweep of a unit, across the
 //! partition-size axis, and across every overlapping campaign a
 //! [`CampaignRunner`](crate::CampaignRunner) executes (`repro_all`'s
 //! figures re-visit the same suite matrices up to ten times).
+//!
+//! A tiling entry ([`CachedGrid`]) holds its matrix and builds the
+//! [`PartitionGrid`] only on first use by a run that walks tiles. A unit
+//! that prices from structure measures the matrix instead
+//! ([`CachedGrid::measure`]) and never builds one.
 //!
 //! # Determinism
 //!
@@ -29,19 +34,29 @@
 //!
 //! Entries larger than [`MAX_ENTRY_BYTES`] are never admitted (they are
 //! rebuilt per lookup, exactly the pre-cache behavior, and each rebuild
-//! counts as a miss). The resident total is pruned back to
-//! [`BUDGET_BYTES`] at the end of every campaign — on the coordinator
-//! thread, in descending key order (grids before matrices), so eviction is
-//! deterministic and never perturbs an in-flight unit.
+//! counts as a miss). A tiling entry is sized by the grid it would build,
+//! built or not, so admission does not depend on which runs walked it.
+//! That size needs the tile count: when the matrix alone does not settle
+//! it, the entry is admitted provisionally, and once a measure or a build
+//! has counted its tiles an oversized entry is dropped — by the next
+//! lookup, which then counts the miss, or by the end-of-campaign prune.
+//! The resident total (matrices plus the grids actually built) is pruned
+//! back to [`BUDGET_BYTES`] at the end of every campaign — on the
+//! coordinator thread, in descending key order (grids before matrices), so
+//! eviction is deterministic and never perturbs an in-flight unit.
 
 use crate::campaign::lock_clean;
-use copernicus_telemetry::MetricsRegistry;
+use copernicus_hls::{GridStats, PlatformError, Session};
+use copernicus_telemetry::{MetricsRegistry, Phase, PhaseProfiler};
 use copernicus_workloads::Workload;
-use sparsemat::{Coo, Matrix, PartitionGrid, SparseError, Triplet};
+use sparsemat::{
+    check_partition_size, tile_runs, Coo, Matrix, Partition, PartitionGrid, Scalar, SparseError,
+    Triplet,
+};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-entry admission cap: anything larger is rebuilt per lookup instead
 /// of cached (paper-scale dense-ish sweeps would otherwise evict the whole
@@ -51,15 +66,133 @@ pub const MAX_ENTRY_BYTES: u64 = 32 << 20;
 /// Total resident budget the end-of-campaign prune enforces.
 pub const BUDGET_BYTES: u64 = 256 << 20;
 
-/// A cached tiling plus the matrix statistic every
-/// [`Measurement`](crate::Measurement) needs, so grid hits skip the matrix
-/// layer entirely.
+/// One `(workload, seed, cap, p)` tiling entry: the generated matrix, the
+/// density every [`Measurement`](crate::Measurement) needs, and the
+/// [`PartitionGrid`], built on first use by a run that walks tiles. Grid
+/// hits skip the matrix layer entirely.
 #[derive(Debug)]
 pub struct CachedGrid {
     /// Density of the generating matrix.
     pub density: f64,
-    /// The shared tiling.
-    pub grid: PartitionGrid<f32>,
+    matrix: Arc<Coo<f32>>,
+    p: usize,
+    /// Entries that reach a tile: the matrix's, less explicit zeros.
+    nnz: usize,
+    /// Non-zero tiles, once a measure or a build has counted them.
+    tiles: OnceLock<usize>,
+    grid: OnceLock<PartitionGrid<f32>>,
+}
+
+impl CachedGrid {
+    fn new(matrix: Arc<Coo<f32>>, p: usize, tiles: Option<usize>) -> Self {
+        let entry = CachedGrid {
+            density: matrix.density(),
+            nnz: matrix.iter().filter(|t| !t.val.is_zero()).count(),
+            matrix,
+            p,
+            tiles: OnceLock::new(),
+            grid: OnceLock::new(),
+        };
+        if let Some(tiles) = tiles {
+            entry.tiles.get_or_init(|| tiles);
+        }
+        entry
+    }
+
+    /// The generated matrix.
+    pub fn matrix(&self) -> &Coo<f32> {
+        &self.matrix
+    }
+
+    /// The tiling, built on first use (the build lapped as
+    /// [`Phase::Partition`] into `profiler`) and shared from then on.
+    ///
+    /// # Errors
+    ///
+    /// Propagates partitioning failures.
+    pub fn grid(
+        &self,
+        profiler: Option<&PhaseProfiler>,
+    ) -> Result<&PartitionGrid<f32>, SparseError> {
+        if let Some(grid) = self.grid.get() {
+            return Ok(grid);
+        }
+        let built = {
+            let _lap = profiler.map(|p| p.scope(Phase::Partition));
+            PartitionGrid::new(&*self.matrix, self.p)?
+        };
+        self.tiles.get_or_init(|| built.nonzero_tiles());
+        Ok(self.grid.get_or_init(|| built))
+    }
+
+    /// Measures the matrix's tiles on `session` without building the grid,
+    /// and records the tile count the entry's size needs.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::Config`] when the session tiles at another `p`
+    /// than this entry; otherwise as [`Session::measure`].
+    pub fn measure(&self, session: &mut Session) -> Result<GridStats, PlatformError> {
+        let p = session.config().partition_size;
+        if p != self.p {
+            return Err(PlatformError::Config(format!(
+                "a session at p={p} cannot measure a tiling entry at p={}",
+                self.p
+            )));
+        }
+        let stats = session.measure(&self.matrix)?;
+        self.tiles.get_or_init(|| stats.tiles());
+        Ok(stats)
+    }
+
+    /// Bytes the built grid takes, or would take, with `tiles` non-zero
+    /// tiles: header + per-partition headers + every tile's triplets.
+    fn grid_bytes(&self, tiles: usize) -> u64 {
+        (std::mem::size_of::<PartitionGrid<f32>>()
+            + tiles * std::mem::size_of::<Partition<f32>>()
+            + self.nnz * std::mem::size_of::<Triplet<f32>>()) as u64
+    }
+
+    /// Whether the grid, built or not, fits [`MAX_ENTRY_BYTES`]; `None`
+    /// while that depends on a tile count nothing has counted yet. The
+    /// count lies between one tile per entry and one per grid cell.
+    fn fits(&self) -> Option<bool> {
+        let (nrows, ncols) = (self.matrix.nrows(), self.matrix.ncols());
+        let cells = nrows
+            .div_ceil(self.p)
+            .saturating_mul(ncols.div_ceil(self.p));
+        if self.grid_bytes(self.nnz.min(1)) > MAX_ENTRY_BYTES {
+            return Some(false);
+        }
+        if self.grid_bytes(self.nnz.min(cells)) <= MAX_ENTRY_BYTES {
+            return Some(true);
+        }
+        self.tiles
+            .get()
+            .map(|&tiles| self.grid_bytes(tiles) <= MAX_ENTRY_BYTES)
+    }
+
+    /// [`fits`](CachedGrid::fits), counting the tiles when nothing has (a
+    /// unit whose cells were all memoized neither measures nor builds).
+    fn fits_counted(&self) -> bool {
+        self.fits().unwrap_or_else(|| {
+            let mut triplets = self.matrix.triplets();
+            let (nrows, ncols) = (self.matrix.nrows(), self.matrix.ncols());
+            let tiles = tile_runs(nrows, ncols, &mut triplets, self.p)
+                .map(|runs| *self.tiles.get_or_init(|| runs.count()));
+            // A failed tiling fails a build as well, which is never cached.
+            tiles.is_ok_and(|tiles| self.grid_bytes(tiles) <= MAX_ENTRY_BYTES)
+        })
+    }
+
+    /// Resident bytes: the grid if built. The matrix is the matrix layer's.
+    fn resident_bytes(&self) -> u64 {
+        let grid = self
+            .grid
+            .get()
+            .map_or(0, |g| self.grid_bytes(g.nonzero_tiles()));
+        std::mem::size_of::<CachedGrid>() as u64 + grid
+    }
 }
 
 /// Snapshot of the cache's counters and occupancy.
@@ -158,10 +291,11 @@ impl WorkloadCache {
         }
     }
 
-    /// The tiling of `workload` at partition size `p` (with its matrix
-    /// density), shared when cached. A miss pulls the matrix through
+    /// The tiling entry of `workload` at partition size `p` (with its
+    /// matrix density), shared when cached. A miss pulls the matrix through
     /// [`matrix`](WorkloadCache::matrix) — so one unit's generation feeds
-    /// every other partition size of the same workload.
+    /// every other partition size of the same workload — and builds no
+    /// grid: [`CachedGrid::grid`] does, on first use.
     ///
     /// # Errors
     ///
@@ -209,16 +343,22 @@ impl WorkloadCache {
             }
         };
         let key = format!("{}|p={p}", workload.cache_key(max_dim, seed));
-        if let Some(g) = lock_clean(&self.grids).get(&key) {
-            count(&self.grid_hits);
-            return Ok(Arc::clone(g));
+        let cached = lock_clean(&self.grids).get(&key).cloned();
+        let mut tiles = None;
+        if let Some(entry) = cached {
+            if entry.fits_counted() {
+                count(&self.grid_hits);
+                return Ok(entry);
+            }
+            // Admitted before its tiles were counted, and too large since:
+            // this lookup is the miss an unadmitted entry always was.
+            lock_clean(&self.grids).remove(&key);
+            tiles = entry.tiles.get().copied();
         }
         let matrix = self.matrix_impl(workload, max_dim, seed, counted);
-        let built = Arc::new(CachedGrid {
-            density: matrix.density(),
-            grid: PartitionGrid::new(&*matrix, p)?,
-        });
-        if grid_bytes(&built.grid) > MAX_ENTRY_BYTES {
+        check_partition_size(p)?;
+        let built = Arc::new(CachedGrid::new(matrix, p, tiles));
+        if built.fits() == Some(false) {
             count(&self.grid_misses);
             return Ok(built);
         }
@@ -250,11 +390,15 @@ impl WorkloadCache {
         }
     }
 
-    /// Evicts entries — grids first, each layer in descending key order —
-    /// until the resident estimate fits [`BUDGET_BYTES`]. Called by the
-    /// runner on the coordinator thread after each campaign, so eviction
-    /// order (and therefore every later hit/miss) is deterministic.
+    /// Drops the tiling entries found too large since their admission,
+    /// then evicts entries — grids first, each layer in descending key
+    /// order — until the resident estimate fits [`BUDGET_BYTES`]. Called by
+    /// the runner on the coordinator thread after each campaign, so
+    /// eviction order (and therefore every later hit/miss) is
+    /// deterministic.
     pub fn prune(&self) {
+        // Not evictions: such an entry was never meant to be admitted.
+        lock_clean(&self.grids).retain(|_, g| g.fits() != Some(false));
         let (_, _, mut resident) = self.occupancy();
         if resident <= BUDGET_BYTES {
             return;
@@ -267,7 +411,7 @@ impl WorkloadCache {
                 else {
                     break;
                 };
-                resident = resident.saturating_sub(grid_bytes(&g.grid));
+                resident = resident.saturating_sub(g.resident_bytes());
                 grids.remove(&key);
                 evicted += 1;
             }
@@ -316,7 +460,7 @@ impl WorkloadCache {
         let matrices = lock_clean(&self.matrices);
         let grids = lock_clean(&self.grids);
         let bytes = matrices.values().map(|m| coo_bytes(m)).sum::<u64>()
-            + grids.values().map(|g| grid_bytes(&g.grid)).sum::<u64>();
+            + grids.values().map(|g| g.resident_bytes()).sum::<u64>();
         (matrices.len(), grids.len(), bytes)
     }
 }
@@ -324,14 +468,6 @@ impl WorkloadCache {
 /// Resident-size estimate of a COO matrix: header + triplet storage.
 fn coo_bytes(m: &Coo<f32>) -> u64 {
     (std::mem::size_of::<Coo<f32>>() + m.nnz() * std::mem::size_of::<Triplet<f32>>()) as u64
-}
-
-/// Resident-size estimate of a tiling: header + per-partition headers +
-/// every tile's triplet storage.
-fn grid_bytes(grid: &PartitionGrid<f32>) -> u64 {
-    (std::mem::size_of::<PartitionGrid<f32>>()
-        + std::mem::size_of_val(grid.partitions())
-        + grid.nnz() * std::mem::size_of::<Triplet<f32>>()) as u64
 }
 
 #[cfg(test)]
@@ -374,7 +510,7 @@ mod tests {
         let cache = WorkloadCache::new();
         let g1 = cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
         let g2 = cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
-        assert_eq!(g1.grid.partitions().len(), g2.grid.partitions().len());
+        assert!(Arc::ptr_eq(&g1, &g2));
         assert_eq!(g1.density, g2.density);
         let s = cache.stats();
         assert_eq!((s.grid_misses, s.grid_hits), (1, 1));
@@ -393,7 +529,8 @@ mod tests {
         let cached = cache.grid(&w(48, 0.2), 16, 0, 3).unwrap();
         let matrix = w(48, 0.2).generate(0, 3);
         let fresh = PartitionGrid::new(&matrix, 16).unwrap();
-        assert_eq!(cached.grid.partitions(), fresh.partitions());
+        assert_eq!(*cached.matrix(), matrix);
+        assert_eq!(cached.grid(None).unwrap().partitions(), fresh.partitions());
         assert_eq!(cached.density, matrix.density());
     }
 
@@ -433,6 +570,66 @@ mod tests {
         cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
         let s = cache.stats();
         assert_eq!((s.grid_misses, s.grid_hits), (0, 1));
+    }
+
+    fn structural(p: usize) -> Session {
+        Session::new(copernicus_hls::HwConfig {
+            verify_functional: false,
+            ..copernicus_hls::HwConfig::with_partition_size(p)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn measuring_builds_no_grid_and_counts_the_tiles() {
+        let cache = WorkloadCache::new();
+        let entry = cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
+        let unbuilt = cache.stats().resident_bytes;
+        let stats = entry.measure(&mut structural(16)).unwrap();
+        assert_eq!(entry.tiles.get(), Some(&stats.tiles()));
+        assert!(entry.grid.get().is_none());
+        assert_eq!(cache.stats().resident_bytes, unbuilt);
+        // A walking run builds the grid once; only then is it resident.
+        let grid = entry.grid(None).unwrap();
+        assert_eq!(grid.nonzero_tiles(), stats.tiles());
+        assert!(std::ptr::eq(grid, entry.grid(None).unwrap()));
+        assert!(cache.stats().resident_bytes > unbuilt);
+        // A session at another p would count another tiling's tiles.
+        assert!(matches!(
+            entry.measure(&mut structural(8)),
+            Err(PlatformError::Config(_))
+        ));
+    }
+
+    #[test]
+    fn a_tiling_found_too_large_counts_as_the_unadmitted_entry_it_is() {
+        // 640,000 entries (15 MB of triplets) in 474,079 tiles at p = 8:
+        // 42 MB as a grid, over the entry cap, which only the tile count
+        // shows.
+        let big = w(8000, 0.01);
+        let cache = WorkloadCache::new();
+        let entry = cache.grid(&big, 8, 0, 42).unwrap();
+        assert_eq!(entry.fits(), None);
+        assert_eq!(cache.stats().grids, 1);
+        // The next lookup counts the tiles itself, drops the entry and
+        // counts a miss after a matrix lookup, as for any unadmitted entry.
+        let again = cache.grid(&big, 8, 0, 42).unwrap();
+        assert_eq!(again.fits(), Some(false));
+        let s = cache.stats();
+        assert_eq!((s.grid_misses, s.grid_hits, s.grids), (2, 0, 0));
+        assert_eq!((s.matrix_misses, s.matrix_hits), (1, 1));
+        // Measured, the count is known, and the prune drops such an entry
+        // without counting an eviction.
+        let entry = cache.grid(&big, 8, 0, 42).unwrap();
+        assert_eq!(cache.stats().grids, 1);
+        entry.measure(&mut structural(8)).unwrap();
+        assert_eq!(entry.fits(), Some(false));
+        cache.prune();
+        let s = cache.stats();
+        assert_eq!(
+            (s.grid_misses, s.grid_hits, s.grids, s.evictions),
+            (3, 0, 0, 0)
+        );
     }
 
     #[test]

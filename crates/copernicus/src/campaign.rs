@@ -599,7 +599,13 @@ impl CampaignRunner {
                         let mut session = cfg.session(p)?;
                         session.set_profiler(observers.profiler.clone());
                         session.set_tile_jobs(tile_jobs);
-                        let stats = session.measure(&entry.grid);
+                        // A unit that prices from structure measures the
+                        // matrix and never builds the grid.
+                        let stats = if session.config().prices_from_structure() {
+                            Some(entry.measure(&mut session)?)
+                        } else {
+                            None
+                        };
                         *prepared = Some(Prepared {
                             entry,
                             session,
@@ -621,8 +627,10 @@ impl CampaignRunner {
                     // the attempt, the deadline must not.
                     session.set_cancel(attempt_cancel.clone());
                     let request = match stats {
-                        Some(stats) => RunRequest::measured(&entry.grid, stats, format),
-                        None => RunRequest::grid(&entry.grid, format),
+                        Some(stats) => RunRequest::measured(stats, format),
+                        None => {
+                            RunRequest::grid(entry.grid(observers.profiler.as_deref())?, format)
+                        }
                     };
                     let report = if trace {
                         session.run(request.with_sink(&mut *sink))?.report
@@ -700,7 +708,7 @@ impl CampaignRunner {
 /// What one `(workload, partition size)` unit prepares once and shares
 /// across its format sweep.
 struct Prepared {
-    /// The cached tiling, plus the matrix density.
+    /// The cached tiling entry, plus the matrix density.
     entry: Arc<CachedGrid>,
     /// The session whose scratch buffers the eight format runs reuse.
     session: Session,

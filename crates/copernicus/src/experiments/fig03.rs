@@ -47,7 +47,7 @@ pub fn run_on(
             let entry = runner
                 .workloads()
                 .grid(&workload, p, cfg.suite_max_dim, cfg.seed)?;
-            let stats = entry.grid.stats();
+            let stats = entry.grid(None)?.stats();
             rows.push(Fig03Row {
                 workload: workload.label(),
                 partition_size: p,

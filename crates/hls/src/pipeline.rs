@@ -2,6 +2,7 @@
 //! (decompress + dot-product) → memory-write, pipelined across partitions.
 
 use crate::backend::Backend;
+use crate::structure::TilePricing;
 use crate::{
     decompress_with, Decompression, EncodeScratch, EncodedPartition, GridStats, HwConfig, TileStats,
 };
@@ -182,6 +183,20 @@ impl RunReport {
     }
 }
 
+/// The stage a partition's pipeline interval is bound by.
+fn bottleneck(timing: &PartitionTiming) -> u64 {
+    timing
+        .mem_cycles
+        .max(timing.compute_cycles)
+        .max(timing.writeback_cycles)
+}
+
+/// A partition's `mem / compute` balance, summed into
+/// [`RunReport::balance_ratio`].
+fn balance(timing: &PartitionTiming) -> f64 {
+    timing.mem_cycles as f64 / timing.compute_cycles.max(1) as f64
+}
+
 /// Incremental [`RunReport`] builder. Every run funnels its per-partition
 /// timings through one of these, so reports are identical no matter which
 /// path (instrumented or not) produced them.
@@ -222,31 +237,39 @@ impl ReportBuilder {
         }
     }
 
+    /// Adds the next tile in grid order.
     fn push(&mut self, timing: &PartitionTiming) {
-        let bottleneck = timing
-            .mem_cycles
-            .max(timing.compute_cycles)
-            .max(timing.writeback_cycles);
+        self.fill_from(timing);
+        self.add(timing, 1);
+        self.balance_sum += balance(timing);
+    }
+
+    /// Takes the pipeline fill from `timing` if it is the first tile.
+    fn fill_from(&mut self, timing: &PartitionTiming) {
         if self.first_stage_sum.is_none() {
             self.first_stage_sum =
                 Some(timing.mem_cycles + timing.compute_cycles + timing.writeback_cycles);
-            self.first_stage_max = bottleneck;
+            self.first_stage_max = bottleneck(timing);
         }
+    }
+
+    /// Adds `n` tiles of `timing` to every total but the balance sum, an
+    /// `f64` sum that must be added in grid order.
+    fn add(&mut self, timing: &PartitionTiming, n: u64) {
         let r = &mut self.report;
-        r.partitions += 1;
-        r.total_mem_cycles += timing.mem_cycles;
-        r.total_compute_cycles += timing.compute_cycles;
-        r.total_decomp_cycles += timing.decomp_cycles;
-        r.total_entropy_cycles += timing.entropy_cycles;
-        r.total_writeback_cycles += timing.writeback_cycles;
-        r.total_dot_issues += timing.dot_issues;
-        r.total_bytes += timing.bytes;
-        r.total_coded_bytes += timing.coded_bytes;
-        r.useful_bytes += timing.useful_bytes;
-        r.total_bram_reads += timing.bram_reads;
-        r.total_cycles += bottleneck;
-        r.dense_equivalent_compute += self.dense_per_part;
-        self.balance_sum += timing.mem_cycles as f64 / timing.compute_cycles.max(1) as f64;
+        r.partitions += n as usize;
+        r.total_mem_cycles += n * timing.mem_cycles;
+        r.total_compute_cycles += n * timing.compute_cycles;
+        r.total_decomp_cycles += n * timing.decomp_cycles;
+        r.total_entropy_cycles += n * timing.entropy_cycles;
+        r.total_writeback_cycles += n * timing.writeback_cycles;
+        r.total_dot_issues += n * timing.dot_issues;
+        r.total_bytes += n * timing.bytes;
+        r.total_coded_bytes += n * timing.coded_bytes;
+        r.useful_bytes += n * timing.useful_bytes;
+        r.total_bram_reads += n * timing.bram_reads;
+        r.total_cycles += n * bottleneck(timing);
+        r.dense_equivalent_compute += n * self.dense_per_part;
     }
 
     fn finish(mut self) -> RunReport {
@@ -287,20 +310,20 @@ impl SpanScheduler {
     }
 }
 
-/// Emits the trace events of one placed partition: its start marker plus
-/// the four stage spans.
+/// Emits the trace events of one placed partition, at grid coordinates
+/// `(grid_row, grid_col)`: its start marker plus the four stage spans.
 fn emit_partition_spans<S: TraceSink + ?Sized>(
     sink: &mut S,
     schedule: &mut SpanScheduler,
     idx: usize,
-    part: &Partition<f32>,
+    (grid_row, grid_col): (usize, usize),
     timing: &PartitionTiming,
 ) {
     let (mem_start, compute_start, writeback_start) = schedule.place(timing);
     sink.record(&PipelineEvent::PartitionStart {
         partition: idx,
-        grid_row: part.grid_row,
-        grid_col: part.grid_col,
+        grid_row,
+        grid_col,
         cycle: mem_start,
     });
     for (stage, start_cycle, cycles) in [
@@ -319,20 +342,20 @@ fn emit_partition_spans<S: TraceSink + ?Sized>(
     }
 }
 
-/// The dot-product engine consuming one decompressed partition during SpMV:
-/// element-wise multiply of each contributed row against the operand slice,
-/// then the balanced adder tree (here a sum), accumulated into `y`. Rows or
-/// columns hanging past the true matrix shape (edge tiles are padded to
-/// `p×p`) are ignored.
+/// The dot-product engine consuming one decompressed partition, at grid
+/// coordinates `(grid_row, grid_col)`, during SpMV: element-wise multiply
+/// of each contributed row against the operand slice, then the balanced
+/// adder tree (here a sum), accumulated into `y`. Rows or columns hanging
+/// past the true matrix shape (edge tiles are padded to `p×p`) are ignored.
 pub(crate) fn apply_contributions(
-    part: &Partition<f32>,
+    (grid_row, grid_col): (usize, usize),
     d: &Decompression,
     p: usize,
     x: &[f32],
     y: &mut [f32],
 ) {
-    let row0 = part.grid_row * p;
-    let col0 = part.grid_col * p;
+    let row0 = grid_row * p;
+    let col0 = grid_col * p;
     for (lr, row) in &d.contributions {
         let gr = row0 + lr;
         if gr >= y.len() {
@@ -420,8 +443,30 @@ impl ParallelReport {
 /// timing, plus its decompression when the tile was walked.
 type TileResult = Result<(PartitionTiming, Option<Decompression>), PlatformError>;
 
-/// Reads each walked tile's decompressed rows (the SpMV path).
-pub(crate) type RowConsumer<'a> = &'a mut dyn FnMut(&Partition<f32>, &Decompression);
+/// Reads each walked tile's decompressed rows, with its grid coordinates
+/// (the SpMV path).
+pub(crate) type RowConsumer<'a> = &'a mut dyn FnMut((usize, usize), &Decompression);
+
+/// The tiles a run walks: a built grid's partitions, or a matrix's
+/// measured tile classes (DESIGN.md §10).
+#[derive(Clone, Copy)]
+pub(crate) enum Tiles<'a> {
+    /// Every partition of a built grid.
+    Grid(&'a PartitionGrid<f32>),
+    /// The class table of [`Session::measure`](crate::Session::measure),
+    /// checked against the config; only its declined tiles are built.
+    Measured(&'a GridStats),
+}
+
+impl Tiles<'_> {
+    /// Number of non-zero tiles.
+    fn len(self) -> usize {
+        match self {
+            Tiles::Grid(grid) => grid.nonzero_tiles(),
+            Tiles::Measured(stats) => stats.tiles(),
+        }
+    }
+}
 
 /// One run's settings: the owning [`Session`](crate::Session)'s state with
 /// the request's backend and tile-jobs overrides resolved. Borrowed for
@@ -436,9 +481,6 @@ pub(crate) struct Run<'a> {
     pub(crate) cancel: Option<&'a CancelToken>,
     /// Wall-clock phase profiler; never consulted by the timing model.
     pub(crate) profiler: Option<&'a PhaseProfiler>,
-    /// The grid's tile classes, when the request carried them (already
-    /// checked against the grid and the config).
-    pub(crate) measured: Option<&'a GridStats>,
 }
 
 impl Run<'_> {
@@ -450,13 +492,13 @@ impl Run<'_> {
     fn record_run_start<S: TraceSink + ?Sized>(
         &self,
         sink: &mut S,
-        grid: &PartitionGrid<f32>,
+        tiles: Tiles<'_>,
         format: FormatKind,
     ) {
         if sink.enabled() {
             sink.record(&PipelineEvent::RunStart {
                 format: format.to_string(),
-                partitions: grid.partitions().len(),
+                partitions: tiles.len(),
                 partition_size: self.cfg.partition_size,
             });
         }
@@ -465,10 +507,11 @@ impl Run<'_> {
     /// A run through the single three-stage pipeline: each tile's
     /// decompression goes to `consume` when there is one (the SpMV path
     /// applies the row contributions there), its spans to `sink` and its
-    /// timing to the report.
+    /// timing to the report. Untraced measured tiles join the report per
+    /// class ([`Run::measured_totals`]).
     pub(crate) fn pipeline<S>(
         &self,
-        grid: &PartitionGrid<f32>,
+        tiles: Tiles<'_>,
         format: FormatKind,
         sink: &mut S,
         scratch: &mut EncodeScratch,
@@ -477,27 +520,35 @@ impl Run<'_> {
     where
         S: TraceSink + ?Sized,
     {
-        self.record_run_start(sink, grid, format);
+        self.record_run_start(sink, tiles, format);
         let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
         let mut schedule = SpanScheduler::default();
         let rows_needed = consume.is_some();
-        self.for_each_tile(
-            grid,
-            format,
-            rows_needed,
-            sink,
-            scratch,
-            |sink, idx, part, timing, d| {
-                // A consumer makes every tile walk, so its rows are present.
-                if let (Some(consume), Some(d)) = (consume.as_mut(), d) {
-                    consume(part, d);
-                }
-                if sink.enabled() {
-                    emit_partition_spans(sink, &mut schedule, idx, part, timing);
-                }
-                builder.push(timing);
-            },
-        )?;
+        // Asked once, not per tile: a sink does not switch on mid-run.
+        let traced = sink.enabled();
+        match tiles {
+            Tiles::Measured(stats) if !traced => {
+                self.measured_totals(stats, format, scratch, &mut builder)?;
+            }
+            _ => self.for_each_tile(
+                tiles,
+                format,
+                rows_needed,
+                sink,
+                scratch,
+                |sink, idx, at, timing, d| {
+                    // A consumer makes every tile walk, so its rows are
+                    // present.
+                    if let (Some(consume), Some(d)) = (consume.as_mut(), d) {
+                        consume(at, d);
+                    }
+                    if traced {
+                        emit_partition_spans(sink, &mut schedule, idx, at, timing);
+                    }
+                    builder.push(timing);
+                },
+            )?,
+        }
         let report = builder.finish();
         if sink.enabled() {
             sink.record(&PipelineEvent::RunComplete {
@@ -512,7 +563,7 @@ impl Run<'_> {
     /// that share one memory channel, dealt by online LPT.
     pub(crate) fn lanes<S: TraceSink + ?Sized>(
         &self,
-        grid: &PartitionGrid<f32>,
+        tiles: Tiles<'_>,
         format: FormatKind,
         lanes: usize,
         sink: &mut S,
@@ -521,19 +572,26 @@ impl Run<'_> {
         if lanes == 0 {
             return Err(PlatformError::Config("lane count must be positive".into()));
         }
-        self.record_run_start(sink, grid, format);
+        self.record_run_start(sink, tiles, format);
         let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
-        let mut timings = Vec::with_capacity(grid.partitions().len());
-        self.for_each_tile(grid, format, false, sink, scratch, |_, _, _, timing, _| {
-            builder.push(timing);
-            timings.push(*timing);
-        })?;
+        let mut timings = Vec::with_capacity(tiles.len());
+        self.for_each_tile(
+            tiles,
+            format,
+            false,
+            sink,
+            scratch,
+            |_, _, at, timing, _| {
+                builder.push(timing);
+                timings.push((at, *timing));
+            },
+        )?;
         let single_lane = builder.finish();
 
         let mut shared_mem_cycles = 0u64;
         let mut lane_compute = vec![0u64; lanes];
         let mut lane_ready = vec![0u64; lanes];
-        for ((idx, part), timing) in grid.partitions().iter().enumerate().zip(&timings) {
+        for (idx, ((grid_row, grid_col), timing)) in timings.iter().enumerate() {
             let mem_start = shared_mem_cycles;
             shared_mem_cycles += timing.mem_cycles;
             // Deal to the least-loaded lane (online LPT).
@@ -550,8 +608,8 @@ impl Run<'_> {
             if sink.enabled() {
                 sink.record(&PipelineEvent::PartitionStart {
                     partition: idx,
-                    grid_row: part.grid_row,
-                    grid_col: part.grid_col,
+                    grid_row: *grid_row,
+                    grid_col: *grid_col,
                     cycle: mem_start,
                 });
                 for (stage, start_cycle, cycles) in [
@@ -583,23 +641,24 @@ impl Run<'_> {
         })
     }
 
-    /// The one tile loop: processes every partition of `grid` exactly once
-    /// and hands `(sink, index, partition, timing, decompression)` to
-    /// `each` in grid order, so every observable byte is the same at any
-    /// worker count. One worker processes each tile inline and recycles
-    /// its buffers into `scratch` right away; more workers run
+    /// The one tile loop: processes every tile exactly once and hands
+    /// `(sink, index, grid coordinates, timing, decompression)` to `each`
+    /// in grid order, so every observable byte is the same at any worker
+    /// count. One worker processes each tile inline and recycles its
+    /// buffers into `scratch` right away; more workers run
     /// [`Run::process_grid_parallel`] and reduce its slots in grid order.
     /// The cancellation token is polled before every tile in every mode.
     ///
     /// Tiles are priced from structure, with no decompression handed on,
     /// when nothing reads the decompressed rows: `rows_needed` is false and
     /// the config [prices from structure](HwConfig::prices_from_structure).
-    /// With [`Run::measured`] stats as well, the backend prices each class
-    /// once and the tiles are handed on inline, in grid order, each with
-    /// its class's timing; a declined tile is walked in its place.
+    /// [`Tiles::Measured`] runs only then (the session checks): the backend
+    /// prices each class once and the tiles are handed on inline, in grid
+    /// order, each with its class's timing; a declined tile is walked in
+    /// its place.
     fn for_each_tile<S, F>(
         &self,
-        grid: &PartitionGrid<f32>,
+        tiles: Tiles<'_>,
         format: FormatKind,
         rows_needed: bool,
         sink: &mut S,
@@ -608,19 +667,19 @@ impl Run<'_> {
     ) -> Result<(), PlatformError>
     where
         S: TraceSink + ?Sized,
-        F: FnMut(&mut S, usize, &Partition<f32>, &PartitionTiming, Option<&Decompression>),
+        F: FnMut(&mut S, usize, (usize, usize), &PartitionTiming, Option<&Decompression>),
     {
         let structural = !rows_needed && self.cfg.prices_from_structure();
-        let parts = grid.partitions();
         let run_start = self.profiler.map(|_| std::time::Instant::now());
         let mut acc = PhaseAcc::new(self.profiler.is_some());
-        // The reduce: the one place a processed tile's outcome reaches the
+        // The reduce: the one place a walked tile's outcome reaches the
         // consumer, and the one place a functional mismatch reaches the
         // trace. Work past the first failing tile is discarded, exactly as
         // the serial loop never reaches it.
         let reduce = |sink: &mut S,
                       each: &mut F,
                       idx: usize,
+                      part: &Partition<f32>,
                       result: TileResult,
                       recycle: &mut EncodeScratch|
          -> Result<(), PlatformError> {
@@ -637,59 +696,144 @@ impl Run<'_> {
                     }
                 }
             })?;
-            each(sink, idx, &parts[idx], &timing, d.as_ref());
+            each(
+                sink,
+                idx,
+                (part.grid_row, part.grid_col),
+                &timing,
+                d.as_ref(),
+            );
             if let Some(d) = d {
                 recycle.recycle_decompression(d);
             }
             Ok(())
         };
-        if let Some(stats) = self.measured.filter(|_| structural) {
-            acc.mark();
-            let mut timings = scratch.take_class_timings();
-            timings.extend(stats.classes().iter().map(|class| {
-                self.backend
-                    .price(&class.counters(format, self.cfg), self.cfg)
-            }));
-            acc.lap(Phase::Encode);
-            // An accepted tile goes straight to `each`: routed through the
-            // reduce's `Result`, it cost about four times as much.
-            let reduced = parts
-                .iter()
-                .zip(stats.tile_classes())
-                .enumerate()
-                .try_for_each(|(idx, (part, class))| {
+        match tiles {
+            Tiles::Measured(stats) => {
+                debug_assert!(structural, "measured runs price from structure");
+                let timings = self.price_classes(stats, format, scratch, &mut acc);
+                // An accepted tile goes straight to `each`: routed through
+                // the reduce's `Result`, it cost about four times as much.
+                let reduced = stats
+                    .pricing()
+                    .enumerate()
+                    .try_for_each(|(idx, (at, pricing))| {
+                        if self.cancelled() {
+                            return Err(PlatformError::Cancelled);
+                        }
+                        match pricing {
+                            TilePricing::Class(class) => {
+                                each(sink, idx, at, &timings[class].0, None);
+                                Ok(())
+                            }
+                            TilePricing::Walk(part) => {
+                                let result =
+                                    self.process_partition(part, format, false, scratch, &mut acc);
+                                reduce(sink, &mut each, idx, part, result, scratch)
+                            }
+                        }
+                    });
+                scratch.give_class_timings(timings);
+                reduced?;
+            }
+            Tiles::Grid(grid) if self.tile_jobs > 1 && grid.nonzero_tiles() > 1 => {
+                let parts = grid.partitions();
+                let (mut pool, slots) =
+                    self.process_grid_parallel(parts, format, structural, scratch, &mut acc);
+                // Workers claim tiles in grid order, so the first empty slot
+                // marks where they stopped on cancellation.
+                let reduced = slots.into_iter().enumerate().try_for_each(|(idx, slot)| {
+                    let (wid, result) = slot.ok_or(PlatformError::Cancelled)?;
+                    reduce(sink, &mut each, idx, &parts[idx], result, &mut pool[wid])
+                });
+                scratch.give_workers(pool);
+                reduced?;
+            }
+            Tiles::Grid(grid) => {
+                for (idx, part) in grid.partitions().iter().enumerate() {
                     if self.cancelled() {
                         return Err(PlatformError::Cancelled);
                     }
-                    if let Some(class) = class {
-                        each(sink, idx, part, &timings[class], None);
-                        return Ok(());
-                    }
-                    let result = self.process_partition(part, format, false, scratch, &mut acc);
-                    reduce(sink, &mut each, idx, result, scratch)
-                });
-            scratch.give_class_timings(timings);
-            reduced?;
-        } else if self.tile_jobs > 1 && parts.len() > 1 {
-            let (mut pool, slots) =
-                self.process_grid_parallel(parts, format, structural, scratch, &mut acc);
-            // Workers claim tiles in grid order, so the first empty slot
-            // marks where they stopped on cancellation.
-            let reduced = slots.into_iter().enumerate().try_for_each(|(idx, slot)| {
-                let (wid, result) = slot.ok_or(PlatformError::Cancelled)?;
-                reduce(sink, &mut each, idx, result, &mut pool[wid])
-            });
-            scratch.give_workers(pool);
-            reduced?;
-        } else {
-            for (idx, part) in parts.iter().enumerate() {
-                if self.cancelled() {
-                    return Err(PlatformError::Cancelled);
+                    let result =
+                        self.process_partition(part, format, structural, scratch, &mut acc);
+                    reduce(sink, &mut each, idx, part, result, scratch)?;
                 }
-                let result = self.process_partition(part, format, structural, scratch, &mut acc);
-                reduce(sink, &mut each, idx, result, scratch)?;
             }
         }
+        if let (Some(profiler), Some(start)) = (self.profiler, run_start) {
+            profiler.flush_run(&acc, start.elapsed().as_secs_f64());
+        }
+        Ok(())
+    }
+
+    /// Prices each of `stats`' classes once, with its balance, into the
+    /// list pooled on `scratch` (lapped as [`Phase::Encode`]); hand it back
+    /// with [`EncodeScratch::give_class_timings`].
+    fn price_classes(
+        &self,
+        stats: &GridStats,
+        format: FormatKind,
+        scratch: &mut EncodeScratch,
+        acc: &mut PhaseAcc,
+    ) -> Vec<(PartitionTiming, f64)> {
+        acc.mark();
+        let mut timings = scratch.take_class_timings();
+        timings.extend(stats.classes().iter().map(|class| {
+            let timing = self
+                .backend
+                .price(&class.counters(format, self.cfg), self.cfg);
+            (timing, balance(&timing))
+        }));
+        acc.lap(Phase::Encode);
+        timings
+    }
+
+    /// An untraced plain run over measured tiles: nothing reads a tile's
+    /// spans, so each class's tiles join the report at once, their integer
+    /// totals exact multiples of the class's timing. Only what depends on
+    /// grid order is read tile by tile, polling the cancellation token
+    /// before each: the pipeline fill from the first tile, and the `f64`
+    /// balance sum, added in grid order. A declined tile is walked and
+    /// pushed in its place. The report is the per-tile reduce's, byte for
+    /// byte.
+    fn measured_totals(
+        &self,
+        stats: &GridStats,
+        format: FormatKind,
+        scratch: &mut EncodeScratch,
+        builder: &mut ReportBuilder,
+    ) -> Result<(), PlatformError> {
+        let run_start = self.profiler.map(|_| std::time::Instant::now());
+        let mut acc = PhaseAcc::new(self.profiler.is_some());
+        let timings = self.price_classes(stats, format, scratch, &mut acc);
+        let reduced = stats.pricing().try_for_each(|(_, pricing)| {
+            if self.cancelled() {
+                return Err(PlatformError::Cancelled);
+            }
+            match pricing {
+                TilePricing::Class(class) => {
+                    let (timing, balance) = &timings[class];
+                    builder.fill_from(timing);
+                    builder.balance_sum += balance;
+                }
+                TilePricing::Walk(part) => {
+                    let (timing, d) =
+                        self.process_partition(part, format, false, scratch, &mut acc)?;
+                    builder.push(&timing);
+                    if let Some(d) = d {
+                        scratch.recycle_decompression(d);
+                    }
+                }
+            }
+            Ok(())
+        });
+        if reduced.is_ok() {
+            for ((timing, _), &tiles) in timings.iter().zip(stats.class_tiles()) {
+                builder.add(timing, tiles);
+            }
+        }
+        scratch.give_class_timings(timings);
+        reduced?;
         if let (Some(profiler), Some(start)) = (self.profiler, run_start) {
             profiler.flush_run(&acc, start.elapsed().as_secs_f64());
         }

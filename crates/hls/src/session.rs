@@ -24,18 +24,18 @@
 //! assert!(report.total_cycles > 0);
 //! ```
 
-use crate::pipeline::{apply_contributions, Run};
+use crate::pipeline::{apply_contributions, Run, Tiles};
 use crate::{
     backend_for, BackendKind, EncodeScratch, GridStats, HwConfig, ParallelReport, PlatformError,
     RunReport,
 };
 use copernicus_telemetry::{CancelToken, NullSink, Phase, PhaseProfiler, TraceSink};
-use sparsemat::{Coo, FormatKind, PartitionGrid, SparseError};
+use sparsemat::{tile_runs, Coo, FormatKind, Matrix, PartitionGrid, SparseError};
 use std::sync::Arc;
 
 /// What a [`RunRequest`] streams through the platform: a raw matrix (tiled
 /// at the configured partition size), a pre-built grid shared across a
-/// format sweep, or such a grid with its tiles already measured.
+/// format sweep, or a matrix's tiles already measured.
 #[derive(Debug)]
 pub enum Input<'a> {
     /// A COO matrix, partitioned by the session.
@@ -43,9 +43,9 @@ pub enum Input<'a> {
     /// An already-partitioned grid (reused across formats without
     /// re-tiling).
     Grid(&'a PartitionGrid<f32>),
-    /// A grid plus its [`GridStats`] from [`Session::measure`]: each
-    /// distinct tile is priced once per run instead of once per tile.
-    Measured(&'a PartitionGrid<f32>, &'a GridStats),
+    /// The [`GridStats`] from [`Session::measure`]: each distinct tile is
+    /// priced once per run instead of once per tile, and no grid is built.
+    Measured(&'a GridStats),
 }
 
 /// One run through the platform, built fluently: input and format are
@@ -55,7 +55,7 @@ pub enum Input<'a> {
 /// |----------------------------|-----------------------------------------|
 /// | timing report              | `RunRequest::matrix(m, f)`              |
 /// | over a pre-built grid      | `RunRequest::grid(g, f)`                |
-/// | over a measured grid       | `RunRequest::measured(g, s, f)`         |
+/// | over measured tiles        | `RunRequest::measured(s, f)`            |
 /// | trace events               | `...with_sink(s)`                       |
 /// | `y = A·x`                  | `...consume_spmv(x)`                    |
 /// | aggregated lanes           | `...with_lanes(n)`                      |
@@ -98,17 +98,14 @@ impl<'a> RunRequest<'a> {
         Self::with_input(Input::Grid(grid), format)
     }
 
-    /// A run over a grid whose tiles [`Session::measure`] has measured:
+    /// A run over a matrix whose tiles [`Session::measure`] has measured:
     /// each distinct tile is priced once and every tile reduced in grid
-    /// order, with the same report and trace as [`RunRequest::grid`]. A run
-    /// that reads decompressed rows (an SpMV consumer, verification or a
-    /// codec) walks its tiles and ignores the stats.
-    pub fn measured(
-        grid: &'a PartitionGrid<f32>,
-        stats: &'a GridStats,
-        format: FormatKind,
-    ) -> Self {
-        Self::with_input(Input::Measured(grid, stats), format)
+    /// order, with the same report and trace as [`RunRequest::grid`] over
+    /// the matrix's grid. Nothing here holds the tiles' rows, so a run that
+    /// reads them (an SpMV consumer, or a session that verifies or uses a
+    /// codec) is rejected with [`PlatformError::Config`].
+    pub fn measured(stats: &'a GridStats, format: FormatKind) -> Self {
+        Self::with_input(Input::Measured(stats), format)
     }
 
     fn with_input(input: Input<'a>, format: FormatKind) -> Self {
@@ -279,15 +276,36 @@ impl Session {
         self
     }
 
-    /// Measures every tile of `grid` once, for [`RunRequest::measured`] runs
-    /// in any format and on any backend. Returns `None` when this session
-    /// does not price from structure ([`HwConfig::prices_from_structure`]).
-    pub fn measure(&mut self, grid: &PartitionGrid<f32>) -> Option<GridStats> {
+    /// Measures every non-zero tile of `matrix` once, at the configured
+    /// partition size, for [`RunRequest::measured`] runs in any format and
+    /// on any backend. The tiles are measured in place from the
+    /// tile-sorted triplets (the sort lapped as [`Phase::Partition`], the
+    /// measuring as [`Phase::Encode`]); only a declined tile is built.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::Config`] when this session does not price from
+    /// structure ([`HwConfig::prices_from_structure`]);
+    /// [`PlatformError::Sparse`] when an entry lies outside the matrix.
+    pub fn measure(&mut self, matrix: &Coo<f32>) -> Result<GridStats, PlatformError> {
         if !self.cfg.prices_from_structure() {
-            return None;
+            return Err(PlatformError::Config(
+                "only a session that prices from structure (verification and codec off) \
+                 measures tiles"
+                    .into(),
+            ));
         }
+        let lap = self.profiler.as_ref().map(|p| p.scope(Phase::Partition));
+        let mut triplets = matrix.triplets();
+        let runs = tile_runs(
+            matrix.nrows(),
+            matrix.ncols(),
+            &mut triplets,
+            self.cfg.partition_size,
+        )?;
+        drop(lap);
         let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Encode));
-        Some(GridStats::measure(grid, &self.cfg, &mut self.scratch))
+        Ok(GridStats::measure(runs, &self.cfg, &mut self.scratch))
     }
 
     /// Executes one request. See [`RunRequest`] for the option matrix.
@@ -295,8 +313,9 @@ impl Session {
     /// # Errors
     ///
     /// [`PlatformError::Config`] when `lanes` is zero or combined with an
-    /// SpMV consume, or when measured stats do not match the grid or this
-    /// session's partition and block size; [`PlatformError::Sparse`] when
+    /// SpMV consume, or when measured stats were taken at another partition
+    /// or block size or the run must read rows they do not hold;
+    /// [`PlatformError::Sparse`] when
     /// the SpMV operand length does not match the matrix column count, or
     /// partitioning/encoding fails; [`PlatformError::FunctionalMismatch`] when verification is on
     /// and a decompressor disagrees with its reference tile;
@@ -312,15 +331,23 @@ impl Session {
             backend,
         } = request;
         let built;
-        let (grid, measured) = match input {
-            Input::Grid(grid) => (grid, None),
-            Input::Measured(grid, stats) => {
-                stats.check(grid, &self.cfg)?;
-                (grid, Some(stats))
+        let tiles = match input {
+            Input::Grid(grid) => Tiles::Grid(grid),
+            Input::Measured(stats) => {
+                if !self.cfg.prices_from_structure() {
+                    return Err(PlatformError::Config(
+                        "measured tiles hold no rows to verify or code: \
+                         this session needs RunRequest::grid"
+                            .into(),
+                    ));
+                }
+                stats.check(&self.cfg)?;
+                Tiles::Measured(stats)
             }
             Input::Matrix(matrix) => {
+                let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Partition));
                 built = PartitionGrid::new(matrix, self.cfg.partition_size)?;
-                (&built, None)
+                Tiles::Grid(&built)
             }
         };
         let run = Run {
@@ -329,7 +356,6 @@ impl Session {
             tile_jobs: tile_jobs.map_or(self.tile_jobs, |jobs| jobs.max(1)),
             cancel: self.cancel.as_ref(),
             profiler: self.profiler.as_deref(),
-            measured,
         };
         let scratch = &mut self.scratch;
         let mut null = NullSink;
@@ -343,7 +369,7 @@ impl Session {
                     "SpMV consume is not supported with aggregated lanes".into(),
                 ));
             }
-            let parallel = run.lanes(grid, format, lanes, sink, scratch)?;
+            let parallel = run.lanes(tiles, format, lanes, sink, scratch)?;
             return Ok(RunOutcome {
                 report: parallel.single_lane.clone(),
                 y: None,
@@ -351,12 +377,17 @@ impl Session {
             });
         }
         let Some(x) = spmv_x else {
-            let report = run.pipeline(grid, format, sink, scratch, None)?;
+            let report = run.pipeline(tiles, format, sink, scratch, None)?;
             return Ok(RunOutcome {
                 report,
                 y: None,
                 parallel: None,
             });
+        };
+        let Tiles::Grid(grid) = tiles else {
+            return Err(PlatformError::Config(
+                "measured tiles hold no rows to multiply: SpMV needs RunRequest::grid".into(),
+            ));
         };
         let (nrows, ncols) = grid.shape();
         if x.len() != ncols {
@@ -368,11 +399,11 @@ impl Session {
         let p = self.cfg.partition_size;
         let mut y = vec![0.0f32; nrows];
         let report = run.pipeline(
-            grid,
+            tiles,
             format,
             sink,
             scratch,
-            Some(&mut |part, d| apply_contributions(part, d, p, x, &mut y)),
+            Some(&mut |at, d| apply_contributions(at, d, p, x, &mut y)),
         )?;
         Ok(RunOutcome {
             report,
@@ -540,19 +571,20 @@ mod tests {
 
     #[test]
     fn measure_only_when_the_config_prices_from_structure() {
-        let grid = PartitionGrid::new(&matrix(), 16).unwrap();
+        let m = matrix();
         let mut verifying = Session::new(HwConfig::default()).unwrap();
-        assert_eq!(verifying.measure(&grid), None);
+        assert!(matches!(
+            verifying.measure(&m),
+            Err(PlatformError::Config(_))
+        ));
         let mut coded = Session::new(HwConfig {
             stream_codec: crate::CodecKind::Rle,
             ..structural(16)
         })
         .unwrap();
-        assert_eq!(coded.measure(&grid), None);
-        let stats = Session::new(structural(16))
-            .unwrap()
-            .measure(&grid)
-            .unwrap();
+        assert!(matches!(coded.measure(&m), Err(PlatformError::Config(_))));
+        let stats = Session::new(structural(16)).unwrap().measure(&m).unwrap();
+        let grid = PartitionGrid::new(&m, 16).unwrap();
         assert_eq!(stats.tiles(), grid.nonzero_tiles());
         assert_eq!(stats.declined(), 0);
         // A band: the interior tiles all share one class.
@@ -560,80 +592,93 @@ mod tests {
     }
 
     #[test]
-    fn stats_of_another_p_block_or_grid_are_rejected() {
-        let m = matrix();
-        let grid = PartitionGrid::new(&m, 16).unwrap();
-        let mut session = Session::new(structural(16)).unwrap();
-        let stats = session.measure(&grid).unwrap();
-        let other_p = PartitionGrid::new(&m, 8).unwrap();
-        let p8 = Session::new(structural(8))
+    fn measuring_laps_the_tile_sort_as_partition() {
+        let profiler = Arc::new(PhaseProfiler::new());
+        let mut session = Session::new(structural(16))
             .unwrap()
-            .measure(&other_p)
-            .unwrap();
+            .with_profiler(profiler.clone());
+        session.measure(&matrix()).unwrap();
+        assert_eq!(profiler.histogram(Phase::Partition).unwrap().count(), 1);
+        assert_eq!(profiler.histogram(Phase::Encode).unwrap().count(), 1);
+    }
+
+    #[test]
+    fn stats_of_another_p_or_block_are_rejected() {
+        let m = matrix();
+        let mut session = Session::new(structural(16)).unwrap();
+        let stats = session.measure(&m).unwrap();
+        let p8 = Session::new(structural(8)).unwrap().measure(&m).unwrap();
         let b2 = Session::new(HwConfig {
             bcsr_block: 2,
             ..structural(16)
         })
         .unwrap()
-        .measure(&grid)
+        .measure(&m)
         .unwrap();
-        let mut smaller = Coo::new(48, 48);
-        smaller.push(0, 0, 1.0).unwrap();
-        let other_grid = PartitionGrid::new(&smaller, 16).unwrap();
-        for (grid, stats) in [
-            (&grid, &p8),
-            (&grid, &b2),
-            (&other_grid, &stats),
-            (&other_p, &p8),
-        ] {
+        for stats in [&p8, &b2] {
             assert!(matches!(
-                session.run(RunRequest::measured(grid, stats, FormatKind::Csr)),
+                session.run(RunRequest::measured(stats, FormatKind::Csr)),
                 Err(PlatformError::Config(_))
             ));
         }
         assert!(session
-            .run(RunRequest::measured(&grid, &stats, FormatKind::Csr))
+            .run(RunRequest::measured(&stats, FormatKind::Csr))
             .is_ok());
     }
 
     #[test]
-    fn runs_that_read_rows_walk_past_the_stats() {
+    fn runs_that_read_rows_reject_measured_stats() {
+        // Measured stats hold no tile rows: SpMV, verification and codecs
+        // need a grid, and asking for them over stats is a config error.
         let m = matrix();
-        let grid = PartitionGrid::new(&m, 16).unwrap();
         let mut session = Session::new(structural(16)).unwrap();
-        let stats = session.measure(&grid).unwrap();
+        let stats = session.measure(&m).unwrap();
         let x: Vec<f32> = (0..48).map(|i| (i % 7) as f32 - 3.0).collect();
+        assert!(matches!(
+            session.run(RunRequest::measured(&stats, FormatKind::Ell).consume_spmv(&x)),
+            Err(PlatformError::Config(_))
+        ));
+        let mut verifying = Session::new(HwConfig::with_partition_size(16)).unwrap();
+        let mut coded = Session::new(HwConfig {
+            stream_codec: crate::CodecKind::Rle,
+            ..structural(16)
+        })
+        .unwrap();
+        for kind in FormatKind::CHARACTERIZED {
+            for session in [&mut verifying, &mut coded] {
+                assert!(
+                    matches!(
+                        session.run(RunRequest::measured(&stats, kind)),
+                        Err(PlatformError::Config(_))
+                    ),
+                    "{kind}"
+                );
+            }
+        }
+        // The same requests over the grid still run.
+        let grid = PartitionGrid::new(&m, 16).unwrap();
         let spmv = session
-            .run(RunRequest::measured(&grid, &stats, FormatKind::Ell).consume_spmv(&x))
+            .run(RunRequest::grid(&grid, FormatKind::Ell).consume_spmv(&x))
             .unwrap();
         assert_eq!(spmv.y.unwrap(), m.spmv(&x).unwrap());
-        // A verifying session walks every tile, stats or not.
-        let mut verifying = Session::new(HwConfig::default()).unwrap();
-        for kind in FormatKind::CHARACTERIZED {
-            assert_eq!(
-                verifying
-                    .run(RunRequest::measured(&grid, &stats, kind))
-                    .unwrap(),
-                verifying.run(RunRequest::grid(&grid, kind)).unwrap(),
-                "{kind}"
-            );
-        }
+        assert!(verifying
+            .run(RunRequest::grid(&grid, FormatKind::Ell))
+            .is_ok());
     }
 
     #[test]
     fn measured_runs_poll_the_cancellation_token() {
-        let grid = PartitionGrid::new(&matrix(), 16).unwrap();
         let token = CancelToken::new();
         let mut session = Session::new(structural(16))
             .unwrap()
             .with_cancel(token.clone());
-        let stats = session.measure(&grid).unwrap();
+        let stats = session.measure(&matrix()).unwrap();
         assert!(session
-            .run(RunRequest::measured(&grid, &stats, FormatKind::Coo))
+            .run(RunRequest::measured(&stats, FormatKind::Coo))
             .is_ok());
         token.cancel();
         assert!(matches!(
-            session.run(RunRequest::measured(&grid, &stats, FormatKind::Coo)),
+            session.run(RunRequest::measured(&stats, FormatKind::Coo)),
             Err(PlatformError::Cancelled)
         ));
     }

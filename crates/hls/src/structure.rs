@@ -21,14 +21,15 @@
 //! them. Entry order does not matter.
 //!
 //! A tile's counts depend on the tile, `p` and the BCSR block size, not on
-//! the format or the backend, so [`GridStats`] measures a whole grid once:
-//! a table of its distinct [`TileStats`] and one class id per tile. A run
-//! over it prices each class once and hands every tile its class's timing
-//! in grid order.
+//! the format or the backend, so [`GridStats`] measures a whole matrix
+//! once, straight from its tile-sorted triplets and without building a
+//! grid: a table of its distinct [`TileStats`] and, per tile, its grid
+//! coordinates and class id. A run over it prices each class once and
+//! hands every tile its class's timing in grid order.
 
 use crate::backend::TileCounters;
 use crate::{EncodeScratch, HwConfig, PlatformError};
-use sparsemat::{Coo, FormatKind, Matrix, PartitionGrid};
+use sparsemat::{Coo, FormatKind, Matrix, Partition, Triplet};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -119,8 +120,23 @@ impl TileStats {
     /// would no longer match the tile's entries.
     pub fn measure(tile: &Coo<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Option<Self> {
         let p = cfg.partition_size;
+        if tile.nrows() != p || tile.ncols() != p {
+            return None;
+        }
+        Self::measure_local(tile.iter().copied(), cfg, scratch)
+    }
+
+    /// The one measuring pass, over a `p×p` tile's entries in tile-local
+    /// coordinates: a [`Coo`] tile's, or a tile run's shifted by its
+    /// origin. `entries` is read twice, the second time to clear the
+    /// slots the first touched.
+    fn measure_local<I>(entries: I, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Option<Self>
+    where
+        I: Iterator<Item = Triplet<f32>> + Clone,
+    {
+        let p = cfg.partition_size;
         let b = cfg.bcsr_block;
-        if tile.nrows() != p || tile.ncols() != p || b == 0 {
+        if b == 0 {
             return None;
         }
         let s = scratch.stats_scratch();
@@ -140,7 +156,7 @@ impl TileStats {
         };
         let mut clean = true;
         let mut seen = 0;
-        for t in tile.iter() {
+        for t in entries.clone() {
             let cell = t.row * p + t.col;
             let (word, bit) = (cell / 64, 1u64 << (cell % 64));
             if t.val == 0.0 || s.cells[word] & bit != 0 {
@@ -171,7 +187,7 @@ impl TileStats {
             }
         }
         // Zero every slot this tile touched, so the next tile starts clean.
-        for t in tile.iter().take(seen) {
+        for t in entries.take(seen) {
             let br = s.block_of[t.row];
             s.cells[(t.row * p + t.col) / 64] = 0;
             s.rows[t.row] = 0;
@@ -277,59 +293,105 @@ impl Hasher for ClassHasher {
     }
 }
 
-/// The structural counts of every tile of one grid, measured once and
-/// priced for any format and backend: a table of the distinct
+/// One tile of a measured grid, in grid order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct MeasuredTile {
+    grid_row: usize,
+    grid_col: usize,
+    /// An index into [`GridStats::classes`], or [`DECLINED`].
+    class: u32,
+}
+
+/// How a measured run prices one tile: from its class's timing, or by
+/// walking the tile, which [`TileStats::measure`] declined.
+pub(crate) enum TilePricing<'a> {
+    /// The index of the tile's class in [`GridStats::classes`].
+    Class(usize),
+    /// The declined tile itself.
+    Walk(&'a Partition<f32>),
+}
+
+/// The structural counts of every non-zero tile of one matrix, measured
+/// once and priced for any format and backend: a table of the distinct
 /// [`TileStats`] values, in order of first appearance, and per tile, in
-/// grid order, the id of its class or a marker for a declined tile.
+/// grid order, its grid coordinates and the id of its class. A tile
+/// [`TileStats::measure`] declines (a duplicate coordinate) is kept as a
+/// real [`Partition`], its entries in input order, for the run to walk;
+/// an accepted tile is never built.
 ///
-/// Built by [`Session::measure`](crate::Session::measure) and consumed by
+/// Built by [`Session::measure`](crate::Session::measure) straight from the
+/// matrix's tile runs, and consumed by
 /// [`RunRequest::measured`](crate::RunRequest::measured).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridStats {
-    /// Shape of the measured grid's matrix.
-    shape: (usize, usize),
     /// Partition size the tiles were measured at.
     p: usize,
     /// BCSR block size the blocks were counted at.
     b: usize,
     /// Distinct tile statistics.
     classes: Vec<TileStats>,
-    /// Per tile in grid order: an index into `classes`, or [`DECLINED`].
-    tile_class: Vec<u32>,
+    /// Tiles per class.
+    class_tiles: Vec<u64>,
+    /// Every non-zero tile, in grid order.
+    tiles: Vec<MeasuredTile>,
+    /// The declined tiles, in grid order.
+    declined: Vec<Partition<f32>>,
 }
 
 impl GridStats {
-    /// Measures every tile of `grid` at the configured partition and block
-    /// size. A tile [`TileStats::measure`] declines is marked, for the run
-    /// to walk.
-    pub(crate) fn measure(
-        grid: &PartitionGrid<f32>,
-        cfg: &HwConfig,
-        scratch: &mut EncodeScratch,
-    ) -> Self {
+    /// Measures every tile run of one matrix, as
+    /// [`tile_runs`](sparsemat::tile_runs) yields them at the configured
+    /// partition size, at the configured block size. A declined tile is
+    /// built from its run, for the run to walk.
+    pub(crate) fn measure<'t, R>(runs: R, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Self
+    where
+        R: Iterator<Item = (usize, usize, &'t [Triplet<f32>])>,
+    {
+        let p = cfg.partition_size;
         let mut ids: HashMap<TileStats, u32, BuildHasherDefault<ClassHasher>> = HashMap::default();
         let mut classes = Vec::new();
-        let tile_class = grid
-            .partitions()
-            .iter()
-            .map(|part| match TileStats::measure(&part.coo, cfg, scratch) {
+        let mut class_tiles = Vec::new();
+        let mut declined = Vec::new();
+        // Sized once for the most tiles the runs can hold (one per entry)
+        // and trimmed after: as many allocations for ten tiles as for a
+        // million, and the pages never written are never resident.
+        let mut tiles = Vec::with_capacity(runs.size_hint().1.unwrap_or(0));
+        for (grid_row, grid_col, run) in runs {
+            let (row0, col0) = (grid_row * p, grid_col * p);
+            let local = run
+                .iter()
+                .map(move |t| Triplet::new(t.row - row0, t.col - col0, t.val));
+            let class = match TileStats::measure_local(local, cfg, scratch) {
                 // Ids stay below the marker: past 2^32 − 1 classes, the
                 // remaining tiles are walked.
                 Some(stats) if classes.len() < DECLINED as usize => {
-                    *ids.entry(stats).or_insert_with(|| {
+                    let id = *ids.entry(stats).or_insert_with(|| {
                         classes.push(stats);
+                        class_tiles.push(0);
                         (classes.len() - 1) as u32
-                    })
+                    });
+                    class_tiles[id as usize] += 1;
+                    id
                 }
-                _ => DECLINED,
-            })
-            .collect();
+                _ => {
+                    declined.push(Partition::from_run(grid_row, grid_col, run, p));
+                    DECLINED
+                }
+            };
+            tiles.push(MeasuredTile {
+                grid_row,
+                grid_col,
+                class,
+            });
+        }
+        tiles.shrink_to_fit();
         GridStats {
-            shape: grid.shape(),
-            p: cfg.partition_size,
+            p,
             b: cfg.bcsr_block,
             classes,
-            tile_class,
+            class_tiles,
+            tiles,
+            declined,
         }
     }
 
@@ -338,48 +400,44 @@ impl GridStats {
         &self.classes
     }
 
-    /// Number of tiles measured.
+    /// Per class, in [`GridStats::classes`] order: its number of tiles.
+    pub(crate) fn class_tiles(&self) -> &[u64] {
+        &self.class_tiles
+    }
+
+    /// Number of non-zero tiles measured.
     pub fn tiles(&self) -> usize {
-        self.tile_class.len()
+        self.tiles.len()
     }
 
     /// Number of tiles [`TileStats::measure`] declined.
     pub fn declined(&self) -> usize {
-        self.tile_class.iter().filter(|&&c| c == DECLINED).count()
+        self.declined.len()
     }
 
-    /// Per tile in grid order: the index of its class in
-    /// [`GridStats::classes`], or `None` for a declined tile.
-    pub(crate) fn tile_classes(&self) -> impl Iterator<Item = Option<usize>> + '_ {
-        self.tile_class
-            .iter()
-            .map(|&c| (c != DECLINED).then_some(c as usize))
+    /// Per tile in grid order: its grid coordinates and how to price it.
+    pub(crate) fn pricing(&self) -> impl Iterator<Item = ((usize, usize), TilePricing<'_>)> {
+        // `measure` keeps one declined partition per marker, in grid
+        // order, so the cursor never runs dry.
+        let mut declined = self.declined.iter();
+        self.tiles.iter().map_while(move |tile| {
+            let pricing = match tile.class {
+                DECLINED => TilePricing::Walk(declined.next()?),
+                class => TilePricing::Class(class as usize),
+            };
+            Some(((tile.grid_row, tile.grid_col), pricing))
+        })
     }
 
-    /// Checks that these stats describe `grid` tiled and priced under
-    /// `cfg`: the same shape, partition size, block size and tile count.
-    pub(crate) fn check(
-        &self,
-        grid: &PartitionGrid<f32>,
-        cfg: &HwConfig,
-    ) -> Result<(), PlatformError> {
-        let (nrows, ncols) = grid.shape();
-        let tiles = grid.partitions().len();
-        if (self.shape, self.p, self.b, self.tiles())
-            == (grid.shape(), cfg.partition_size, cfg.bcsr_block, tiles)
-        {
+    /// Checks that these stats were measured under `cfg`'s partition and
+    /// block size.
+    pub(crate) fn check(&self, cfg: &HwConfig) -> Result<(), PlatformError> {
+        if (self.p, self.b) == (cfg.partition_size, cfg.bcsr_block) {
             return Ok(());
         }
         Err(PlatformError::Config(format!(
-            "grid stats of a {}×{} grid with {} tiles at p={} b={} do not match \
-             this run's {nrows}×{ncols} grid with {tiles} tiles at p={} b={}",
-            self.shape.0,
-            self.shape.1,
-            self.tiles(),
-            self.p,
-            self.b,
-            cfg.partition_size,
-            cfg.bcsr_block,
+            "grid stats measured at p={} b={} do not match this run's p={} b={}",
+            self.p, self.b, cfg.partition_size, cfg.bcsr_block,
         )))
     }
 }

@@ -3,7 +3,8 @@
 //! encode → codec → decompress → verify — or, with verification and the
 //! codec off, through the structural tile pass or over a measured grid's
 //! class table — performs **zero**
-//! steady-state heap allocations per tile. A counting global allocator meters the runs; any
+//! steady-state heap allocations per tile; measuring a matrix allocates
+//! per matrix, not per tile. A counting global allocator meters the runs; any
 //! new allocation in the per-tile loops (a fresh `Vec`, a `format!`, a map
 //! rebuild) fails this test before it can show up as a throughput cliff.
 
@@ -11,43 +12,40 @@ use copernicus_hls::{CodecKind, HwConfig, RunRequest, Session};
 use sparsemat::{Coo, FormatKind, PartitionGrid};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocation and reallocation made by the armed thread;
 /// frees are uncounted (returning pooled buffers is allowed, acquiring new
-/// ones is the regression). Arming is per-thread so the libtest harness
-/// thread's own bookkeeping allocations never pollute the count.
+/// ones is the regression). Arming and the count are per-thread, so neither
+/// the libtest harness thread's own bookkeeping nor a test running
+/// concurrently on another thread pollutes the count.
 struct CountingAlloc;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-fn armed() -> bool {
-    // `try_with` so allocations during thread teardown can't panic.
-    ARMED.try_with(Cell::get).unwrap_or(false)
+/// Counts one allocation if this thread is armed. `try_with` so
+/// allocations during thread teardown can't panic.
+fn count_one() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -63,11 +61,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// does all per-tile work on the calling thread, so the thread-local gate
 /// meters exactly the code under test.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     ARMED.with(|c| c.set(true));
     let out = f();
     ARMED.with(|c| c.set(false));
-    (ALLOCS.load(Ordering::SeqCst), out)
+    (ALLOCS.with(Cell::get), out)
 }
 
 /// A banded matrix with scattered fill: every 16-wide tile of the `n×n`
@@ -164,19 +162,52 @@ fn warm_measured_sessions_run_allocation_free() {
         stream_codec: CodecKind::None,
         ..HwConfig::default()
     };
-    let grid = PartitionGrid::new(&matrix(96), cfg.partition_size).unwrap();
     let mut session = Session::new(cfg).unwrap();
-    let stats = session.measure(&grid).unwrap();
+    let stats = session.measure(&matrix(96)).unwrap();
     assert_eq!(stats.declined(), 0);
     for kind in FormatKind::CHARACTERIZED {
-        session
-            .run(RunRequest::measured(&grid, &stats, kind))
-            .unwrap();
-        let (allocs, _) = count_allocs(|| {
-            session
-                .run(RunRequest::measured(&grid, &stats, kind))
-                .unwrap()
-        });
+        session.run(RunRequest::measured(&stats, kind)).unwrap();
+        let (allocs, _) = count_allocs(|| session.run(RunRequest::measured(&stats, kind)).unwrap());
         assert_eq!(allocs, 0, "{kind}: a warm measured run allocated");
     }
+}
+
+#[test]
+fn measuring_allocates_per_matrix_not_per_tile() {
+    // Measuring reads the tile runs in place and builds no per-tile `Coo`:
+    // on warm scratch, a matrix of 10,000 tiles costs as many allocations
+    // as one of 100 (the triplet copy, the sort's scratch, the tile list,
+    // the one-class table).
+    let cfg = HwConfig {
+        verify_functional: false,
+        stream_codec: CodecKind::None,
+        ..HwConfig::default()
+    };
+    let p = cfg.partition_size;
+    let tiled = |k: usize| {
+        let mut coo = Coo::new(k * p, k * p);
+        for tile in 0..k * k {
+            let (row0, col0) = (tile / k * p, tile % k * p);
+            for i in 0..4 {
+                coo.push(row0 + i, col0 + (5 * i) % p, 1.0 + i as f32)
+                    .unwrap();
+            }
+        }
+        coo
+    };
+    let (small, large) = (tiled(10), tiled(100));
+    let mut session = Session::new(cfg).unwrap();
+    session.measure(&small).unwrap();
+    session.measure(&large).unwrap();
+    let (small_allocs, small_stats) = count_allocs(|| session.measure(&small).unwrap());
+    let (large_allocs, large_stats) = count_allocs(|| session.measure(&large).unwrap());
+    assert_eq!((small_stats.tiles(), large_stats.tiles()), (100, 10_000));
+    assert_eq!(
+        (small_stats.classes().len(), large_stats.classes().len()),
+        (1, 1)
+    );
+    assert_eq!(
+        small_allocs, large_allocs,
+        "measuring 10,000 tiles allocated {large_allocs} time(s), 100 tiles {small_allocs}"
+    );
 }

@@ -87,30 +87,39 @@ fn structural_tile_strategy() -> impl Strategy<Value = (usize, TileShape, Coo<f3
 /// Strategy: a matrix of a few tiles at one of the paper's partition sizes
 /// or at p = 10, over a shape `p` need not divide, with a few entries
 /// pushed a second time — doubled, or negated so the pair cancels — so a
-/// grid mixes tiles [`TileStats::measure`] accepts with tiles it declines.
+/// grid mixes tiles [`TileStats::measure`] accepts with tiles it declines,
+/// plus a few explicit zeros (which tiling drops), in row-major or
+/// reversed input order.
 fn structural_grid_strategy() -> impl Strategy<Value = (usize, Coo<f32>)> {
     prop_oneof![Just(8usize), Just(10), Just(16), Just(32)].prop_flat_map(|p| {
         let dim = p..=2 * p + 5;
         (dim.clone(), dim).prop_flat_map(move |(nrows, ncols)| {
             let cells = nrows * ncols;
-            let repeats = (0..cells, prop_oneof![Just(false), Just(true)]);
+            let extras = (0..cells, 0..3u8);
             (
                 proptest::collection::btree_map(
                     0..cells,
                     prop_oneof![-9i32..0, 1i32..=9],
                     1..=cells.min(90),
                 ),
-                proptest::collection::vec(repeats, 0..=3),
+                proptest::collection::vec(extras, 0..=4),
+                prop_oneof![Just(false), Just(true)],
             )
-                .prop_map(move |(map, repeats)| {
+                .prop_map(move |(map, extras, reversed)| {
                     let mut triplets: Vec<Triplet<f32>> = map
                         .into_iter()
                         .map(|(cell, v)| Triplet::new(cell / ncols, cell % ncols, v as f32))
                         .collect();
-                    for (pick, cancel) in repeats {
+                    for (pick, kind) in extras {
                         let t = triplets[pick % triplets.len()];
-                        let val = if cancel { -t.val } else { 0.5 };
-                        triplets.push(Triplet { val, ..t });
+                        triplets.push(match kind {
+                            0 => Triplet { val: 0.5, ..t },
+                            1 => Triplet { val: -t.val, ..t },
+                            _ => Triplet::new(pick / ncols, pick % ncols, 0.0),
+                        });
+                    }
+                    if reversed {
+                        triplets.reverse();
                     }
                     (
                         p,
@@ -332,9 +341,10 @@ proptest! {
 
     #[test]
     fn measured_grids_equal_the_walked_oracle((p, m) in structural_grid_strategy()) {
-        // One measurement prices every format on every backend, plain or
-        // in lanes, at any tile worker count, exactly as a verifying run
-        // (always walked) does: same outcome, same trace events.
+        // One measurement, taken straight from the matrix, prices every
+        // format on every backend, plain or in lanes, at any tile worker
+        // count, exactly as a verifying run over the built grid (always
+        // walked) does: same outcome, same trace events.
         let grid = PartitionGrid::new(&m, p).unwrap();
         for backend in BackendKind::ALL {
             let verified = HwConfig {
@@ -347,7 +357,7 @@ proptest! {
                 ..verified
             })
             .unwrap();
-            let stats = session.measure(&grid).unwrap();
+            let stats = session.measure(&m).unwrap();
             prop_assert_eq!(stats.tiles(), grid.nonzero_tiles());
             for kind in FormatKind::CHARACTERIZED {
                 for lanes in [None, Some(3)] {
@@ -361,7 +371,7 @@ proptest! {
                         .unwrap();
                     for jobs in [1, 2] {
                         let mut events = RecordingSink::new();
-                        let request = RunRequest::measured(&grid, &stats, kind)
+                        let request = RunRequest::measured(&stats, kind)
                             .with_sink(&mut events)
                             .par_tiles(jobs);
                         let got = session
@@ -373,6 +383,15 @@ proptest! {
                         let case = format!("{kind} on {backend} at p={p}, lanes {lanes:?}, {jobs} jobs");
                         prop_assert_eq!(&got, &want, "{}", case);
                         prop_assert_eq!(&events.events, &want_events.events, "{}", case);
+                        // Untraced, a plain run adds each class at once.
+                        let request = RunRequest::measured(&stats, kind).par_tiles(jobs);
+                        let untraced = session
+                            .run(match lanes {
+                                Some(n) => request.with_lanes(n),
+                                None => request,
+                            })
+                            .unwrap();
+                        prop_assert_eq!(&untraced, &want, "untraced {}", case);
                     }
                 }
             }
@@ -386,5 +405,40 @@ proptest! {
         let d = decompress(&EncodedPartition::encode(&tile, FormatKind::Bcsr, &cfg).unwrap(), &cfg);
         prop_assert_eq!(d.dot_issues, (bcsr.nonzero_block_rows() * 4) as u64);
         prop_assert!(d.dot_issues >= tile.nonzero_rows() as u64);
+    }
+}
+
+#[test]
+fn measuring_a_huge_sparse_matrix_costs_its_entries_not_its_dimensions() {
+    // 2^40 × 2^40 with three entries: the grid has 2^74 cells, so anything
+    // sized by the dimensions would not fit in memory.
+    let n = 1usize << 40;
+    let mut m = Coo::new(n, n);
+    m.push(n - 1, 3, 1.0).unwrap();
+    m.push(5, n - 2, 2.0).unwrap();
+    m.push(6, 0, 3.0).unwrap();
+    let grid = PartitionGrid::new(&m, 8).unwrap();
+    let cfg = HwConfig::with_partition_size(8);
+    let mut oracle = Session::new(cfg.clone()).unwrap();
+    let mut session = Session::new(HwConfig {
+        verify_functional: false,
+        ..cfg
+    })
+    .unwrap();
+    let stats = session.measure(&m).unwrap();
+    assert_eq!((stats.tiles(), stats.declined()), (3, 0));
+    for kind in FormatKind::CHARACTERIZED {
+        let mut want_events = RecordingSink::new();
+        let want = oracle
+            .run(RunRequest::grid(&grid, kind).with_sink(&mut want_events))
+            .unwrap();
+        let mut events = RecordingSink::new();
+        let got = session
+            .run(RunRequest::measured(&stats, kind).with_sink(&mut events))
+            .unwrap();
+        assert_eq!(got, want, "{kind}");
+        assert_eq!(events.events, want_events.events, "{kind}");
+        let untraced = session.run(RunRequest::measured(&stats, kind)).unwrap();
+        assert_eq!(untraced, want, "untraced {kind}");
     }
 }

@@ -93,7 +93,7 @@ impl<T: Scalar> Coo<T> {
     }
 
     /// Iterates over the stored triplets in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Triplet<T>> {
+    pub fn iter(&self) -> impl Iterator<Item = &Triplet<T>> + Clone {
         self.entries.iter()
     }
 

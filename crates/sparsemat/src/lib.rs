@@ -72,7 +72,7 @@ pub use dia::Dia;
 pub use ell::Ell;
 pub use error::SparseError;
 pub use lil::{Axis, Lil};
-pub use partition::{Partition, PartitionGrid, PartitionStats};
+pub use partition::{check_partition_size, tile_runs, Partition, PartitionGrid, PartitionStats};
 pub use scalar::Scalar;
 pub use triplet::Triplet;
 

@@ -29,6 +29,23 @@ pub struct Partition<T> {
 }
 
 impl<T: Scalar> Partition<T> {
+    /// The tile at `(grid_row, grid_col)` of a `size × size` tiling, built
+    /// from one run [`tile_runs`] yields: its entries shifted to
+    /// tile-local coordinates, in run order.
+    pub fn from_run(grid_row: usize, grid_col: usize, entries: &[Triplet<T>], size: usize) -> Self {
+        let (row0, col0) = (grid_row * size, grid_col * size);
+        let mut coo = Coo::with_capacity(size, size, entries.len());
+        for t in entries {
+            coo.push(t.row - row0, t.col - col0, t.val)
+                .expect("a tile run's entries lie inside its tile");
+        }
+        Partition {
+            grid_row,
+            grid_col,
+            coo,
+        }
+    }
+
     /// Number of non-zero entries in the tile.
     pub fn nnz(&self) -> usize {
         self.coo.nnz()
@@ -78,46 +95,11 @@ impl<T: Scalar> PartitionGrid<T> {
         mut triplets: Vec<Triplet<T>>,
         size: usize,
     ) -> Result<Self, SparseError> {
-        if size == 0 {
-            return Err(SparseError::InvalidBlockSize {
-                size: 0,
-                requirement: "partition size must be positive",
-            });
-        }
-        if let Some(t) = triplets.iter().find(|t| t.row >= nrows || t.col >= ncols) {
-            return Err(SparseError::IndexOutOfBounds {
-                index: (t.row, t.col),
-                shape: (nrows, ncols),
-            });
-        }
-        // Explicit zeros are not entries (`Coo::push` drops them too), so a
-        // tile holding only zeros is never formed.
-        triplets.retain(|t| !t.val.is_zero());
-        // A stable sort by tile groups each tile's entries in input order,
-        // tiles in row-major grid order. Each tile's buffer is then
-        // allocated once at its exact size, in the order tiles are later
-        // walked, which keeps per-tile passes over the grid cache-friendly.
-        // A shift in place of a division at the paper's power-of-two
-        // sizes: the sort maps every index once per pass.
-        let (pow2, shift) = (size.is_power_of_two(), size.trailing_zeros());
-        let tile = move |i: usize| if pow2 { i >> shift } else { i / size };
-        sort_by_tile(&mut triplets, tile);
-        let partitions = triplets
-            .chunk_by(|a, b| (tile(a.row), tile(a.col)) == (tile(b.row), tile(b.col)))
-            .map(|entries| {
-                let (grid_row, grid_col) = (tile(entries[0].row), tile(entries[0].col));
-                let (row0, col0) = (grid_row * size, grid_col * size);
-                let mut coo = Coo::with_capacity(size, size, entries.len());
-                for t in entries {
-                    coo.push(t.row - row0, t.col - col0, t.val)?;
-                }
-                Ok(Partition {
-                    grid_row,
-                    grid_col,
-                    coo,
-                })
+        let partitions = tile_runs(nrows, ncols, &mut triplets, size)?
+            .map(|(grid_row, grid_col, entries)| {
+                Partition::from_run(grid_row, grid_col, entries, size)
             })
-            .collect::<Result<_, SparseError>>()?;
+            .collect();
         Ok(PartitionGrid {
             nrows,
             ncols,
@@ -188,52 +170,133 @@ impl<T: Scalar> PartitionGrid<T> {
     }
 }
 
+/// Tiles a triplet list into `size × size` partitions: checks every
+/// triplet against the shape, drops explicit zeros (`Coo::push` drops them
+/// too, so a tile holding only zeros is never formed), sorts `triplets` in
+/// place by tile and yields one `(grid_row, grid_col, entries)` run per
+/// non-zero tile, in row-major grid order. Entries keep matrix coordinates
+/// and, within a run, their input order.
+///
+/// This is the one tiling step: [`PartitionGrid::from_triplets`] builds a
+/// [`Partition`] from each run, and a caller that only reads the tiles can
+/// walk the runs in place. Scratch beyond `triplets` is one triplet buffer
+/// and `2^11` counters, whatever the matrix's dimensions.
+///
+/// # Errors
+///
+/// Returns [`SparseError::InvalidBlockSize`] when `size == 0`, or
+/// [`SparseError::IndexOutOfBounds`] for the first stray triplet in input
+/// order.
+pub fn tile_runs<T: Scalar>(
+    nrows: usize,
+    ncols: usize,
+    triplets: &mut Vec<Triplet<T>>,
+    size: usize,
+) -> Result<impl Iterator<Item = (usize, usize, &[Triplet<T>])>, SparseError> {
+    check_partition_size(size)?;
+    // A stable sort by tile groups each tile's entries in input order,
+    // tiles in row-major grid order, so the runs are walked nearly in
+    // address order. A shift in place of a division at the paper's
+    // power-of-two sizes: the sort maps every index once per pass.
+    let (pow2, shift) = (size.is_power_of_two(), size.trailing_zeros());
+    let tile = move |i: usize| if pow2 { i >> shift } else { i / size };
+    sort_by_tile(triplets, (nrows, ncols), tile)?;
+    Ok(triplets
+        .chunk_by(move |a, b| (tile(a.row), tile(a.col)) == (tile(b.row), tile(b.col)))
+        .map(move |run| (tile(run[0].row), tile(run[0].col), run)))
+}
+
+/// Checks a partition size: the tiling needs `size > 0`.
+///
+/// # Errors
+///
+/// Returns [`SparseError::InvalidBlockSize`] when `size == 0`.
+pub fn check_partition_size(size: usize) -> Result<(), SparseError> {
+    if size == 0 {
+        return Err(SparseError::InvalidBlockSize {
+            size: 0,
+            requirement: "partition size must be positive",
+        });
+    }
+    Ok(())
+}
+
 /// Bits of a tile index one counting pass of [`sort_by_tile`] sorts on.
 const RADIX_BITS: u32 = 11;
 
-/// Stably sorts `triplets` into row-major tile order, `tile` mapping a
-/// matrix index to its tile index: an LSD radix sort on the tile column,
-/// then the tile row, [`RADIX_BITS`] per pass. Only the passes the largest
-/// tile row and column present need are run, and a pass that leaves every
-/// entry in one bucket is skipped. Scratch is one triplet buffer plus
-/// `2^RADIX_BITS` counters, whatever the matrix's dimensions.
-fn sort_by_tile<T: Copy>(triplets: &mut Vec<Triplet<T>>, tile: impl Fn(usize) -> usize) {
-    const MASK: usize = (1 << RADIX_BITS) - 1;
-    let (max_row, max_col) = triplets
-        .iter()
-        .fold((0, 0), |(r, c), t| (r.max(t.row), c.max(t.col)));
-    let passes = |max: usize| (usize::BITS - tile(max).leading_zeros()).div_ceil(RADIX_BITS);
-    let digits = (0..passes(max_col))
+/// Stably sorts `triplets` into row-major tile order and drops explicit
+/// zeros, `tile` mapping a matrix index to its tile index: an LSD radix
+/// sort on the tile column, then the tile row, [`RADIX_BITS`] per pass,
+/// with as many passes as the grid's last tile column and row need (at
+/// most six per axis). One read pass checks every triplet against `shape`,
+/// in input order, and counts the digits of every pass; a pass that leaves
+/// every entry in one bucket is then skipped, and the first pass that
+/// moves entries drops the zeros on the way. Scratch is one triplet buffer
+/// plus `2^RADIX_BITS` counters per pass, whatever the matrix's
+/// dimensions.
+///
+/// # Errors
+///
+/// [`SparseError::IndexOutOfBounds`] for the first stray triplet, with
+/// `triplets` untouched.
+fn sort_by_tile<T: Scalar>(
+    triplets: &mut Vec<Triplet<T>>,
+    (nrows, ncols): (usize, usize),
+    tile: impl Fn(usize) -> usize,
+) -> Result<(), SparseError> {
+    const BUCKETS: usize = 1 << RADIX_BITS;
+    let passes =
+        |n: usize| (usize::BITS - tile(n.saturating_sub(1)).leading_zeros()).div_ceil(RADIX_BITS);
+    let digits: Vec<(bool, u32)> = (0..passes(ncols))
         .map(|pass| (false, pass * RADIX_BITS))
-        .chain((0..passes(max_row)).map(|pass| (true, pass * RADIX_BITS)));
-    let mut offsets = vec![0usize; MASK + 1];
-    let mut buf = Vec::new();
-    for (by_row, shift) in digits {
-        let digit = |t: &Triplet<T>| (tile(if by_row { t.row } else { t.col }) >> shift) & MASK;
-        offsets.fill(0);
-        for t in triplets.iter() {
-            offsets[digit(t)] += 1;
+        .chain((0..passes(nrows)).map(|pass| (true, pass * RADIX_BITS)))
+        .collect();
+    let digit = |t: &Triplet<T>, (by_row, shift): (bool, u32)| {
+        (tile(if by_row { t.row } else { t.col }) >> shift) & (BUCKETS - 1)
+    };
+    let mut counts = vec![0usize; digits.len() * BUCKETS];
+    let (mut kept, mut zeros) = (0, false);
+    for t in triplets.iter() {
+        if t.row >= nrows || t.col >= ncols {
+            return Err(SparseError::IndexOutOfBounds {
+                index: (t.row, t.col),
+                shape: (nrows, ncols),
+            });
         }
-        if triplets
-            .first()
-            .is_none_or(|t| offsets[digit(t)] == triplets.len())
-        {
+        if t.val.is_zero() {
+            zeros = true;
+            continue;
+        }
+        kept += 1;
+        for (offsets, &d) in counts.chunks_exact_mut(BUCKETS).zip(&digits) {
+            offsets[digit(t, d)] += 1;
+        }
+    }
+    let mut buf = Vec::new();
+    for (offsets, &d) in counts.chunks_exact_mut(BUCKETS).zip(&digits) {
+        if offsets.contains(&kept) {
             continue;
         }
         let mut start = 0;
-        for slot in &mut offsets {
+        for slot in offsets.iter_mut() {
             (*slot, start) = (start, start + *slot);
         }
-        if buf.len() != triplets.len() {
-            buf.clone_from(triplets);
+        if buf.len() != kept {
+            buf.clear();
+            buf.resize(kept, triplets[0]);
         }
-        for t in triplets.iter() {
-            let slot = &mut offsets[digit(t)];
+        for t in triplets.iter().filter(|t| !zeros || !t.val.is_zero()) {
+            let slot = &mut offsets[digit(t, d)];
             buf[*slot] = *t;
             *slot += 1;
         }
         std::mem::swap(triplets, &mut buf);
+        zeros = false;
     }
+    if zeros {
+        triplets.retain(|t| !t.val.is_zero());
+    }
+    Ok(())
 }
 
 /// The per-partition density and locality statistics of Fig. 3.

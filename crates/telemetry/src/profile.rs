@@ -28,6 +28,9 @@ use crate::locks::lock_clean;
 /// The harness phases the profiler attributes wall time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
+    /// Tiling a matrix: the bounds check, zero drop and tile sort of
+    /// `sparsemat::tile_runs`, plus, for a built grid, its partitions.
+    Partition,
     /// Building the per-tile compressed representation, or — for tiles
     /// priced from their structure (no verification, codec or SpMV) — the
     /// one structural pass that replaces encode and decompress.
@@ -48,7 +51,8 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in display order.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 7] = [
+        Phase::Partition,
         Phase::Encode,
         Phase::Decompress,
         Phase::Compute,
@@ -60,6 +64,7 @@ impl Phase {
     /// The stable snake_case name used in `profile.json` and reports.
     pub fn label(self) -> &'static str {
         match self {
+            Phase::Partition => "partition",
             Phase::Encode => "encode",
             Phase::Decompress => "decompress",
             Phase::Compute => "compute",
@@ -71,12 +76,13 @@ impl Phase {
 
     fn index(self) -> usize {
         match self {
-            Phase::Encode => 0,
-            Phase::Decompress => 1,
-            Phase::Compute => 2,
-            Phase::Verify => 3,
-            Phase::CacheLookup => 4,
-            Phase::QueueWait => 5,
+            Phase::Partition => 0,
+            Phase::Encode => 1,
+            Phase::Decompress => 2,
+            Phase::Compute => 3,
+            Phase::Verify => 4,
+            Phase::CacheLookup => 5,
+            Phase::QueueWait => 6,
         }
     }
 }
@@ -97,7 +103,7 @@ pub struct WorkerStats {
 /// profiler must never feed the deterministic metrics registry.
 #[derive(Debug)]
 pub struct PhaseProfiler {
-    phases: Mutex<[Histogram; 6]>,
+    phases: Mutex<[Histogram; Phase::ALL.len()]>,
     workers: Mutex<Vec<WorkerStats>>,
     /// Campaign wall seconds (coordinator-measured), summed over campaigns.
     wall: Mutex<f64>,
@@ -280,7 +286,7 @@ impl Drop for PhaseScope<'_> {
 pub struct PhaseAcc {
     enabled: bool,
     last: Option<Instant>,
-    totals: [f64; 6],
+    totals: [f64; Phase::ALL.len()],
 }
 
 impl PhaseAcc {
@@ -289,7 +295,7 @@ impl PhaseAcc {
         PhaseAcc {
             enabled,
             last: None,
-            totals: [0.0; 6],
+            totals: [0.0; Phase::ALL.len()],
         }
     }
 
