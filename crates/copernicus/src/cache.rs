@@ -6,9 +6,10 @@
 //! figures re-visit the same suite matrices up to ten times).
 //!
 //! A tiling entry ([`CachedGrid`]) holds its matrix and builds the
-//! [`PartitionGrid`] only on first use by a run that walks tiles. A unit
-//! that prices from structure measures the matrix instead
-//! ([`CachedGrid::measure`]) and never builds one.
+//! [`PartitionGrid`] only on first use by a run that walks tiles, keeping
+//! it for later units when it fits [`MAX_ENTRY_BYTES`]. A unit that prices
+//! from structure measures the matrix instead ([`CachedGrid::measure`])
+//! and never builds one.
 //!
 //! # Determinism
 //!
@@ -34,25 +35,21 @@
 //!
 //! Entries larger than [`MAX_ENTRY_BYTES`] are never admitted (they are
 //! rebuilt per lookup, exactly the pre-cache behavior, and each rebuild
-//! counts as a miss). A tiling entry is sized by the grid it would build,
-//! built or not, so admission does not depend on which runs walked it.
-//! That size needs the tile count: when the matrix alone does not settle
-//! it, the entry is admitted provisionally, and once a measure or a build
-//! has counted its tiles an oversized entry is dropped — by the next
-//! lookup, which then counts the miss, or by the end-of-campaign prune.
-//! The resident total (matrices plus the grids actually built) is pruned
-//! back to [`BUDGET_BYTES`] at the end of every campaign — on the
-//! coordinator thread, in descending key order (grids before matrices), so
-//! eviction is deterministic and never perturbs an in-flight unit.
+//! counts as a miss). A tiling entry is sized by what it holds: its
+//! matrix, which decides admission (the matrix layer's own cap), and the
+//! grid once built. A built grid over the cap is handed to the unit that
+//! built it and not kept, so each unit that walks it builds it again. The
+//! resident total — matrices, plus the grids kept (an entry's matrix is
+//! the matrix layer's) — is pruned back to [`BUDGET_BYTES`] at the end of
+//! every campaign — on the coordinator thread, in descending key order
+//! (grids before matrices), so eviction is deterministic and never
+//! perturbs an in-flight unit.
 
 use crate::campaign::lock_clean;
 use copernicus_hls::{GridStats, PlatformError, Session};
 use copernicus_telemetry::{MetricsRegistry, Phase, PhaseProfiler};
 use copernicus_workloads::Workload;
-use sparsemat::{
-    check_partition_size, tile_runs, Coo, Matrix, Partition, PartitionGrid, Scalar, SparseError,
-    Triplet,
-};
+use sparsemat::{check_partition_size, Coo, Matrix, PartitionGrid, SparseError, Triplet};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,27 +73,18 @@ pub struct CachedGrid {
     pub density: f64,
     matrix: Arc<Coo<f32>>,
     p: usize,
-    /// Entries that reach a tile: the matrix's, less explicit zeros.
-    nnz: usize,
-    /// Non-zero tiles, once a measure or a build has counted them.
-    tiles: OnceLock<usize>,
-    grid: OnceLock<PartitionGrid<f32>>,
+    /// The tiling, once built, when it fits [`MAX_ENTRY_BYTES`].
+    grid: OnceLock<Arc<PartitionGrid<f32>>>,
 }
 
 impl CachedGrid {
-    fn new(matrix: Arc<Coo<f32>>, p: usize, tiles: Option<usize>) -> Self {
-        let entry = CachedGrid {
+    fn new(matrix: Arc<Coo<f32>>, p: usize) -> Self {
+        CachedGrid {
             density: matrix.density(),
-            nnz: matrix.iter().filter(|t| !t.val.is_zero()).count(),
             matrix,
             p,
-            tiles: OnceLock::new(),
             grid: OnceLock::new(),
-        };
-        if let Some(tiles) = tiles {
-            entry.tiles.get_or_init(|| tiles);
         }
-        entry
     }
 
     /// The generated matrix.
@@ -105,7 +93,8 @@ impl CachedGrid {
     }
 
     /// The tiling, built on first use (the build lapped as
-    /// [`Phase::Partition`] into `profiler`) and shared from then on.
+    /// [`Phase::Partition`] into `profiler`) and kept for later callers
+    /// when it fits [`MAX_ENTRY_BYTES`]; a larger one is built per call.
     ///
     /// # Errors
     ///
@@ -113,20 +102,21 @@ impl CachedGrid {
     pub fn grid(
         &self,
         profiler: Option<&PhaseProfiler>,
-    ) -> Result<&PartitionGrid<f32>, SparseError> {
+    ) -> Result<Arc<PartitionGrid<f32>>, SparseError> {
         if let Some(grid) = self.grid.get() {
-            return Ok(grid);
+            return Ok(Arc::clone(grid));
         }
         let built = {
             let _lap = profiler.map(|p| p.scope(Phase::Partition));
-            PartitionGrid::new(&*self.matrix, self.p)?
+            Arc::new(PartitionGrid::new(&*self.matrix, self.p)?)
         };
-        self.tiles.get_or_init(|| built.nonzero_tiles());
-        Ok(self.grid.get_or_init(|| built))
+        if grid_bytes(&built) > MAX_ENTRY_BYTES {
+            return Ok(built);
+        }
+        Ok(Arc::clone(self.grid.get_or_init(|| built)))
     }
 
-    /// Measures the matrix's tiles on `session` without building the grid,
-    /// and records the tile count the entry's size needs.
+    /// Measures the matrix's tiles on `session` without building the grid.
     ///
     /// # Errors
     ///
@@ -140,58 +130,12 @@ impl CachedGrid {
                 self.p
             )));
         }
-        let stats = session.measure(&self.matrix)?;
-        self.tiles.get_or_init(|| stats.tiles());
-        Ok(stats)
+        session.measure(&self.matrix)
     }
 
-    /// Bytes the built grid takes, or would take, with `tiles` non-zero
-    /// tiles: header + per-partition headers + every tile's triplets.
-    fn grid_bytes(&self, tiles: usize) -> u64 {
-        (std::mem::size_of::<PartitionGrid<f32>>()
-            + tiles * std::mem::size_of::<Partition<f32>>()
-            + self.nnz * std::mem::size_of::<Triplet<f32>>()) as u64
-    }
-
-    /// Whether the grid, built or not, fits [`MAX_ENTRY_BYTES`]; `None`
-    /// while that depends on a tile count nothing has counted yet. The
-    /// count lies between one tile per entry and one per grid cell.
-    fn fits(&self) -> Option<bool> {
-        let (nrows, ncols) = (self.matrix.nrows(), self.matrix.ncols());
-        let cells = nrows
-            .div_ceil(self.p)
-            .saturating_mul(ncols.div_ceil(self.p));
-        if self.grid_bytes(self.nnz.min(1)) > MAX_ENTRY_BYTES {
-            return Some(false);
-        }
-        if self.grid_bytes(self.nnz.min(cells)) <= MAX_ENTRY_BYTES {
-            return Some(true);
-        }
-        self.tiles
-            .get()
-            .map(|&tiles| self.grid_bytes(tiles) <= MAX_ENTRY_BYTES)
-    }
-
-    /// [`fits`](CachedGrid::fits), counting the tiles when nothing has (a
-    /// unit whose cells were all memoized neither measures nor builds).
-    fn fits_counted(&self) -> bool {
-        self.fits().unwrap_or_else(|| {
-            let mut triplets = self.matrix.triplets();
-            let (nrows, ncols) = (self.matrix.nrows(), self.matrix.ncols());
-            let tiles = tile_runs(nrows, ncols, &mut triplets, self.p)
-                .map(|runs| *self.tiles.get_or_init(|| runs.count()));
-            // A failed tiling fails a build as well, which is never cached.
-            tiles.is_ok_and(|tiles| self.grid_bytes(tiles) <= MAX_ENTRY_BYTES)
-        })
-    }
-
-    /// Resident bytes: the grid if built. The matrix is the matrix layer's.
+    /// Resident bytes: the grid if kept. The matrix is the matrix layer's.
     fn resident_bytes(&self) -> u64 {
-        let grid = self
-            .grid
-            .get()
-            .map_or(0, |g| self.grid_bytes(g.nonzero_tiles()));
-        std::mem::size_of::<CachedGrid>() as u64 + grid
+        std::mem::size_of::<CachedGrid>() as u64 + self.grid.get().map_or(0, |g| grid_bytes(g))
     }
 }
 
@@ -295,7 +239,8 @@ impl WorkloadCache {
     /// matrix density), shared when cached. A miss pulls the matrix through
     /// [`matrix`](WorkloadCache::matrix) — so one unit's generation feeds
     /// every other partition size of the same workload — and builds no
-    /// grid: [`CachedGrid::grid`] does, on first use.
+    /// grid: [`CachedGrid::grid`] does, on first use. The entry is admitted
+    /// when its matrix fits [`MAX_ENTRY_BYTES`].
     ///
     /// # Errors
     ///
@@ -343,22 +288,14 @@ impl WorkloadCache {
             }
         };
         let key = format!("{}|p={p}", workload.cache_key(max_dim, seed));
-        let cached = lock_clean(&self.grids).get(&key).cloned();
-        let mut tiles = None;
-        if let Some(entry) = cached {
-            if entry.fits_counted() {
-                count(&self.grid_hits);
-                return Ok(entry);
-            }
-            // Admitted before its tiles were counted, and too large since:
-            // this lookup is the miss an unadmitted entry always was.
-            lock_clean(&self.grids).remove(&key);
-            tiles = entry.tiles.get().copied();
+        if let Some(g) = lock_clean(&self.grids).get(&key) {
+            count(&self.grid_hits);
+            return Ok(Arc::clone(g));
         }
         let matrix = self.matrix_impl(workload, max_dim, seed, counted);
         check_partition_size(p)?;
-        let built = Arc::new(CachedGrid::new(matrix, p, tiles));
-        if built.fits() == Some(false) {
+        let built = Arc::new(CachedGrid::new(matrix, p));
+        if coo_bytes(&built.matrix) > MAX_ENTRY_BYTES {
             count(&self.grid_misses);
             return Ok(built);
         }
@@ -390,15 +327,11 @@ impl WorkloadCache {
         }
     }
 
-    /// Drops the tiling entries found too large since their admission,
-    /// then evicts entries — grids first, each layer in descending key
-    /// order — until the resident estimate fits [`BUDGET_BYTES`]. Called by
-    /// the runner on the coordinator thread after each campaign, so
-    /// eviction order (and therefore every later hit/miss) is
-    /// deterministic.
+    /// Evicts entries — grids first, each layer in descending key order —
+    /// until the resident estimate fits [`BUDGET_BYTES`]. Called by the
+    /// runner on the coordinator thread after each campaign, so eviction
+    /// order (and therefore every later hit/miss) is deterministic.
     pub fn prune(&self) {
-        // Not evictions: such an entry was never meant to be admitted.
-        lock_clean(&self.grids).retain(|_, g| g.fits() != Some(false));
         let (_, _, mut resident) = self.occupancy();
         if resident <= BUDGET_BYTES {
             return;
@@ -468,6 +401,14 @@ impl WorkloadCache {
 /// Resident-size estimate of a COO matrix: header + triplet storage.
 fn coo_bytes(m: &Coo<f32>) -> u64 {
     (std::mem::size_of::<Coo<f32>>() + m.nnz() * std::mem::size_of::<Triplet<f32>>()) as u64
+}
+
+/// Resident-size estimate of a tiling: header + per-partition headers +
+/// every tile's triplet storage.
+fn grid_bytes(grid: &PartitionGrid<f32>) -> u64 {
+    (std::mem::size_of::<PartitionGrid<f32>>()
+        + std::mem::size_of_val(grid.partitions())
+        + grid.nnz() * std::mem::size_of::<Triplet<f32>>()) as u64
 }
 
 #[cfg(test)]
@@ -581,20 +522,19 @@ mod tests {
     }
 
     #[test]
-    fn measuring_builds_no_grid_and_counts_the_tiles() {
+    fn measuring_builds_no_grid() {
         let cache = WorkloadCache::new();
         let entry = cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
         let unbuilt = cache.stats().resident_bytes;
         let stats = entry.measure(&mut structural(16)).unwrap();
-        assert_eq!(entry.tiles.get(), Some(&stats.tiles()));
         assert!(entry.grid.get().is_none());
         assert_eq!(cache.stats().resident_bytes, unbuilt);
         // A walking run builds the grid once; only then is it resident.
         let grid = entry.grid(None).unwrap();
         assert_eq!(grid.nonzero_tiles(), stats.tiles());
-        assert!(std::ptr::eq(grid, entry.grid(None).unwrap()));
+        assert!(Arc::ptr_eq(&grid, &entry.grid(None).unwrap()));
         assert!(cache.stats().resident_bytes > unbuilt);
-        // A session at another p would count another tiling's tiles.
+        // A session at another p would measure another tiling.
         assert!(matches!(
             entry.measure(&mut structural(8)),
             Err(PlatformError::Config(_))
@@ -602,34 +542,23 @@ mod tests {
     }
 
     #[test]
-    fn a_tiling_found_too_large_counts_as_the_unadmitted_entry_it_is() {
+    fn a_grid_over_the_entry_cap_is_built_per_use_and_never_kept() {
         // 640,000 entries (15 MB of triplets) in 474,079 tiles at p = 8:
-        // 42 MB as a grid, over the entry cap, which only the tile count
-        // shows.
+        // 42 MB as a grid, over the entry cap. The entry, sized by its
+        // matrix, is admitted; its grid is not.
         let big = w(8000, 0.01);
         let cache = WorkloadCache::new();
         let entry = cache.grid(&big, 8, 0, 42).unwrap();
-        assert_eq!(entry.fits(), None);
-        assert_eq!(cache.stats().grids, 1);
-        // The next lookup counts the tiles itself, drops the entry and
-        // counts a miss after a matrix lookup, as for any unadmitted entry.
-        let again = cache.grid(&big, 8, 0, 42).unwrap();
-        assert_eq!(again.fits(), Some(false));
+        let unbuilt = cache.stats().resident_bytes;
+        let grid = entry.grid(None).unwrap();
+        assert!(grid_bytes(&grid) > MAX_ENTRY_BYTES);
+        assert!(entry.grid.get().is_none());
+        assert!(!Arc::ptr_eq(&grid, &entry.grid(None).unwrap()));
+        assert_eq!(cache.stats().resident_bytes, unbuilt);
+        // The next lookup is a hit on the admitted entry.
+        assert!(Arc::ptr_eq(&entry, &cache.grid(&big, 8, 0, 42).unwrap()));
         let s = cache.stats();
-        assert_eq!((s.grid_misses, s.grid_hits, s.grids), (2, 0, 0));
-        assert_eq!((s.matrix_misses, s.matrix_hits), (1, 1));
-        // Measured, the count is known, and the prune drops such an entry
-        // without counting an eviction.
-        let entry = cache.grid(&big, 8, 0, 42).unwrap();
-        assert_eq!(cache.stats().grids, 1);
-        entry.measure(&mut structural(8)).unwrap();
-        assert_eq!(entry.fits(), Some(false));
-        cache.prune();
-        let s = cache.stats();
-        assert_eq!(
-            (s.grid_misses, s.grid_hits, s.grids, s.evictions),
-            (3, 0, 0, 0)
-        );
+        assert_eq!((s.grid_misses, s.grid_hits, s.grids), (1, 1, 1));
     }
 
     #[test]

@@ -90,7 +90,7 @@ use copernicus_telemetry::{
     TraceSink, WorkerStats,
 };
 use copernicus_workloads::Workload;
-use sparsemat::FormatKind;
+use sparsemat::{FormatKind, PartitionGrid};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufWriter, Write};
@@ -565,14 +565,6 @@ impl CampaignRunner {
                     retries: attempt,
                 });
             }
-            // Each attempt gets a fresh deadline: a retried timeout starts
-            // its clock over, chained under the campaign token so a drain
-            // cancels the attempt mid-run.
-            let attempt_cancel = match (&self.policy.cancel, self.policy.cell_timeout) {
-                (None, None) => None,
-                (Some(parent), timeout) => Some(parent.child(timeout)),
-                (None, Some(timeout)) => Some(CancelToken::new().child(Some(timeout))),
-            };
             let mark = sink.events.len();
             let injected = self.policy.faults.as_ref().and_then(|plan| plan.fire(cell));
             let attempt_result =
@@ -601,21 +593,21 @@ impl CampaignRunner {
                         session.set_tile_jobs(tile_jobs);
                         // A unit that prices from structure measures the
                         // matrix and never builds the grid.
-                        let stats = if session.config().prices_from_structure() {
-                            Some(entry.measure(&mut session)?)
+                        let input = if session.config().prices_from_structure() {
+                            UnitInput::Measured(entry.measure(&mut session)?)
                         } else {
-                            None
+                            UnitInput::Walked(entry.grid(observers.profiler.as_deref())?)
                         };
                         *prepared = Some(Prepared {
                             entry,
                             session,
-                            stats,
+                            input,
                         });
                     }
                     let Some(Prepared {
                         entry,
                         session,
-                        stats,
+                        input,
                     }) = prepared.as_mut()
                     else {
                         // Unreachable: the branch above just filled it.
@@ -623,14 +615,19 @@ impl CampaignRunner {
                             "unit preparation lost".to_string(),
                         )));
                     };
-                    // (Re)arm this attempt's token — the session outlives
-                    // the attempt, the deadline must not.
-                    session.set_cancel(attempt_cancel.clone());
-                    let request = match stats {
-                        Some(stats) => RunRequest::measured(stats, format),
-                        None => {
-                            RunRequest::grid(entry.grid(observers.profiler.as_deref())?, format)
-                        }
+                    // Each attempt gets a fresh deadline, armed here: after
+                    // the unit's shared preparation, so it bounds this
+                    // cell's run alone. A retried timeout starts its clock
+                    // over, and the token is chained under the campaign's so
+                    // a drain cancels the attempt mid-run.
+                    session.set_cancel(match (&self.policy.cancel, self.policy.cell_timeout) {
+                        (None, None) => None,
+                        (Some(parent), timeout) => Some(parent.child(timeout)),
+                        (None, Some(timeout)) => Some(CancelToken::new().child(Some(timeout))),
+                    });
+                    let request = match input {
+                        UnitInput::Measured(stats) => RunRequest::measured(stats, format),
+                        UnitInput::Walked(grid) => RunRequest::grid(grid, format),
                     };
                     let report = if trace {
                         session.run(request.with_sink(&mut *sink))?.report
@@ -712,9 +709,17 @@ struct Prepared {
     entry: Arc<CachedGrid>,
     /// The session whose scratch buffers the eight format runs reuse.
     session: Session,
-    /// The tiling's structural classes, measured once for all eight runs
-    /// when the session prices from structure.
-    stats: Option<GridStats>,
+    /// What the eight runs read.
+    input: UnitInput,
+}
+
+/// The tiles a unit's runs read, prepared once for all of them.
+enum UnitInput {
+    /// The matrix's structural classes, when the session prices from
+    /// structure.
+    Measured(GridStats),
+    /// The built tiling, for runs that walk tiles.
+    Walked(Arc<PartitionGrid<f32>>),
 }
 
 /// What a single computation attempt can fail with (before classification).
@@ -1271,6 +1276,39 @@ mod tests {
             .characterize(&w, &f, &p, &cfg)
             .expect("generous deadline never fires");
         assert_eq!(ms, reference(&w, &f, &p, &cfg));
+    }
+
+    #[test]
+    fn cell_deadlines_start_after_the_unit_is_prepared() {
+        // Measuring this band (518,944 entries: a copy, a tile sort and a
+        // pass over every entry) takes a few times the deadline in a debug
+        // build, each of its runs (748 tiles priced from 2 classes) well
+        // under a hundredth of it. The preparation is the unit's, shared by its
+        // cells, so it must not count against the first cell's deadline:
+        // with no retries, no cell may time out.
+        let w = [Workload::Band { n: 8000, width: 64 }];
+        let f = [FormatKind::Csr, FormatKind::Coo];
+        let cfg = ExperimentConfig {
+            hw: copernicus_hls::HwConfig {
+                verify_functional: false,
+                ..copernicus_hls::HwConfig::default()
+            },
+            ..ExperimentConfig::quick()
+        };
+        let deadline = std::time::Duration::from_millis(50);
+        let runner = CampaignRunner::sequential().with_policy(
+            CampaignPolicy {
+                max_retries: 0,
+                keep_going: true,
+                ..CampaignPolicy::default()
+            }
+            .with_cell_timeout(deadline),
+        );
+        let outcome = runner
+            .run_campaign(&w, &f, &[32], &cfg, &mut Instruments::none())
+            .expect("keep-going campaigns complete");
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        assert_eq!(outcome.measurements.len(), f.len());
     }
 
     #[test]

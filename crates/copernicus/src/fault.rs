@@ -238,9 +238,12 @@ pub struct CampaignPolicy {
     pub faults: Option<FaultPlan>,
     /// Wall-clock deadline applied to each cell attempt. The runner
     /// derives a child [`CancelToken`](copernicus_telemetry::CancelToken)
-    /// with this timeout per attempt; an expired deadline fails the cell
-    /// with [`FailureKind::Timeout`] (transient — retried like any other
-    /// timeout). `None` disables per-cell deadlines.
+    /// with this timeout per attempt, armed once the unit's tiles are
+    /// prepared (the grid build or the structural measure, shared by the
+    /// unit's cells), so the deadline bounds the cell's own run; an
+    /// expired deadline fails the cell with [`FailureKind::Timeout`]
+    /// (transient — retried like any other timeout). `None` disables
+    /// per-cell deadlines.
     pub cell_timeout: Option<std::time::Duration>,
     /// Campaign-level cancellation (shutdown/drain or a per-request
     /// deadline in the serve daemon). Once cancelled, in-flight cells fail

@@ -183,20 +183,6 @@ impl RunReport {
     }
 }
 
-/// The stage a partition's pipeline interval is bound by.
-fn bottleneck(timing: &PartitionTiming) -> u64 {
-    timing
-        .mem_cycles
-        .max(timing.compute_cycles)
-        .max(timing.writeback_cycles)
-}
-
-/// A partition's `mem / compute` balance, summed into
-/// [`RunReport::balance_ratio`].
-fn balance(timing: &PartitionTiming) -> f64 {
-    timing.mem_cycles as f64 / timing.compute_cycles.max(1) as f64
-}
-
 /// Incremental [`RunReport`] builder. Every run funnels its per-partition
 /// timings through one of these, so reports are identical no matter which
 /// path (instrumented or not) produced them.
@@ -237,39 +223,31 @@ impl ReportBuilder {
         }
     }
 
-    /// Adds the next tile in grid order.
     fn push(&mut self, timing: &PartitionTiming) {
-        self.fill_from(timing);
-        self.add(timing, 1);
-        self.balance_sum += balance(timing);
-    }
-
-    /// Takes the pipeline fill from `timing` if it is the first tile.
-    fn fill_from(&mut self, timing: &PartitionTiming) {
+        let bottleneck = timing
+            .mem_cycles
+            .max(timing.compute_cycles)
+            .max(timing.writeback_cycles);
         if self.first_stage_sum.is_none() {
             self.first_stage_sum =
                 Some(timing.mem_cycles + timing.compute_cycles + timing.writeback_cycles);
-            self.first_stage_max = bottleneck(timing);
+            self.first_stage_max = bottleneck;
         }
-    }
-
-    /// Adds `n` tiles of `timing` to every total but the balance sum, an
-    /// `f64` sum that must be added in grid order.
-    fn add(&mut self, timing: &PartitionTiming, n: u64) {
         let r = &mut self.report;
-        r.partitions += n as usize;
-        r.total_mem_cycles += n * timing.mem_cycles;
-        r.total_compute_cycles += n * timing.compute_cycles;
-        r.total_decomp_cycles += n * timing.decomp_cycles;
-        r.total_entropy_cycles += n * timing.entropy_cycles;
-        r.total_writeback_cycles += n * timing.writeback_cycles;
-        r.total_dot_issues += n * timing.dot_issues;
-        r.total_bytes += n * timing.bytes;
-        r.total_coded_bytes += n * timing.coded_bytes;
-        r.useful_bytes += n * timing.useful_bytes;
-        r.total_bram_reads += n * timing.bram_reads;
-        r.total_cycles += n * bottleneck(timing);
-        r.dense_equivalent_compute += n * self.dense_per_part;
+        r.partitions += 1;
+        r.total_mem_cycles += timing.mem_cycles;
+        r.total_compute_cycles += timing.compute_cycles;
+        r.total_decomp_cycles += timing.decomp_cycles;
+        r.total_entropy_cycles += timing.entropy_cycles;
+        r.total_writeback_cycles += timing.writeback_cycles;
+        r.total_dot_issues += timing.dot_issues;
+        r.total_bytes += timing.bytes;
+        r.total_coded_bytes += timing.coded_bytes;
+        r.useful_bytes += timing.useful_bytes;
+        r.total_bram_reads += timing.bram_reads;
+        r.total_cycles += bottleneck;
+        r.dense_equivalent_compute += self.dense_per_part;
+        self.balance_sum += timing.mem_cycles as f64 / timing.compute_cycles.max(1) as f64;
     }
 
     fn finish(mut self) -> RunReport {
@@ -507,8 +485,7 @@ impl Run<'_> {
     /// A run through the single three-stage pipeline: each tile's
     /// decompression goes to `consume` when there is one (the SpMV path
     /// applies the row contributions there), its spans to `sink` and its
-    /// timing to the report. Untraced measured tiles join the report per
-    /// class ([`Run::measured_totals`]).
+    /// timing to the report.
     pub(crate) fn pipeline<S>(
         &self,
         tiles: Tiles<'_>,
@@ -524,31 +501,23 @@ impl Run<'_> {
         let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
         let mut schedule = SpanScheduler::default();
         let rows_needed = consume.is_some();
-        // Asked once, not per tile: a sink does not switch on mid-run.
-        let traced = sink.enabled();
-        match tiles {
-            Tiles::Measured(stats) if !traced => {
-                self.measured_totals(stats, format, scratch, &mut builder)?;
-            }
-            _ => self.for_each_tile(
-                tiles,
-                format,
-                rows_needed,
-                sink,
-                scratch,
-                |sink, idx, at, timing, d| {
-                    // A consumer makes every tile walk, so its rows are
-                    // present.
-                    if let (Some(consume), Some(d)) = (consume.as_mut(), d) {
-                        consume(at, d);
-                    }
-                    if traced {
-                        emit_partition_spans(sink, &mut schedule, idx, at, timing);
-                    }
-                    builder.push(timing);
-                },
-            )?,
-        }
+        self.for_each_tile(
+            tiles,
+            format,
+            rows_needed,
+            sink,
+            scratch,
+            |sink, idx, at, timing, d| {
+                // A consumer makes every tile walk, so its rows are present.
+                if let (Some(consume), Some(d)) = (consume.as_mut(), d) {
+                    consume(at, d);
+                }
+                if sink.enabled() {
+                    emit_partition_spans(sink, &mut schedule, idx, at, timing);
+                }
+                builder.push(timing);
+            },
+        )?;
         let report = builder.finish();
         if sink.enabled() {
             sink.record(&PipelineEvent::RunComplete {
@@ -711,7 +680,13 @@ impl Run<'_> {
         match tiles {
             Tiles::Measured(stats) => {
                 debug_assert!(structural, "measured runs price from structure");
-                let timings = self.price_classes(stats, format, scratch, &mut acc);
+                acc.mark();
+                let mut timings = scratch.take_class_timings();
+                timings.extend(stats.classes().iter().map(|class| {
+                    self.backend
+                        .price(&class.counters(format, self.cfg), self.cfg)
+                }));
+                acc.lap(Phase::Encode);
                 // An accepted tile goes straight to `each`: routed through
                 // the reduce's `Result`, it cost about four times as much.
                 let reduced = stats
@@ -723,7 +698,7 @@ impl Run<'_> {
                         }
                         match pricing {
                             TilePricing::Class(class) => {
-                                each(sink, idx, at, &timings[class].0, None);
+                                each(sink, idx, at, &timings[class], None);
                                 Ok(())
                             }
                             TilePricing::Walk(part) => {
@@ -760,80 +735,6 @@ impl Run<'_> {
                 }
             }
         }
-        if let (Some(profiler), Some(start)) = (self.profiler, run_start) {
-            profiler.flush_run(&acc, start.elapsed().as_secs_f64());
-        }
-        Ok(())
-    }
-
-    /// Prices each of `stats`' classes once, with its balance, into the
-    /// list pooled on `scratch` (lapped as [`Phase::Encode`]); hand it back
-    /// with [`EncodeScratch::give_class_timings`].
-    fn price_classes(
-        &self,
-        stats: &GridStats,
-        format: FormatKind,
-        scratch: &mut EncodeScratch,
-        acc: &mut PhaseAcc,
-    ) -> Vec<(PartitionTiming, f64)> {
-        acc.mark();
-        let mut timings = scratch.take_class_timings();
-        timings.extend(stats.classes().iter().map(|class| {
-            let timing = self
-                .backend
-                .price(&class.counters(format, self.cfg), self.cfg);
-            (timing, balance(&timing))
-        }));
-        acc.lap(Phase::Encode);
-        timings
-    }
-
-    /// An untraced plain run over measured tiles: nothing reads a tile's
-    /// spans, so each class's tiles join the report at once, their integer
-    /// totals exact multiples of the class's timing. Only what depends on
-    /// grid order is read tile by tile, polling the cancellation token
-    /// before each: the pipeline fill from the first tile, and the `f64`
-    /// balance sum, added in grid order. A declined tile is walked and
-    /// pushed in its place. The report is the per-tile reduce's, byte for
-    /// byte.
-    fn measured_totals(
-        &self,
-        stats: &GridStats,
-        format: FormatKind,
-        scratch: &mut EncodeScratch,
-        builder: &mut ReportBuilder,
-    ) -> Result<(), PlatformError> {
-        let run_start = self.profiler.map(|_| std::time::Instant::now());
-        let mut acc = PhaseAcc::new(self.profiler.is_some());
-        let timings = self.price_classes(stats, format, scratch, &mut acc);
-        let reduced = stats.pricing().try_for_each(|(_, pricing)| {
-            if self.cancelled() {
-                return Err(PlatformError::Cancelled);
-            }
-            match pricing {
-                TilePricing::Class(class) => {
-                    let (timing, balance) = &timings[class];
-                    builder.fill_from(timing);
-                    builder.balance_sum += balance;
-                }
-                TilePricing::Walk(part) => {
-                    let (timing, d) =
-                        self.process_partition(part, format, false, scratch, &mut acc)?;
-                    builder.push(&timing);
-                    if let Some(d) = d {
-                        scratch.recycle_decompression(d);
-                    }
-                }
-            }
-            Ok(())
-        });
-        if reduced.is_ok() {
-            for ((timing, _), &tiles) in timings.iter().zip(stats.class_tiles()) {
-                builder.add(timing, tiles);
-            }
-        }
-        scratch.give_class_timings(timings);
-        reduced?;
         if let (Some(profiler), Some(start)) = (self.profiler, run_start) {
             profiler.flush_run(&acc, start.elapsed().as_secs_f64());
         }

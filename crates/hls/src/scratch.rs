@@ -65,9 +65,9 @@ pub struct EncodeScratch {
     codec: CodecScratch,
     /// Bitsets and counters of the structural tile pass.
     stats: StatsScratch,
-    /// One timing, with its balance, per [`GridStats`](crate::GridStats)
-    /// class for a measured run.
-    class_timings: Vec<(PartitionTiming, f64)>,
+    /// One timing per [`GridStats`](crate::GridStats) class for a measured
+    /// run.
+    class_timings: Vec<PartitionTiming>,
     /// Per-worker scratches for the intra-run tile-parallel path, kept warm
     /// between runs of the same session.
     workers: Vec<EncodeScratch>,
@@ -117,14 +117,14 @@ impl EncodeScratch {
     }
 
     /// Takes the (empty) per-class timing list for a measured run.
-    pub(crate) fn take_class_timings(&mut self) -> Vec<(PartitionTiming, f64)> {
+    pub(crate) fn take_class_timings(&mut self) -> Vec<PartitionTiming> {
         let mut timings = std::mem::take(&mut self.class_timings);
         timings.clear();
         timings
     }
 
     /// Returns the per-class timing list after a measured run.
-    pub(crate) fn give_class_timings(&mut self, timings: Vec<(PartitionTiming, f64)>) {
+    pub(crate) fn give_class_timings(&mut self, timings: Vec<PartitionTiming>) {
         self.class_timings = timings;
     }
 

@@ -305,7 +305,12 @@ impl Session {
         )?;
         drop(lap);
         let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Encode));
-        Ok(GridStats::measure(runs, &self.cfg, &mut self.scratch))
+        Ok(GridStats::measure(
+            (matrix.nrows(), matrix.ncols()),
+            runs,
+            &self.cfg,
+            &mut self.scratch,
+        ))
     }
 
     /// Executes one request. See [`RunRequest`] for the option matrix.

@@ -330,8 +330,6 @@ pub struct GridStats {
     b: usize,
     /// Distinct tile statistics.
     classes: Vec<TileStats>,
-    /// Tiles per class.
-    class_tiles: Vec<u64>,
     /// Every non-zero tile, in grid order.
     tiles: Vec<MeasuredTile>,
     /// The declined tiles, in grid order.
@@ -339,23 +337,29 @@ pub struct GridStats {
 }
 
 impl GridStats {
-    /// Measures every tile run of one matrix, as
+    /// Measures every tile run of one `nrows × ncols` matrix, as
     /// [`tile_runs`](sparsemat::tile_runs) yields them at the configured
     /// partition size, at the configured block size. A declined tile is
     /// built from its run, for the run to walk.
-    pub(crate) fn measure<'t, R>(runs: R, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Self
+    pub(crate) fn measure<'t, R>(
+        (nrows, ncols): (usize, usize),
+        runs: R,
+        cfg: &HwConfig,
+        scratch: &mut EncodeScratch,
+    ) -> Self
     where
         R: Iterator<Item = (usize, usize, &'t [Triplet<f32>])>,
     {
         let p = cfg.partition_size;
         let mut ids: HashMap<TileStats, u32, BuildHasherDefault<ClassHasher>> = HashMap::default();
         let mut classes = Vec::new();
-        let mut class_tiles = Vec::new();
         let mut declined = Vec::new();
-        // Sized once for the most tiles the runs can hold (one per entry)
-        // and trimmed after: as many allocations for ten tiles as for a
-        // million, and the pages never written are never resident.
-        let mut tiles = Vec::with_capacity(runs.size_hint().1.unwrap_or(0));
+        // Sized once for the most tiles the runs can hold (one per entry,
+        // and one per grid cell) and trimmed after: as many allocations
+        // for ten tiles as for a million.
+        let cells = nrows.div_ceil(p).saturating_mul(ncols.div_ceil(p));
+        let most = runs.size_hint().1.unwrap_or(0).min(cells);
+        let mut tiles = Vec::with_capacity(most);
         for (grid_row, grid_col, run) in runs {
             let (row0, col0) = (grid_row * p, grid_col * p);
             let local = run
@@ -365,13 +369,10 @@ impl GridStats {
                 // Ids stay below the marker: past 2^32 − 1 classes, the
                 // remaining tiles are walked.
                 Some(stats) if classes.len() < DECLINED as usize => {
-                    let id = *ids.entry(stats).or_insert_with(|| {
+                    *ids.entry(stats).or_insert_with(|| {
                         classes.push(stats);
-                        class_tiles.push(0);
                         (classes.len() - 1) as u32
-                    });
-                    class_tiles[id as usize] += 1;
-                    id
+                    })
                 }
                 _ => {
                     declined.push(Partition::from_run(grid_row, grid_col, run, p));
@@ -389,7 +390,6 @@ impl GridStats {
             p,
             b: cfg.bcsr_block,
             classes,
-            class_tiles,
             tiles,
             declined,
         }
@@ -398,11 +398,6 @@ impl GridStats {
     /// The distinct tile statistics, in order of first appearance.
     pub fn classes(&self) -> &[TileStats] {
         &self.classes
-    }
-
-    /// Per class, in [`GridStats::classes`] order: its number of tiles.
-    pub(crate) fn class_tiles(&self) -> &[u64] {
-        &self.class_tiles
     }
 
     /// Number of non-zero tiles measured.
@@ -417,15 +412,16 @@ impl GridStats {
 
     /// Per tile in grid order: its grid coordinates and how to price it.
     pub(crate) fn pricing(&self) -> impl Iterator<Item = ((usize, usize), TilePricing<'_>)> {
-        // `measure` keeps one declined partition per marker, in grid
-        // order, so the cursor never runs dry.
         let mut declined = self.declined.iter();
-        self.tiles.iter().map_while(move |tile| {
+        self.tiles.iter().map(move |tile| {
             let pricing = match tile.class {
-                DECLINED => TilePricing::Walk(declined.next()?),
+                DECLINED => match declined.next() {
+                    Some(part) => TilePricing::Walk(part),
+                    None => unreachable!("`measure` keeps one declined partition per marker"),
+                },
                 class => TilePricing::Class(class as usize),
             };
-            Some(((tile.grid_row, tile.grid_col), pricing))
+            ((tile.grid_row, tile.grid_col), pricing)
         })
     }
 

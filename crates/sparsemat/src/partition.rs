@@ -180,7 +180,8 @@ impl<T: Scalar> PartitionGrid<T> {
 /// This is the one tiling step: [`PartitionGrid::from_triplets`] builds a
 /// [`Partition`] from each run, and a caller that only reads the tiles can
 /// walk the runs in place. Scratch beyond `triplets` is one triplet buffer
-/// and `2^11` counters, whatever the matrix's dimensions.
+/// and `2^11` counters per radix pass (at most six passes per axis),
+/// whatever the matrix's dimensions.
 ///
 /// # Errors
 ///
