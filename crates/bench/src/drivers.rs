@@ -17,7 +17,7 @@ use copernicus::experiments as ex;
 use copernicus::plot::{BarChart, ScatterPlot};
 use copernicus::table::{eng, f3, TextTable};
 use copernicus::{CampaignError, CampaignRunner, ExperimentConfig, Instruments};
-use copernicus_hls::{EncodedPartition, HwConfig, RunRequest, Session};
+use copernicus_hls::{EncodeScratch, HwConfig, RunRequest, Session, TileStats};
 use copernicus_telemetry::RunManifest;
 use copernicus_workloads::Workload;
 use sparsemat::{Coo, FormatKind, Matrix, PartitionGrid};
@@ -741,9 +741,10 @@ fn explain(cli: &Cli) -> i32 {
         tile.nnz(),
         tile.nonzero_rows()
     );
+    let stats = TileStats::measure(&tile, &cfg, &mut EncodeScratch::new())
+        .expect("a generated tile holds no duplicate coordinate or explicit zero");
     for kind in FormatKind::CHARACTERIZED {
-        let part = EncodedPartition::encode(&tile, kind, &cfg).expect("characterized format");
-        println!("{}", copernicus_hls::explain(&part, &cfg).render());
+        println!("{}", copernicus_hls::explain(&stats, kind, &cfg).render());
     }
     0
 }

@@ -525,7 +525,7 @@ mod tests {
 /// ```text
 /// let cli = Cli::from_env();
 /// let mut telemetry = cli.telemetry();
-/// let table = fig05::run_with(&cli.cfg, &mut telemetry.instruments())?;
+/// let table = fig05::run_on(&cli.runner(), &cli.cfg, &mut telemetry.instruments())?;
 /// telemetry.finish(copernicus::manifest_for(..));
 /// ```
 ///
@@ -555,7 +555,7 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// The instruments to thread through `run_with`/`characterize_with`.
+    /// The instruments to thread through `run_on`/`characterize_with`.
     ///
     /// The trace sink is only attached when `--trace` was given, so an
     /// untraced run keeps the zero-cost no-op path through the platform.

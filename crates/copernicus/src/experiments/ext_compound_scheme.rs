@@ -67,25 +67,17 @@ pub struct CompoundSchemeRow {
 ///
 /// Propagates platform failures.
 pub fn run(cfg: &ExperimentConfig) -> Result<Vec<CompoundSchemeRow>, CampaignError> {
-    run_with(cfg, &mut crate::Instruments::none())
+    run_on(
+        &crate::CampaignRunner::sequential(),
+        cfg,
+        &mut crate::Instruments::none(),
+    )
 }
 
-/// Like [`run`], with campaign instruments attached.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with(
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<CompoundSchemeRow>, CampaignError> {
-    run_on(&crate::CampaignRunner::sequential(), cfg, instruments)
-}
-
-/// Like [`run_with`], executed on `runner`. One runner serves all four
-/// codec sub-campaigns: the hardware config (codec included) is part of
-/// every memo key, so the sub-campaigns never alias each other's cells and
-/// the row stream is byte-identical at any job count.
+/// Like [`run`], with campaign instruments attached, executed on `runner`. One
+/// runner serves all four codec sub-campaigns: the hardware config (codec
+/// included) is part of every memo key, so the sub-campaigns never alias each
+/// other's cells and the row stream is byte-identical at any job count.
 ///
 /// # Errors
 ///

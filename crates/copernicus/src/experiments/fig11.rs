@@ -24,26 +24,17 @@ pub struct Fig11Row {
 ///
 /// Propagates platform failures.
 pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig11Row>, CampaignError> {
-    run_with(cfg, &mut crate::Instruments::none())
+    run_on(
+        &crate::CampaignRunner::sequential(),
+        cfg,
+        &mut crate::Instruments::none(),
+    )
 }
 
-/// Like [`run`], with campaign instruments attached (trace sink, metrics
-/// registry, progress reporting).
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with(
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig11Row>, CampaignError> {
-    run_on(&crate::CampaignRunner::sequential(), cfg, instruments)
-}
-
-/// Like [`run_with`], executed on `runner`: the grid runs across the
-/// runner's worker threads and overlapping cells are served from its
-/// memoization cache, with rows identical — order and bytes — to the
-/// sequential path.
+/// Like [`run`], with campaign instruments attached, executed on `runner`: the
+/// grid runs across the runner's worker threads and overlapping cells are
+/// served from its memoization cache, with rows identical — order and bytes —
+/// to the sequential path.
 ///
 /// # Errors
 ///

@@ -42,10 +42,11 @@ pub struct HwConfig {
     pub ell_hw_width: usize,
     /// When true, [`crate::Session`] runs cross-check every decompressed row
     /// against the dense reference — the analog of the paper's C/RTL
-    /// co-simulation. Costs time on large runs; on by default. When false,
-    /// runs that need no decompressed rows (no codec, no SpMV consume)
-    /// price each tile from its structure ([`crate::TileStats`]) instead of
-    /// encoding and decompressing it; the reports are identical.
+    /// co-simulation. Costs time on large runs; on by default. When false
+    /// (and no codec is set), a matrix run with no SpMV consume and every
+    /// measured run price each tile from its structure
+    /// ([`crate::TileStats`]) instead of encoding and decompressing it; the
+    /// reports are identical. A grid run always walks its tiles.
     pub verify_functional: bool,
     /// Second-stage codec applied to every transfer stream after structural
     /// encoding ([`CodecKind::None`] reproduces the paper's platform
@@ -91,10 +92,13 @@ impl HwConfig {
         }
     }
 
-    /// Whether runs price tiles from their structure ([`crate::TileStats`])
-    /// instead of encoding and decompressing them: nothing checks the
-    /// decompressed rows (verification off) and no codec needs the encoded
-    /// bytes. A run with an SpMV consumer walks regardless.
+    /// Whether a session may price tiles from their structure
+    /// ([`crate::TileStats`]) instead of encoding and decompressing them:
+    /// nothing checks the decompressed rows (verification off) and no codec
+    /// needs the encoded bytes. Only such a session
+    /// [measures](crate::Session::measure) matrices; its matrix runs without
+    /// an SpMV consumer go through the measured class table, while a grid
+    /// run or an SpMV run walks regardless.
     pub fn prices_from_structure(&self) -> bool {
         !self.verify_functional && self.stream_codec == CodecKind::None
     }

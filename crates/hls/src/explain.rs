@@ -3,13 +3,14 @@
 //! format is slow on their data ("CSC: 16 output rows × 113-tuple rescan
 //! = 1808 cycles").
 //!
-//! Every breakdown is tested to sum exactly to the corresponding
-//! [`decompress`](crate::decompress) cycle count and to the
-//! [`TileStats`](crate::TileStats) closed form — the explanation can
-//! never drift from the model.
+//! The terms are read off the tile's structural counts
+//! ([`TileStats`]), the same counts [`TileStats::counters`] prices every
+//! measured tile from. Every breakdown is tested to sum exactly to the
+//! [`decompress`](crate::decompress) cycle count of the walked encoding —
+//! the explanation can never drift from the model.
 
-use crate::{decompress, EncodedPartition, HwConfig};
-use sparsemat::{AnyMatrix, Dia, Lil, Matrix};
+use crate::{HwConfig, TileStats};
+use sparsemat::FormatKind;
 
 /// One named cost term of a partition's processing.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -25,7 +26,7 @@ pub struct CostTerm {
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CostBreakdown {
     /// Format the partition is encoded in.
-    pub format: sparsemat::FormatKind,
+    pub format: FormatKind,
     /// Decompression cost terms (sum = `T_decomp`).
     pub decomp_terms: Vec<CostTerm>,
     /// Dot-product cost term.
@@ -66,125 +67,100 @@ impl CostBreakdown {
     }
 }
 
-/// Explains one encoded partition's cost in the §5.2 vocabulary.
-pub fn explain(part: &EncodedPartition, cfg: &HwConfig) -> CostBreakdown {
-    let d = decompress(part, cfg);
-    let p = cfg.partition_size as u64;
+/// Explains the cost of a tile with structural counts `stats`, encoded in
+/// `format`, in the §5.2 vocabulary. Like [`TileStats::counters`], it
+/// charges no second-stage codec.
+pub fn explain(stats: &TileStats, format: FormatKind, cfg: &HwConfig) -> CostBreakdown {
+    let counters = stats.counters(format, cfg);
+    let TileStats {
+        nnz,
+        nzr,
+        ndiag,
+        nblk,
+        nbr,
+        ..
+    } = *stats;
+    let p = stats.p as u64;
     let l = cfg.bram_read_latency;
-    let nnz = part.matrix.nnz() as u64;
-    let t_dot = cfg.dot_latency(d.engine_width);
+    let t_dot = cfg.dot_latency(counters.engine_width);
+    let term = |label: String, cycles: u64| CostTerm { label, cycles };
 
-    let decomp_terms: Vec<CostTerm> = match &part.matrix {
-        AnyMatrix::Dense(_) => vec![CostTerm {
-            label: "rows stream straight to the engine (no decompression)".into(),
-            cycles: 0,
-        }],
-        AnyMatrix::Csr(m) => {
-            let nzr = (0..m.nrows()).filter(|&r| m.row_nnz(r) > 0).count() as u64;
-            vec![
-                CostTerm {
-                    label: format!(
-                        "{nzr} non-zero rows x {l}-cycle offsets read (Listing 1 line 7)"
-                    ),
-                    cycles: nzr * l,
-                },
-                CostTerm {
-                    label: format!("{nnz} elements through the pipelined II=1 copy loop"),
-                    cycles: nnz,
-                },
-            ]
-        }
-        AnyMatrix::Csc(_) => vec![CostTerm {
-            label: format!(
-                "{p} output rows x {nnz}-tuple rescan (orientation mismatch, Listing 3)"
+    let decomp_terms = match format {
+        FormatKind::Dense => vec![term(
+            "rows stream straight to the engine (no decompression)".into(),
+            0,
+        )],
+        FormatKind::Csr => vec![
+            term(
+                format!("{nzr} non-zero rows x {l}-cycle offsets read (Listing 1 line 7)"),
+                nzr * l,
             ),
-            cycles: p * nnz,
-        }],
-        AnyMatrix::Bcsr(m) => {
-            let nbr = m.nonzero_block_rows() as u64;
-            let nblk = m.num_blocks() as u64;
-            vec![
-                CostTerm {
-                    label: format!("{nbr} non-zero block-rows x {l}-cycle offsets read"),
-                    cycles: nbr * l,
-                },
-                CostTerm {
-                    label: format!("{nblk} blocks through the unrolled copy (1 cycle each)"),
-                    cycles: nblk,
-                },
-            ]
-        }
-        AnyMatrix::Coo(_) => vec![
-            CostTerm {
-                label: format!("initial tuple fetch ({l} cycles)"),
-                cycles: l,
-            },
-            CostTerm {
-                label: format!("{nnz} tuples through the pipelined II=1 scatter"),
-                cycles: nnz,
-            },
+            term(
+                format!("{nnz} elements through the pipelined II=1 copy loop"),
+                nnz,
+            ),
         ],
-        AnyMatrix::Lil(m) => {
-            let nzr = lil_nonzero_rows(m) as u64;
-            vec![
-                CostTerm {
-                    label: format!(
-                        "{nzr} emitted rows x (parallel column read {l} + min-scan/assign 2)"
-                    ),
-                    cycles: nzr * (l + 2),
-                },
-                CostTerm {
-                    label: format!("end-of-rows marker read ({l} cycles)"),
-                    cycles: l,
-                },
-            ]
-        }
-        AnyMatrix::Ell(_) => vec![CostTerm {
-            label: format!("{p} rows x 1 cycle (fully unrolled, zero rows not skippable)"),
-            cycles: p,
-        }],
-        AnyMatrix::Dia(m) => {
-            let ndiag = dia_count(m) as u64;
-            vec![
-                CostTerm {
-                    label: format!("initial diagonal fetch ({l} cycles)"),
-                    cycles: l,
-                },
-                CostTerm {
-                    label: format!("{p} rows x {ndiag}-diagonal II=1 scan (Listing 7)"),
-                    cycles: p * ndiag,
-                },
-            ]
-        }
-    };
-    CostBreakdown {
-        format: part.kind(),
-        dot_term: CostTerm {
-            label: format!(
-                "{} dot products x {} cycles on the width-{} engine",
-                d.dot_issues, t_dot, d.engine_width
+        FormatKind::Csc => vec![term(
+            format!("{p} output rows x {nnz}-tuple rescan (orientation mismatch, Listing 3)"),
+            p * nnz,
+        )],
+        FormatKind::Bcsr => vec![
+            term(
+                format!("{nbr} non-zero block-rows x {l}-cycle offsets read"),
+                nbr * l,
             ),
-            cycles: d.dot_issues * t_dot,
-        },
-        memory_cycles: part.memory_cycles(cfg),
-        compute_cycles: d.compute_cycles(cfg),
+            term(
+                format!("{nblk} blocks through the unrolled copy (1 cycle each)"),
+                nblk,
+            ),
+        ],
+        FormatKind::Coo => vec![
+            term(format!("initial tuple fetch ({l} cycles)"), l),
+            term(
+                format!("{nnz} tuples through the pipelined II=1 scatter"),
+                nnz,
+            ),
+        ],
+        FormatKind::Lil => vec![
+            term(
+                format!("{nzr} emitted rows x (parallel column read {l} + min-scan/assign 2)"),
+                nzr * (l + 2),
+            ),
+            term(format!("end-of-rows marker read ({l} cycles)"), l),
+        ],
+        FormatKind::Ell => vec![term(
+            format!("{p} rows x 1 cycle (fully unrolled, zero rows not skippable)"),
+            p,
+        )],
+        FormatKind::Dia => vec![
+            term(format!("initial diagonal fetch ({l} cycles)"), l),
+            term(
+                format!("{p} rows x {ndiag}-diagonal II=1 scan (Listing 7)"),
+                p * ndiag,
+            ),
+        ],
+    };
+    let dot_cycles = counters.dot_issues * t_dot;
+    CostBreakdown {
+        format,
+        dot_term: term(
+            format!(
+                "{} dot products x {t_dot} cycles on the width-{} engine",
+                counters.dot_issues, counters.engine_width
+            ),
+            dot_cycles,
+        ),
+        memory_cycles: cfg.transfer_cycles(counters.coded_bytes),
+        compute_cycles: counters.decomp_cycles + dot_cycles,
         decomp_terms,
     }
-}
-
-fn lil_nonzero_rows(m: &Lil<f32>) -> usize {
-    m.distinct_cross_indices()
-}
-
-fn dia_count(m: &Dia<f32>) -> usize {
-    m.num_diagonals()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EncodeScratch, TileStats};
-    use sparsemat::{Coo, FormatKind};
+    use crate::{decompress, EncodeScratch, EncodedPartition};
+    use sparsemat::Coo;
 
     fn tile() -> Coo<f32> {
         let mut coo = Coo::new(16, 16);
@@ -196,59 +172,85 @@ mod tests {
         coo
     }
 
+    fn stats(cfg: &HwConfig) -> TileStats {
+        TileStats::measure(&tile(), cfg, &mut EncodeScratch::new()).unwrap()
+    }
+
     #[test]
     fn terms_sum_exactly_to_the_model_for_every_format() {
         let cfg = HwConfig::with_partition_size(16);
-        let t = tile();
-        let stats = TileStats::measure(&t, &cfg, &mut EncodeScratch::new()).unwrap();
+        let stats = stats(&cfg);
         for kind in FormatKind::CHARACTERIZED {
-            let part = EncodedPartition::encode(&t, kind, &cfg).unwrap();
+            // The walked oracle: encode the tile and run its decompressor.
+            let part = EncodedPartition::encode(&tile(), kind, &cfg).unwrap();
             let d = decompress(&part, &cfg);
-            let b = explain(&part, &cfg);
+            let b = explain(&stats, kind, &cfg);
             let term_sum: u64 = b.decomp_terms.iter().map(|t| t.cycles).sum();
             assert_eq!(term_sum, d.decomp_cycles, "{kind} decomp terms drifted");
-            // The structural closed forms tell the same story.
-            let counters = stats.counters(kind, &cfg);
-            assert_eq!(
-                term_sum, counters.decomp_cycles,
-                "{kind} closed form drifted"
-            );
             assert_eq!(
                 term_sum + b.dot_term.cycles,
                 b.compute_cycles,
                 "{kind} total drifted"
             );
             assert_eq!(b.compute_cycles, d.compute_cycles(&cfg), "{kind}");
+            assert_eq!(b.memory_cycles, part.memory_cycles(&cfg), "{kind}");
         }
     }
 
     #[test]
     fn bottleneck_matches_the_cycle_comparison() {
         let cfg = HwConfig::with_partition_size(16);
-        let t = tile();
-        let csc = explain(
-            &EncodedPartition::encode(&t, FormatKind::Csc, &cfg).unwrap(),
-            &cfg,
+        let stats = stats(&cfg);
+        assert_eq!(
+            explain(&stats, FormatKind::Csc, &cfg).bottleneck(),
+            "compute"
         );
-        assert_eq!(csc.bottleneck(), "compute");
-        let dense = explain(
-            &EncodedPartition::encode(&t, FormatKind::Dense, &cfg).unwrap(),
-            &cfg,
+        assert_eq!(
+            explain(&stats, FormatKind::Dense, &cfg).bottleneck(),
+            "memory"
         );
-        assert_eq!(dense.bottleneck(), "memory");
     }
 
     #[test]
-    fn render_names_the_listing_level_terms() {
+    fn render_is_pinned_for_every_format() {
+        // Every label and count, byte for byte, in all eight formats.
         let cfg = HwConfig::with_partition_size(16);
-        let t = tile();
-        let s = explain(
-            &EncodedPartition::encode(&t, FormatKind::Csr, &cfg).unwrap(),
-            &cfg,
-        )
-        .render();
-        assert!(s.contains("offsets read"), "{s}");
-        assert!(s.contains("dot products"), "{s}");
-        assert!(s.contains("-bound"), "{s}");
+        let stats = stats(&cfg);
+        let rendered: String = FormatKind::CHARACTERIZED
+            .iter()
+            .map(|&kind| explain(&stats, kind, &cfg).render())
+            .collect();
+        assert_eq!(rendered, PINNED);
     }
+
+    const PINNED: &str = r"DENSE: compute 96 cycles vs memory 132 cycles -> memory-bound
+         0 cycles  rows stream straight to the engine (no decompression)
+        96 cycles  16 dot products x 6 cycles on the width-16 engine
+CSR: compute 37 cycles vs memory 18 cycles -> compute-bound
+         8 cycles  4 non-zero rows x 2-cycle offsets read (Listing 1 line 7)
+         5 cycles  5 elements through the pipelined II=1 copy loop
+        24 cycles  4 dot products x 6 cycles on the width-16 engine
+BCSR: compute 82 cycles vs memory 41 cycles -> compute-bound
+         6 cycles  3 non-zero block-rows x 2-cycle offsets read
+         4 cycles  4 blocks through the unrolled copy (1 cycle each)
+        72 cycles  12 dot products x 6 cycles on the width-16 engine
+CSC: compute 104 cycles vs memory 18 cycles -> compute-bound
+        80 cycles  16 output rows x 5-tuple rescan (orientation mismatch, Listing 3)
+        24 cycles  4 dot products x 6 cycles on the width-16 engine
+LIL: compute 42 cycles vs memory 36 cycles -> compute-bound
+        16 cycles  4 emitted rows x (parallel column read 2 + min-scan/assign 2)
+         2 cycles  end-of-rows marker read (2 cycles)
+        24 cycles  4 dot products x 6 cycles on the width-16 engine
+ELL: compute 96 cycles vs memory 36 cycles -> compute-bound
+        16 cycles  16 rows x 1 cycle (fully unrolled, zero rows not skippable)
+        80 cycles  16 dot products x 5 cycles on the width-6 engine
+COO: compute 31 cycles vs memory 12 cycles -> compute-bound
+         2 cycles  initial tuple fetch (2 cycles)
+         5 cycles  5 tuples through the pipelined II=1 scatter
+        24 cycles  4 dot products x 6 cycles on the width-16 engine
+DIA: compute 74 cycles vs memory 30 cycles -> compute-bound
+         2 cycles  initial diagonal fetch (2 cycles)
+        48 cycles  16 rows x 3-diagonal II=1 scan (Listing 7)
+        24 cycles  4 dot products x 6 cycles on the width-16 engine
+";
 }

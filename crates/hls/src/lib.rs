@@ -17,7 +17,8 @@
 //!   `offsets` reads),
 //! * a structural pricing pass ([`structure`]) that evaluates the
 //!   decompressors' closed forms from one pass over a tile, used instead
-//!   of encode → decompress when nothing reads the decompressed rows,
+//!   of encode → decompress by matrix and measured runs that read no
+//!   decompressed rows, and by [`explain()`] for its cost terms,
 //! * a fine-grained dot-product engine (multiplier array + balanced adder
 //!   tree, [`HwConfig::dot_latency`]),
 //! * the three-stage outer pipeline ([`pipeline`] — memory-read, compute,

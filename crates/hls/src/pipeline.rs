@@ -3,9 +3,7 @@
 
 use crate::backend::Backend;
 use crate::structure::TilePricing;
-use crate::{
-    decompress_with, Decompression, EncodeScratch, EncodedPartition, GridStats, HwConfig, TileStats,
-};
+use crate::{decompress_with, Decompression, EncodeScratch, EncodedPartition, GridStats, HwConfig};
 use copernicus_telemetry::{
     CancelToken, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
 };
@@ -417,9 +415,9 @@ impl ParallelReport {
     }
 }
 
-/// One partition's outcome from a tile worker, reduced in grid order: its
-/// timing, plus its decompression when the tile was walked.
-type TileResult = Result<(PartitionTiming, Option<Decompression>), PlatformError>;
+/// One walked partition's outcome from a tile worker, reduced in grid
+/// order: its timing and its decompression.
+type TileResult = Result<(PartitionTiming, Decompression), PlatformError>;
 
 /// Reads each walked tile's decompressed rows, with its grid coordinates
 /// (the SpMV path).
@@ -446,9 +444,8 @@ impl Tiles<'_> {
     }
 }
 
-/// One run's settings: the owning [`Session`](crate::Session)'s state with
-/// the request's backend and tile-jobs overrides resolved. Borrowed for
-/// the run and shared read-only with the tile workers.
+/// One run's settings, taken from the owning [`Session`](crate::Session).
+/// Borrowed for the run and shared read-only with the tile workers.
 pub(crate) struct Run<'a> {
     pub(crate) cfg: &'a HwConfig,
     pub(crate) backend: &'static dyn Backend,
@@ -500,24 +497,17 @@ impl Run<'_> {
         self.record_run_start(sink, tiles, format);
         let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
         let mut schedule = SpanScheduler::default();
-        let rows_needed = consume.is_some();
-        self.for_each_tile(
-            tiles,
-            format,
-            rows_needed,
-            sink,
-            scratch,
-            |sink, idx, at, timing, d| {
-                // A consumer makes every tile walk, so its rows are present.
-                if let (Some(consume), Some(d)) = (consume.as_mut(), d) {
-                    consume(at, d);
-                }
-                if sink.enabled() {
-                    emit_partition_spans(sink, &mut schedule, idx, at, timing);
-                }
-                builder.push(timing);
-            },
-        )?;
+        self.for_each_tile(tiles, format, sink, scratch, |sink, idx, at, timing, d| {
+            // A consumer runs over a grid, whose tiles all walk, so its rows
+            // are present.
+            if let (Some(consume), Some(d)) = (consume.as_mut(), d) {
+                consume(at, d);
+            }
+            if sink.enabled() {
+                emit_partition_spans(sink, &mut schedule, idx, at, timing);
+            }
+            builder.push(timing);
+        })?;
         let report = builder.finish();
         if sink.enabled() {
             sink.record(&PipelineEvent::RunComplete {
@@ -544,17 +534,10 @@ impl Run<'_> {
         self.record_run_start(sink, tiles, format);
         let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
         let mut timings = Vec::with_capacity(tiles.len());
-        self.for_each_tile(
-            tiles,
-            format,
-            false,
-            sink,
-            scratch,
-            |_, _, at, timing, _| {
-                builder.push(timing);
-                timings.push((at, *timing));
-            },
-        )?;
+        self.for_each_tile(tiles, format, sink, scratch, |_, _, at, timing, _| {
+            builder.push(timing);
+            timings.push((at, *timing));
+        })?;
         let single_lane = builder.finish();
 
         let mut shared_mem_cycles = 0u64;
@@ -618,18 +601,15 @@ impl Run<'_> {
     /// [`Run::process_grid_parallel`] and reduce its slots in grid order.
     /// The cancellation token is polled before every tile in every mode.
     ///
-    /// Tiles are priced from structure, with no decompression handed on,
-    /// when nothing reads the decompressed rows: `rows_needed` is false and
-    /// the config [prices from structure](HwConfig::prices_from_structure).
-    /// [`Tiles::Measured`] runs only then (the session checks): the backend
-    /// prices each class once and the tiles are handed on inline, in grid
-    /// order, each with its class's timing; a declined tile is walked in
-    /// its place.
+    /// A grid's tiles are always walked. [`Tiles::Measured`] runs only when
+    /// nothing reads the decompressed rows (the session checks): the
+    /// backend prices each class once and the tiles are handed on inline,
+    /// in grid order, each with its class's timing and no decompression; a
+    /// declined tile is walked in its place.
     fn for_each_tile<S, F>(
         &self,
         tiles: Tiles<'_>,
         format: FormatKind,
-        rows_needed: bool,
         sink: &mut S,
         scratch: &mut EncodeScratch,
         mut each: F,
@@ -638,7 +618,6 @@ impl Run<'_> {
         S: TraceSink + ?Sized,
         F: FnMut(&mut S, usize, (usize, usize), &PartitionTiming, Option<&Decompression>),
     {
-        let structural = !rows_needed && self.cfg.prices_from_structure();
         let run_start = self.profiler.map(|_| std::time::Instant::now());
         let mut acc = PhaseAcc::new(self.profiler.is_some());
         // The reduce: the one place a walked tile's outcome reaches the
@@ -665,21 +644,12 @@ impl Run<'_> {
                     }
                 }
             })?;
-            each(
-                sink,
-                idx,
-                (part.grid_row, part.grid_col),
-                &timing,
-                d.as_ref(),
-            );
-            if let Some(d) = d {
-                recycle.recycle_decompression(d);
-            }
+            each(sink, idx, (part.grid_row, part.grid_col), &timing, Some(&d));
+            recycle.recycle_decompression(d);
             Ok(())
         };
         match tiles {
             Tiles::Measured(stats) => {
-                debug_assert!(structural, "measured runs price from structure");
                 acc.mark();
                 let mut timings = scratch.take_class_timings();
                 timings.extend(stats.classes().iter().map(|class| {
@@ -703,7 +673,7 @@ impl Run<'_> {
                             }
                             TilePricing::Walk(part) => {
                                 let result =
-                                    self.process_partition(part, format, false, scratch, &mut acc);
+                                    self.process_partition(part, format, scratch, &mut acc);
                                 reduce(sink, &mut each, idx, part, result, scratch)
                             }
                         }
@@ -714,7 +684,7 @@ impl Run<'_> {
             Tiles::Grid(grid) if self.tile_jobs > 1 && grid.nonzero_tiles() > 1 => {
                 let parts = grid.partitions();
                 let (mut pool, slots) =
-                    self.process_grid_parallel(parts, format, structural, scratch, &mut acc);
+                    self.process_grid_parallel(parts, format, scratch, &mut acc);
                 // Workers claim tiles in grid order, so the first empty slot
                 // marks where they stopped on cancellation.
                 let reduced = slots.into_iter().enumerate().try_for_each(|(idx, slot)| {
@@ -729,8 +699,7 @@ impl Run<'_> {
                     if self.cancelled() {
                         return Err(PlatformError::Cancelled);
                     }
-                    let result =
-                        self.process_partition(part, format, structural, scratch, &mut acc);
+                    let result = self.process_partition(part, format, scratch, &mut acc);
                     reduce(sink, &mut each, idx, part, result, scratch)?;
                 }
             }
@@ -747,28 +716,15 @@ impl Run<'_> {
     /// to) `scratch`. Phase wall time accumulates into `acc` (a no-op
     /// unless a profiler is attached); the modeled timing never reads the
     /// clock.
-    ///
-    /// With `structural` set, a tile [`TileStats::measure`] accepts is
-    /// priced from its closed-form counters instead (lapped as
-    /// [`Phase::Encode`]) and hands back no decompression; a tile it
-    /// declines — a duplicate coordinate or an explicit zero — is walked.
     fn process_partition(
         &self,
         part: &Partition<f32>,
         format: FormatKind,
-        structural: bool,
         scratch: &mut EncodeScratch,
         acc: &mut PhaseAcc,
     ) -> TileResult {
         let tile = &part.coo;
         acc.mark();
-        if structural {
-            if let Some(stats) = TileStats::measure(tile, self.cfg, scratch) {
-                let counters = stats.counters(format, self.cfg);
-                acc.lap(Phase::Encode);
-                return Ok((self.backend.price(&counters, self.cfg), None));
-            }
-        }
         let encoded = EncodedPartition::encode_with(tile, format, self.cfg, scratch)?;
         acc.lap(Phase::Encode);
         let d = decompress_with(&encoded, self.cfg, scratch);
@@ -789,7 +745,7 @@ impl Run<'_> {
         // against exactly that compute-side surcharge.
         let timing = self.backend.partition_timing(&encoded, &d, self.cfg);
         scratch.recycle_encoded(encoded);
-        Ok((timing, Some(d)))
+        Ok((timing, d))
     }
 
     /// Processes `parts` on up to [`Run::tile_jobs`] scoped worker threads:
@@ -803,7 +759,6 @@ impl Run<'_> {
         &self,
         parts: &[Partition<f32>],
         format: FormatKind,
-        structural: bool,
         scratch: &mut EncodeScratch,
         acc: &mut PhaseAcc,
     ) -> (Vec<EncodeScratch>, Vec<Option<(usize, TileResult)>>) {
@@ -827,13 +782,8 @@ impl Run<'_> {
                             if idx >= n {
                                 break;
                             }
-                            let result = self.process_partition(
-                                &parts[idx],
-                                format,
-                                structural,
-                                &mut ws,
-                                &mut wacc,
-                            );
+                            let result =
+                                self.process_partition(&parts[idx], format, &mut ws, &mut wacc);
                             done.push((idx, result));
                         }
                         (ws, wacc, done)
@@ -1371,23 +1321,36 @@ mod tests {
     #[test]
     fn only_runs_nobody_reads_rows_from_skip_the_decompressor() {
         // A profiled run laps `decompress` exactly when tiles are walked.
-        let walks = |cfg: HwConfig, m: &Coo<f32>, spmv: bool| {
+        let laps = |cfg: HwConfig, m: &Coo<f32>, spmv: bool, grid: bool| {
             let profiler = std::sync::Arc::new(PhaseProfiler::new());
             let mut s = Session::new(cfg).unwrap().with_profiler(profiler.clone());
             let x = vec![1.0f32; m.ncols()];
-            let mut request = RunRequest::matrix(m, FormatKind::Csr);
+            let built = PartitionGrid::new(m, s.config().partition_size).unwrap();
+            let mut request = if grid {
+                RunRequest::grid(&built, FormatKind::Csr)
+            } else {
+                RunRequest::matrix(m, FormatKind::Csr)
+            };
             if spmv {
                 request = request.consume_spmv(&x);
             }
             s.run(request).unwrap();
-            profiler.histogram(Phase::Decompress).is_some()
+            let count = |phase| profiler.histogram(phase).map_or(0, |h| h.count());
+            (count(Phase::Partition), count(Phase::Decompress))
         };
+        let walks = |cfg: HwConfig, m: &Coo<f32>, spmv: bool| laps(cfg, m, spmv, false).1 > 0;
         let off = HwConfig {
             verify_functional: false,
             ..HwConfig::default()
         };
         let m = matrix();
-        assert!(!walks(off.clone(), &m, false), "structural path");
+        // A matrix is measured, never walked: one tile sort, no decompress.
+        assert_eq!(
+            laps(off.clone(), &m, false, false),
+            (1, 0),
+            "structural path"
+        );
+        assert!(laps(off.clone(), &m, false, true).1 > 0, "a grid walks");
         assert!(walks(HwConfig::default(), &m, false), "verification walks");
         assert!(walks(off.clone(), &m, true), "an SpMV consumer walks");
         let coded = HwConfig {

@@ -26,8 +26,7 @@
 
 use crate::pipeline::{apply_contributions, Run, Tiles};
 use crate::{
-    backend_for, BackendKind, EncodeScratch, GridStats, HwConfig, ParallelReport, PlatformError,
-    RunReport,
+    backend_for, EncodeScratch, GridStats, HwConfig, ParallelReport, PlatformError, RunReport,
 };
 use copernicus_telemetry::{CancelToken, NullSink, Phase, PhaseProfiler, TraceSink};
 use sparsemat::{tile_runs, Coo, FormatKind, Matrix, PartitionGrid, SparseError};
@@ -38,7 +37,8 @@ use std::sync::Arc;
 /// format sweep, or a matrix's tiles already measured.
 #[derive(Debug)]
 pub enum Input<'a> {
-    /// A COO matrix, partitioned by the session.
+    /// A COO matrix, tiled by the session: measured when nothing reads its
+    /// rows, otherwise built into a grid.
     Matrix(&'a Coo<f32>),
     /// An already-partitioned grid (reused across formats without
     /// re-tiling).
@@ -59,16 +59,15 @@ pub enum Input<'a> {
 /// | trace events               | `...with_sink(s)`                       |
 /// | `y = A·x`                  | `...consume_spmv(x)`                    |
 /// | aggregated lanes           | `...with_lanes(n)`                      |
-/// | tile workers for this run  | `...par_tiles(j)`                       |
-/// | backend for this run       | `...backend(b)`                         |
+///
+/// The backend and the tile worker count are the session's
+/// ([`HwConfig::backend`], [`Session::set_tile_jobs`]).
 pub struct RunRequest<'a> {
     input: Input<'a>,
     format: FormatKind,
     sink: Option<&'a mut dyn TraceSink>,
     spmv_x: Option<&'a [f32]>,
     lanes: Option<usize>,
-    tile_jobs: Option<usize>,
-    backend: Option<BackendKind>,
 }
 
 impl std::fmt::Debug for RunRequest<'_> {
@@ -79,31 +78,37 @@ impl std::fmt::Debug for RunRequest<'_> {
             .field("sink", &self.sink.is_some())
             .field("spmv", &self.spmv_x.is_some())
             .field("lanes", &self.lanes)
-            .field("tile_jobs", &self.tile_jobs)
-            .field("backend", &self.backend)
             .finish()
     }
 }
 
 impl<'a> RunRequest<'a> {
-    /// A run over a raw matrix; the session tiles it at the configured
-    /// partition size.
+    /// A run over a raw matrix, tiled at the configured partition size.
+    /// When nothing reads the tiles' rows (no SpMV consumer, and the session
+    /// [prices from structure](HwConfig::prices_from_structure)), the
+    /// session [measures](Session::measure) the matrix and runs as
+    /// [`RunRequest::measured`] does, building no grid; otherwise it builds
+    /// the grid and runs as [`RunRequest::grid`] does.
     pub fn matrix(matrix: &'a Coo<f32>, format: FormatKind) -> Self {
         Self::with_input(Input::Matrix(matrix), format)
     }
 
-    /// A run over an already-partitioned grid (lets one grid feed the whole
-    /// 8-format sweep).
+    /// A run over an already-partitioned grid: every tile is encoded and
+    /// its decompressor walked, on any session. A grid is the input for
+    /// runs that read rows (SpMV, verification, codecs); a format sweep on a
+    /// session that prices from structure measures the matrix once and
+    /// uses [`RunRequest::measured`] instead.
     pub fn grid(grid: &'a PartitionGrid<f32>, format: FormatKind) -> Self {
         Self::with_input(Input::Grid(grid), format)
     }
 
     /// A run over a matrix whose tiles [`Session::measure`] has measured:
-    /// each distinct tile is priced once and every tile reduced in grid
-    /// order, with the same report and trace as [`RunRequest::grid`] over
-    /// the matrix's grid. Nothing here holds the tiles' rows, so a run that
-    /// reads them (an SpMV consumer, or a session that verifies or uses a
-    /// codec) is rejected with [`PlatformError::Config`].
+    /// each distinct tile is priced once from the class table and every
+    /// tile reduced in grid order, with the same report and trace as the
+    /// walked [`RunRequest::grid`] over the matrix's grid. Nothing here
+    /// holds the tiles' rows, so a run that reads them (an SpMV consumer,
+    /// or a session that verifies or uses a codec) is rejected with
+    /// [`PlatformError::Config`].
     pub fn measured(stats: &'a GridStats, format: FormatKind) -> Self {
         Self::with_input(Input::Measured(stats), format)
     }
@@ -115,8 +120,6 @@ impl<'a> RunRequest<'a> {
             sink: None,
             spmv_x: None,
             lanes: None,
-            tile_jobs: None,
-            backend: None,
         }
     }
 
@@ -142,27 +145,6 @@ impl<'a> RunRequest<'a> {
     #[must_use]
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = Some(lanes);
-        self
-    }
-
-    /// Processes this run's partitions on `jobs` worker threads (clamped to
-    /// at least 1 = serial), overriding the session-wide
-    /// [`Session::set_tile_jobs`] setting for this request only. Purely a
-    /// host-side speedup: reports, traces and SpMV results are
-    /// byte-identical at any worker count.
-    #[must_use]
-    pub fn par_tiles(mut self, jobs: usize) -> Self {
-        self.tile_jobs = Some(jobs);
-        self
-    }
-
-    /// Costs this run on `backend` instead of the session's configured
-    /// [`HwConfig::backend`], for this request only. The encode /
-    /// decompress pass (and any SpMV product) is backend-independent;
-    /// only cycle charges and the reported clock change.
-    #[must_use]
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
         self
     }
 }
@@ -243,7 +225,7 @@ impl Session {
     /// Sets how many worker threads process each subsequent run's
     /// partitions (clamped to at least 1 = serial). Purely a host-side
     /// speedup: every run's outputs are byte-identical at any worker count
-    /// (test-enforced). [`RunRequest::par_tiles`] overrides this per run.
+    /// (test-enforced).
     pub fn set_tile_jobs(&mut self, jobs: usize) {
         self.tile_jobs = jobs.max(1);
     }
@@ -332,10 +314,8 @@ impl Session {
             sink,
             spmv_x,
             lanes,
-            tile_jobs,
-            backend,
         } = request;
-        let built;
+        let (built, measured);
         let tiles = match input {
             Input::Grid(grid) => Tiles::Grid(grid),
             Input::Measured(stats) => {
@@ -349,6 +329,10 @@ impl Session {
                 stats.check(&self.cfg)?;
                 Tiles::Measured(stats)
             }
+            Input::Matrix(matrix) if spmv_x.is_none() && self.cfg.prices_from_structure() => {
+                measured = self.measure(matrix)?;
+                Tiles::Measured(&measured)
+            }
             Input::Matrix(matrix) => {
                 let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Partition));
                 built = PartitionGrid::new(matrix, self.cfg.partition_size)?;
@@ -357,8 +341,8 @@ impl Session {
         };
         let run = Run {
             cfg: &self.cfg,
-            backend: backend_for(backend.unwrap_or(self.cfg.backend)),
-            tile_jobs: tile_jobs.map_or(self.tile_jobs, |jobs| jobs.max(1)),
+            backend: backend_for(self.cfg.backend),
+            tile_jobs: self.tile_jobs,
             cancel: self.cancel.as_ref(),
             profiler: self.profiler.as_deref(),
         };
@@ -531,40 +515,6 @@ mod tests {
         assert_eq!(plain.report, traced.report);
         assert_eq!(sink.count("run_start"), 1);
         assert_eq!(sink.count("partition_start"), traced.report.partitions);
-    }
-
-    #[test]
-    fn backend_override_applies_per_request_and_restores() {
-        let m = matrix();
-        let mut session = Session::new(HwConfig::default()).unwrap();
-        let hls = session
-            .run(RunRequest::matrix(&m, FormatKind::Csr))
-            .unwrap()
-            .report;
-        let cpu = session
-            .run(RunRequest::matrix(&m, FormatKind::Csr).backend(BackendKind::Cpu))
-            .unwrap()
-            .report;
-        assert_eq!(cpu.clock_mhz, session.config().cpu.clock_mhz);
-        assert_ne!(cpu, hls);
-        // A session configured for the CPU up front agrees with the
-        // per-request override ...
-        let mut cpu_session = Session::new(HwConfig {
-            backend: BackendKind::Cpu,
-            ..HwConfig::default()
-        })
-        .unwrap();
-        let configured = cpu_session
-            .run(RunRequest::matrix(&m, FormatKind::Csr))
-            .unwrap()
-            .report;
-        assert_eq!(cpu, configured);
-        // ... and the override does not leak into the next request.
-        let after = session
-            .run(RunRequest::matrix(&m, FormatKind::Csr))
-            .unwrap()
-            .report;
-        assert_eq!(after, hls);
     }
 
     fn structural(p: usize) -> HwConfig {

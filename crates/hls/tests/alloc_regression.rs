@@ -1,10 +1,9 @@
 //! Allocation-regression contract for the simulator hot path: once a
 //! session's scratch pools are warm, streaming a grid through
 //! encode → codec → decompress → verify — or, with verification and the
-//! codec off, through the structural tile pass or over a measured grid's
-//! class table — performs **zero**
-//! steady-state heap allocations per tile; measuring a matrix allocates
-//! per matrix, not per tile. A counting global allocator meters the runs; any
+//! codec off, through encode → decompress alone, or over a measured
+//! matrix's class table — performs **zero** steady-state heap allocations
+//! per tile; measuring a matrix allocates per matrix, not per tile. A counting global allocator meters the runs; any
 //! new allocation in the per-tile loops (a fresh `Vec`, a `format!`, a map
 //! rebuild) fails this test before it can show up as a throughput cliff.
 
@@ -125,8 +124,8 @@ fn warm_sessions_run_allocation_free_per_tile() {
 
 #[test]
 fn warm_structural_sessions_run_allocation_free_per_tile() {
-    // Verification and the codec off: every tile is priced from the
-    // structural pass, whose tables live in the session's scratch.
+    // Verification and the codec off: a grid run still walks every tile,
+    // encode and decompress alone, on the session's pooled buffers.
     let cfg = HwConfig {
         verify_functional: false,
         stream_codec: CodecKind::None,

@@ -2,12 +2,12 @@
 //! every decompressor, closed-form cycle identities, and metric invariants.
 
 use copernicus_hls::{
-    backend_for, decompress, BackendKind, EncodeScratch, EncodedPartition, HwConfig, RunRequest,
-    Session, TileStats,
+    backend_for, decompress, explain, BackendKind, CostBreakdown, CostTerm, EncodeScratch,
+    EncodedPartition, HwConfig, RunRequest, Session, TileStats,
 };
 use copernicus_telemetry::RecordingSink;
 use proptest::prelude::*;
-use sparsemat::{Coo, Dia, FormatKind, Lil, Matrix, PartitionGrid, Triplet};
+use sparsemat::{AnyMatrix, Coo, Dia, FormatKind, Lil, Matrix, PartitionGrid, Triplet};
 
 /// Strategy: a random tile exactly `p×p` with unique coordinates.
 fn tile_strategy(p: usize) -> impl Strategy<Value = Coo<f32>> {
@@ -142,6 +142,97 @@ fn matrix_strategy() -> impl Strategy<Value = Coo<f32>> {
             Coo::from_triplets(n, n, triplets).expect("in range")
         },
     )
+}
+
+/// The cost breakdown read off a walked tile: the encoded structure's own
+/// counts and its decompression, in `explain`'s vocabulary.
+fn walked_breakdown(enc: &EncodedPartition, cfg: &HwConfig) -> CostBreakdown {
+    let d = decompress(enc, cfg);
+    let p = cfg.partition_size as u64;
+    let l = cfg.bram_read_latency;
+    let nnz = enc.matrix.nnz() as u64;
+    let term = |label: String, cycles: u64| CostTerm { label, cycles };
+    let decomp_terms = match &enc.matrix {
+        AnyMatrix::Dense(_) => vec![term(
+            "rows stream straight to the engine (no decompression)".into(),
+            0,
+        )],
+        AnyMatrix::Csr(m) => {
+            let nzr = (0..m.nrows()).filter(|&r| m.row_nnz(r) > 0).count() as u64;
+            vec![
+                term(
+                    format!("{nzr} non-zero rows x {l}-cycle offsets read (Listing 1 line 7)"),
+                    nzr * l,
+                ),
+                term(
+                    format!("{nnz} elements through the pipelined II=1 copy loop"),
+                    nnz,
+                ),
+            ]
+        }
+        AnyMatrix::Csc(_) => vec![term(
+            format!("{p} output rows x {nnz}-tuple rescan (orientation mismatch, Listing 3)"),
+            p * nnz,
+        )],
+        AnyMatrix::Bcsr(m) => {
+            let (nbr, nblk) = (m.nonzero_block_rows() as u64, m.num_blocks() as u64);
+            vec![
+                term(
+                    format!("{nbr} non-zero block-rows x {l}-cycle offsets read"),
+                    nbr * l,
+                ),
+                term(
+                    format!("{nblk} blocks through the unrolled copy (1 cycle each)"),
+                    nblk,
+                ),
+            ]
+        }
+        AnyMatrix::Coo(_) => vec![
+            term(format!("initial tuple fetch ({l} cycles)"), l),
+            term(
+                format!("{nnz} tuples through the pipelined II=1 scatter"),
+                nnz,
+            ),
+        ],
+        AnyMatrix::Lil(m) => {
+            let nzr = m.distinct_cross_indices() as u64;
+            vec![
+                term(
+                    format!("{nzr} emitted rows x (parallel column read {l} + min-scan/assign 2)"),
+                    nzr * (l + 2),
+                ),
+                term(format!("end-of-rows marker read ({l} cycles)"), l),
+            ]
+        }
+        AnyMatrix::Ell(_) => vec![term(
+            format!("{p} rows x 1 cycle (fully unrolled, zero rows not skippable)"),
+            p,
+        )],
+        AnyMatrix::Dia(m) => {
+            let ndiag = m.num_diagonals() as u64;
+            vec![
+                term(format!("initial diagonal fetch ({l} cycles)"), l),
+                term(
+                    format!("{p} rows x {ndiag}-diagonal II=1 scan (Listing 7)"),
+                    p * ndiag,
+                ),
+            ]
+        }
+    };
+    let t_dot = cfg.dot_latency(d.engine_width);
+    CostBreakdown {
+        format: enc.kind(),
+        decomp_terms,
+        dot_term: term(
+            format!(
+                "{} dot products x {t_dot} cycles on the width-{} engine",
+                d.dot_issues, d.engine_width
+            ),
+            d.dot_issues * t_dot,
+        ),
+        memory_cycles: enc.memory_cycles(cfg),
+        compute_cycles: d.compute_cycles(cfg),
+    }
 }
 
 proptest! {
@@ -340,6 +431,19 @@ proptest! {
     }
 
     #[test]
+    fn explain_from_stats_equals_the_walked_breakdown((p, _, tile) in structural_tile_strategy()) {
+        let cfg = HwConfig::with_partition_size(p);
+        // Duplicate and cancelling tiles are declined, so only clean ones
+        // have counts to explain.
+        if let Some(stats) = TileStats::measure(&tile, &cfg, &mut EncodeScratch::new()) {
+            for kind in FormatKind::CHARACTERIZED {
+                let enc = EncodedPartition::encode(&tile, kind, &cfg).unwrap();
+                prop_assert_eq!(explain(&stats, kind, &cfg), walked_breakdown(&enc, &cfg), "{} at p={}", kind, p);
+            }
+        }
+    }
+
+    #[test]
     fn measured_grids_equal_the_walked_oracle((p, m) in structural_grid_strategy()) {
         // One measurement, taken straight from the matrix, prices every
         // format on every backend, plain or in lanes, at any tile worker
@@ -370,10 +474,9 @@ proptest! {
                         })
                         .unwrap();
                     for jobs in [1, 2] {
+                        session.set_tile_jobs(jobs);
                         let mut events = RecordingSink::new();
-                        let request = RunRequest::measured(&stats, kind)
-                            .with_sink(&mut events)
-                            .par_tiles(jobs);
+                        let request = RunRequest::measured(&stats, kind).with_sink(&mut events);
                         let got = session
                             .run(match lanes {
                                 Some(n) => request.with_lanes(n),
@@ -383,8 +486,8 @@ proptest! {
                         let case = format!("{kind} on {backend} at p={p}, lanes {lanes:?}, {jobs} jobs");
                         prop_assert_eq!(&got, &want, "{}", case);
                         prop_assert_eq!(&events.events, &want_events.events, "{}", case);
-                        // Untraced, a plain run adds each class at once.
-                        let request = RunRequest::measured(&stats, kind).par_tiles(jobs);
+                        // Untraced, the same tiles reach the same report.
+                        let request = RunRequest::measured(&stats, kind);
                         let untraced = session
                             .run(match lanes {
                                 Some(n) => request.with_lanes(n),
