@@ -521,7 +521,7 @@ mod tests {
         .unwrap();
         std::fs::write(
             dir.join("profile.json"),
-            "{\"phases\": {\"encode\": {\"count\": 3, \"sum_secs\": 0.3, \"mean_secs\": 0.1, \"min_secs\": 0.05, \"max_secs\": 0.2, \"p50_secs\": 0.1, \"p95_secs\": 0.2, \"p99_secs\": 0.2}}, \"workers\": [{\"worker\": 0, \"busy_secs\": 1.5, \"cells\": 8, \"utilization\": 0.75, \"cells_per_sec\": 5.33}], \"campaign_wall_secs\": 2.0}",
+            "{\"phases\": {\"generate\": {\"count\": 2, \"sum_secs\": 0.25, \"mean_secs\": 0.125, \"min_secs\": 0.05, \"max_secs\": 0.2, \"p50_secs\": 0.05, \"p95_secs\": 0.2, \"p99_secs\": 0.2}, \"encode\": {\"count\": 3, \"sum_secs\": 0.3, \"mean_secs\": 0.1, \"min_secs\": 0.05, \"max_secs\": 0.2, \"p50_secs\": 0.1, \"p95_secs\": 0.2, \"p99_secs\": 0.2}}, \"workers\": [{\"worker\": 0, \"busy_secs\": 1.5, \"cells\": 8, \"utilization\": 0.75, \"cells_per_sec\": 5.33}], \"campaign_wall_secs\": 2.0}",
         )
         .unwrap();
         std::fs::write(
@@ -543,6 +543,9 @@ mod tests {
         );
         assert!(text.contains("retries:  2"), "{text}");
         assert!(text.contains("encode"), "{text}");
+        // Generation renders as its own phase row, before encode.
+        let generate = text.find("generate").expect("generate row");
+        assert!(generate < text.find("encode").unwrap(), "{text}");
         assert!(text.contains("75%"), "{text}");
         assert!(text.contains("grid") && text.contains("matrix"), "{text}");
         assert!(

@@ -221,7 +221,7 @@ fn profile_json_captures_phases_and_workers_without_touching_determinism() {
         )
         .expect("profile parses");
         let phases = profile_phases(dir);
-        for phase in ["encode", "compute", "cache_lookup"] {
+        for phase in ["generate", "encode", "compute", "cache_lookup"] {
             let count = phases
                 .iter()
                 .find(|(name, _)| name == phase)
@@ -246,10 +246,11 @@ fn profile_json_captures_phases_and_workers_without_touching_determinism() {
 }
 
 #[test]
-fn structural_campaigns_lap_the_tile_sort_as_partition() {
-    // Verification off: every unit measures its matrix, and the tile sort
-    // that measure starts with is the `partition` phase; the measuring
-    // itself stays `encode`.
+fn structural_campaigns_lap_one_pattern_build_per_matrix_as_partition() {
+    // Verification off: every unit measures its matrix from the matrix's
+    // row pattern, built once and shared by every partition size, and that
+    // build is the `partition` phase; the measuring itself stays `encode`,
+    // and the matrix's generation is `generate`.
     let dir = scratch_dir("profile-structural");
     let cfg = ExperimentConfig {
         hw: copernicus_hls::HwConfig {
@@ -267,9 +268,13 @@ fn structural_campaigns_lap_the_tile_sort_as_partition() {
             .and_then(|(_, h)| h.get(key).cloned())
             .unwrap_or_else(|| panic!("profile.json has no {phase:?} {key:?}"))
     };
-    // One measure, so one partition lap, per (workload, p) unit.
-    let units = (grid_workloads().len() * SIZES.len()) as u64;
-    assert_eq!(field("partition", "count").as_u64(), Some(units));
+    // One pattern build, so one partition lap, per matrix, and one
+    // generation; one lookup per (workload, p) unit.
+    let matrices = grid_workloads().len() as u64;
+    let units = matrices * SIZES.len() as u64;
+    assert_eq!(field("partition", "count").as_u64(), Some(matrices));
+    assert_eq!(field("generate", "count").as_u64(), Some(matrices));
+    assert_eq!(field("cache_lookup", "count").as_u64(), Some(units));
     assert!(field("partition", "sum_secs")
         .as_f64()
         .is_some_and(|s| s > 0.0));

@@ -9,7 +9,9 @@
 //! [`PartitionGrid`] only on first use by a run that walks tiles, keeping
 //! it for later units when it fits [`MAX_ENTRY_BYTES`]. A unit that prices
 //! from structure measures the matrix instead ([`CachedGrid::measure`])
-//! and never builds one.
+//! and never builds one: it walks the matrix's [`RowPattern`], built on the
+//! first measure and kept beside the matrix, so every partition size of a
+//! workload is measured from one build.
 //!
 //! # Determinism
 //!
@@ -38,22 +40,29 @@
 //! counts as a miss). A tiling entry is sized by what it holds: its
 //! matrix, which decides admission (the matrix layer's own cap), and the
 //! grid once built. A built grid over the cap is handed to the unit that
-//! built it and not kept, so each unit that walks it builds it again. The
-//! resident total — matrices, plus the grids kept (an entry's matrix is
-//! the matrix layer's) — is pruned back to [`BUDGET_BYTES`] at the end of
-//! every campaign — on the coordinator thread, in descending key order
-//! (grids before matrices), so eviction is deterministic and never
-//! perturbs an in-flight unit.
+//! built it and not kept, so each unit that walks it builds it again. A
+//! matrix's row pattern is built lazily, only by a unit that measures, and
+//! counts with its matrix: 8 bytes per row plus 4 per entry, against the
+//! matrix's 24 per entry. It lives and is evicted with its matrix, so an
+//! oversized matrix, never admitted, builds its pattern once per unit. The
+//! resident total — matrices with their patterns, plus the grids kept (an
+//! entry's matrix is the matrix layer's) — is pruned back to
+//! [`BUDGET_BYTES`] at the end of every campaign — on the coordinator
+//! thread, in descending key order (grids before matrices), so eviction is
+//! deterministic and never perturbs an in-flight unit.
 
 use crate::campaign::lock_clean;
 use copernicus_hls::{GridStats, PlatformError, Session};
 use copernicus_telemetry::{MetricsRegistry, Phase, PhaseProfiler};
 use copernicus_workloads::Workload;
-use sparsemat::{check_partition_size, Coo, Matrix, PartitionGrid, SparseError, Triplet};
+use sparsemat::{
+    check_partition_size, Coo, Matrix, PartitionGrid, RowPattern, SparseError, Triplet,
+};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Per-entry admission cap: anything larger is rebuilt per lookup instead
 /// of cached (paper-scale dense-ish sweeps would otherwise evict the whole
@@ -63,6 +72,44 @@ pub const MAX_ENTRY_BYTES: u64 = 32 << 20;
 /// Total resident budget the end-of-campaign prune enforces.
 pub const BUDGET_BYTES: u64 = 256 << 20;
 
+/// One generated matrix and, once a unit that prices from structure has
+/// measured it, its [`RowPattern`]: built on first use and shared by every
+/// partition size's tiling entry.
+#[derive(Debug)]
+struct CachedMatrix {
+    coo: Arc<Coo<f32>>,
+    /// `RowPattern::new(&coo)`, once built (`None` inside: the matrix has
+    /// no pattern).
+    pattern: OnceLock<Option<RowPattern>>,
+}
+
+impl CachedMatrix {
+    fn new(coo: Coo<f32>) -> Self {
+        CachedMatrix {
+            coo: Arc::new(coo),
+            pattern: OnceLock::new(),
+        }
+    }
+
+    /// The row pattern, built on first use (lapped as
+    /// [`Phase::Partition`] into `profiler`); concurrent callers wait for
+    /// the one build.
+    fn pattern(&self, profiler: Option<&PhaseProfiler>) -> Option<&RowPattern> {
+        self.pattern
+            .get_or_init(|| {
+                let _lap = profiler.map(|p| p.scope(Phase::Partition));
+                RowPattern::new(&self.coo)
+            })
+            .as_ref()
+    }
+
+    /// Resident bytes: the triplets, plus the pattern once built.
+    fn resident_bytes(&self) -> u64 {
+        let pattern = self.pattern.get().and_then(Option::as_ref);
+        coo_bytes(&self.coo) + pattern.map_or(0, |p| p.heap_bytes() as u64)
+    }
+}
+
 /// One `(workload, seed, cap, p)` tiling entry: the generated matrix, the
 /// density every [`Measurement`](crate::Measurement) needs, and the
 /// [`PartitionGrid`], built on first use by a run that walks tiles. Grid
@@ -71,16 +118,16 @@ pub const BUDGET_BYTES: u64 = 256 << 20;
 pub struct CachedGrid {
     /// Density of the generating matrix.
     pub density: f64,
-    matrix: Arc<Coo<f32>>,
+    matrix: Arc<CachedMatrix>,
     p: usize,
     /// The tiling, once built, when it fits [`MAX_ENTRY_BYTES`].
     grid: OnceLock<Arc<PartitionGrid<f32>>>,
 }
 
 impl CachedGrid {
-    fn new(matrix: Arc<Coo<f32>>, p: usize) -> Self {
+    fn new(matrix: Arc<CachedMatrix>, p: usize) -> Self {
         CachedGrid {
-            density: matrix.density(),
+            density: matrix.coo.density(),
             matrix,
             p,
             grid: OnceLock::new(),
@@ -89,7 +136,7 @@ impl CachedGrid {
 
     /// The generated matrix.
     pub fn matrix(&self) -> &Coo<f32> {
-        &self.matrix
+        &self.matrix.coo
     }
 
     /// The tiling, built on first use (the build lapped as
@@ -108,7 +155,7 @@ impl CachedGrid {
         }
         let built = {
             let _lap = profiler.map(|p| p.scope(Phase::Partition));
-            Arc::new(PartitionGrid::new(&*self.matrix, self.p)?)
+            Arc::new(PartitionGrid::new(self.matrix(), self.p)?)
         };
         if grid_bytes(&built) > MAX_ENTRY_BYTES {
             return Ok(built);
@@ -116,13 +163,20 @@ impl CachedGrid {
         Ok(Arc::clone(self.grid.get_or_init(|| built)))
     }
 
-    /// Measures the matrix's tiles on `session` without building the grid.
+    /// Measures the matrix's tiles on `session` without building the grid,
+    /// from the matrix's row pattern: built on first use (lapped as
+    /// [`Phase::Partition`] into `profiler`) and shared with every other
+    /// partition size of the same matrix.
     ///
     /// # Errors
     ///
     /// [`PlatformError::Config`] when the session tiles at another `p`
-    /// than this entry; otherwise as [`Session::measure`].
-    pub fn measure(&self, session: &mut Session) -> Result<GridStats, PlatformError> {
+    /// than this entry; otherwise as [`Session::measure_with`].
+    pub fn measure(
+        &self,
+        session: &mut Session,
+        profiler: Option<&PhaseProfiler>,
+    ) -> Result<GridStats, PlatformError> {
         let p = session.config().partition_size;
         if p != self.p {
             return Err(PlatformError::Config(format!(
@@ -130,7 +184,8 @@ impl CachedGrid {
                 self.p
             )));
         }
-        session.measure(&self.matrix)
+        let pattern = self.matrix.pattern(profiler);
+        session.measure_with(self.matrix(), pattern)
     }
 
     /// Resident bytes: the grid if kept. The matrix is the matrix layer's.
@@ -175,7 +230,7 @@ struct Exported {
 /// docs](self) for the key scheme and the determinism argument.
 #[derive(Debug, Default)]
 pub struct WorkloadCache {
-    matrices: Mutex<BTreeMap<String, Arc<Coo<f32>>>>,
+    matrices: Mutex<BTreeMap<String, Arc<CachedMatrix>>>,
     grids: Mutex<BTreeMap<String, Arc<CachedGrid>>>,
     matrix_hits: AtomicU64,
     matrix_misses: AtomicU64,
@@ -197,16 +252,23 @@ impl WorkloadCache {
     /// pure) and the lookup counts as the hit it would have been under the
     /// sequential schedule.
     pub fn matrix(&self, workload: &Workload, max_dim: usize, seed: u64) -> Arc<Coo<f32>> {
-        self.matrix_impl(workload, max_dim, seed, true)
+        let mut generating = Duration::ZERO;
+        let cached = self.matrix_impl(workload, max_dim, seed, true, None, &mut generating);
+        Arc::clone(&cached.coo)
     }
 
+    /// The matrix layer's lookup. A generation is lapped as
+    /// [`Phase::Generate`] into `profiler`, and its wall time added to
+    /// `generating`.
     fn matrix_impl(
         &self,
         workload: &Workload,
         max_dim: usize,
         seed: u64,
         counted: bool,
-    ) -> Arc<Coo<f32>> {
+        profiler: Option<&PhaseProfiler>,
+        generating: &mut Duration,
+    ) -> Arc<CachedMatrix> {
         let count = |c: &AtomicU64| {
             if counted {
                 c.fetch_add(1, Ordering::Relaxed);
@@ -217,8 +279,14 @@ impl WorkloadCache {
             count(&self.matrix_hits);
             return Arc::clone(m);
         }
-        let generated = Arc::new(workload.generate(max_dim, seed));
-        if coo_bytes(&generated) > MAX_ENTRY_BYTES {
+        let start = Instant::now();
+        let generated = Arc::new(CachedMatrix::new(workload.generate(max_dim, seed)));
+        let took = start.elapsed();
+        *generating += took;
+        if let Some(profiler) = profiler {
+            profiler.record(Phase::Generate, took.as_secs_f64());
+        }
+        if coo_bytes(&generated.coo) > MAX_ENTRY_BYTES {
             count(&self.matrix_misses);
             return generated;
         }
@@ -252,28 +320,49 @@ impl WorkloadCache {
         max_dim: usize,
         seed: u64,
     ) -> Result<Arc<CachedGrid>, SparseError> {
-        self.grid_impl(workload, p, max_dim, seed, true)
+        self.lookup(workload, p, max_dim, seed, true, None)
     }
 
-    /// [`grid`](WorkloadCache::grid) without touching the hit/miss counters
-    /// of either layer. The campaign runner meters exactly one counted grid
-    /// lookup per unit; refills after a failed attempt go through here so
-    /// retries never skew the counters (which must stay a pure function of
-    /// the campaign's unit list — see the module docs).
+    /// [`grid`](WorkloadCache::grid), lapped into `profiler`: a generation
+    /// as [`Phase::Generate`], the rest of the lookup as
+    /// [`Phase::CacheLookup`], so the two never overlap. With `counted`
+    /// off it touches neither layer's hit/miss counters: the campaign
+    /// runner meters exactly one counted grid lookup per unit, and refills
+    /// after a failed attempt go uncounted so retries never skew the
+    /// counters (which must stay a pure function of the campaign's unit
+    /// list — see the module docs).
     ///
     /// # Errors
     ///
     /// Propagates partitioning failures (invalid `p`).
-    pub(crate) fn grid_uncounted(
+    pub(crate) fn lookup(
         &self,
         workload: &Workload,
         p: usize,
         max_dim: usize,
         seed: u64,
+        counted: bool,
+        profiler: Option<&PhaseProfiler>,
     ) -> Result<Arc<CachedGrid>, SparseError> {
-        self.grid_impl(workload, p, max_dim, seed, false)
+        let start = Instant::now();
+        let mut generating = Duration::ZERO;
+        let entry = self.grid_impl(
+            workload,
+            p,
+            max_dim,
+            seed,
+            counted,
+            profiler,
+            &mut generating,
+        );
+        if let Some(profiler) = profiler {
+            let looking = start.elapsed().saturating_sub(generating);
+            profiler.record(Phase::CacheLookup, looking.as_secs_f64());
+        }
+        entry
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn grid_impl(
         &self,
         workload: &Workload,
@@ -281,6 +370,8 @@ impl WorkloadCache {
         max_dim: usize,
         seed: u64,
         counted: bool,
+        profiler: Option<&PhaseProfiler>,
+        generating: &mut Duration,
     ) -> Result<Arc<CachedGrid>, SparseError> {
         let count = |c: &AtomicU64| {
             if counted {
@@ -292,10 +383,10 @@ impl WorkloadCache {
             count(&self.grid_hits);
             return Ok(Arc::clone(g));
         }
-        let matrix = self.matrix_impl(workload, max_dim, seed, counted);
+        let matrix = self.matrix_impl(workload, max_dim, seed, counted, profiler, generating);
         check_partition_size(p)?;
         let built = Arc::new(CachedGrid::new(matrix, p));
-        if coo_bytes(&built.matrix) > MAX_ENTRY_BYTES {
+        if coo_bytes(built.matrix()) > MAX_ENTRY_BYTES {
             count(&self.grid_misses);
             return Ok(built);
         }
@@ -358,7 +449,7 @@ impl WorkloadCache {
                 else {
                     break;
                 };
-                resident = resident.saturating_sub(coo_bytes(&m));
+                resident = resident.saturating_sub(m.resident_bytes());
                 matrices.remove(&key);
                 evicted += 1;
             }
@@ -392,7 +483,7 @@ impl WorkloadCache {
     fn occupancy(&self) -> (usize, usize, u64) {
         let matrices = lock_clean(&self.matrices);
         let grids = lock_clean(&self.grids);
-        let bytes = matrices.values().map(|m| coo_bytes(m)).sum::<u64>()
+        let bytes = matrices.values().map(|m| m.resident_bytes()).sum::<u64>()
             + grids.values().map(|g| g.resident_bytes()).sum::<u64>();
         (matrices.len(), grids.len(), bytes)
     }
@@ -497,13 +588,13 @@ mod tests {
     fn uncounted_lookups_share_entries_but_never_touch_the_counters() {
         let cache = WorkloadCache::new();
         // A cold uncounted lookup generates and inserts silently …
-        let a = cache.grid_uncounted(&w(64, 0.1), 16, 0, 7).unwrap();
+        let a = cache.lookup(&w(64, 0.1), 16, 0, 7, false, None).unwrap();
         let s = cache.stats();
         assert_eq!((s.grid_misses, s.grid_hits), (0, 0));
         assert_eq!((s.matrix_misses, s.matrix_hits), (0, 0));
         assert_eq!((s.grids, s.matrices), (1, 1));
         // … a warm one reads the shared entry silently …
-        let b = cache.grid_uncounted(&w(64, 0.1), 16, 0, 7).unwrap();
+        let b = cache.lookup(&w(64, 0.1), 16, 0, 7, false, None).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().grid_hits, 0);
         // … and a later counted lookup meters as if it ran the schedule
@@ -525,10 +616,13 @@ mod tests {
     fn measuring_builds_no_grid() {
         let cache = WorkloadCache::new();
         let entry = cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
-        let unbuilt = cache.stats().resident_bytes;
-        let stats = entry.measure(&mut structural(16)).unwrap();
+        let unmeasured = cache.stats().resident_bytes;
+        let stats = entry.measure(&mut structural(16), None).unwrap();
         assert!(entry.grid.get().is_none());
-        assert_eq!(cache.stats().resident_bytes, unbuilt);
+        // Measuring keeps the matrix's row pattern, and nothing else.
+        let pattern = entry.matrix.pattern(None).unwrap().heap_bytes() as u64;
+        let unbuilt = cache.stats().resident_bytes;
+        assert_eq!(unbuilt, unmeasured + pattern);
         // A walking run builds the grid once; only then is it resident.
         let grid = entry.grid(None).unwrap();
         assert_eq!(grid.nonzero_tiles(), stats.tiles());
@@ -536,9 +630,46 @@ mod tests {
         assert!(cache.stats().resident_bytes > unbuilt);
         // A session at another p would measure another tiling.
         assert!(matches!(
-            entry.measure(&mut structural(8)),
+            entry.measure(&mut structural(8), None),
             Err(PlatformError::Config(_))
         ));
+    }
+
+    #[test]
+    fn partition_sizes_share_one_pattern_build_and_the_counters_hold() {
+        // The three paper partition sizes of one workload: one generation
+        // and one pattern build, whose bytes join the matrix's; lookups
+        // count exactly as they do when nothing is measured.
+        let looked_up = WorkloadCache::new();
+        let measured = WorkloadCache::new();
+        let profiler = PhaseProfiler::new();
+        let mut resident = 0;
+        for p in sparsemat::partition::PAPER_PARTITION_SIZES {
+            looked_up.lookup(&w(64, 0.1), p, 0, 7, true, None).unwrap();
+            let entry = measured
+                .lookup(&w(64, 0.1), p, 0, 7, true, Some(&profiler))
+                .unwrap();
+            if resident == 0 {
+                resident = measured.stats().resident_bytes;
+            }
+            let stats = entry.measure(&mut structural(p), Some(&profiler)).unwrap();
+            assert_eq!(stats, structural(p).measure(entry.matrix()).unwrap());
+        }
+        let count = |phase| profiler.histogram(phase).map_or(0, |h| h.count());
+        assert_eq!(count(Phase::Generate), 1);
+        assert_eq!(count(Phase::Partition), 1);
+        assert_eq!(count(Phase::CacheLookup), 3);
+        let (a, b) = (looked_up.stats(), measured.stats());
+        assert_eq!(
+            (a.matrix_hits, a.matrix_misses, a.grid_hits, a.grid_misses),
+            (b.matrix_hits, b.matrix_misses, b.grid_hits, b.grid_misses)
+        );
+        assert_eq!((b.matrix_misses, b.matrix_hits, b.grid_misses), (1, 2, 3));
+        // The pattern is resident with its matrix: 65 row pointers and
+        // one `u32` per entry.
+        let entries = w(64, 0.1).generate(0, 7).nnz() as u64;
+        assert_eq!(b.resident_bytes, a.resident_bytes + 65 * 8 + 4 * entries);
+        assert!(b.resident_bytes > resident);
     }
 
     #[test]

@@ -86,8 +86,8 @@ use crate::fault::{
 use crate::{ExperimentConfig, Instruments, Measurement};
 use copernicus_hls::{GridStats, PlatformError, RunRequest, Session};
 use copernicus_telemetry::{
-    replay, CancelToken, Phase, PhaseProfiler, PipelineEvent, ProgressReporter, RecordingSink,
-    TraceSink, WorkerStats,
+    replay, CancelToken, PhaseProfiler, PipelineEvent, ProgressReporter, RecordingSink, TraceSink,
+    WorkerStats,
 };
 use copernicus_workloads::Workload;
 use sparsemat::{FormatKind, PartitionGrid};
@@ -467,15 +467,17 @@ impl CampaignRunner {
         // failure — `compute_cell` repeats the lookup (uncounted) with full
         // typed-failure handling per cell. Sessions stay lazy: a fully
         // memoized unit never builds one.
-        let unit_grid = {
-            let _lookup = observers
-                .profiler
-                .as_ref()
-                .map(|pr| pr.scope(Phase::CacheLookup));
-            self.workloads
-                .grid(workload, p, cfg.suite_max_dim, cfg.seed)
-                .ok()
-        };
+        let unit_grid = self
+            .workloads
+            .lookup(
+                workload,
+                p,
+                cfg.suite_max_dim,
+                cfg.seed,
+                true,
+                observers.profiler.as_deref(),
+            )
+            .ok();
         let mut prepared: Option<Prepared> = None;
         for (fi, &format) in formats.iter().enumerate() {
             let key = cell_key(workload, p, format, cfg, hw);
@@ -581,11 +583,13 @@ impl CampaignRunner {
                         // neither retries nor error paths skew the counters.
                         let entry = match unit_grid {
                             Some(entry) => Arc::clone(entry),
-                            None => self.workloads.grid_uncounted(
+                            None => self.workloads.lookup(
                                 workload,
                                 p,
                                 cfg.suite_max_dim,
                                 cfg.seed,
+                                false,
+                                observers.profiler.as_deref(),
                             )?,
                         };
                         let mut session = cfg.session(p)?;
@@ -594,7 +598,9 @@ impl CampaignRunner {
                         // A unit that prices from structure measures the
                         // matrix and never builds the grid.
                         let input = if session.config().prices_from_structure() {
-                            UnitInput::Measured(entry.measure(&mut session)?)
+                            UnitInput::Measured(
+                                entry.measure(&mut session, observers.profiler.as_deref())?,
+                            )
                         } else {
                             UnitInput::Walked(entry.grid(observers.profiler.as_deref())?)
                         };

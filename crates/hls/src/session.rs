@@ -29,7 +29,7 @@ use crate::{
     backend_for, EncodeScratch, GridStats, HwConfig, ParallelReport, PlatformError, RunReport,
 };
 use copernicus_telemetry::{CancelToken, NullSink, Phase, PhaseProfiler, TraceSink};
-use sparsemat::{tile_runs, Coo, FormatKind, Matrix, PartitionGrid, SparseError};
+use sparsemat::{tile_runs, Coo, FormatKind, Matrix, PartitionGrid, RowPattern, SparseError};
 use std::sync::Arc;
 
 /// What a [`RunRequest`] streams through the platform: a raw matrix (tiled
@@ -260,9 +260,9 @@ impl Session {
 
     /// Measures every non-zero tile of `matrix` once, at the configured
     /// partition size, for [`RunRequest::measured`] runs in any format and
-    /// on any backend. The tiles are measured in place from the
-    /// tile-sorted triplets (the sort lapped as [`Phase::Partition`], the
-    /// measuring as [`Phase::Encode`]); only a declined tile is built.
+    /// on any backend: builds the matrix's [`RowPattern`] (lapped as
+    /// [`Phase::Partition`]) and measures as [`Session::measure_with`]
+    /// does. Only a declined tile is ever built.
     ///
     /// # Errors
     ///
@@ -270,28 +270,71 @@ impl Session {
     /// structure ([`HwConfig::prices_from_structure`]);
     /// [`PlatformError::Sparse`] when an entry lies outside the matrix.
     pub fn measure(&mut self, matrix: &Coo<f32>) -> Result<GridStats, PlatformError> {
-        if !self.cfg.prices_from_structure() {
-            return Err(PlatformError::Config(
-                "only a session that prices from structure (verification and codec off) \
-                 measures tiles"
-                    .into(),
-            ));
+        self.check_structural()?;
+        let pattern = {
+            let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Partition));
+            RowPattern::new(matrix)
+        };
+        self.measure_with(matrix, pattern.as_ref())
+    }
+
+    /// [`Session::measure`] with `matrix`'s [`RowPattern::new`] already
+    /// built, so a caller that keeps it measures every partition size from
+    /// one build. With a pattern, the tiles are walked from it one band of
+    /// `p` rows at a time and measured as they come (lapped together as
+    /// [`Phase::Encode`]). With `None` — the matrix has no pattern — the
+    /// triplets are copied and tile-sorted by
+    /// [`tile_runs`](sparsemat::tile_runs) (lapped as [`Phase::Partition`])
+    /// and the runs measured in place ([`Phase::Encode`]). Both give the
+    /// same [`GridStats`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Session::measure`], plus [`PlatformError::Config`] when the
+    /// pattern's shape is not the matrix's.
+    pub fn measure_with(
+        &mut self,
+        matrix: &Coo<f32>,
+        pattern: Option<&RowPattern>,
+    ) -> Result<GridStats, PlatformError> {
+        self.check_structural()?;
+        let (nrows, ncols) = (matrix.nrows(), matrix.ncols());
+        if let Some(pattern) = pattern {
+            if pattern.shape() != (nrows, ncols) {
+                return Err(PlatformError::Config(format!(
+                    "a {:?} row pattern cannot measure a {nrows}x{ncols} matrix",
+                    pattern.shape()
+                )));
+            }
+            let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Encode));
+            return Ok(GridStats::measure_pattern(
+                pattern,
+                &self.cfg,
+                &mut self.scratch,
+            )?);
         }
         let lap = self.profiler.as_ref().map(|p| p.scope(Phase::Partition));
         let mut triplets = matrix.triplets();
-        let runs = tile_runs(
-            matrix.nrows(),
-            matrix.ncols(),
-            &mut triplets,
-            self.cfg.partition_size,
-        )?;
+        let runs = tile_runs(nrows, ncols, &mut triplets, self.cfg.partition_size)?;
         drop(lap);
         let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Encode));
         Ok(GridStats::measure(
-            (matrix.nrows(), matrix.ncols()),
+            (nrows, ncols),
             runs,
             &self.cfg,
             &mut self.scratch,
+        ))
+    }
+
+    /// `Ok` when this session prices from structure, as measuring needs.
+    fn check_structural(&self) -> Result<(), PlatformError> {
+        if self.cfg.prices_from_structure() {
+            return Ok(());
+        }
+        Err(PlatformError::Config(
+            "only a session that prices from structure (verification and codec off) \
+             measures tiles"
+                .into(),
         ))
     }
 
@@ -547,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn measuring_laps_the_tile_sort_as_partition() {
+    fn measuring_laps_the_pattern_build_as_partition() {
         let profiler = Arc::new(PhaseProfiler::new());
         let mut session = Session::new(structural(16))
             .unwrap()
@@ -555,6 +598,30 @@ mod tests {
         session.measure(&matrix()).unwrap();
         assert_eq!(profiler.histogram(Phase::Partition).unwrap().count(), 1);
         assert_eq!(profiler.histogram(Phase::Encode).unwrap().count(), 1);
+    }
+
+    #[test]
+    fn a_matrix_without_a_pattern_is_measured_through_the_tile_sort() {
+        // A repeated coordinate: no row pattern, so the tile runs are
+        // measured, and the tile holding the repeat is declined and kept.
+        let mut m = matrix();
+        m.push(3, 3, 2.0).unwrap();
+        assert_eq!(RowPattern::new(&m), None);
+        let profiler = Arc::new(PhaseProfiler::new());
+        let mut session = Session::new(structural(16))
+            .unwrap()
+            .with_profiler(profiler.clone());
+        let stats = session.measure(&m).unwrap();
+        assert_eq!(stats, session.measure_with(&m, None).unwrap());
+        assert_eq!(stats.declined(), 1);
+        // The failed pattern build and the tile sort both lap as partition.
+        assert_eq!(profiler.histogram(Phase::Partition).unwrap().count(), 3);
+        // A pattern of another matrix's shape is refused.
+        let other = RowPattern::new(&Coo::<f32>::new(8, 8)).unwrap();
+        assert!(matches!(
+            session.measure_with(&matrix(), Some(&other)),
+            Err(PlatformError::Config(_))
+        ));
     }
 
     #[test]

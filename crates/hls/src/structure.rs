@@ -22,14 +22,16 @@
 //!
 //! A tile's counts depend on the tile, `p` and the BCSR block size, not on
 //! the format or the backend, so [`GridStats`] measures a whole matrix
-//! once, straight from its tile-sorted triplets and without building a
-//! grid: a table of its distinct [`TileStats`] and, per tile, its grid
-//! coordinates and class id. A run over it prices each class once and
-//! hands every tile its class's timing in grid order.
+//! once, without building a grid: a table of its distinct [`TileStats`]
+//! and, per tile, its grid coordinates and class id. Its tiles come from
+//! the matrix's [`RowPattern`], one band of `p` rows at a time, or — for a
+//! matrix without one — from its tile-sorted triplets. A run over it
+//! prices each class once and hands every tile its class's timing in grid
+//! order.
 
 use crate::backend::TileCounters;
 use crate::{EncodeScratch, HwConfig, PlatformError};
-use sparsemat::{Coo, FormatKind, Matrix, Partition, Triplet};
+use sparsemat::{Coo, FormatKind, Matrix, Partition, RowPattern, SparseError, Triplet};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -311,6 +313,84 @@ pub(crate) enum TilePricing<'a> {
     Walk(&'a Partition<f32>),
 }
 
+/// A [`GridStats`] under construction: each tile is measured as it
+/// arrives, in grid order, by whichever tiling feeds it.
+struct Classifier<'a> {
+    cfg: &'a HwConfig,
+    scratch: &'a mut EncodeScratch,
+    ids: HashMap<TileStats, u32, BuildHasherDefault<ClassHasher>>,
+    classes: Vec<TileStats>,
+    tiles: Vec<MeasuredTile>,
+    declined: Vec<Partition<f32>>,
+}
+
+impl<'a> Classifier<'a> {
+    /// A classifier for one `nrows × ncols` matrix whose tiling yields at
+    /// most `most` tiles. The tile list is sized once for the most tiles
+    /// there can be (`most`, and one per grid cell) and trimmed at the end:
+    /// as many allocations for ten tiles as for a million.
+    fn new(
+        (nrows, ncols): (usize, usize),
+        most: usize,
+        cfg: &'a HwConfig,
+        scratch: &'a mut EncodeScratch,
+    ) -> Self {
+        let p = cfg.partition_size;
+        let cells = nrows.div_ceil(p).saturating_mul(ncols.div_ceil(p));
+        Classifier {
+            cfg,
+            scratch,
+            ids: HashMap::default(),
+            classes: Vec::new(),
+            tiles: Vec::with_capacity(most.min(cells)),
+            declined: Vec::new(),
+        }
+    }
+
+    /// Measures the next tile in grid order from its entries in tile-local
+    /// coordinates, building it with `build` when it is declined.
+    fn tile<I>(
+        &mut self,
+        (grid_row, grid_col): (usize, usize),
+        local: I,
+        build: impl FnOnce() -> Partition<f32>,
+    ) where
+        I: Iterator<Item = Triplet<f32>> + Clone,
+    {
+        let class = match TileStats::measure_local(local, self.cfg, self.scratch) {
+            // Ids stay below the marker: past 2^32 − 1 classes, the
+            // remaining tiles are walked.
+            Some(stats) if self.classes.len() < DECLINED as usize => {
+                let classes = &mut self.classes;
+                *self.ids.entry(stats).or_insert_with(|| {
+                    classes.push(stats);
+                    (classes.len() - 1) as u32
+                })
+            }
+            _ => {
+                self.declined.push(build());
+                DECLINED
+            }
+        };
+        self.tiles.push(MeasuredTile {
+            grid_row,
+            grid_col,
+            class,
+        });
+    }
+
+    fn finish(mut self) -> GridStats {
+        self.tiles.shrink_to_fit();
+        GridStats {
+            p: self.cfg.partition_size,
+            b: self.cfg.bcsr_block,
+            classes: self.classes,
+            tiles: self.tiles,
+            declined: self.declined,
+        }
+    }
+}
+
 /// The structural counts of every non-zero tile of one matrix, measured
 /// once and priced for any format and backend: a table of the distinct
 /// [`TileStats`] values, in order of first appearance, and per tile, in
@@ -320,7 +400,7 @@ pub(crate) enum TilePricing<'a> {
 /// an accepted tile is never built.
 ///
 /// Built by [`Session::measure`](crate::Session::measure) straight from the
-/// matrix's tile runs, and consumed by
+/// matrix's row pattern or tile runs, and consumed by
 /// [`RunRequest::measured`](crate::RunRequest::measured).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridStats {
@@ -351,48 +431,48 @@ impl GridStats {
         R: Iterator<Item = (usize, usize, &'t [Triplet<f32>])>,
     {
         let p = cfg.partition_size;
-        let mut ids: HashMap<TileStats, u32, BuildHasherDefault<ClassHasher>> = HashMap::default();
-        let mut classes = Vec::new();
-        let mut declined = Vec::new();
-        // Sized once for the most tiles the runs can hold (one per entry,
-        // and one per grid cell) and trimmed after: as many allocations
-        // for ten tiles as for a million.
-        let cells = nrows.div_ceil(p).saturating_mul(ncols.div_ceil(p));
-        let most = runs.size_hint().1.unwrap_or(0).min(cells);
-        let mut tiles = Vec::with_capacity(most);
+        let most = runs.size_hint().1.unwrap_or(0);
+        let mut grid = Classifier::new((nrows, ncols), most, cfg, scratch);
         for (grid_row, grid_col, run) in runs {
             let (row0, col0) = (grid_row * p, grid_col * p);
             let local = run
                 .iter()
                 .map(move |t| Triplet::new(t.row - row0, t.col - col0, t.val));
-            let class = match TileStats::measure_local(local, cfg, scratch) {
-                // Ids stay below the marker: past 2^32 − 1 classes, the
-                // remaining tiles are walked.
-                Some(stats) if classes.len() < DECLINED as usize => {
-                    *ids.entry(stats).or_insert_with(|| {
-                        classes.push(stats);
-                        (classes.len() - 1) as u32
-                    })
-                }
-                _ => {
-                    declined.push(Partition::from_run(grid_row, grid_col, run, p));
-                    DECLINED
-                }
-            };
-            tiles.push(MeasuredTile {
-                grid_row,
-                grid_col,
-                class,
+            grid.tile((grid_row, grid_col), local, || {
+                Partition::from_run(grid_row, grid_col, run, p)
             });
         }
-        tiles.shrink_to_fit();
-        GridStats {
-            p,
-            b: cfg.bcsr_block,
-            classes,
-            tiles,
-            declined,
-        }
+        grid.finish()
+    }
+
+    /// Measures every tile of a matrix's [`RowPattern`] at the configured
+    /// partition size: the tiles, classes and order
+    /// [`GridStats::measure`] gives over the same matrix's tile runs. A
+    /// pattern holds no duplicate coordinate or explicit zero, so no tile
+    /// is declined, short of the class table's `u32` ids running out; a
+    /// tile declined for that is built with unit values, which a run that
+    /// prices from structure never reads.
+    pub(crate) fn measure_pattern(
+        pattern: &RowPattern,
+        cfg: &HwConfig,
+        scratch: &mut EncodeScratch,
+    ) -> Result<Self, SparseError> {
+        let p = cfg.partition_size;
+        let mut grid = Classifier::new(pattern.shape(), pattern.nnz(), cfg, scratch);
+        pattern.tiles(p, |grid_row, grid_col, run| {
+            let (row0, col0) = (grid_row * p, grid_col * p);
+            let local = run
+                .iter()
+                .map(move |&(r, c)| Triplet::new(r as usize - row0, c as usize - col0, 1.0));
+            grid.tile((grid_row, grid_col), local, || {
+                let run: Vec<_> = run
+                    .iter()
+                    .map(|&(r, c)| Triplet::new(r as usize, c as usize, 1.0))
+                    .collect();
+                Partition::from_run(grid_row, grid_col, &run, p)
+            });
+        })?;
+        Ok(grid.finish())
     }
 
     /// The distinct tile statistics, in order of first appearance.

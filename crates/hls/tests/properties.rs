@@ -7,7 +7,7 @@ use copernicus_hls::{
 };
 use copernicus_telemetry::RecordingSink;
 use proptest::prelude::*;
-use sparsemat::{AnyMatrix, Coo, Dia, FormatKind, Lil, Matrix, PartitionGrid, Triplet};
+use sparsemat::{AnyMatrix, Coo, Dia, FormatKind, Lil, Matrix, PartitionGrid, RowPattern, Triplet};
 
 /// Strategy: a random tile exactly `p×p` with unique coordinates.
 fn tile_strategy(p: usize) -> impl Strategy<Value = Coo<f32>> {
@@ -118,6 +118,47 @@ fn structural_grid_strategy() -> impl Strategy<Value = (usize, Coo<f32>)> {
                             _ => Triplet::new(pick / ncols, pick % ncols, 0.0),
                         });
                     }
+                    if reversed {
+                        triplets.reverse();
+                    }
+                    (
+                        p,
+                        Coo::from_triplets(nrows, ncols, triplets).expect("in range"),
+                    )
+                })
+        })
+    })
+}
+
+/// Strategy: a matrix with distinct coordinates at p ∈ {1, 8, 10, 16, 32},
+/// rectangular and of any shape `p` need not divide, with 0 to 400
+/// entries (so bands range from empty through sparse to full) and a few
+/// explicit zeros, which a row pattern drops, in row-major or reversed
+/// input order.
+fn pattern_grid_strategy() -> impl Strategy<Value = (usize, Coo<f32>)> {
+    prop_oneof![Just(1usize), Just(8), Just(10), Just(16), Just(32)].prop_flat_map(|p| {
+        let dim = 1..=3 * p + 5;
+        (dim.clone(), dim).prop_flat_map(move |(nrows, ncols)| {
+            let cells = nrows * ncols;
+            (
+                proptest::collection::btree_map(
+                    0..cells,
+                    prop_oneof![-9i32..0, 1i32..=9],
+                    0..=cells.min(400),
+                ),
+                proptest::collection::vec(0..cells, 0..=4),
+                prop_oneof![Just(false), Just(true)],
+            )
+                .prop_map(move |(map, zeros, reversed)| {
+                    let mut triplets: Vec<Triplet<f32>> = map
+                        .into_iter()
+                        .map(|(cell, v)| Triplet::new(cell / ncols, cell % ncols, v as f32))
+                        .collect();
+                    triplets.extend(
+                        zeros
+                            .into_iter()
+                            .map(|cell| Triplet::new(cell / ncols, cell % ncols, 0.0)),
+                    );
                     if reversed {
                         triplets.reverse();
                     }
@@ -502,6 +543,25 @@ proptest! {
     }
 
     #[test]
+    fn pattern_measures_equal_tile_run_measures((p, m) in pattern_grid_strategy()) {
+        // Walking the row pattern band by band must find the tiles, the
+        // classes and the order the tile sort does.
+        let pattern = RowPattern::new(&m);
+        prop_assert!(pattern.is_some(), "distinct coordinates have a pattern");
+        let mut session = Session::new(HwConfig {
+            verify_functional: false,
+            bcsr_block: 4.min(p),
+            ..HwConfig::with_partition_size(p)
+        })
+        .unwrap();
+        let by_runs = session.measure_with(&m, None).unwrap();
+        let by_pattern = session.measure_with(&m, pattern.as_ref()).unwrap();
+        prop_assert_eq!(&by_pattern, &by_runs, "p={}", p);
+        prop_assert_eq!(by_pattern.declined(), 0);
+        prop_assert_eq!(&session.measure(&m).unwrap(), &by_runs);
+    }
+
+    #[test]
     fn bcsr_dot_issues_cover_all_rows_of_nonzero_block_rows(tile in tile_strategy(16)) {
         let cfg = HwConfig::with_partition_size(16);
         let bcsr = sparsemat::Bcsr::from_coo(&tile, 4).unwrap();
@@ -514,12 +574,15 @@ proptest! {
 #[test]
 fn measuring_a_huge_sparse_matrix_costs_its_entries_not_its_dimensions() {
     // 2^40 × 2^40 with three entries: the grid has 2^74 cells, so anything
-    // sized by the dimensions would not fit in memory.
+    // sized by the dimensions would not fit in memory. Nor would a row
+    // pattern's 2^40 row pointers: the matrix has none, and is measured
+    // through the tile sort.
     let n = 1usize << 40;
     let mut m = Coo::new(n, n);
     m.push(n - 1, 3, 1.0).unwrap();
     m.push(5, n - 2, 2.0).unwrap();
     m.push(6, 0, 3.0).unwrap();
+    assert_eq!(RowPattern::new(&m), None);
     let grid = PartitionGrid::new(&m, 8).unwrap();
     let cfg = HwConfig::with_partition_size(8);
     let mut oracle = Session::new(cfg.clone()).unwrap();

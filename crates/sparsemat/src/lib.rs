@@ -22,7 +22,8 @@
 //! The crate also provides [`partition`] — the tiling machinery the paper
 //! uses to apply compression "only on the non-zero partitions of large
 //! matrices" (§4.1) — including the per-partition density statistics of
-//! Fig. 3.
+//! Fig. 3 — and [`pattern`], a matrix's value-free row pattern, built once
+//! and tiled at any partition size.
 //!
 //! # Example
 //!
@@ -59,6 +60,7 @@ pub mod error;
 pub mod lil;
 pub mod ops;
 pub mod partition;
+pub mod pattern;
 pub mod scalar;
 pub mod triplet;
 
@@ -73,6 +75,7 @@ pub use ell::Ell;
 pub use error::SparseError;
 pub use lil::{Axis, Lil};
 pub use partition::{check_partition_size, tile_runs, Partition, PartitionGrid, PartitionStats};
+pub use pattern::RowPattern;
 pub use scalar::Scalar;
 pub use triplet::Triplet;
 

@@ -28,12 +28,17 @@ use crate::locks::lock_clean;
 /// The harness phases the profiler attributes wall time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Tiling a matrix: the bounds check, zero drop and tile sort of
-    /// `sparsemat::tile_runs`, plus, for a built grid, its partitions.
+    /// Generating a workload's matrix on a cache miss.
+    Generate,
+    /// Tiling a matrix: building the row pattern a structural measure
+    /// walks, or — for a matrix without one — the bounds check, zero drop
+    /// and tile sort of `sparsemat::tile_runs`; plus, for a built grid,
+    /// its partitions.
     Partition,
     /// Building the per-tile compressed representation, or — for tiles
     /// priced from their structure (no verification, codec or SpMV) — the
-    /// one structural pass that replaces encode and decompress.
+    /// one structural pass that replaces encode and decompress, with the
+    /// walk that hands it a row pattern's tiles.
     Encode,
     /// Running the modeled decompressor over the encoded tile.
     Decompress,
@@ -43,7 +48,7 @@ pub enum Phase {
     Compute,
     /// Cross-checking decompressed rows against the reference tile.
     Verify,
-    /// Workload/grid cache lookups (generation + tiling on a miss).
+    /// Workload/grid cache lookups, generation excluded.
     CacheLookup,
     /// Worker idle time: campaign wall time a worker spent without a unit.
     QueueWait,
@@ -51,7 +56,8 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in display order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 8] = [
+        Phase::Generate,
         Phase::Partition,
         Phase::Encode,
         Phase::Decompress,
@@ -64,6 +70,7 @@ impl Phase {
     /// The stable snake_case name used in `profile.json` and reports.
     pub fn label(self) -> &'static str {
         match self {
+            Phase::Generate => "generate",
             Phase::Partition => "partition",
             Phase::Encode => "encode",
             Phase::Decompress => "decompress",
@@ -76,13 +83,14 @@ impl Phase {
 
     fn index(self) -> usize {
         match self {
-            Phase::Partition => 0,
-            Phase::Encode => 1,
-            Phase::Decompress => 2,
-            Phase::Compute => 3,
-            Phase::Verify => 4,
-            Phase::CacheLookup => 5,
-            Phase::QueueWait => 6,
+            Phase::Generate => 0,
+            Phase::Partition => 1,
+            Phase::Encode => 2,
+            Phase::Decompress => 3,
+            Phase::Compute => 4,
+            Phase::Verify => 5,
+            Phase::CacheLookup => 6,
+            Phase::QueueWait => 7,
         }
     }
 }
@@ -365,6 +373,18 @@ mod tests {
     }
 
     #[test]
+    fn every_phase_has_its_own_slot_and_label() {
+        for (i, phase) in Phase::ALL.iter().enumerate() {
+            assert_eq!(phase.index(), i, "{phase:?}");
+        }
+        let mut labels: Vec<_> = Phase::ALL.iter().map(|p| p.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), Phase::ALL.len());
+        assert_eq!(Phase::Generate.label(), "generate");
+    }
+
+    #[test]
     fn quantiles_resolve_sub_millisecond_laps() {
         // Laps spread log-uniformly from 10 µs to 10 ms: every reported
         // quantile is the upper bound of the exact quantile's log2 bucket,
@@ -438,6 +458,7 @@ mod tests {
     #[test]
     fn json_export_names_every_recorded_phase() {
         let p = PhaseProfiler::new();
+        p.record(Phase::Generate, 0.002);
         p.record(Phase::Encode, 0.001);
         p.record_pool(
             &[WorkerStats {
@@ -448,6 +469,7 @@ mod tests {
         );
         let doc = serde::json::parse(&p.to_json()).expect("valid JSON");
         let phases = doc.get("phases").expect("phases map");
+        assert!(phases.get("generate").is_some());
         assert!(phases.get("encode").is_some());
         assert!(phases.get("queue_wait").is_some());
         assert!(phases.get("verify").is_none(), "unrecorded phases omitted");

@@ -36,8 +36,59 @@ impl Hasher for CellHasher {
     }
 }
 
-/// The set of cells already placed.
+/// A hash set of cells.
 type CellSet = HashSet<usize, BuildHasherDefault<CellHasher>>;
+
+/// A bitset of `cells` bits is used while it holds at most this many bits
+/// per cell to place: 16 bytes a cell, against about 20 for a hash set
+/// sized for twice the target.
+const BITS_PER_TARGET: usize = 128;
+
+/// The cells already placed. Only membership is asked, so a bitset and a
+/// set answer alike and the draws, and so the matrix, do not depend on
+/// which one is used.
+enum Placed {
+    /// One bit per cell.
+    Bits(Vec<u64>),
+    /// The placed cells, where a bitset would dwarf them.
+    Set(CellSet),
+}
+
+impl Placed {
+    /// Membership for placing `target` of `cells` cells: a bitset when it
+    /// is no larger than the set would be, otherwise the set.
+    fn for_draws(cells: usize, target: usize) -> Self {
+        if cells / BITS_PER_TARGET <= target {
+            Placed::bits(cells)
+        } else {
+            Placed::set(target)
+        }
+    }
+
+    fn bits(cells: usize) -> Self {
+        Placed::Bits(vec![0; cells.div_ceil(64)])
+    }
+
+    fn set(target: usize) -> Self {
+        Placed::Set(CellSet::with_capacity_and_hasher(
+            target * 2,
+            Default::default(),
+        ))
+    }
+
+    /// Marks `cell` placed; `true` when it was not yet.
+    fn insert(&mut self, cell: usize) -> bool {
+        match self {
+            Placed::Bits(words) => {
+                let (word, bit) = (&mut words[cell / 64], 1u64 << (cell % 64));
+                let fresh = *word & bit == 0;
+                *word |= bit;
+                fresh
+            }
+            Placed::Set(set) => set.insert(cell),
+        }
+    }
+}
 
 /// The density sweep the paper uses for its random-matrix figures
 /// (Figs. 5, 10): 0.0001 to 0.5.
@@ -53,13 +104,28 @@ pub const PAPER_DENSITIES: [f64; 8] = [0.0001, 0.001, 0.01, 0.05, 0.1, 0.2, 0.3,
 ///
 /// # Panics
 ///
-/// Panics if `density` is not within `[0, 1]`.
+/// Panics if `density` is not within `[0, 1]`, or if the matrix has more
+/// cells than `usize` can count.
 pub fn uniform<R: Rng>(nrows: usize, ncols: usize, density: f64, rng: &mut R) -> Coo<f32> {
+    uniform_placed(nrows, ncols, density, rng, Placed::for_draws)
+}
+
+/// [`uniform`], with `membership(cells, target)` answering which cells
+/// are placed.
+fn uniform_placed<R: Rng>(
+    nrows: usize,
+    ncols: usize,
+    density: f64,
+    rng: &mut R,
+    membership: impl FnOnce(usize, usize) -> Placed,
+) -> Coo<f32> {
     assert!(
         (0.0..=1.0).contains(&density),
         "density {density} outside [0, 1]"
     );
-    let cells = nrows * ncols;
+    let cells = nrows
+        .checked_mul(ncols)
+        .unwrap_or_else(|| panic!("a {nrows}x{ncols} matrix has more cells than usize counts"));
     let target = (density * cells as f64).round() as usize;
     let mut coo = Coo::with_capacity(nrows, ncols, target);
     if cells == 0 || target == 0 {
@@ -67,10 +133,12 @@ pub fn uniform<R: Rng>(nrows: usize, ncols: usize, density: f64, rng: &mut R) ->
     }
     if target * 3 < cells {
         // Sparse regime: sample distinct cells.
-        let mut used = CellSet::with_capacity_and_hasher(target * 2, Default::default());
-        while used.len() < target {
+        let mut used = membership(cells, target);
+        let mut placed = 0;
+        while placed < target {
             let cell = rng.gen_range(0..cells);
             if used.insert(cell) {
+                placed += 1;
                 coo.push(cell / ncols, cell % ncols, nonzero_value(rng))
                     .expect("cell in range");
             }
@@ -89,9 +157,11 @@ pub fn uniform<R: Rng>(nrows: usize, ncols: usize, density: f64, rng: &mut R) ->
             placed.swap_remove(k);
         }
         if placed.len() < target {
-            // The set answers membership only; top-up cells join `placed`
-            // in draw order.
-            let mut used: CellSet = placed.iter().copied().collect();
+            // Top-up cells join `placed` in draw order.
+            let mut used = membership(cells, target);
+            for &cell in &placed {
+                used.insert(cell);
+            }
             while placed.len() < target {
                 let cell = rng.gen_range(0..cells);
                 if used.insert(cell) {
@@ -177,6 +247,50 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn rejects_bad_density() {
         uniform_square(10, 1.5, &mut seeded_rng(0));
+    }
+
+    #[test]
+    fn bitset_and_set_membership_give_equal_matrices() {
+        // Both regimes, and the dense regime's top-up, at every paper
+        // density; rectangular, so row and column are not interchangeable.
+        for (i, &density) in PAPER_DENSITIES.iter().enumerate() {
+            let seed = 40 + i as u64;
+            let by_bits = uniform_placed(120, 150, density, &mut seeded_rng(seed), |c, _| {
+                Placed::bits(c)
+            });
+            let by_set = uniform_placed(120, 150, density, &mut seeded_rng(seed), |_, t| {
+                Placed::set(t)
+            });
+            assert_eq!(by_bits, by_set, "density {density}");
+            assert_eq!(by_bits, uniform(120, 150, density, &mut seeded_rng(seed)));
+        }
+    }
+
+    #[test]
+    fn the_bitset_is_used_only_where_it_is_no_larger_than_the_set() {
+        // d = 1e-2 at n = 8000: 640,000 draws over 64M cells, an 8 MB bitset.
+        assert!(matches!(
+            Placed::for_draws(64_000_000, 640_000),
+            Placed::Bits(_)
+        ));
+        // d ≤ 1e-3 keeps the set.
+        assert!(matches!(
+            Placed::for_draws(64_000_000, 64_000),
+            Placed::Set(_)
+        ));
+        // 2^31 × 2^31 at d = 1e-15: 4,612 draws over 2^62 cells. A bitset
+        // would need 2^59 bytes; the set is used, and generation finishes.
+        let n = 1usize << 31;
+        assert!(matches!(Placed::for_draws(n * n, 4612), Placed::Set(_)));
+        let m = uniform_square(n, 1e-15, &mut seeded_rng(6));
+        assert_eq!(m.nnz(), 4612);
+    }
+
+    #[test]
+    #[should_panic(expected = "more cells than usize counts")]
+    fn rejects_a_cell_count_past_usize() {
+        let n = 1usize << 40;
+        uniform_square(n, 1e-30, &mut seeded_rng(0));
     }
 
     #[test]
