@@ -363,7 +363,10 @@ fn repro_all(cli: &Cli) -> i32 {
     emit_named(cli, "table1", &ex::table1::render());
 
     section("Fig 3: partition density & locality");
-    if let Some(rows) = step!("fig03", ex::fig03::run_on(&runner, cfg)) {
+    if let Some(rows) = step!(
+        "fig03",
+        ex::fig03::run_on(&runner, cfg, &mut telemetry.instruments())
+    ) {
         emit_named(cli, "fig03", &ex::fig03::render(&rows));
     }
 

@@ -281,3 +281,59 @@ fn structural_campaigns_lap_one_pattern_build_per_matrix_as_partition() {
     assert!(field("encode", "count").as_u64().is_some_and(|n| n > 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The value of counter `name` in a `metrics.tsv` under `dir`.
+fn metrics_counter(dir: &std::path::Path, name: &str) -> u64 {
+    let tsv = std::fs::read_to_string(dir.join("metrics.tsv")).expect("metrics.tsv");
+    tsv.lines()
+        .find_map(|line| {
+            let mut cols = line.split('\t');
+            (cols.next() == Some(name)).then(|| cols.nth(1).expect("count column"))
+        })
+        .unwrap_or_else(|| panic!("metrics.tsv has no {name:?}"))
+        .parse()
+        .expect("counter value")
+}
+
+#[test]
+fn repro_all_laps_every_generation_and_every_grid_lookup() {
+    // Every figure of `repro_all`, Fig. 3's direct cache lookups included,
+    // laps what it generates and looks up. One worker, so no lost insert
+    // race generates a matrix that the counters score as a hit.
+    let dir = scratch_dir("repro-all-laps");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_copernicus-bench"))
+        .args([
+            "repro_all",
+            "--jobs",
+            "1",
+            "--dim",
+            "64",
+            "--suite-dim",
+            "96",
+        ])
+        .arg("--out")
+        .arg(&dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("run repro_all");
+    assert_eq!(status.code(), Some(0));
+    let phases = profile_phases(&dir);
+    let count = |phase: &str| {
+        phases
+            .iter()
+            .find(|(name, _)| name == phase)
+            .and_then(|(_, h)| h.get("count"))
+            .and_then(Value::as_u64)
+            .unwrap_or(0)
+    };
+    assert_eq!(
+        count("generate"),
+        metrics_counter(&dir, "cache.matrix_misses")
+    );
+    assert_eq!(
+        count("cache_lookup"),
+        metrics_counter(&dir, "cache.grid_hits") + metrics_counter(&dir, "cache.grid_misses")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

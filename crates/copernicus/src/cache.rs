@@ -305,26 +305,13 @@ impl WorkloadCache {
 
     /// The tiling entry of `workload` at partition size `p` (with its
     /// matrix density), shared when cached. A miss pulls the matrix through
-    /// [`matrix`](WorkloadCache::matrix) — so one unit's generation feeds
-    /// every other partition size of the same workload — and builds no
-    /// grid: [`CachedGrid::grid`] does, on first use. The entry is admitted
-    /// when its matrix fits [`MAX_ENTRY_BYTES`].
+    /// the matrix layer — so one unit's generation feeds every other
+    /// partition size of the same workload — and builds no grid:
+    /// [`CachedGrid::grid`] does, on first use. The entry is admitted when
+    /// its matrix fits [`MAX_ENTRY_BYTES`].
     ///
-    /// # Errors
-    ///
-    /// Propagates partitioning failures (invalid `p`).
-    pub fn grid(
-        &self,
-        workload: &Workload,
-        p: usize,
-        max_dim: usize,
-        seed: u64,
-    ) -> Result<Arc<CachedGrid>, SparseError> {
-        self.lookup(workload, p, max_dim, seed, true, None)
-    }
-
-    /// [`grid`](WorkloadCache::grid), lapped into `profiler`: a generation
-    /// as [`Phase::Generate`], the rest of the lookup as
+    /// The lookup is lapped into `profiler`: a generation as
+    /// [`Phase::Generate`], the rest of the lookup as
     /// [`Phase::CacheLookup`], so the two never overlap. With `counted`
     /// off it touches neither layer's hit/miss counters: the campaign
     /// runner meters exactly one counted grid lookup per unit, and refills
@@ -540,8 +527,8 @@ mod tests {
     #[test]
     fn grid_hits_skip_the_matrix_layer() {
         let cache = WorkloadCache::new();
-        let g1 = cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
-        let g2 = cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
+        let g1 = cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
+        let g2 = cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
         assert!(Arc::ptr_eq(&g1, &g2));
         assert_eq!(g1.density, g2.density);
         let s = cache.stats();
@@ -549,7 +536,7 @@ mod tests {
         // The hit never consulted the matrix layer.
         assert_eq!((s.matrix_misses, s.matrix_hits), (1, 0));
         // A second partition size shares the generated matrix.
-        cache.grid(&w(64, 0.1), 8, 0, 7).unwrap();
+        cache.lookup(&w(64, 0.1), 8, 0, 7, true, None).unwrap();
         let s = cache.stats();
         assert_eq!((s.matrix_misses, s.matrix_hits), (1, 1));
         assert_eq!(s.grids, 2);
@@ -558,7 +545,7 @@ mod tests {
     #[test]
     fn cached_grid_is_byte_identical_to_a_fresh_build() {
         let cache = WorkloadCache::new();
-        let cached = cache.grid(&w(48, 0.2), 16, 0, 3).unwrap();
+        let cached = cache.lookup(&w(48, 0.2), 16, 0, 3, true, None).unwrap();
         let matrix = w(48, 0.2).generate(0, 3);
         let fresh = PartitionGrid::new(&matrix, 16).unwrap();
         assert_eq!(*cached.matrix(), matrix);
@@ -574,7 +561,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let cache = std::sync::Arc::clone(&cache);
-                scope.spawn(move || cache.grid(&w(96, 0.05), 16, 0, 9).unwrap());
+                scope.spawn(move || cache.lookup(&w(96, 0.05), 16, 0, 9, true, None).unwrap());
             }
         });
         let s = cache.stats();
@@ -599,7 +586,7 @@ mod tests {
         assert_eq!(cache.stats().grid_hits, 0);
         // … and a later counted lookup meters as if it ran the schedule
         // alone (here: a hit on the silently-inserted entry).
-        cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
+        cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
         let s = cache.stats();
         assert_eq!((s.grid_misses, s.grid_hits), (0, 1));
     }
@@ -615,7 +602,7 @@ mod tests {
     #[test]
     fn measuring_builds_no_grid() {
         let cache = WorkloadCache::new();
-        let entry = cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
+        let entry = cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
         let unmeasured = cache.stats().resident_bytes;
         let stats = entry.measure(&mut structural(16), None).unwrap();
         assert!(entry.grid.get().is_none());
@@ -679,7 +666,7 @@ mod tests {
         // matrix, is admitted; its grid is not.
         let big = w(8000, 0.01);
         let cache = WorkloadCache::new();
-        let entry = cache.grid(&big, 8, 0, 42).unwrap();
+        let entry = cache.lookup(&big, 8, 0, 42, true, None).unwrap();
         let unbuilt = cache.stats().resident_bytes;
         let grid = entry.grid(None).unwrap();
         assert!(grid_bytes(&grid) > MAX_ENTRY_BYTES);
@@ -687,7 +674,10 @@ mod tests {
         assert!(!Arc::ptr_eq(&grid, &entry.grid(None).unwrap()));
         assert_eq!(cache.stats().resident_bytes, unbuilt);
         // The next lookup is a hit on the admitted entry.
-        assert!(Arc::ptr_eq(&entry, &cache.grid(&big, 8, 0, 42).unwrap()));
+        assert!(Arc::ptr_eq(
+            &entry,
+            &cache.lookup(&big, 8, 0, 42, true, None).unwrap()
+        ));
         let s = cache.stats();
         assert_eq!((s.grid_misses, s.grid_hits, s.grids), (1, 1, 1));
     }
@@ -696,7 +686,7 @@ mod tests {
     fn prune_evicts_in_descending_key_order_until_budget() {
         let cache = WorkloadCache::new();
         for seed in 0..6 {
-            cache.grid(&w(64, 0.2), 16, 0, seed).unwrap();
+            cache.lookup(&w(64, 0.2), 16, 0, seed, true, None).unwrap();
         }
         // Budget is far above these tiny entries: prune is a no-op.
         cache.prune();
@@ -707,8 +697,8 @@ mod tests {
     #[test]
     fn export_emits_nonzero_deltas_once() {
         let cache = WorkloadCache::new();
-        cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
-        cache.grid(&w(64, 0.1), 16, 0, 7).unwrap();
+        cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
+        cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
         let metrics = MetricsRegistry::new();
         cache.export(&metrics);
         assert_eq!(metrics.counter("cache.grid_misses"), 1);

@@ -27,12 +27,18 @@ pub struct Fig03Row {
 ///
 /// Propagates partitioning failures.
 pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig03Row>, sparsemat::SparseError> {
-    run_on(&crate::CampaignRunner::sequential(), cfg)
+    run_on(
+        &crate::CampaignRunner::sequential(),
+        cfg,
+        &mut crate::Instruments::none(),
+    )
 }
 
 /// Like [`run`], served from `runner`'s workload cache: the suite matrices
 /// and tilings measured here are the same objects every later campaign on
-/// that runner sweeps, so `repro_all` generates each exactly once.
+/// that runner sweeps, so `repro_all` generates each exactly once. Each
+/// generation, lookup and grid build is lapped into the instruments'
+/// profiler, like a campaign unit's.
 ///
 /// # Errors
 ///
@@ -40,14 +46,21 @@ pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig03Row>, sparsemat::SparseErr
 pub fn run_on(
     runner: &crate::CampaignRunner,
     cfg: &ExperimentConfig,
+    instruments: &mut crate::Instruments<'_>,
 ) -> Result<Vec<Fig03Row>, sparsemat::SparseError> {
+    let profiler = instruments.profiler.as_deref();
     let mut rows = Vec::new();
     for workload in Workload::paper_suite() {
         for &p in &super::FIGURE_PARTITION_SIZES {
-            let entry = runner
-                .workloads()
-                .grid(&workload, p, cfg.suite_max_dim, cfg.seed)?;
-            let stats = entry.grid(None)?.stats();
+            let entry = runner.workloads().lookup(
+                &workload,
+                p,
+                cfg.suite_max_dim,
+                cfg.seed,
+                true,
+                profiler,
+            )?;
+            let stats = entry.grid(profiler)?.stats();
             rows.push(Fig03Row {
                 workload: workload.label(),
                 partition_size: p,
@@ -105,13 +118,13 @@ mod tests {
     fn run_on_matches_run_and_primes_the_cache() {
         let cfg = ExperimentConfig::quick();
         let runner = crate::CampaignRunner::sequential();
-        let cached = run_on(&runner, &cfg).unwrap();
+        let cached = run_on(&runner, &cfg, &mut crate::Instruments::none()).unwrap();
         assert_eq!(cached, run(&cfg).unwrap());
         let stats = runner.workloads().stats();
         assert_eq!(stats.grid_misses as usize, 20 * 3);
         assert_eq!(stats.matrix_misses as usize, 20);
         // A second pass is all hits.
-        run_on(&runner, &cfg).unwrap();
+        run_on(&runner, &cfg, &mut crate::Instruments::none()).unwrap();
         assert_eq!(runner.workloads().stats().grid_hits as usize, 20 * 3);
     }
 

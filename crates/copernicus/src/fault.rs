@@ -278,12 +278,6 @@ impl CampaignPolicy {
             .min(self.backoff_cap_ms)
     }
 
-    /// Builder: sets [`max_retries`](Self::max_retries).
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
     /// Builder: enables [`keep_going`](Self::keep_going).
     pub fn with_keep_going(mut self) -> Self {
         self.keep_going = true;

@@ -134,24 +134,6 @@ impl CodecCost {
     }
 }
 
-/// Reusable decoder state pooled through
-/// [`EncodeScratch`](crate::EncodeScratch) so steady-state decoding
-/// allocates nothing: the Huffman primary lookup table keeps its capacity
-/// between streams, and the other codecs need no state at all.
-#[derive(Debug, Default)]
-pub struct CodecScratch {
-    /// Huffman primary lookup table, `1 << min(max_len, PRIMARY_BITS)`
-    /// entries packed as `(symbol << 4) | code_len` (`0` = no short code).
-    primary: Vec<u16>,
-}
-
-impl CodecScratch {
-    /// A fresh scratch with no capacity reserved yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// One second-stage stream codec: identity, transform, and decoder cost.
 ///
 /// Implementations are stateless and `Sync`, so one static instance serves
@@ -172,30 +154,14 @@ pub trait Codec: Sync {
     fn encode_bytes(&self, src: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError>;
 
     /// Inverts [`Codec::encode_bytes`], appending the original bytes to
-    /// `out` (cleared first), reusing `scratch` so warm decoding allocates
-    /// nothing beyond `out` itself.
+    /// `out` (cleared first); decoding allocates nothing beyond `out`
+    /// itself.
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] describing the first structural defect of a
     /// malformed coded stream.
-    fn decode_bytes_with(
-        &self,
-        src: &[u8],
-        out: &mut Vec<u8>,
-        scratch: &mut CodecScratch,
-    ) -> Result<(), CodecError>;
-
-    /// [`Codec::decode_bytes_with`] against a throwaway scratch — the
-    /// convenience form for one-shot decodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] describing the first structural defect of a
-    /// malformed coded stream.
-    fn decode_bytes(&self, src: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
-        self.decode_bytes_with(src, out, &mut CodecScratch::new())
-    }
+    fn decode_bytes(&self, src: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError>;
 
     /// The second-stage decoder cost model.
     fn cost_model(&self) -> CodecCost;
@@ -258,12 +224,7 @@ impl Codec for Rle {
         Ok(())
     }
 
-    fn decode_bytes_with(
-        &self,
-        src: &[u8],
-        out: &mut Vec<u8>,
-        _scratch: &mut CodecScratch,
-    ) -> Result<(), CodecError> {
+    fn decode_bytes(&self, src: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         out.clear();
         if !src.len().is_multiple_of(2) {
             return Err(err(self.id(), "odd-length run list"));
@@ -335,12 +296,7 @@ impl Codec for DeltaVarint {
         Ok(())
     }
 
-    fn decode_bytes_with(
-        &self,
-        src: &[u8],
-        out: &mut Vec<u8>,
-        _scratch: &mut CodecScratch,
-    ) -> Result<(), CodecError> {
+    fn decode_bytes(&self, src: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         out.clear();
         let Some((&tail, body)) = src.split_first() else {
             return Err(err(self.id(), "missing tail header"));
@@ -591,12 +547,7 @@ impl Codec for Huffman {
         Ok(())
     }
 
-    fn decode_bytes_with(
-        &self,
-        src: &[u8],
-        out: &mut Vec<u8>,
-        scratch: &mut CodecScratch,
-    ) -> Result<(), CodecError> {
+    fn decode_bytes(&self, src: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         out.clear();
         if src.len() < 4 + 256 {
             return Err(err(self.id(), "header shorter than 260 bytes"));
@@ -635,8 +586,8 @@ impl Codec for Huffman {
         // walk's shortest-match-first semantics even for tables that are
         // not prefix-free (possible on malformed input).
         let primary_bits = max_len.min(PRIMARY_BITS);
-        scratch.primary.clear();
-        scratch.primary.resize(1 << primary_bits, 0u16);
+        let mut table = [0u16; 1 << PRIMARY_BITS];
+        let primary = &mut table[..1 << primary_bits];
         for &(sym, code, len) in codes.iter().rev() {
             let len = len as usize;
             if len > primary_bits || code >= 1u64 << len {
@@ -645,14 +596,14 @@ impl Codec for Huffman {
             let base = (code as usize) << (primary_bits - len);
             let span = 1usize << (primary_bits - len);
             let entry = (u16::from(sym) << 4) | len as u16;
-            for slot in &mut scratch.primary[base..base + span] {
+            for slot in &mut primary[base..base + span] {
                 *slot = entry;
             }
         }
         let total_bits = bits.len() * 8;
         let mut pos = 0usize;
         'symbols: while out.len() < n {
-            let entry = scratch.primary[peek_bits(bits, pos, primary_bits)];
+            let entry = primary[peek_bits(bits, pos, primary_bits)];
             let hit_len = (entry & 0xf) as usize;
             if hit_len != 0 && pos + hit_len <= total_bits {
                 out.push((entry >> 4) as u8);
@@ -902,26 +853,6 @@ mod tests {
                 reference_code_lengths(&counts),
                 "case {case}"
             );
-        }
-    }
-
-    #[test]
-    fn pooled_decode_matches_the_allocating_decode() {
-        let mut scratch = CodecScratch::new();
-        for kind in [CodecKind::Rle, CodecKind::DeltaVarint, CodecKind::Huffman] {
-            let codec = codec_for(kind).expect("registered");
-            for s in samples() {
-                let mut coded = Vec::new();
-                codec.encode_bytes(&s, &mut coded).expect("encodable");
-                let mut fresh = Vec::new();
-                codec.decode_bytes(&coded, &mut fresh).expect("decodes");
-                let mut pooled = Vec::new();
-                // One scratch reused across every codec and stream.
-                codec
-                    .decode_bytes_with(&coded, &mut pooled, &mut scratch)
-                    .expect("decodes");
-                assert_eq!(pooled, fresh, "{kind}");
-            }
         }
     }
 

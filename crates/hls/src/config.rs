@@ -124,11 +124,6 @@ impl HwConfig {
         self.burst_setup_cycles + bytes.div_ceil(self.bus_bytes_per_cycle as u64)
     }
 
-    /// Converts a cycle count to seconds at the configured clock.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.clock_mhz * 1e6)
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -232,12 +227,6 @@ mod tests {
         assert_eq!(cfg.transfer_cycles(1), 5);
         assert_eq!(cfg.transfer_cycles(8), 5);
         assert_eq!(cfg.transfer_cycles(9), 6);
-    }
-
-    #[test]
-    fn cycles_to_seconds_at_250mhz() {
-        let cfg = HwConfig::default();
-        assert!((cfg.cycles_to_seconds(250_000_000) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use backend::{
     backend_for, Backend, BackendKind, CpuCacheBackend, CpuParams, HeteroBackend, HlsStreamBackend,
     TileCounters,
 };
-pub use codec::{codec_for, Codec, CodecCost, CodecError, CodecKind, CodecScratch};
+pub use codec::{codec_for, Codec, CodecCost, CodecError, CodecKind};
 pub use config::{ceil_log2, HwConfig};
 pub use decomp::{decompress, decompress_with, Decompression};
 pub use encode::{EncodedPartition, Stream};

@@ -16,7 +16,6 @@
 //! the bytes of every report, trace span and measurement are identical to
 //! the allocating path (test-enforced).
 
-use crate::codec::CodecScratch;
 use crate::decomp::Decompression;
 use crate::encode::{EncodedPartition, Stream};
 use crate::pipeline::PartitionTiming;
@@ -61,8 +60,6 @@ pub struct EncodeScratch {
     matrices: Vec<AnyMatrix<f32>>,
     /// Triplet workspace for the in-place format conversions.
     tmp_triplets: Vec<Triplet<f32>>,
-    /// Pooled second-stage decoder state (Huffman primary table).
-    codec: CodecScratch,
     /// Bitsets and counters of the structural tile pass.
     stats: StatsScratch,
     /// One timing per [`GridStats`](crate::GridStats) class for a measured
@@ -103,12 +100,6 @@ impl EncodeScratch {
     /// The triplet workspace for the in-place format conversions.
     pub(crate) fn tmp_triplets(&mut self) -> &mut Vec<Triplet<f32>> {
         &mut self.tmp_triplets
-    }
-
-    /// The pooled second-stage decoder state, for
-    /// [`Codec::decode_bytes_with`](crate::Codec::decode_bytes_with).
-    pub fn codec_scratch(&mut self) -> &mut CodecScratch {
-        &mut self.codec
     }
 
     /// The tables of [`TileStats::measure`](crate::TileStats::measure).

@@ -164,15 +164,6 @@ impl<T: Scalar> Coo<T> {
         counts
     }
 
-    /// Per-column entry counts (length `ncols`).
-    pub fn col_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.ncols];
-        for t in &self.entries {
-            counts[t.col] += 1;
-        }
-        counts
-    }
-
     /// The set of occupied diagonals as `col - row` offsets, ascending.
     pub fn diagonal_offsets(&self) -> Vec<isize> {
         let mut offs: Vec<isize> = self
@@ -341,10 +332,9 @@ mod tests {
     }
 
     #[test]
-    fn row_and_col_counts() {
+    fn row_counts() {
         let c = sample();
         assert_eq!(c.row_counts(), vec![1, 1, 1]);
-        assert_eq!(c.col_counts(), vec![1, 1, 1]);
         assert_eq!(c.nonzero_rows(), 3);
     }
 

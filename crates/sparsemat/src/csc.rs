@@ -119,16 +119,6 @@ impl<T: Scalar> Csc<T> {
         &self.values
     }
 
-    /// Number of entries stored in column `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= ncols()`.
-    pub fn col_nnz(&self, c: usize) -> usize {
-        assert!(c < self.ncols, "column {c} out of bounds");
-        self.offsets[c + 1] - self.offsets[c]
-    }
-
     /// Iterates over `(row, value)` pairs of column `c` in ascending row
     /// order.
     ///
@@ -142,11 +132,6 @@ impl<T: Scalar> Csc<T> {
             .iter()
             .zip(&self.values[range])
             .map(|(&r, &v)| (r, v))
-    }
-
-    /// The length of the longest column.
-    pub fn max_col_nnz(&self) -> usize {
-        (0..self.ncols).map(|c| self.col_nnz(c)).max().unwrap_or(0)
     }
 
     /// Rebuilds this matrix in place from `coo`, reusing every buffer
@@ -307,13 +292,6 @@ mod tests {
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(2, 1), 3.0);
         assert_eq!(m.get(1, 1), 0.0);
-    }
-
-    #[test]
-    fn col_statistics() {
-        let m = sample();
-        assert_eq!(m.col_nnz(1), 1);
-        assert_eq!(m.max_col_nnz(), 1);
     }
 
     #[test]

@@ -50,15 +50,6 @@ impl<T: Scalar> Dense<T> {
         Ok(Dense { nrows, ncols, data })
     }
 
-    /// Creates the `n×n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Dense::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = T::ONE;
-        }
-        m
-    }
-
     /// A view of row `i` as a slice.
     ///
     /// # Panics
@@ -90,11 +81,6 @@ impl<T: Scalar> Dense<T> {
     /// The underlying row-major buffer.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Consumes the matrix and returns the row-major buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// Rebuilds this matrix in place from `coo`, reusing the row-major
@@ -244,13 +230,6 @@ mod tests {
     #[test]
     fn from_row_major_rejects_bad_length() {
         assert!(Dense::<f32>::from_row_major(2, 2, vec![1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn identity_spmv_is_identity() {
-        let id = Dense::<f32>::identity(4);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(id.spmv(&x).unwrap(), x.to_vec());
     }
 
     #[test]

@@ -45,30 +45,8 @@ impl<T: Scalar> Ell<T> {
     /// (lossless for any input).
     pub fn from_coo_natural(coo: &Coo<T>) -> Self {
         let csr = crate::Csr::from(coo);
-        let width = csr.max_row_nnz();
-        Self::from_csr_with_width(&csr, width).expect("natural width always fits")
-    }
-
-    /// Builds an ELL matrix with an explicit width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::InvalidStructure`] if any row holds more than
-    /// `width` entries — such matrices need a wider ELL or a hybrid ELL+COO
-    /// split (§2 mentions ELL+COO exactly for this case).
-    pub fn from_coo_with_width(coo: &Coo<T>, width: usize) -> Result<Self, SparseError> {
-        Self::from_csr_with_width(&crate::Csr::from(coo), width)
-    }
-
-    fn from_csr_with_width(csr: &crate::Csr<T>, width: usize) -> Result<Self, SparseError> {
         let nrows = csr.nrows();
-        let overfull = (0..nrows).find(|&r| csr.row_nnz(r) > width);
-        if let Some(r) = overfull {
-            return Err(SparseError::InvalidStructure(format!(
-                "row {r} holds {} entries, more than the ELL width {width}",
-                csr.row_nnz(r)
-            )));
-        }
+        let width = csr.max_row_nnz();
         let mut indices = vec![PAD; nrows * width];
         let mut values = vec![T::ZERO; nrows * width];
         for r in 0..nrows {
@@ -77,14 +55,14 @@ impl<T: Scalar> Ell<T> {
                 values[r * width + s] = v;
             }
         }
-        Ok(Ell {
+        Ell {
             nrows,
             ncols: csr.ncols(),
             width,
             indices,
             values,
             nnz: csr.nnz(),
-        })
+        }
     }
 
     /// Rebuilds this matrix in place from `coo` at the natural width,
@@ -260,17 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_width_validates() {
-        let coo = sample();
-        assert!(Ell::from_coo_with_width(&coo, 3).is_ok());
-        assert!(Ell::from_coo_with_width(&coo, 6).is_ok());
-        assert!(matches!(
-            Ell::from_coo_with_width(&coo, 2),
-            Err(SparseError::InvalidStructure(_))
-        ));
-    }
-
-    #[test]
     fn padding_slots_have_sentinels() {
         let m = Ell::from(&sample());
         let (idx, vals) = m.raw_slots();
@@ -293,16 +260,6 @@ mod tests {
         let coo = sample();
         let m = Ell::from(&coo);
         let x = [1.0, 10.0, 100.0];
-        assert_eq!(m.spmv(&x).unwrap(), coo.to_dense().spmv(&x).unwrap());
-    }
-
-    #[test]
-    fn wider_than_needed_width_still_round_trips() {
-        let coo = sample();
-        let m = Ell::from_coo_with_width(&coo, 5).unwrap();
-        assert_eq!(m.width(), 5);
-        assert!(coo.to_dense().structurally_eq(&m));
-        let x = [2.0, 3.0, 4.0];
         assert_eq!(m.spmv(&x).unwrap(), coo.to_dense().spmv(&x).unwrap());
     }
 

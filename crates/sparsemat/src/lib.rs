@@ -11,7 +11,7 @@
 //! | [`Csr`] / [`Csc`] | §2 CSR/CSC | offsets + indices + values |
 //! | [`Bcsr`] | §2 BCSR | block-wise CSR, any square block size |
 //! | [`Coo`] | §2 COO | triplet list; the conversion hub |
-//! | [`Lil`] | §2 LIL | per-line lists; Copernicus uses column lists |
+//! | [`Lil`] | §2 LIL | one sorted list per column (the Copernicus orientation) |
 //! | [`Ell`] | §2 ELL | fixed-width rows with padding |
 //! | [`Dia`] | §2 DIA | non-zero diagonals with offset headers |
 //!
@@ -58,7 +58,6 @@ pub mod dia;
 pub mod ell;
 pub mod error;
 pub mod lil;
-pub mod ops;
 pub mod partition;
 pub mod pattern;
 pub mod scalar;
@@ -73,7 +72,7 @@ pub use dense::Dense;
 pub use dia::Dia;
 pub use ell::Ell;
 pub use error::SparseError;
-pub use lil::{Axis, Lil};
+pub use lil::Lil;
 pub use partition::{check_partition_size, tile_runs, Partition, PartitionGrid, PartitionStats};
 pub use pattern::RowPattern;
 pub use scalar::Scalar;

@@ -2,64 +2,40 @@
 
 use crate::{check_spmv_operand, Coo, FormatKind, Matrix, Scalar, SparseError, Triplet};
 
-/// Which axis the per-line lists run along.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum Axis {
-    /// One list per row holding `(col, value)` pairs — scipy's orientation.
-    Rows,
-    /// One list per column holding `(row, value)` pairs — the orientation
-    /// Copernicus assumes: "LIL, which pushes all the non-zero entries to top
-    /// and saves the row indices" (Fig. 1f).
-    Columns,
-}
-
 /// List-of-lists sparse matrix.
 ///
 /// §2 of the paper: "The LIL sparse format stores one list of non-zero
 /// elements per row/column. Each element in the lists stores the
 /// column/row indices of that row/column, and their value." Copernicus
-/// compresses along columns ([`Axis::Columns`]), which lets the hardware
+/// compresses along columns — "LIL, which pushes all the non-zero entries
+/// to top and saves the row indices" (Fig. 1f) — so this type keeps one
+/// list per column holding `(row, value)` pairs. That lets the hardware
 /// read one element of every column in parallel and reconstruct non-zero
 /// rows with a min-scan over the per-column cursors (§5.2, Listing 4).
 ///
-/// Lists are kept sorted by index, so the min-scan semantics of the paper's
+/// Lists are kept sorted by row, so the min-scan semantics of the paper's
 /// decompressor apply directly.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Lil<T> {
     nrows: usize,
     ncols: usize,
-    axis: Axis,
-    /// `lists[line]` holds `(cross_index, value)` sorted by `cross_index`.
+    /// `lists[col]` holds `(row, value)` sorted by `row`.
     lists: Vec<Vec<(usize, T)>>,
 }
 
 impl<T: Scalar> Lil<T> {
-    /// Creates an empty LIL matrix with the given orientation.
-    pub fn new(nrows: usize, ncols: usize, axis: Axis) -> Self {
-        let lines = match axis {
-            Axis::Rows => nrows,
-            Axis::Columns => ncols,
-        };
+    /// Creates an empty LIL matrix with one (empty) list per column.
+    pub fn new(nrows: usize, ncols: usize) -> Self {
         Lil {
             nrows,
             ncols,
-            axis,
-            lists: vec![Vec::new(); lines],
+            lists: vec![Vec::new(); ncols],
         }
     }
 
-    /// Builds a column-oriented LIL (the Copernicus orientation) from COO.
+    /// Builds the column lists from COO.
     pub fn from_coo_columns(coo: &Coo<T>) -> Self {
-        Self::build(coo, Axis::Columns)
-    }
-
-    /// Builds a row-oriented LIL (the scipy orientation) from COO.
-    pub fn from_coo_rows(coo: &Coo<T>) -> Self {
-        Self::build(coo, Axis::Rows)
-    }
-
-    fn build(coo: &Coo<T>, axis: Axis) -> Self {
-        let mut lil = Lil::new(coo.nrows(), coo.ncols(), axis);
+        let mut lil = Lil::new(coo.nrows(), coo.ncols());
         for t in coo.iter() {
             lil.insert(t.row, t.col, t.val)
                 .expect("COO entry in bounds");
@@ -67,7 +43,7 @@ impl<T: Scalar> Lil<T> {
         lil
     }
 
-    /// Rebuilds this matrix in place as a column-oriented LIL from `coo`,
+    /// Rebuilds this matrix's column lists in place from `coo`,
     /// reusing the per-line lists (and the caller's triplet scratch) —
     /// exactly the matrix [`Lil::from_coo_columns`] builds.
     ///
@@ -88,7 +64,6 @@ impl<T: Scalar> Lil<T> {
         }
         self.nrows = coo.nrows();
         self.ncols = coo.ncols();
-        self.axis = Axis::Columns;
         for list in &mut self.lists {
             list.clear();
         }
@@ -98,11 +73,6 @@ impl<T: Scalar> Lil<T> {
         for t in tmp.iter() {
             self.lists[t.col].push((t.row, t.val));
         }
-    }
-
-    /// The list orientation.
-    pub fn axis(&self) -> Axis {
-        self.axis
     }
 
     /// Inserts or accumulates a value; entries that cancel to zero are
@@ -119,12 +89,8 @@ impl<T: Scalar> Lil<T> {
                 shape: (self.nrows, self.ncols),
             });
         }
-        let (line, cross) = match self.axis {
-            Axis::Rows => (row, col),
-            Axis::Columns => (col, row),
-        };
-        let list = &mut self.lists[line];
-        match list.binary_search_by_key(&cross, |&(i, _)| i) {
+        let list = &mut self.lists[col];
+        match list.binary_search_by_key(&row, |&(i, _)| i) {
             Ok(pos) => {
                 list[pos].1 += val;
                 if list[pos].1.is_zero() {
@@ -133,20 +99,19 @@ impl<T: Scalar> Lil<T> {
             }
             Err(pos) => {
                 if !val.is_zero() {
-                    list.insert(pos, (cross, val));
+                    list.insert(pos, (row, val));
                 }
             }
         }
         Ok(())
     }
 
-    /// Number of lines (rows for [`Axis::Rows`], columns for
-    /// [`Axis::Columns`]).
+    /// Number of lines (one per column).
     pub fn num_lines(&self) -> usize {
         self.lists.len()
     }
 
-    /// The `(cross_index, value)` list of one line, sorted by index.
+    /// The `(row, value)` list of one column, sorted by row.
     ///
     /// # Panics
     ///
@@ -155,22 +120,18 @@ impl<T: Scalar> Lil<T> {
         &self.lists[line]
     }
 
-    /// Length of the longest line — for column orientation this is the
-    /// "longest column" that the paper says bounds LIL's memory transfer
+    /// Length of the longest line — the "longest column" that the paper
+    /// says bounds LIL's memory transfer
     /// (each transferred LIL row covers one element of every column).
     pub fn max_line_len(&self) -> usize {
         self.lists.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Number of distinct non-zero cross-indices — for column orientation,
-    /// the number of non-zero matrix rows, which §5.2 says determines the
-    /// decompression latency.
+    /// Number of distinct row indices across the lists — the number of
+    /// non-zero matrix rows, which §5.2 says determines the decompression
+    /// latency.
     pub fn distinct_cross_indices(&self) -> usize {
-        let bound = match self.axis {
-            Axis::Rows => self.ncols,
-            Axis::Columns => self.nrows,
-        };
-        let mut seen = vec![false; bound];
+        let mut seen = vec![false; self.nrows];
         for list in &self.lists {
             for &(i, _) in list {
                 seen[i] = true;
@@ -200,24 +161,16 @@ impl<T: Scalar> Matrix<T> for Lil<T> {
             self.nrows,
             self.ncols
         );
-        let (line, cross) = match self.axis {
-            Axis::Rows => (row, col),
-            Axis::Columns => (col, row),
-        };
-        match self.lists[line].binary_search_by_key(&cross, |&(i, _)| i) {
-            Ok(pos) => self.lists[line][pos].1,
+        match self.lists[col].binary_search_by_key(&row, |&(i, _)| i) {
+            Ok(pos) => self.lists[col][pos].1,
             Err(_) => T::ZERO,
         }
     }
 
     fn triplets(&self) -> Vec<Triplet<T>> {
         let mut out = Vec::with_capacity(self.nnz());
-        for (line, list) in self.lists.iter().enumerate() {
-            for &(cross, val) in list {
-                let (row, col) = match self.axis {
-                    Axis::Rows => (line, cross),
-                    Axis::Columns => (cross, line),
-                };
+        for (col, list) in self.lists.iter().enumerate() {
+            for &(row, val) in list {
                 out.push(Triplet::new(row, col, val));
             }
         }
@@ -228,22 +181,13 @@ impl<T: Scalar> Matrix<T> for Lil<T> {
     fn spmv(&self, x: &[T]) -> Result<Vec<T>, SparseError> {
         check_spmv_operand(self, x)?;
         let mut y = vec![T::ZERO; self.nrows];
-        match self.axis {
-            Axis::Rows => {
-                for (r, list) in self.lists.iter().enumerate() {
-                    y[r] = list.iter().map(|&(c, v)| v * x[c]).sum();
-                }
+        for (c, list) in self.lists.iter().enumerate() {
+            let xc = x[c];
+            if xc.is_zero() {
+                continue;
             }
-            Axis::Columns => {
-                for (c, list) in self.lists.iter().enumerate() {
-                    let xc = x[c];
-                    if xc.is_zero() {
-                        continue;
-                    }
-                    for &(r, v) in list {
-                        y[r] += v * xc;
-                    }
-                }
+            for &(r, v) in list {
+                y[r] += v * xc;
             }
         }
         Ok(y)
@@ -255,7 +199,7 @@ impl<T: Scalar> Matrix<T> for Lil<T> {
 }
 
 impl<T: Scalar> From<&Coo<T>> for Lil<T> {
-    /// Converts with the Copernicus orientation ([`Axis::Columns`]).
+    /// Converts to column lists ([`Lil::from_coo_columns`]).
     fn from(coo: &Coo<T>) -> Self {
         Lil::from_coo_columns(coo)
     }
@@ -280,7 +224,6 @@ mod tests {
     #[test]
     fn column_orientation_structure() {
         let m = Lil::from_coo_columns(&sample());
-        assert_eq!(m.axis(), Axis::Columns);
         assert_eq!(m.num_lines(), 3);
         assert_eq!(m.line(0), &[(0, 1.0), (2, 2.0)]);
         assert_eq!(m.line(1), &[(2, 3.0)]);
@@ -290,35 +233,24 @@ mod tests {
     }
 
     #[test]
-    fn row_orientation_structure() {
-        let m = Lil::from_coo_rows(&sample());
-        assert_eq!(m.num_lines(), 3);
-        assert_eq!(m.line(0), &[(0, 1.0), (2, 4.0)]);
-        assert_eq!(m.line(1), &[]);
-    }
-
-    #[test]
-    fn both_orientations_agree_on_content() {
+    fn column_lists_agree_with_csr_on_content() {
         let coo = sample();
         let cols = Lil::from_coo_columns(&coo);
-        let rows = Lil::from_coo_rows(&coo);
-        assert_eq!(cols.triplets(), rows.triplets());
+        assert_eq!(cols.triplets(), crate::Csr::from(&coo).triplets());
         assert!(coo.to_dense().structurally_eq(&cols));
-        assert!(coo.to_dense().structurally_eq(&rows));
     }
 
     #[test]
-    fn spmv_matches_dense_for_both_axes() {
+    fn spmv_matches_dense() {
         let coo = sample();
         let x = [1.0, 10.0, 100.0];
         let expect = coo.to_dense().spmv(&x).unwrap();
         assert_eq!(Lil::from_coo_columns(&coo).spmv(&x).unwrap(), expect);
-        assert_eq!(Lil::from_coo_rows(&coo).spmv(&x).unwrap(), expect);
     }
 
     #[test]
     fn insert_accumulates_and_cancels() {
-        let mut m = Lil::<f32>::new(2, 2, Axis::Columns);
+        let mut m = Lil::<f32>::new(2, 2);
         m.insert(0, 0, 2.0).unwrap();
         m.insert(0, 0, 3.0).unwrap();
         assert_eq!(m.get(0, 0), 5.0);
@@ -328,7 +260,7 @@ mod tests {
 
     #[test]
     fn insert_keeps_lists_sorted() {
-        let mut m = Lil::<f32>::new(4, 1, Axis::Columns);
+        let mut m = Lil::<f32>::new(4, 1);
         m.insert(3, 0, 1.0).unwrap();
         m.insert(0, 0, 2.0).unwrap();
         m.insert(2, 0, 3.0).unwrap();
@@ -338,8 +270,10 @@ mod tests {
 
     #[test]
     fn out_of_bounds_rejected() {
-        let mut m = Lil::<f32>::new(2, 2, Axis::Rows);
+        let mut m = Lil::<f32>::new(2, 2);
         assert!(m.insert(0, 5, 1.0).is_err());
+        assert!(m.insert(5, 0, 1.0).is_err());
+        assert_eq!(m.nnz(), 0);
     }
 
     #[test]

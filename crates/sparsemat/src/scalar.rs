@@ -30,8 +30,6 @@ pub trait Scalar:
 {
     /// The additive identity.
     const ZERO: Self;
-    /// The multiplicative identity.
-    const ONE: Self;
 
     /// Size of one stored element in bytes on the streaming interface
     /// (the Copernicus platform transfers 4-byte values and 4-byte indices).
@@ -47,36 +45,23 @@ pub trait Scalar:
 
     /// Lossy conversion from `f64`, used by generators and test fixtures.
     fn from_f64(v: f64) -> Self;
-
-    /// Lossy conversion to `f64`, used by metrics and reductions.
-    fn to_f64(self) -> f64;
 }
 
 impl Scalar for f32 {
     const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
     const STREAM_BYTES: usize = 4;
 
     fn from_f64(v: f64) -> Self {
         v as f32
     }
-
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
 }
 
 impl Scalar for f64 {
     const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
     const STREAM_BYTES: usize = 8;
 
     fn from_f64(v: f64) -> Self {
         v
-    }
-
-    fn to_f64(self) -> f64 {
-        self
     }
 }
 
@@ -91,16 +76,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_and_one() {
+    fn zero_is_zero() {
         assert!(f32::ZERO.is_zero());
-        assert!(!f32::ONE.is_zero());
+        assert!(!1.0f32.is_zero());
         assert!(f64::ZERO.is_zero());
-        assert_eq!(f32::ONE + f32::ONE, 2.0);
     }
 
     #[test]
-    fn f64_round_trip() {
-        assert_eq!(f64::from_f64(3.25).to_f64(), 3.25);
+    fn from_f64_converts() {
+        assert_eq!(f64::from_f64(3.25), 3.25);
         assert_eq!(f32::from_f64(3.25), 3.25f32);
     }
 

@@ -236,11 +236,6 @@ impl MetricsRegistry {
         read_clean(&self.counters).keys().cloned().collect()
     }
 
-    /// Sorted histogram names.
-    pub fn histogram_names(&self) -> Vec<String> {
-        lock_clean(&self.histograms).keys().cloned().collect()
-    }
-
     /// Tab-separated export: one row per counter, then one per histogram
     /// summary, with a header row.
     pub fn to_tsv(&self) -> String {

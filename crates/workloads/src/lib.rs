@@ -12,8 +12,9 @@
 //! * **Band and diagonal matrices** ([`band`]) — size 8000 with widths 2,
 //!   4, 16, 32 and 64, plus the pure diagonal (`k = 1`).
 //!
-//! Additional structural generators ([`rmat`], [`stencil`], [`circuit`],
-//! [`road`]) back the per-kind SuiteSparse stand-ins.
+//! The structural generators ([`rmat`], [`stencil`], [`circuit`],
+//! [`road`]) back the per-kind SuiteSparse stand-ins, so every generator
+//! here is reached through a [`Workload`].
 //!
 //! All generators are deterministic given a seed, and all values are small
 //! non-zero integers cast to `f32` so downstream arithmetic checks are
@@ -24,7 +25,6 @@
 
 pub mod band;
 pub mod circuit;
-pub mod ml;
 pub mod mtx;
 pub mod random;
 pub mod rmat;

@@ -1,7 +1,7 @@
 //! Property-based tests of the workload generators.
 
 use copernicus_workloads::rmat::RmatParams;
-use copernicus_workloads::{band, circuit, ml, mtx, random, rmat, road, seeded_rng, stencil};
+use copernicus_workloads::{band, circuit, mtx, random, rmat, road, seeded_rng, stencil};
 use proptest::prelude::*;
 use sparsemat::{Coo, Dia, Matrix, Triplet};
 use std::io::Cursor;
@@ -122,26 +122,5 @@ proptest! {
         let back = mtx::read_mtx(Cursor::new(&buf)).unwrap();
         prop_assert!(coo.to_dense().structurally_eq(&back));
         prop_assert_eq!(back.nnz(), coo.nnz());
-    }
-
-    #[test]
-    fn pruned_block_density_is_respected(
-        out in 8usize..=48, inp in 8usize..=48, seed in 0u64..50
-    ) {
-        let m = ml::pruned_block(out, inp, 4, 0.5, &mut seeded_rng(seed));
-        // Kept blocks are clipped at the edges, so density can only come in
-        // at or under the full-block estimate.
-        let blocks = out.div_ceil(4) * inp.div_ceil(4);
-        let kept = (0.5 * blocks as f64).round() as usize;
-        prop_assert!(m.nnz() <= kept * 16);
-        prop_assert!(m.nnz() > 0 || kept == 0);
-    }
-
-    #[test]
-    fn embedding_lookup_counts_hold(batch in 1usize..=24, per in 1usize..=12, seed in 0u64..50) {
-        let m = ml::embedding_access(batch, 256, per, 0.5, &mut seeded_rng(seed));
-        for count in m.row_counts() {
-            prop_assert_eq!(count, per);
-        }
     }
 }
