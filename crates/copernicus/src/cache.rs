@@ -8,10 +8,11 @@
 //! A tiling entry ([`CachedGrid`]) holds its matrix and builds the
 //! [`PartitionGrid`] only on first use by a run that walks tiles, keeping
 //! it for later units when it fits [`MAX_ENTRY_BYTES`]. A unit that prices
-//! from structure measures the matrix instead ([`CachedGrid::measure`])
-//! and never builds one: it walks the matrix's [`RowPattern`], built on the
-//! first measure and kept beside the matrix, so every partition size of a
-//! workload is measured from one build.
+//! from structure measures the matrix's [`RowPattern`] instead
+//! ([`CachedGrid::pattern`]) and never builds one: the pattern is built on
+//! first use and kept beside the matrix, so every partition size of a
+//! workload is measured from one build. A matrix without a pattern is
+//! walked through its grid.
 //!
 //! # Determinism
 //!
@@ -52,7 +53,6 @@
 //! deterministic and never perturbs an in-flight unit.
 
 use crate::campaign::lock_clean;
-use copernicus_hls::{GridStats, PlatformError, Session};
 use copernicus_telemetry::{MetricsRegistry, Phase, PhaseProfiler};
 use copernicus_workloads::Workload;
 use sparsemat::{
@@ -163,29 +163,13 @@ impl CachedGrid {
         Ok(Arc::clone(self.grid.get_or_init(|| built)))
     }
 
-    /// Measures the matrix's tiles on `session` without building the grid,
-    /// from the matrix's row pattern: built on first use (lapped as
-    /// [`Phase::Partition`] into `profiler`) and shared with every other
-    /// partition size of the same matrix.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Config`] when the session tiles at another `p`
-    /// than this entry; otherwise as [`Session::measure_with`].
-    pub fn measure(
-        &self,
-        session: &mut Session,
-        profiler: Option<&PhaseProfiler>,
-    ) -> Result<GridStats, PlatformError> {
-        let p = session.config().partition_size;
-        if p != self.p {
-            return Err(PlatformError::Config(format!(
-                "a session at p={p} cannot measure a tiling entry at p={}",
-                self.p
-            )));
-        }
-        let pattern = self.matrix.pattern(profiler);
-        session.measure_with(self.matrix(), pattern)
+    /// The matrix's row pattern, which a unit that prices from structure
+    /// measures instead of building the grid: built on first use (lapped
+    /// as [`Phase::Partition`] into `profiler`) and shared with every other
+    /// partition size of the same matrix. `None` when the matrix has no
+    /// pattern, and its units walk the grid.
+    pub fn pattern(&self, profiler: Option<&PhaseProfiler>) -> Option<&RowPattern> {
+        self.matrix.pattern(profiler)
     }
 
     /// Resident bytes: the grid if kept. The matrix is the matrix layer's.
@@ -246,20 +230,13 @@ impl WorkloadCache {
         WorkloadCache::default()
     }
 
-    /// The generated matrix for `workload` under `(max_dim, seed)`, shared
-    /// when cached. Generation happens outside the lock; on a lost insert
-    /// race the winner's copy is returned (identical bytes — generation is
-    /// pure) and the lookup counts as the hit it would have been under the
-    /// sequential schedule.
-    pub fn matrix(&self, workload: &Workload, max_dim: usize, seed: u64) -> Arc<Coo<f32>> {
-        let mut generating = Duration::ZERO;
-        let cached = self.matrix_impl(workload, max_dim, seed, true, None, &mut generating);
-        Arc::clone(&cached.coo)
-    }
-
-    /// The matrix layer's lookup. A generation is lapped as
-    /// [`Phase::Generate`] into `profiler`, and its wall time added to
-    /// `generating`.
+    /// The matrix layer's lookup: the generated matrix for `workload` under
+    /// `(max_dim, seed)`, shared when cached. Generation happens outside the
+    /// lock; on a lost insert race the winner's copy is returned (identical
+    /// bytes — generation is pure) and the lookup counts as the hit it
+    /// would have been under the sequential schedule. A generation is
+    /// lapped as [`Phase::Generate`] into `profiler`, and its wall time
+    /// added to `generating`.
     fn matrix_impl(
         &self,
         workload: &Workload,
@@ -492,6 +469,7 @@ fn grid_bytes(grid: &PartitionGrid<f32>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copernicus_hls::{HwConfig, Session};
 
     fn w(n: usize, density: f64) -> Workload {
         Workload::Random { n, density }
@@ -499,11 +477,13 @@ mod tests {
 
     #[test]
     fn matrix_hits_after_first_generation_and_bytes_match() {
+        // Two partition sizes of one workload: two tiling entries over one
+        // generated matrix.
         let cache = WorkloadCache::new();
-        let a = cache.matrix(&w(64, 0.1), 0, 7);
-        let b = cache.matrix(&w(64, 0.1), 0, 7);
-        assert_eq!(*a, *b);
-        assert_eq!(*a, w(64, 0.1).generate(0, 7));
+        let a = cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
+        let b = cache.lookup(&w(64, 0.1), 8, 0, 7, true, None).unwrap();
+        assert!(Arc::ptr_eq(&a.matrix, &b.matrix));
+        assert_eq!(*a.matrix(), w(64, 0.1).generate(0, 7));
         let s = cache.stats();
         assert_eq!((s.matrix_misses, s.matrix_hits), (1, 1));
         assert_eq!(s.matrices, 1);
@@ -513,12 +493,17 @@ mod tests {
     #[test]
     fn keys_separate_seed_cap_and_spec() {
         let cache = WorkloadCache::new();
-        cache.matrix(&w(64, 0.1), 0, 7);
-        cache.matrix(&w(64, 0.1), 0, 8); // seed differs
-        cache.matrix(&w(32, 0.1), 0, 7); // spec differs
+        let lookup = |workload: &Workload, max_dim, seed| {
+            cache
+                .lookup(workload, 16, max_dim, seed, true, None)
+                .unwrap();
+        };
+        lookup(&w(64, 0.1), 0, 7);
+        lookup(&w(64, 0.1), 0, 8); // seed differs
+        lookup(&w(32, 0.1), 0, 7); // spec differs
         let suite = Workload::paper_suite()[0];
-        cache.matrix(&suite, 128, 7);
-        cache.matrix(&suite, 256, 7); // cap differs
+        lookup(&suite, 128, 7);
+        lookup(&suite, 256, 7); // cap differs
         let s = cache.stats();
         assert_eq!(s.matrix_misses, 5);
         assert_eq!(s.matrix_hits, 0);
@@ -592,9 +577,9 @@ mod tests {
     }
 
     fn structural(p: usize) -> Session {
-        Session::new(copernicus_hls::HwConfig {
+        Session::new(HwConfig {
             verify_functional: false,
-            ..copernicus_hls::HwConfig::with_partition_size(p)
+            ..HwConfig::with_partition_size(p)
         })
         .unwrap()
     }
@@ -604,22 +589,17 @@ mod tests {
         let cache = WorkloadCache::new();
         let entry = cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
         let unmeasured = cache.stats().resident_bytes;
-        let stats = entry.measure(&mut structural(16), None).unwrap();
+        let pattern = entry.pattern(None).unwrap();
+        let stats = structural(16).measure(pattern).unwrap();
         assert!(entry.grid.get().is_none());
         // Measuring keeps the matrix's row pattern, and nothing else.
-        let pattern = entry.matrix.pattern(None).unwrap().heap_bytes() as u64;
         let unbuilt = cache.stats().resident_bytes;
-        assert_eq!(unbuilt, unmeasured + pattern);
+        assert_eq!(unbuilt, unmeasured + pattern.heap_bytes() as u64);
         // A walking run builds the grid once; only then is it resident.
         let grid = entry.grid(None).unwrap();
         assert_eq!(grid.nonzero_tiles(), stats.tiles());
         assert!(Arc::ptr_eq(&grid, &entry.grid(None).unwrap()));
         assert!(cache.stats().resident_bytes > unbuilt);
-        // A session at another p would measure another tiling.
-        assert!(matches!(
-            entry.measure(&mut structural(8), None),
-            Err(PlatformError::Config(_))
-        ));
     }
 
     #[test]
@@ -639,8 +619,10 @@ mod tests {
             if resident == 0 {
                 resident = measured.stats().resident_bytes;
             }
-            let stats = entry.measure(&mut structural(p), Some(&profiler)).unwrap();
-            assert_eq!(stats, structural(p).measure(entry.matrix()).unwrap());
+            let pattern = entry.pattern(Some(&profiler)).unwrap();
+            let stats = structural(p).measure(pattern).unwrap();
+            let fresh = RowPattern::new(entry.matrix()).unwrap();
+            assert_eq!(stats, structural(p).measure(&fresh).unwrap());
         }
         let count = |phase| profiler.histogram(phase).map_or(0, |h| h.count());
         assert_eq!(count(Phase::Generate), 1);

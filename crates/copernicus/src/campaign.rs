@@ -596,13 +596,17 @@ impl CampaignRunner {
                         session.set_profiler(observers.profiler.clone());
                         session.set_tile_jobs(tile_jobs);
                         // A unit that prices from structure measures the
-                        // matrix and never builds the grid.
-                        let input = if session.config().prices_from_structure() {
-                            UnitInput::Measured(
-                                entry.measure(&mut session, observers.profiler.as_deref())?,
-                            )
-                        } else {
-                            UnitInput::Walked(entry.grid(observers.profiler.as_deref())?)
+                        // matrix's row pattern and never builds the grid; a
+                        // matrix without a pattern is walked.
+                        let profiler = observers.profiler.as_deref();
+                        let pattern = session
+                            .config()
+                            .prices_from_structure()
+                            .then(|| entry.pattern(profiler))
+                            .flatten();
+                        let input = match pattern {
+                            Some(pattern) => UnitInput::Measured(session.measure(pattern)?),
+                            None => UnitInput::Walked(entry.grid(profiler)?),
                         };
                         *prepared = Some(Prepared {
                             entry,
@@ -722,7 +726,7 @@ struct Prepared {
 /// The tiles a unit's runs read, prepared once for all of them.
 enum UnitInput {
     /// The matrix's structural classes, when the session prices from
-    /// structure.
+    /// structure and the matrix has a row pattern.
     Measured(GridStats),
     /// The built tiling, for runs that walk tiles.
     Walked(Arc<PartitionGrid<f32>>),
@@ -1011,6 +1015,78 @@ mod tests {
         out
     }
 
+    /// `cfg` with functional verification off, so a unit whose matrix has
+    /// a row pattern is measured instead of walked.
+    fn structural(cfg: &ExperimentConfig) -> ExperimentConfig {
+        let mut cfg = cfg.clone();
+        cfg.hw.verify_functional = false;
+        cfg
+    }
+
+    /// The campaign's measurements, and how many tiles it decompressed.
+    fn characterize_counting_walks(
+        workloads: &[Workload],
+        sizes: &[usize],
+        cfg: &ExperimentConfig,
+        jobs: usize,
+    ) -> (Vec<Measurement>, u64) {
+        let profiler = Arc::new(copernicus_telemetry::PhaseProfiler::new());
+        let mut instruments = Instruments::none().with_profiler(profiler.clone());
+        let ms = CampaignRunner::new(jobs)
+            .characterize_with(
+                workloads,
+                &FormatKind::CHARACTERIZED,
+                sizes,
+                cfg,
+                &mut instruments,
+            )
+            .unwrap();
+        let walks = profiler
+            .histogram(copernicus_telemetry::Phase::Decompress)
+            .map_or(0, |h| h.count());
+        (ms, walks)
+    }
+
+    #[test]
+    fn measured_campaigns_equal_the_walked_oracle() {
+        // Every workload class the figures sweep, at quick dims, in every
+        // format at every figure partition size: a verify-off campaign,
+        // measured from each matrix's row pattern, returns exactly what a
+        // verifying campaign (always walked) does, at any worker count.
+        let cfg = ExperimentConfig::quick();
+        let workloads = crate::experiments::fig07::all_class_workloads(&cfg);
+        let sizes = crate::experiments::FIGURE_PARTITION_SIZES;
+        for jobs in [1, 2] {
+            let (walked, walks) = characterize_counting_walks(&workloads, &sizes, &cfg, jobs);
+            let (measured, measured_walks) =
+                characterize_counting_walks(&workloads, &sizes, &structural(&cfg), jobs);
+            assert!(walks > 0, "jobs={jobs}: the verifying campaign walks");
+            assert_eq!(measured_walks, 0, "jobs={jobs}: every matrix is measured");
+            assert_eq!(measured, walked, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn a_matrix_without_a_pattern_is_walked_by_a_structural_campaign() {
+        // 70,000 rows and a handful of entries: more than 4 rows per entry,
+        // so no row pattern. Its verify-off units walk the grid and return
+        // the verifying campaign's measurements.
+        let cfg = ExperimentConfig::quick();
+        let workloads = [Workload::Random {
+            n: 70_000,
+            density: 1e-9,
+        }];
+        let matrix = workloads[0].generate(cfg.suite_max_dim, cfg.seed);
+        assert_eq!(sparsemat::Matrix::nnz(&matrix), 5);
+        assert_eq!(sparsemat::RowPattern::new(&matrix), None);
+        let sizes = crate::experiments::FIGURE_PARTITION_SIZES;
+        let (walked, _) = characterize_counting_walks(&workloads, &sizes, &cfg, 1);
+        let (structural, walks) =
+            characterize_counting_walks(&workloads, &sizes, &structural(&cfg), 1);
+        assert!(walks > 0, "a patternless matrix is walked");
+        assert_eq!(structural, walked);
+    }
+
     #[test]
     fn runner_matches_the_sequential_reference_at_every_job_count() {
         let (w, f, p, cfg) = grid();
@@ -1286,7 +1362,7 @@ mod tests {
 
     #[test]
     fn cell_deadlines_start_after_the_unit_is_prepared() {
-        // Measuring this band (518,944 entries: a copy, a tile sort and a
+        // Measuring this band (518,944 entries: a row-pattern build and a
         // pass over every entry) takes a few times the deadline in a debug
         // build, each of its runs (748 tiles priced from 2 classes) well
         // under a hundredth of it. The preparation is the unit's, shared by its

@@ -3,7 +3,7 @@
 //! perform, so any user can ask "do the paper's conclusions hold on *my*
 //! workloads / configuration?"
 
-use crate::{Measurement, MetricKind};
+use crate::Measurement;
 use copernicus_workloads::WorkloadClass;
 use sparsemat::FormatKind;
 
@@ -179,16 +179,6 @@ pub fn render(checks: &[InsightCheck]) -> String {
     t.render()
 }
 
-/// Convenience: the six metric labels in figure order (re-exported next to
-/// the insight machinery because reports often print both).
-pub fn metric_labels() -> [&'static str; 6] {
-    let mut out = [""; 6];
-    for (i, m) in MetricKind::ALL.iter().enumerate() {
-        out[i] = m.label();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,11 +241,5 @@ mod tests {
         let s = render(&checks());
         assert!(s.contains("yes"));
         assert!(s.contains("csc-worst-case"));
-    }
-
-    #[test]
-    fn metric_labels_are_in_figure_order() {
-        assert_eq!(metric_labels()[0], "sigma");
-        assert_eq!(metric_labels()[5], "power");
     }
 }

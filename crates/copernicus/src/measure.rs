@@ -51,12 +51,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// A copy with the sweep dimension replaced (e.g. from a CLI flag).
-    pub fn with_sweep_dim(mut self, dim: usize) -> Self {
-        self.sweep_dim = dim;
-        self
-    }
-
     /// A measurement [`Session`] at a given partition size.
     pub(crate) fn session(&self, p: usize) -> Result<Session, PlatformError> {
         let mut hw = self.hw.clone();
@@ -216,12 +210,6 @@ mod tests {
         assert!(q.hw.verify_functional);
         assert!(!p.hw.verify_functional);
         assert_eq!(p.sweep_dim, 8000);
-    }
-
-    #[test]
-    fn with_sweep_dim_overrides() {
-        let cfg = ExperimentConfig::quick().with_sweep_dim(999);
-        assert_eq!(cfg.sweep_dim, 999);
     }
 
     #[test]

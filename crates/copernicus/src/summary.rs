@@ -75,12 +75,6 @@ impl SummaryRow {
             .position(|&m| m == metric)
             .map_or(f64::NAN, |idx| self.scores[idx])
     }
-
-    /// Mean of the six scores — a crude overall "goodness" used by the
-    /// recommendation examples.
-    pub fn mean_score(&self) -> f64 {
-        self.scores.iter().sum::<f64>() / 6.0
-    }
 }
 
 /// Raw (pre-normalization) value of a metric, averaged over a format's
@@ -240,7 +234,6 @@ mod tests {
         let rows = sample_rows();
         let r = &rows[0];
         assert_eq!(r.score(MetricKind::Sigma), r.scores[0]);
-        assert!((0.0..=1.0).contains(&r.mean_score()));
     }
 
     #[test]

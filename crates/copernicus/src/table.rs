@@ -82,17 +82,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as tab-separated values (easy to pipe into plotting tools).
-    pub fn render_tsv(&self) -> String {
-        let mut out = self.header.join("\t");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with 3 significant decimals for table cells.
@@ -134,10 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn tsv_has_tabs_and_all_rows() {
+    fn len_counts_rows() {
         let mut t = TextTable::new(&["a", "b"]);
+        assert!(t.is_empty());
         t.row(&["1".into(), "2".into()]);
-        assert_eq!(t.render_tsv(), "a\tb\n1\t2\n");
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
     }

@@ -2,7 +2,6 @@
 //! (decompress + dot-product) → memory-write, pipelined across partitions.
 
 use crate::backend::Backend;
-use crate::structure::TilePricing;
 use crate::{decompress_with, Decompression, EncodeScratch, EncodedPartition, GridStats, HwConfig};
 use copernicus_telemetry::{
     CancelToken, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
@@ -430,7 +429,7 @@ pub(crate) enum Tiles<'a> {
     /// Every partition of a built grid.
     Grid(&'a PartitionGrid<f32>),
     /// The class table of [`Session::measure`](crate::Session::measure),
-    /// checked against the config; only its declined tiles are built.
+    /// checked against the config.
     Measured(&'a GridStats),
 }
 
@@ -604,8 +603,7 @@ impl Run<'_> {
     /// A grid's tiles are always walked. [`Tiles::Measured`] runs only when
     /// nothing reads the decompressed rows (the session checks): the
     /// backend prices each class once and the tiles are handed on inline,
-    /// in grid order, each with its class's timing and no decompression; a
-    /// declined tile is walked in its place.
+    /// in grid order, each with its class's timing and no decompression.
     fn for_each_tile<S, F>(
         &self,
         tiles: Tiles<'_>,
@@ -657,29 +655,18 @@ impl Run<'_> {
                         .price(&class.counters(format, self.cfg), self.cfg)
                 }));
                 acc.lap(Phase::Encode);
-                // An accepted tile goes straight to `each`: routed through
-                // the reduce's `Result`, it cost about four times as much.
-                let reduced = stats
-                    .pricing()
-                    .enumerate()
-                    .try_for_each(|(idx, (at, pricing))| {
-                        if self.cancelled() {
-                            return Err(PlatformError::Cancelled);
-                        }
-                        match pricing {
-                            TilePricing::Class(class) => {
-                                each(sink, idx, at, &timings[class], None);
-                                Ok(())
-                            }
-                            TilePricing::Walk(part) => {
-                                let result =
-                                    self.process_partition(part, format, scratch, &mut acc);
-                                reduce(sink, &mut each, idx, part, result, scratch)
-                            }
-                        }
-                    });
+                let mut cancelled = false;
+                for (idx, &(at, class)) in stats.classed_tiles().iter().enumerate() {
+                    cancelled = self.cancelled();
+                    if cancelled {
+                        break;
+                    }
+                    each(sink, idx, at, &timings[class], None);
+                }
                 scratch.give_class_timings(timings);
-                reduced?;
+                if cancelled {
+                    return Err(PlatformError::Cancelled);
+                }
             }
             Tiles::Grid(grid) if self.tile_jobs > 1 && grid.nonzero_tiles() > 1 => {
                 let parts = grid.partitions();
@@ -1344,7 +1331,7 @@ mod tests {
             ..HwConfig::default()
         };
         let m = matrix();
-        // A matrix is measured, never walked: one tile sort, no decompress.
+        // A matrix is measured, never walked: one pattern build, no decompress.
         assert_eq!(
             laps(off.clone(), &m, false, false),
             (1, 0),

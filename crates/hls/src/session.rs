@@ -29,7 +29,7 @@ use crate::{
     backend_for, EncodeScratch, GridStats, HwConfig, ParallelReport, PlatformError, RunReport,
 };
 use copernicus_telemetry::{CancelToken, NullSink, Phase, PhaseProfiler, TraceSink};
-use sparsemat::{tile_runs, Coo, FormatKind, Matrix, PartitionGrid, RowPattern, SparseError};
+use sparsemat::{Coo, FormatKind, PartitionGrid, RowPattern, SparseError};
 use std::sync::Arc;
 
 /// What a [`RunRequest`] streams through the platform: a raw matrix (tiled
@@ -38,7 +38,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub enum Input<'a> {
     /// A COO matrix, tiled by the session: measured when nothing reads its
-    /// rows, otherwise built into a grid.
+    /// rows and it has a row pattern, otherwise built into a grid.
     Matrix(&'a Coo<f32>),
     /// An already-partitioned grid (reused across formats without
     /// re-tiling).
@@ -85,10 +85,12 @@ impl std::fmt::Debug for RunRequest<'_> {
 impl<'a> RunRequest<'a> {
     /// A run over a raw matrix, tiled at the configured partition size.
     /// When nothing reads the tiles' rows (no SpMV consumer, and the session
-    /// [prices from structure](HwConfig::prices_from_structure)), the
-    /// session [measures](Session::measure) the matrix and runs as
-    /// [`RunRequest::measured`] does, building no grid; otherwise it builds
-    /// the grid and runs as [`RunRequest::grid`] does.
+    /// [prices from structure](HwConfig::prices_from_structure)) and the
+    /// matrix has a [`RowPattern`], the session [measures](Session::measure)
+    /// the pattern and runs as [`RunRequest::measured`] does, building no
+    /// grid; otherwise, a matrix without a pattern included, it builds the
+    /// grid and runs as [`RunRequest::grid`] does. Both give the same
+    /// outcome and trace.
     pub fn matrix(matrix: &'a Coo<f32>, format: FormatKind) -> Self {
         Self::with_input(Input::Matrix(matrix), format)
     }
@@ -102,7 +104,7 @@ impl<'a> RunRequest<'a> {
         Self::with_input(Input::Grid(grid), format)
     }
 
-    /// A run over a matrix whose tiles [`Session::measure`] has measured:
+    /// A run over a matrix whose pattern [`Session::measure`] has measured:
     /// each distinct tile is priced once from the class table and every
     /// tile reduced in grid order, with the same report and trace as the
     /// walked [`RunRequest::grid`] over the matrix's grid. Nothing here
@@ -258,84 +260,27 @@ impl Session {
         self
     }
 
-    /// Measures every non-zero tile of `matrix` once, at the configured
-    /// partition size, for [`RunRequest::measured`] runs in any format and
-    /// on any backend: builds the matrix's [`RowPattern`] (lapped as
-    /// [`Phase::Partition`]) and measures as [`Session::measure_with`]
-    /// does. Only a declined tile is ever built.
+    /// Measures every non-zero tile of a matrix once, from its
+    /// [`RowPattern`], at the configured partition size, for
+    /// [`RunRequest::measured`] runs in any format and on any backend. The
+    /// tiles are walked one band of `p` rows at a time and measured as they
+    /// come (lapped together as [`Phase::Encode`]); none is ever built. One
+    /// pattern serves every partition size.
     ///
     /// # Errors
     ///
     /// [`PlatformError::Config`] when this session does not price from
-    /// structure ([`HwConfig::prices_from_structure`]);
-    /// [`PlatformError::Sparse`] when an entry lies outside the matrix.
-    pub fn measure(&mut self, matrix: &Coo<f32>) -> Result<GridStats, PlatformError> {
-        self.check_structural()?;
-        let pattern = {
-            let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Partition));
-            RowPattern::new(matrix)
-        };
-        self.measure_with(matrix, pattern.as_ref())
-    }
-
-    /// [`Session::measure`] with `matrix`'s [`RowPattern::new`] already
-    /// built, so a caller that keeps it measures every partition size from
-    /// one build. With a pattern, the tiles are walked from it one band of
-    /// `p` rows at a time and measured as they come (lapped together as
-    /// [`Phase::Encode`]). With `None` — the matrix has no pattern — the
-    /// triplets are copied and tile-sorted by
-    /// [`tile_runs`](sparsemat::tile_runs) (lapped as [`Phase::Partition`])
-    /// and the runs measured in place ([`Phase::Encode`]). Both give the
-    /// same [`GridStats`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::measure`], plus [`PlatformError::Config`] when the
-    /// pattern's shape is not the matrix's.
-    pub fn measure_with(
-        &mut self,
-        matrix: &Coo<f32>,
-        pattern: Option<&RowPattern>,
-    ) -> Result<GridStats, PlatformError> {
-        self.check_structural()?;
-        let (nrows, ncols) = (matrix.nrows(), matrix.ncols());
-        if let Some(pattern) = pattern {
-            if pattern.shape() != (nrows, ncols) {
-                return Err(PlatformError::Config(format!(
-                    "a {:?} row pattern cannot measure a {nrows}x{ncols} matrix",
-                    pattern.shape()
-                )));
-            }
-            let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Encode));
-            return Ok(GridStats::measure_pattern(
-                pattern,
-                &self.cfg,
-                &mut self.scratch,
-            )?);
+    /// structure ([`HwConfig::prices_from_structure`]).
+    pub fn measure(&mut self, pattern: &RowPattern) -> Result<GridStats, PlatformError> {
+        if !self.cfg.prices_from_structure() {
+            return Err(PlatformError::Config(
+                "only a session that prices from structure (verification and codec off) \
+                 measures tiles"
+                    .into(),
+            ));
         }
-        let lap = self.profiler.as_ref().map(|p| p.scope(Phase::Partition));
-        let mut triplets = matrix.triplets();
-        let runs = tile_runs(nrows, ncols, &mut triplets, self.cfg.partition_size)?;
-        drop(lap);
         let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Encode));
-        Ok(GridStats::measure(
-            (nrows, ncols),
-            runs,
-            &self.cfg,
-            &mut self.scratch,
-        ))
-    }
-
-    /// `Ok` when this session prices from structure, as measuring needs.
-    fn check_structural(&self) -> Result<(), PlatformError> {
-        if self.cfg.prices_from_structure() {
-            return Ok(());
-        }
-        Err(PlatformError::Config(
-            "only a session that prices from structure (verification and codec off) \
-             measures tiles"
-                .into(),
-        ))
+        Ok(GridStats::measure(pattern, &self.cfg, &mut self.scratch)?)
     }
 
     /// Executes one request. See [`RunRequest`] for the option matrix.
@@ -372,14 +317,22 @@ impl Session {
                 stats.check(&self.cfg)?;
                 Tiles::Measured(stats)
             }
-            Input::Matrix(matrix) if spmv_x.is_none() && self.cfg.prices_from_structure() => {
-                measured = self.measure(matrix)?;
-                Tiles::Measured(&measured)
-            }
             Input::Matrix(matrix) => {
-                let _lap = self.profiler.as_ref().map(|p| p.scope(Phase::Partition));
-                built = PartitionGrid::new(matrix, self.cfg.partition_size)?;
-                Tiles::Grid(&built)
+                // Measured when nothing reads the rows and the matrix has a
+                // pattern; otherwise walked through its grid. Either way the
+                // tiling is lapped as partition.
+                let lap = self.profiler.as_ref().map(|p| p.scope(Phase::Partition));
+                let pattern = (spmv_x.is_none() && self.cfg.prices_from_structure())
+                    .then(|| RowPattern::new(matrix))
+                    .flatten();
+                if let Some(pattern) = pattern {
+                    drop(lap);
+                    measured = self.measure(&pattern)?;
+                    Tiles::Measured(&measured)
+                } else {
+                    built = PartitionGrid::new(matrix, self.cfg.partition_size)?;
+                    Tiles::Grid(&built)
+                }
             }
         };
         let run = Run {
@@ -560,6 +513,10 @@ mod tests {
         assert_eq!(sink.count("partition_start"), traced.report.partitions);
     }
 
+    fn pattern(m: &Coo<f32>) -> RowPattern {
+        RowPattern::new(m).unwrap()
+    }
+
     fn structural(p: usize) -> HwConfig {
         HwConfig {
             verify_functional: false,
@@ -572,7 +529,7 @@ mod tests {
         let m = matrix();
         let mut verifying = Session::new(HwConfig::default()).unwrap();
         assert!(matches!(
-            verifying.measure(&m),
+            verifying.measure(&pattern(&m)),
             Err(PlatformError::Config(_))
         ));
         let mut coded = Session::new(HwConfig {
@@ -580,62 +537,52 @@ mod tests {
             ..structural(16)
         })
         .unwrap();
-        assert!(matches!(coded.measure(&m), Err(PlatformError::Config(_))));
-        let stats = Session::new(structural(16)).unwrap().measure(&m).unwrap();
+        assert!(matches!(
+            coded.measure(&pattern(&m)),
+            Err(PlatformError::Config(_))
+        ));
+        let stats = Session::new(structural(16))
+            .unwrap()
+            .measure(&pattern(&m))
+            .unwrap();
         let grid = PartitionGrid::new(&m, 16).unwrap();
         assert_eq!(stats.tiles(), grid.nonzero_tiles());
-        assert_eq!(stats.declined(), 0);
         // A band: the interior tiles all share one class.
         assert!(stats.classes().len() < stats.tiles());
     }
 
     #[test]
     fn measuring_laps_the_pattern_build_as_partition() {
+        // Measuring a pattern laps as encode; a measured matrix run laps
+        // its pattern build as partition and never decompresses.
         let profiler = Arc::new(PhaseProfiler::new());
         let mut session = Session::new(structural(16))
             .unwrap()
             .with_profiler(profiler.clone());
-        session.measure(&matrix()).unwrap();
-        assert_eq!(profiler.histogram(Phase::Partition).unwrap().count(), 1);
-        assert_eq!(profiler.histogram(Phase::Encode).unwrap().count(), 1);
-    }
-
-    #[test]
-    fn a_matrix_without_a_pattern_is_measured_through_the_tile_sort() {
-        // A repeated coordinate: no row pattern, so the tile runs are
-        // measured, and the tile holding the repeat is declined and kept.
-        let mut m = matrix();
-        m.push(3, 3, 2.0).unwrap();
-        assert_eq!(RowPattern::new(&m), None);
-        let profiler = Arc::new(PhaseProfiler::new());
-        let mut session = Session::new(structural(16))
-            .unwrap()
-            .with_profiler(profiler.clone());
-        let stats = session.measure(&m).unwrap();
-        assert_eq!(stats, session.measure_with(&m, None).unwrap());
-        assert_eq!(stats.declined(), 1);
-        // The failed pattern build and the tile sort both lap as partition.
-        assert_eq!(profiler.histogram(Phase::Partition).unwrap().count(), 3);
-        // A pattern of another matrix's shape is refused.
-        let other = RowPattern::new(&Coo::<f32>::new(8, 8)).unwrap();
-        assert!(matches!(
-            session.measure_with(&matrix(), Some(&other)),
-            Err(PlatformError::Config(_))
-        ));
+        let count = |phase| profiler.histogram(phase).map_or(0, |h| h.count());
+        session.measure(&pattern(&matrix())).unwrap();
+        assert_eq!((count(Phase::Partition), count(Phase::Encode)), (0, 1));
+        session
+            .run(RunRequest::matrix(&matrix(), FormatKind::Csr))
+            .unwrap();
+        assert_eq!((count(Phase::Partition), count(Phase::Decompress)), (1, 0));
     }
 
     #[test]
     fn stats_of_another_p_or_block_are_rejected() {
         let m = matrix();
         let mut session = Session::new(structural(16)).unwrap();
-        let stats = session.measure(&m).unwrap();
-        let p8 = Session::new(structural(8)).unwrap().measure(&m).unwrap();
+        let stats = session.measure(&pattern(&m)).unwrap();
+        let p8 = Session::new(structural(8))
+            .unwrap()
+            .measure(&pattern(&m))
+            .unwrap();
         let b2 = Session::new(HwConfig {
             bcsr_block: 2,
             ..structural(16)
         })
         .unwrap()
-        .measure(&m)
+        .measure(&pattern(&m))
         .unwrap();
         for stats in [&p8, &b2] {
             assert!(matches!(
@@ -654,7 +601,7 @@ mod tests {
         // need a grid, and asking for them over stats is a config error.
         let m = matrix();
         let mut session = Session::new(structural(16)).unwrap();
-        let stats = session.measure(&m).unwrap();
+        let stats = session.measure(&pattern(&m)).unwrap();
         let x: Vec<f32> = (0..48).map(|i| (i % 7) as f32 - 3.0).collect();
         assert!(matches!(
             session.run(RunRequest::measured(&stats, FormatKind::Ell).consume_spmv(&x)),
@@ -694,7 +641,7 @@ mod tests {
         let mut session = Session::new(structural(16))
             .unwrap()
             .with_cancel(token.clone());
-        let stats = session.measure(&matrix()).unwrap();
+        let stats = session.measure(&pattern(&matrix())).unwrap();
         assert!(session
             .run(RunRequest::measured(&stats, FormatKind::Coo))
             .is_ok());

@@ -17,21 +17,22 @@
 //! The closed forms assume the encoded structure holds exactly the tile's
 //! entries. A tile with a duplicate coordinate (the formats merge it, and
 //! the merge may cancel) or an explicit zero (the formats drop it) breaks
-//! that, so [`TileStats::measure`] declines such tiles and the caller walks
-//! them. Entry order does not matter.
+//! that, so [`TileStats::measure`] declines such tiles. Entry order does
+//! not matter.
 //!
 //! A tile's counts depend on the tile, `p` and the BCSR block size, not on
 //! the format or the backend, so [`GridStats`] measures a whole matrix
 //! once, without building a grid: a table of its distinct [`TileStats`]
 //! and, per tile, its grid coordinates and class id. Its tiles come from
-//! the matrix's [`RowPattern`], one band of `p` rows at a time, or — for a
-//! matrix without one — from its tile-sorted triplets. A run over it
+//! the matrix's [`RowPattern`], one band of `p` rows at a time; a pattern
+//! holds no repeat or zero, so none is declined. A matrix without a
+//! pattern is walked through its grid instead. A run over the stats
 //! prices each class once and hands every tile its class's timing in grid
 //! order.
 
 use crate::backend::TileCounters;
 use crate::{EncodeScratch, HwConfig, PlatformError};
-use sparsemat::{Coo, FormatKind, Matrix, Partition, RowPattern, SparseError, Triplet};
+use sparsemat::{Coo, FormatKind, Matrix, RowPattern, SparseError, Triplet};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -129,7 +130,7 @@ impl TileStats {
     }
 
     /// The one measuring pass, over a `p×p` tile's entries in tile-local
-    /// coordinates: a [`Coo`] tile's, or a tile run's shifted by its
+    /// coordinates: a [`Coo`] tile's, or a pattern tile's shifted by its
     /// origin. `entries` is read twice, the second time to clear the
     /// slots the first touched.
     fn measure_local<I>(entries: I, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Option<Self>
@@ -265,9 +266,6 @@ impl TileStats {
     }
 }
 
-/// The class id of a tile [`TileStats::measure`] declined.
-const DECLINED: u32 = u32::MAX;
-
 /// A multiply-rotate hasher for the class table's keys. The keys are
 /// counts this module derives from the tiles, each at most `p²`, and a
 /// collision only slows a lookup, so SipHash's flooding resistance buys
@@ -295,112 +293,14 @@ impl Hasher for ClassHasher {
     }
 }
 
-/// One tile of a measured grid, in grid order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct MeasuredTile {
-    grid_row: usize,
-    grid_col: usize,
-    /// An index into [`GridStats::classes`], or [`DECLINED`].
-    class: u32,
-}
-
-/// How a measured run prices one tile: from its class's timing, or by
-/// walking the tile, which [`TileStats::measure`] declined.
-pub(crate) enum TilePricing<'a> {
-    /// The index of the tile's class in [`GridStats::classes`].
-    Class(usize),
-    /// The declined tile itself.
-    Walk(&'a Partition<f32>),
-}
-
-/// A [`GridStats`] under construction: each tile is measured as it
-/// arrives, in grid order, by whichever tiling feeds it.
-struct Classifier<'a> {
-    cfg: &'a HwConfig,
-    scratch: &'a mut EncodeScratch,
-    ids: HashMap<TileStats, u32, BuildHasherDefault<ClassHasher>>,
-    classes: Vec<TileStats>,
-    tiles: Vec<MeasuredTile>,
-    declined: Vec<Partition<f32>>,
-}
-
-impl<'a> Classifier<'a> {
-    /// A classifier for one `nrows × ncols` matrix whose tiling yields at
-    /// most `most` tiles. The tile list is sized once for the most tiles
-    /// there can be (`most`, and one per grid cell) and trimmed at the end:
-    /// as many allocations for ten tiles as for a million.
-    fn new(
-        (nrows, ncols): (usize, usize),
-        most: usize,
-        cfg: &'a HwConfig,
-        scratch: &'a mut EncodeScratch,
-    ) -> Self {
-        let p = cfg.partition_size;
-        let cells = nrows.div_ceil(p).saturating_mul(ncols.div_ceil(p));
-        Classifier {
-            cfg,
-            scratch,
-            ids: HashMap::default(),
-            classes: Vec::new(),
-            tiles: Vec::with_capacity(most.min(cells)),
-            declined: Vec::new(),
-        }
-    }
-
-    /// Measures the next tile in grid order from its entries in tile-local
-    /// coordinates, building it with `build` when it is declined.
-    fn tile<I>(
-        &mut self,
-        (grid_row, grid_col): (usize, usize),
-        local: I,
-        build: impl FnOnce() -> Partition<f32>,
-    ) where
-        I: Iterator<Item = Triplet<f32>> + Clone,
-    {
-        let class = match TileStats::measure_local(local, self.cfg, self.scratch) {
-            // Ids stay below the marker: past 2^32 − 1 classes, the
-            // remaining tiles are walked.
-            Some(stats) if self.classes.len() < DECLINED as usize => {
-                let classes = &mut self.classes;
-                *self.ids.entry(stats).or_insert_with(|| {
-                    classes.push(stats);
-                    (classes.len() - 1) as u32
-                })
-            }
-            _ => {
-                self.declined.push(build());
-                DECLINED
-            }
-        };
-        self.tiles.push(MeasuredTile {
-            grid_row,
-            grid_col,
-            class,
-        });
-    }
-
-    fn finish(mut self) -> GridStats {
-        self.tiles.shrink_to_fit();
-        GridStats {
-            p: self.cfg.partition_size,
-            b: self.cfg.bcsr_block,
-            classes: self.classes,
-            tiles: self.tiles,
-            declined: self.declined,
-        }
-    }
-}
-
 /// The structural counts of every non-zero tile of one matrix, measured
 /// once and priced for any format and backend: a table of the distinct
 /// [`TileStats`] values, in order of first appearance, and per tile, in
-/// grid order, its grid coordinates and the id of its class. A tile
-/// [`TileStats::measure`] declines (a duplicate coordinate) is kept as a
-/// real [`Partition`], its entries in input order, for the run to walk;
-/// an accepted tile is never built.
+/// grid order, its grid coordinates and the id of its class. No tile is
+/// ever built.
 ///
-/// Built by [`Session::measure`](crate::Session::measure) straight from the
-/// matrix's row pattern or tile runs, and consumed by
+/// Built by [`Session::measure`](crate::Session::measure) from the
+/// matrix's [`RowPattern`], and consumed by
 /// [`RunRequest::measured`](crate::RunRequest::measured).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridStats {
@@ -410,69 +310,53 @@ pub struct GridStats {
     b: usize,
     /// Distinct tile statistics.
     classes: Vec<TileStats>,
-    /// Every non-zero tile, in grid order.
-    tiles: Vec<MeasuredTile>,
-    /// The declined tiles, in grid order.
-    declined: Vec<Partition<f32>>,
+    /// Every non-zero tile, in grid order: its grid coordinates and the
+    /// index of its class in `classes`.
+    tiles: Vec<((usize, usize), usize)>,
 }
 
 impl GridStats {
-    /// Measures every tile run of one `nrows × ncols` matrix, as
-    /// [`tile_runs`](sparsemat::tile_runs) yields them at the configured
-    /// partition size, at the configured block size. A declined tile is
-    /// built from its run, for the run to walk.
-    pub(crate) fn measure<'t, R>(
-        (nrows, ncols): (usize, usize),
-        runs: R,
-        cfg: &HwConfig,
-        scratch: &mut EncodeScratch,
-    ) -> Self
-    where
-        R: Iterator<Item = (usize, usize, &'t [Triplet<f32>])>,
-    {
-        let p = cfg.partition_size;
-        let most = runs.size_hint().1.unwrap_or(0);
-        let mut grid = Classifier::new((nrows, ncols), most, cfg, scratch);
-        for (grid_row, grid_col, run) in runs {
-            let (row0, col0) = (grid_row * p, grid_col * p);
-            let local = run
-                .iter()
-                .map(move |t| Triplet::new(t.row - row0, t.col - col0, t.val));
-            grid.tile((grid_row, grid_col), local, || {
-                Partition::from_run(grid_row, grid_col, run, p)
-            });
-        }
-        grid.finish()
-    }
-
     /// Measures every tile of a matrix's [`RowPattern`] at the configured
-    /// partition size: the tiles, classes and order
-    /// [`GridStats::measure`] gives over the same matrix's tile runs. A
-    /// pattern holds no duplicate coordinate or explicit zero, so no tile
-    /// is declined, short of the class table's `u32` ids running out; a
-    /// tile declined for that is built with unit values, which a run that
-    /// prices from structure never reads.
-    pub(crate) fn measure_pattern(
+    /// partition and block size, as the tiles arrive in grid order. The
+    /// tile list is sized once for the most tiles there can be (one per
+    /// entry, and one per grid cell) and trimmed at the end: as many
+    /// allocations for ten tiles as for a million.
+    ///
+    /// A pattern holds no duplicate coordinate, no explicit zero and no
+    /// entry outside its tile, so every tile measures.
+    pub(crate) fn measure(
         pattern: &RowPattern,
         cfg: &HwConfig,
         scratch: &mut EncodeScratch,
     ) -> Result<Self, SparseError> {
         let p = cfg.partition_size;
-        let mut grid = Classifier::new(pattern.shape(), pattern.nnz(), cfg, scratch);
+        let (nrows, ncols) = pattern.shape();
+        let cells = nrows.div_ceil(p).saturating_mul(ncols.div_ceil(p));
+        let mut ids: HashMap<TileStats, usize, BuildHasherDefault<ClassHasher>> =
+            HashMap::default();
+        let mut classes = Vec::new();
+        let mut tiles = Vec::with_capacity(pattern.nnz().min(cells));
         pattern.tiles(p, |grid_row, grid_col, run| {
             let (row0, col0) = (grid_row * p, grid_col * p);
             let local = run
                 .iter()
                 .map(move |&(r, c)| Triplet::new(r as usize - row0, c as usize - col0, 1.0));
-            grid.tile((grid_row, grid_col), local, || {
-                let run: Vec<_> = run
-                    .iter()
-                    .map(|&(r, c)| Triplet::new(r as usize, c as usize, 1.0))
-                    .collect();
-                Partition::from_run(grid_row, grid_col, &run, p)
+            let Some(stats) = TileStats::measure_local(local, cfg, scratch) else {
+                unreachable!("a row pattern's tile holds no repeat, zero or stray entry");
+            };
+            let class = *ids.entry(stats).or_insert_with(|| {
+                classes.push(stats);
+                classes.len() - 1
             });
+            tiles.push(((grid_row, grid_col), class));
         })?;
-        Ok(grid.finish())
+        tiles.shrink_to_fit();
+        Ok(GridStats {
+            p,
+            b: cfg.bcsr_block,
+            classes,
+            tiles,
+        })
     }
 
     /// The distinct tile statistics, in order of first appearance.
@@ -485,24 +369,10 @@ impl GridStats {
         self.tiles.len()
     }
 
-    /// Number of tiles [`TileStats::measure`] declined.
-    pub fn declined(&self) -> usize {
-        self.declined.len()
-    }
-
-    /// Per tile in grid order: its grid coordinates and how to price it.
-    pub(crate) fn pricing(&self) -> impl Iterator<Item = ((usize, usize), TilePricing<'_>)> {
-        let mut declined = self.declined.iter();
-        self.tiles.iter().map(move |tile| {
-            let pricing = match tile.class {
-                DECLINED => match declined.next() {
-                    Some(part) => TilePricing::Walk(part),
-                    None => unreachable!("`measure` keeps one declined partition per marker"),
-                },
-                class => TilePricing::Class(class as usize),
-            };
-            ((tile.grid_row, tile.grid_col), pricing)
-        })
+    /// Per tile in grid order: its grid coordinates and the index of its
+    /// class in [`GridStats::classes`].
+    pub(crate) fn classed_tiles(&self) -> &[((usize, usize), usize)] {
+        &self.tiles
     }
 
     /// Checks that these stats were measured under `cfg`'s partition and

@@ -8,7 +8,7 @@
 //! rebuild) fails this test before it can show up as a throughput cliff.
 
 use copernicus_hls::{CodecKind, HwConfig, RunRequest, Session};
-use sparsemat::{Coo, FormatKind, PartitionGrid};
+use sparsemat::{Coo, FormatKind, PartitionGrid, RowPattern};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -162,8 +162,9 @@ fn warm_measured_sessions_run_allocation_free() {
         ..HwConfig::default()
     };
     let mut session = Session::new(cfg).unwrap();
-    let stats = session.measure(&matrix(96)).unwrap();
-    assert_eq!(stats.declined(), 0);
+    let stats = session
+        .measure(&RowPattern::new(&matrix(96)).unwrap())
+        .unwrap();
     for kind in FormatKind::CHARACTERIZED {
         session.run(RunRequest::measured(&stats, kind)).unwrap();
         let (allocs, _) = count_allocs(|| session.run(RunRequest::measured(&stats, kind)).unwrap());
@@ -173,10 +174,10 @@ fn warm_measured_sessions_run_allocation_free() {
 
 #[test]
 fn measuring_allocates_per_matrix_not_per_tile() {
-    // Measuring reads the tile runs in place and builds no per-tile `Coo`:
-    // on warm scratch, a matrix of 10,000 tiles costs as many allocations
-    // as one of 100 (the triplet copy, the sort's scratch, the tile list,
-    // the one-class table).
+    // Building the row pattern and measuring its tiles builds no per-tile
+    // `Coo`: on warm scratch, a matrix of 10,000 tiles costs as many
+    // allocations as one of 100 (the pattern, the band scratch, the tile
+    // list, the one-class table).
     let cfg = HwConfig {
         verify_functional: false,
         stream_codec: CodecKind::None,
@@ -196,10 +197,11 @@ fn measuring_allocates_per_matrix_not_per_tile() {
     };
     let (small, large) = (tiled(10), tiled(100));
     let mut session = Session::new(cfg).unwrap();
-    session.measure(&small).unwrap();
-    session.measure(&large).unwrap();
-    let (small_allocs, small_stats) = count_allocs(|| session.measure(&small).unwrap());
-    let (large_allocs, large_stats) = count_allocs(|| session.measure(&large).unwrap());
+    let mut measure = |m: &Coo<f32>| session.measure(&RowPattern::new(m).unwrap()).unwrap();
+    measure(&small);
+    measure(&large);
+    let (small_allocs, small_stats) = count_allocs(|| measure(&small));
+    let (large_allocs, large_stats) = count_allocs(|| measure(&large));
     assert_eq!((small_stats.tiles(), large_stats.tiles()), (100, 10_000));
     assert_eq!(
         (small_stats.classes().len(), large_stats.classes().len()),

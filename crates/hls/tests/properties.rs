@@ -5,9 +5,10 @@ use copernicus_hls::{
     backend_for, decompress, explain, BackendKind, CostBreakdown, CostTerm, EncodeScratch,
     EncodedPartition, HwConfig, RunRequest, Session, TileStats,
 };
-use copernicus_telemetry::RecordingSink;
+use copernicus_telemetry::{Phase, PhaseProfiler, RecordingSink};
 use proptest::prelude::*;
 use sparsemat::{AnyMatrix, Coo, Dia, FormatKind, Lil, Matrix, PartitionGrid, RowPattern, Triplet};
+use std::sync::Arc;
 
 /// Strategy: a random tile exactly `p×p` with unique coordinates.
 fn tile_strategy(p: usize) -> impl Strategy<Value = Coo<f32>> {
@@ -84,58 +85,13 @@ fn structural_tile_strategy() -> impl Strategy<Value = (usize, TileShape, Coo<f3
         })
 }
 
-/// Strategy: a matrix of a few tiles at one of the paper's partition sizes
-/// or at p = 10, over a shape `p` need not divide, with a few entries
-/// pushed a second time — doubled, or negated so the pair cancels — so a
-/// grid mixes tiles [`TileStats::measure`] accepts with tiles it declines,
-/// plus a few explicit zeros (which tiling drops), in row-major or
-/// reversed input order.
-fn structural_grid_strategy() -> impl Strategy<Value = (usize, Coo<f32>)> {
-    prop_oneof![Just(8usize), Just(10), Just(16), Just(32)].prop_flat_map(|p| {
-        let dim = p..=2 * p + 5;
-        (dim.clone(), dim).prop_flat_map(move |(nrows, ncols)| {
-            let cells = nrows * ncols;
-            let extras = (0..cells, 0..3u8);
-            (
-                proptest::collection::btree_map(
-                    0..cells,
-                    prop_oneof![-9i32..0, 1i32..=9],
-                    1..=cells.min(90),
-                ),
-                proptest::collection::vec(extras, 0..=4),
-                prop_oneof![Just(false), Just(true)],
-            )
-                .prop_map(move |(map, extras, reversed)| {
-                    let mut triplets: Vec<Triplet<f32>> = map
-                        .into_iter()
-                        .map(|(cell, v)| Triplet::new(cell / ncols, cell % ncols, v as f32))
-                        .collect();
-                    for (pick, kind) in extras {
-                        let t = triplets[pick % triplets.len()];
-                        triplets.push(match kind {
-                            0 => Triplet { val: 0.5, ..t },
-                            1 => Triplet { val: -t.val, ..t },
-                            _ => Triplet::new(pick / ncols, pick % ncols, 0.0),
-                        });
-                    }
-                    if reversed {
-                        triplets.reverse();
-                    }
-                    (
-                        p,
-                        Coo::from_triplets(nrows, ncols, triplets).expect("in range"),
-                    )
-                })
-        })
-    })
-}
-
 /// Strategy: a matrix with distinct coordinates at p ∈ {1, 8, 10, 16, 32},
 /// rectangular and of any shape `p` need not divide, with 0 to 400
 /// entries (so bands range from empty through sparse to full) and a few
 /// explicit zeros, which a row pattern drops, in row-major or reversed
-/// input order.
-fn pattern_grid_strategy() -> impl Strategy<Value = (usize, Coo<f32>)> {
+/// input order. Tiles with a repeated coordinate have no pattern; the
+/// tile strategy above and the patternless test below cover them.
+fn structural_grid_strategy() -> impl Strategy<Value = (usize, Coo<f32>)> {
     prop_oneof![Just(1usize), Just(8), Just(10), Just(16), Just(32)].prop_flat_map(|p| {
         let dim = 1..=3 * p + 5;
         (dim.clone(), dim).prop_flat_map(move |(nrows, ncols)| {
@@ -169,6 +125,14 @@ fn pattern_grid_strategy() -> impl Strategy<Value = (usize, Coo<f32>)> {
                 })
         })
     })
+}
+
+/// `request`, run in `lanes` aggregated lanes when there are any.
+fn in_lanes(request: RunRequest<'_>, lanes: Option<usize>) -> RunRequest<'_> {
+    match lanes {
+        Some(n) => request.with_lanes(n),
+        None => request,
+    }
 }
 
 /// Strategy: a random matrix larger than one partition.
@@ -486,14 +450,17 @@ proptest! {
 
     #[test]
     fn measured_grids_equal_the_walked_oracle((p, m) in structural_grid_strategy()) {
-        // One measurement, taken straight from the matrix, prices every
-        // format on every backend, plain or in lanes, at any tile worker
-        // count, exactly as a verifying run over the built grid (always
-        // walked) does: same outcome, same trace events.
+        // One measurement, taken from the matrix's row pattern, prices
+        // every format on every backend, plain or in lanes, at any tile
+        // worker count, exactly as a verifying run over the built grid
+        // (always walked) does: same outcome, same trace events.
         let grid = PartitionGrid::new(&m, p).unwrap();
+        let pattern = RowPattern::new(&m);
+        prop_assert!(pattern.is_some(), "distinct coordinates have a pattern");
         for backend in BackendKind::ALL {
             let verified = HwConfig {
                 backend,
+                bcsr_block: 4.min(p),
                 ..HwConfig::with_partition_size(p)
             };
             let mut oracle = Session::new(verified.clone()).unwrap();
@@ -502,63 +469,29 @@ proptest! {
                 ..verified
             })
             .unwrap();
-            let stats = session.measure(&m).unwrap();
+            let stats = session.measure(pattern.as_ref().unwrap()).unwrap();
             prop_assert_eq!(stats.tiles(), grid.nonzero_tiles());
             for kind in FormatKind::CHARACTERIZED {
                 for lanes in [None, Some(3)] {
                     let mut want_events = RecordingSink::new();
                     let request = RunRequest::grid(&grid, kind).with_sink(&mut want_events);
-                    let want = oracle
-                        .run(match lanes {
-                            Some(n) => request.with_lanes(n),
-                            None => request,
-                        })
-                        .unwrap();
+                    let want = oracle.run(in_lanes(request, lanes)).unwrap();
                     for jobs in [1, 2] {
                         session.set_tile_jobs(jobs);
                         let mut events = RecordingSink::new();
                         let request = RunRequest::measured(&stats, kind).with_sink(&mut events);
-                        let got = session
-                            .run(match lanes {
-                                Some(n) => request.with_lanes(n),
-                                None => request,
-                            })
-                            .unwrap();
+                        let got = session.run(in_lanes(request, lanes)).unwrap();
                         let case = format!("{kind} on {backend} at p={p}, lanes {lanes:?}, {jobs} jobs");
                         prop_assert_eq!(&got, &want, "{}", case);
                         prop_assert_eq!(&events.events, &want_events.events, "{}", case);
                         // Untraced, the same tiles reach the same report.
                         let request = RunRequest::measured(&stats, kind);
-                        let untraced = session
-                            .run(match lanes {
-                                Some(n) => request.with_lanes(n),
-                                None => request,
-                            })
-                            .unwrap();
+                        let untraced = session.run(in_lanes(request, lanes)).unwrap();
                         prop_assert_eq!(&untraced, &want, "untraced {}", case);
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn pattern_measures_equal_tile_run_measures((p, m) in pattern_grid_strategy()) {
-        // Walking the row pattern band by band must find the tiles, the
-        // classes and the order the tile sort does.
-        let pattern = RowPattern::new(&m);
-        prop_assert!(pattern.is_some(), "distinct coordinates have a pattern");
-        let mut session = Session::new(HwConfig {
-            verify_functional: false,
-            bcsr_block: 4.min(p),
-            ..HwConfig::with_partition_size(p)
-        })
-        .unwrap();
-        let by_runs = session.measure_with(&m, None).unwrap();
-        let by_pattern = session.measure_with(&m, pattern.as_ref()).unwrap();
-        prop_assert_eq!(&by_pattern, &by_runs, "p={}", p);
-        prop_assert_eq!(by_pattern.declined(), 0);
-        prop_assert_eq!(&session.measure(&m).unwrap(), &by_runs);
     }
 
     #[test]
@@ -572,39 +505,51 @@ proptest! {
 }
 
 #[test]
-fn measuring_a_huge_sparse_matrix_costs_its_entries_not_its_dimensions() {
-    // 2^40 × 2^40 with three entries: the grid has 2^74 cells, so anything
-    // sized by the dimensions would not fit in memory. Nor would a row
-    // pattern's 2^40 row pointers: the matrix has none, and is measured
-    // through the tile sort.
+fn a_matrix_without_a_pattern_walks_its_grid_and_matches_the_oracle() {
+    // No row pattern: a repeated coordinate, in several tiles (once adding
+    // up, once cancelling to zero), and a 2^40 × 2^40 matrix with three
+    // entries, whose 2^40 row pointers would not fit in memory. A
+    // verify-off session walks their grids, plain or in lanes, to the
+    // outcome and trace of a verifying run over the grid.
+    let mut repeated = Coo::new(40, 36);
+    for i in 0..40usize {
+        repeated.push(i, (i * 7) % 36, 1.0 + i as f32).unwrap();
+    }
+    repeated.push(3, 21, 2.0).unwrap();
+    repeated.push(17, 11, -18.0).unwrap();
     let n = 1usize << 40;
-    let mut m = Coo::new(n, n);
-    m.push(n - 1, 3, 1.0).unwrap();
-    m.push(5, n - 2, 2.0).unwrap();
-    m.push(6, 0, 3.0).unwrap();
-    assert_eq!(RowPattern::new(&m), None);
-    let grid = PartitionGrid::new(&m, 8).unwrap();
-    let cfg = HwConfig::with_partition_size(8);
-    let mut oracle = Session::new(cfg.clone()).unwrap();
-    let mut session = Session::new(HwConfig {
-        verify_functional: false,
-        ..cfg
-    })
-    .unwrap();
-    let stats = session.measure(&m).unwrap();
-    assert_eq!((stats.tiles(), stats.declined()), (3, 0));
-    for kind in FormatKind::CHARACTERIZED {
-        let mut want_events = RecordingSink::new();
-        let want = oracle
-            .run(RunRequest::grid(&grid, kind).with_sink(&mut want_events))
-            .unwrap();
-        let mut events = RecordingSink::new();
-        let got = session
-            .run(RunRequest::measured(&stats, kind).with_sink(&mut events))
-            .unwrap();
-        assert_eq!(got, want, "{kind}");
-        assert_eq!(events.events, want_events.events, "{kind}");
-        let untraced = session.run(RunRequest::measured(&stats, kind)).unwrap();
-        assert_eq!(untraced, want, "untraced {kind}");
+    let mut huge = Coo::new(n, n);
+    huge.push(n - 1, 3, 1.0).unwrap();
+    huge.push(5, n - 2, 2.0).unwrap();
+    huge.push(6, 0, 3.0).unwrap();
+    for m in [repeated, huge] {
+        assert_eq!(RowPattern::new(&m), None);
+        let cfg = HwConfig::with_partition_size(8);
+        let grid = PartitionGrid::new(&m, 8).unwrap();
+        let mut oracle = Session::new(cfg.clone()).unwrap();
+        let profiler = Arc::new(PhaseProfiler::new());
+        let mut session = Session::new(HwConfig {
+            verify_functional: false,
+            ..cfg
+        })
+        .unwrap()
+        .with_profiler(profiler.clone());
+        for kind in FormatKind::CHARACTERIZED {
+            for lanes in [None, Some(3)] {
+                let mut want_events = RecordingSink::new();
+                let request = RunRequest::grid(&grid, kind).with_sink(&mut want_events);
+                let want = oracle.run(in_lanes(request, lanes)).unwrap();
+                let mut events = RecordingSink::new();
+                let request = RunRequest::matrix(&m, kind).with_sink(&mut events);
+                let got = session.run(in_lanes(request, lanes)).unwrap();
+                let case = format!("{kind} over {}x{}, lanes {lanes:?}", m.nrows(), m.ncols());
+                assert_eq!(got, want, "{case}");
+                assert_eq!(events.events, want_events.events, "{case}");
+            }
+        }
+        let decompressed = profiler
+            .histogram(Phase::Decompress)
+            .map_or(0, |h| h.count());
+        assert!(decompressed > 0, "the grid is walked");
     }
 }

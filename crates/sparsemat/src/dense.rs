@@ -34,22 +34,6 @@ impl<T: Scalar> Dense<T> {
         }
     }
 
-    /// Creates a dense matrix from a row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] when `data.len()` differs from
-    /// `nrows * ncols`.
-    pub fn from_row_major(nrows: usize, ncols: usize, data: Vec<T>) -> Result<Self, SparseError> {
-        if data.len() != nrows * ncols {
-            return Err(SparseError::ShapeMismatch {
-                expected: (nrows, ncols),
-                found: (data.len(), 1),
-            });
-        }
-        Ok(Dense { nrows, ncols, data })
-    }
-
     /// A view of row `i` as a slice.
     ///
     /// # Panics
@@ -216,7 +200,11 @@ mod tests {
     fn sample() -> Dense<f32> {
         // 0 2 0
         // 1 0 3
-        Dense::from_row_major(2, 3, vec![0.0, 2.0, 0.0, 1.0, 0.0, 3.0]).unwrap()
+        let mut m = Dense::zeros(2, 3);
+        m[(0, 1)] = 2.0;
+        m[(1, 0)] = 1.0;
+        m[(1, 2)] = 3.0;
+        m
     }
 
     #[test]
@@ -225,11 +213,6 @@ mod tests {
         assert_eq!((m.nrows(), m.ncols()), (2, 3));
         assert_eq!(m.nnz(), 3);
         assert_eq!(m.density(), 0.5);
-    }
-
-    #[test]
-    fn from_row_major_rejects_bad_length() {
-        assert!(Dense::<f32>::from_row_major(2, 2, vec![1.0; 3]).is_err());
     }
 
     #[test]

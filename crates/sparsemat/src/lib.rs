@@ -73,7 +73,7 @@ pub use dia::Dia;
 pub use ell::Ell;
 pub use error::SparseError;
 pub use lil::Lil;
-pub use partition::{check_partition_size, tile_runs, Partition, PartitionGrid, PartitionStats};
+pub use partition::{check_partition_size, Partition, PartitionGrid, PartitionStats};
 pub use pattern::RowPattern;
 pub use scalar::Scalar;
 pub use triplet::Triplet;

@@ -32,7 +32,12 @@ impl<T: Scalar> Partition<T> {
     /// The tile at `(grid_row, grid_col)` of a `size × size` tiling, built
     /// from one run [`tile_runs`] yields: its entries shifted to
     /// tile-local coordinates, in run order.
-    pub fn from_run(grid_row: usize, grid_col: usize, entries: &[Triplet<T>], size: usize) -> Self {
+    pub(crate) fn from_run(
+        grid_row: usize,
+        grid_col: usize,
+        entries: &[Triplet<T>],
+        size: usize,
+    ) -> Self {
         let (row0, col0) = (grid_row * size, grid_col * size);
         let mut coo = Coo::with_capacity(size, size, entries.len());
         for t in entries {
@@ -177,18 +182,18 @@ impl<T: Scalar> PartitionGrid<T> {
 /// non-zero tile, in row-major grid order. Entries keep matrix coordinates
 /// and, within a run, their input order.
 ///
-/// This is the one tiling step: [`PartitionGrid::from_triplets`] builds a
-/// [`Partition`] from each run, and a caller that only reads the tiles can
-/// walk the runs in place. Scratch beyond `triplets` is one triplet buffer
-/// and `2^11` counters per radix pass (at most six passes per axis),
-/// whatever the matrix's dimensions.
+/// [`PartitionGrid::from_triplets`] builds a [`Partition`] from each run; a
+/// caller that only reads where the entries are walks a
+/// [`RowPattern`](crate::RowPattern) instead. Scratch beyond `triplets` is
+/// one triplet buffer and `2^11` counters per radix pass (at most six
+/// passes per axis), whatever the matrix's dimensions.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::InvalidBlockSize`] when `size == 0`, or
 /// [`SparseError::IndexOutOfBounds`] for the first stray triplet in input
 /// order.
-pub fn tile_runs<T: Scalar>(
+pub(crate) fn tile_runs<T: Scalar>(
     nrows: usize,
     ncols: usize,
     triplets: &mut Vec<Triplet<T>>,

@@ -1,19 +1,19 @@
 //! A matrix's non-zero pattern, row by row: built once and tiled at any
 //! partition size.
 //!
-//! [`tile_runs`](crate::tile_runs) copies and sorts the whole triplet list
-//! for every partition size it tiles. A caller that only reads where the
-//! entries are (the structural measure, which never looks at values)
-//! builds a [`RowPattern`] once instead and walks its tiles at each size
-//! with [`RowPattern::tiles`]: one band of `size` rows at a time, with
+//! A [`PartitionGrid`](crate::PartitionGrid) copies and sorts the whole
+//! triplet list for every partition size it tiles. A caller that only reads
+//! where the entries are (the structural measure, which never looks at
+//! values) builds a [`RowPattern`] once instead and walks its tiles at each
+//! size with [`RowPattern::tiles`]: one band of `size` rows at a time, with
 //! scratch bounded by the largest band.
 
 use crate::{check_partition_size, Coo, Matrix, Scalar, SparseError};
 
 /// A pattern keeps one row pointer per row, so a matrix with far more rows
-/// than entries is left to [`tile_runs`](crate::tile_runs), whose memory
-/// does not scale with the dimensions: [`RowPattern::new`] declines a
-/// matrix with more than this many rows per entry ...
+/// than entries is left to its grid, whose memory does not scale with the
+/// dimensions: [`RowPattern::new`] declines a matrix with more than this
+/// many rows per entry ...
 const ROWS_PER_ENTRY: usize = 4;
 /// ... plus this allowance, so every small matrix has a pattern.
 const ROWS_ALLOWED: usize = 1 << 12;
@@ -34,14 +34,14 @@ impl RowPattern {
     /// The pattern of `coo`'s non-zero entries: one counting pass by row,
     /// then a sort of each row that is not already in column order.
     ///
-    /// Returns `None`, leaving the matrix to
-    /// [`tile_runs`](crate::tile_runs), when
+    /// Returns `None`, leaving the matrix to be walked through its
+    /// [`PartitionGrid`](crate::PartitionGrid), when
     /// - a coordinate repeats after explicit zeros are dropped (a pattern
     ///   has no values to merge it with);
     /// - a dimension exceeds `u32::MAX` (the indices are `u32`);
     /// - the matrix has more than 4 rows per entry beyond the first 4096
     ///   rows (the row pointers would outweigh the entries);
-    /// - an entry lies outside the shape (which `tile_runs` reports).
+    /// - an entry lies outside the shape (which the grid build reports).
     pub fn new<T: Scalar>(coo: &Coo<T>) -> Option<Self> {
         let (nrows, ncols) = (coo.nrows(), coo.ncols());
         let rows_allowed = coo
@@ -106,8 +106,9 @@ impl RowPattern {
 
     /// Calls `f(grid_row, grid_col, entries)` for every non-zero tile of a
     /// `size × size` tiling, in row-major grid order — the tiles and order
-    /// [`tile_runs`](crate::tile_runs) yields — with the tile's entries as
-    /// `(row, col)` matrix coordinates, in no particular order.
+    /// of a [`PartitionGrid`](crate::PartitionGrid)'s partitions — with the
+    /// tile's entries as `(row, col)` matrix coordinates, in no particular
+    /// order.
     ///
     /// The walk takes one band of `size` rows at a time and buckets the
     /// band's entries by grid column, counting over just the band's touched
@@ -201,7 +202,8 @@ impl RowPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{tile_runs, Triplet};
+    use crate::partition::tile_runs;
+    use crate::Triplet;
 
     /// Tiles as `(grid_row, grid_col, sorted (row, col) set)`.
     type Tiles = Vec<(usize, usize, Vec<(usize, usize)>)>;
@@ -275,7 +277,7 @@ mod tests {
         assert!(RowPattern::new(&Coo::from_triplets(4, 4, zero).unwrap()).is_some());
         let wide = Coo::<f32>::new(2, u32::MAX as usize + 1);
         assert_eq!(RowPattern::new(&wide), None);
-        // Rows beyond the allowance are left to `tile_runs`, before any
+        // Rows beyond the allowance are left to the grid, before any
         // per-row memory is allocated.
         let mut tall = Coo::<f32>::new(1 << 40, 8);
         tall.push(5, 5, 1.0).unwrap();

@@ -31,10 +31,6 @@ pub trait Scalar:
     /// The additive identity.
     const ZERO: Self;
 
-    /// Size of one stored element in bytes on the streaming interface
-    /// (the Copernicus platform transfers 4-byte values and 4-byte indices).
-    const STREAM_BYTES: usize;
-
     /// `true` when the value equals the additive identity exactly.
     ///
     /// Formats use this to decide whether an entry is worth storing; it is a
@@ -42,27 +38,14 @@ pub trait Scalar:
     fn is_zero(self) -> bool {
         self == Self::ZERO
     }
-
-    /// Lossy conversion from `f64`, used by generators and test fixtures.
-    fn from_f64(v: f64) -> Self;
 }
 
 impl Scalar for f32 {
     const ZERO: Self = 0.0;
-    const STREAM_BYTES: usize = 4;
-
-    fn from_f64(v: f64) -> Self {
-        v as f32
-    }
 }
 
 impl Scalar for f64 {
     const ZERO: Self = 0.0;
-    const STREAM_BYTES: usize = 8;
-
-    fn from_f64(v: f64) -> Self {
-        v
-    }
 }
 
 mod private {
@@ -83,22 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn from_f64_converts() {
-        assert_eq!(f64::from_f64(3.25), 3.25);
-        assert_eq!(f32::from_f64(3.25), 3.25f32);
-    }
-
-    #[test]
     fn negative_zero_counts_as_zero() {
         // IEEE-754 -0.0 == 0.0, so formats will drop it like any other zero.
         assert!((-0.0f32).is_zero());
-    }
-
-    #[test]
-    fn stream_widths_match_paper() {
-        // The paper's bandwidth-utilization figures assume equal-width values
-        // and indices (COO utilization is 1/3); f32 matches the 4-byte index.
-        assert_eq!(f32::STREAM_BYTES, 4);
-        assert_eq!(f64::STREAM_BYTES, 8);
     }
 }

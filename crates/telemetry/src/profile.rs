@@ -31,9 +31,8 @@ pub enum Phase {
     /// Generating a workload's matrix on a cache miss.
     Generate,
     /// Tiling a matrix: building the row pattern a structural measure
-    /// walks, or — for a matrix without one — the bounds check, zero drop
-    /// and tile sort of `sparsemat::tile_runs`; plus, for a built grid,
-    /// its partitions.
+    /// walks, or building a grid (the bounds check, zero drop and tile
+    /// sort, then the partitions), which a matrix without a pattern walks.
     Partition,
     /// Building the per-tile compressed representation, or — for tiles
     /// priced from their structure (no verification, codec or SpMV) — the
