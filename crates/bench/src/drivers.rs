@@ -14,9 +14,10 @@
 
 use crate::{emit, emit_named, Cli};
 use copernicus::experiments as ex;
+use copernicus::experiments::Sweep;
 use copernicus::plot::{BarChart, ScatterPlot};
 use copernicus::table::{eng, f3, TextTable};
-use copernicus::{CampaignError, CampaignRunner, ExperimentConfig, Instruments};
+use copernicus::{CampaignError, CampaignRunner, Instruments, Measurement};
 use copernicus_hls::{EncodeScratch, HwConfig, RunRequest, Session, TileStats};
 use copernicus_telemetry::RunManifest;
 use copernicus_workloads::Workload;
@@ -75,6 +76,22 @@ pub fn run(cmd: &str, args: Vec<String>) -> i32 {
             return 2;
         }
     };
+    // A figure command: the figure's name, sweep, row view and chart.
+    macro_rules! figure {
+        ($fig:ident) => {
+            figure!($fig, |_| {})
+        };
+        ($fig:ident, $chart:expr) => {
+            figure(
+                &cli,
+                stringify!($fig),
+                ex::$fig::sweep(&cli.cfg),
+                ex::$fig::rows,
+                ex::$fig::render,
+                $chart,
+            )
+        };
+    }
     match cmd.as_str() {
         "repro_all" => repro_all(&cli),
         "table1" => {
@@ -95,182 +112,101 @@ pub fn run(cmd: &str, args: Vec<String>) -> i32 {
                 1
             }
         },
-        "fig04" => figure(
-            &cli,
-            "fig04",
-            ex::fig04::manifest(&cli.cfg),
-            ex::fig04::run_on,
-            ex::fig04::render,
-            |_| {},
-        ),
-        "fig05" => figure(
-            &cli,
-            "fig05",
-            ex::fig05::manifest(&cli.cfg),
-            ex::fig05::run_on,
-            ex::fig05::render,
-            |rows| {
-                let mut densities: Vec<f64> = rows.iter().map(|r| r.density).collect();
-                densities.dedup();
-                for d in densities {
-                    let mut c =
-                        BarChart::new(&format!("sigma at density {d} (| = dense baseline)"), 48);
-                    c.reference(1.0);
-                    for r in rows.iter().filter(|r| r.density == d) {
-                        c.bar(r.format.label(), r.sigma);
-                    }
-                    println!("\n{}", c.render());
+        "fig04" => figure!(fig04),
+        "fig05" => figure!(fig05, |rows: &[ex::fig05::DensityRow]| {
+            let mut densities: Vec<f64> = rows.iter().map(|r| r.density).collect();
+            densities.dedup();
+            for d in densities {
+                let mut c =
+                    BarChart::new(&format!("sigma at density {d} (| = dense baseline)"), 48);
+                c.reference(1.0);
+                for r in rows.iter().filter(|r| r.density == d) {
+                    c.bar(r.format.label(), r.sigma);
                 }
-            },
-        ),
-        "fig06" => figure(
-            &cli,
-            "fig06",
-            ex::fig06::manifest(&cli.cfg),
-            ex::fig06::run_on,
-            ex::fig06::render,
-            |rows| {
-                let mut widths: Vec<usize> = rows.iter().map(|r| r.width).collect();
-                widths.dedup();
-                for w in widths {
-                    let mut c =
-                        BarChart::new(&format!("sigma at band width {w} (| = dense baseline)"), 48);
-                    c.reference(1.0);
-                    for r in rows.iter().filter(|r| r.width == w) {
-                        c.bar(r.format.label(), r.sigma);
-                    }
-                    println!("\n{}", c.render());
+                println!("\n{}", c.render());
+            }
+        }),
+        "fig06" => figure!(fig06, |rows: &[ex::fig06::WidthRow]| {
+            let mut widths: Vec<usize> = rows.iter().map(|r| r.width).collect();
+            widths.dedup();
+            for w in widths {
+                let mut c =
+                    BarChart::new(&format!("sigma at band width {w} (| = dense baseline)"), 48);
+                c.reference(1.0);
+                for r in rows.iter().filter(|r| r.width == w) {
+                    c.bar(r.format.label(), r.sigma);
                 }
-            },
-        ),
-        "fig07" => figure(
-            &cli,
-            "fig07",
-            ex::fig07::manifest(&cli.cfg),
-            ex::fig07::run_on,
-            ex::fig07::render,
-            |_| {},
-        ),
-        "fig08" => figure(
-            &cli,
-            "fig08",
-            ex::fig08::manifest(&cli.cfg),
-            ex::fig08::run_on,
-            ex::fig08::render,
-            |rows| {
-                let mut classes: Vec<_> = rows.iter().map(|r| r.class).collect();
-                classes.dedup();
-                for class in classes {
-                    let mut p = ScatterPlot::new(
-                        &format!("{class}: memory vs compute cycles (log-log)"),
-                        64,
-                        20,
-                        true,
-                    );
-                    for r in rows.iter().filter(|r| r.class == class) {
-                        let glyph = r.format.label().chars().next().unwrap_or('?');
-                        p.point(r.mem_cycles as f64, r.compute_cycles as f64, glyph);
-                    }
-                    println!("\n{}", p.render());
+                println!("\n{}", c.render());
+            }
+        }),
+        "fig07" => figure!(fig07),
+        "fig08" => figure!(fig08, |rows: &[ex::fig08::Fig08Row]| {
+            let mut classes: Vec<_> = rows.iter().map(|r| r.class).collect();
+            classes.dedup();
+            for class in classes {
+                let mut p = ScatterPlot::new(
+                    &format!("{class}: memory vs compute cycles (log-log)"),
+                    64,
+                    20,
+                    true,
+                );
+                for r in rows.iter().filter(|r| r.class == class) {
+                    let glyph = r.format.label().chars().next().unwrap_or('?');
+                    p.point(r.mem_cycles as f64, r.compute_cycles as f64, glyph);
                 }
-            },
-        ),
-        "fig09" => figure(
-            &cli,
-            "fig09",
-            ex::fig09::manifest(&cli.cfg),
-            ex::fig09::run_on,
-            ex::fig09::render,
-            |_| {},
-        ),
-        "fig10" => figure(
-            &cli,
-            "fig10",
-            ex::fig10::manifest(&cli.cfg),
-            ex::fig10::run_on,
-            ex::fig10::render,
-            |rows| {
-                let mut densities: Vec<f64> = rows.iter().map(|r| r.density).collect();
-                densities.dedup();
-                for d in densities {
-                    let mut c = BarChart::new(&format!("bandwidth utilization at density {d}"), 48);
-                    for r in rows.iter().filter(|r| r.density == d) {
-                        c.bar(r.format.label(), r.bandwidth_utilization);
-                    }
-                    println!("\n{}", c.render());
+                println!("\n{}", p.render());
+            }
+        }),
+        "fig09" => figure!(fig09),
+        "fig10" => figure!(fig10, |rows: &[ex::fig10::DensityRow]| {
+            let mut densities: Vec<f64> = rows.iter().map(|r| r.density).collect();
+            densities.dedup();
+            for d in densities {
+                let mut c = BarChart::new(&format!("bandwidth utilization at density {d}"), 48);
+                for r in rows.iter().filter(|r| r.density == d) {
+                    c.bar(r.format.label(), r.bandwidth_utilization);
                 }
-            },
-        ),
-        "fig11" => figure(
-            &cli,
-            "fig11",
-            ex::fig11::manifest(&cli.cfg),
-            ex::fig11::run_on,
-            ex::fig11::render,
-            |_| {},
-        ),
-        "fig12" => figure(
-            &cli,
-            "fig12",
-            ex::fig12::manifest(&cli.cfg),
-            ex::fig12::run_on,
-            ex::fig12::render,
-            |_| {},
-        ),
+                println!("\n{}", c.render());
+            }
+        }),
+        "fig11" => figure!(fig11),
+        "fig12" => figure!(fig12),
         "fig13" => {
             emit(&cli, &ex::fig13::render(&ex::fig13::run(&[8, 16, 32])));
             0
         }
-        "fig14" => figure(
-            &cli,
-            "fig14",
-            ex::fig14::manifest(&cli.cfg),
-            ex::fig14::run_on,
-            ex::fig14::render,
-            |_| {},
-        ),
+        "fig14" => figure!(fig14),
         "partition_sweep" => {
-            let mut telemetry = cli.telemetry();
-            match ex::ext_partition_sweep::run_on(
-                &cli.runner(),
-                &cli.cfg,
-                &mut telemetry.instruments(),
-            ) {
-                Ok(rows) => emit_named(
-                    &cli,
-                    "partition_sweep",
-                    &ex::ext_partition_sweep::render(&rows),
-                ),
-                Err(e) => telemetry.record_error("partition_sweep", &e),
-            }
-            telemetry.finish(ex::ext_partition_sweep::manifest(&cli.cfg))
+            let sweep = ex::ext_partition_sweep::sweep(&cli.cfg);
+            extension(
+                &cli,
+                "partition_sweep",
+                sweep.manifest(&cli.cfg, "figure=partition_sweep"),
+                |runner, instruments| {
+                    let ms = sweep.run_on(runner, &cli.cfg, instruments)?;
+                    Ok(ex::ext_partition_sweep::rows(&sweep, &ms))
+                },
+                ex::ext_partition_sweep::render,
+            )
         }
-        "compound" => {
-            let mut telemetry = cli.telemetry();
-            match ex::ext_compound_scheme::run_on(
-                &cli.runner(),
-                &cli.cfg,
-                &mut telemetry.instruments(),
-            ) {
-                Ok(rows) => emit_named(&cli, "compound", &ex::ext_compound_scheme::render(&rows)),
-                Err(e) => telemetry.record_error("compound", &e),
-            }
-            telemetry.finish(ex::ext_compound_scheme::manifest(&cli.cfg))
-        }
-        "backend_split" => {
-            let mut telemetry = cli.telemetry();
-            match ex::ext_backend_split::run_on(
-                &cli.runner(),
-                &cli.cfg,
-                &mut telemetry.instruments(),
-            ) {
-                Ok(rows) => {
-                    emit_named(&cli, "backend_split", &ex::ext_backend_split::render(&rows))
-                }
-                Err(e) => telemetry.record_error("backend_split", &e),
-            }
-            telemetry.finish(ex::ext_backend_split::manifest(&cli.cfg))
-        }
+        "compound" => extension(
+            &cli,
+            "compound",
+            ex::ext_compound_scheme::manifest(&cli.cfg),
+            |runner, instruments| {
+                ex::ext_compound_scheme::run_per_codec(runner, &cli.cfg, instruments)
+            },
+            ex::ext_compound_scheme::render,
+        ),
+        "backend_split" => extension(
+            &cli,
+            "backend_split",
+            ex::ext_backend_split::manifest(&cli.cfg),
+            |runner, instruments| {
+                ex::ext_backend_split::run_per_backend(runner, &cli.cfg, instruments)
+            },
+            ex::ext_backend_split::render,
+        ),
         "ablation" => ablation(&cli),
         "scaling" => scaling(&cli),
         "explain" => explain(&cli),
@@ -284,28 +220,44 @@ pub fn run(cmd: &str, args: Vec<String>) -> i32 {
     }
 }
 
-/// The common shape of the per-figure commands: run the experiment on a
-/// fresh runner, emit the table, optionally chart, write the telemetry.
+/// The common shape of the per-figure commands: run the figure's sweep on
+/// a fresh runner, read the rows off it with `view`, emit the table,
+/// optionally chart, write the telemetry.
 fn figure<R>(
     cli: &Cli,
     name: &str,
-    manifest: RunManifest,
-    run_on: impl FnOnce(
-        &CampaignRunner,
-        &ExperimentConfig,
-        &mut Instruments<'_>,
-    ) -> Result<Vec<R>, CampaignError>,
+    sweep: Sweep,
+    view: impl FnOnce(&Sweep, &[Measurement]) -> Vec<R>,
     render: impl FnOnce(&[R]) -> String,
     chart: impl FnOnce(&[R]),
 ) -> i32 {
+    let manifest = sweep.manifest(&cli.cfg, &format!("figure={name}"));
     let mut telemetry = cli.telemetry();
-    match run_on(&cli.runner(), &cli.cfg, &mut telemetry.instruments()) {
-        Ok(rows) => {
+    match sweep.run_on(&cli.runner(), &cli.cfg, &mut telemetry.instruments()) {
+        Ok(ms) => {
+            let rows = view(&sweep, &ms);
             emit(cli, &render(&rows));
             if cli.chart {
                 chart(&rows);
             }
         }
+        Err(e) => telemetry.record_error(name, &e),
+    }
+    telemetry.finish(manifest)
+}
+
+/// The common shape of the beyond-paper commands: `rows` runs the
+/// experiment on a fresh runner; the table also goes to `<out>/<name>.tsv`.
+fn extension<R>(
+    cli: &Cli,
+    name: &str,
+    manifest: RunManifest,
+    rows: impl FnOnce(&CampaignRunner, &mut Instruments<'_>) -> Result<Vec<R>, CampaignError>,
+    render: impl FnOnce(&[R]) -> String,
+) -> i32 {
+    let mut telemetry = cli.telemetry();
+    match rows(&cli.runner(), &mut telemetry.instruments()) {
+        Ok(rows) => emit_named(cli, name, &render(&rows)),
         Err(e) => telemetry.record_error(name, &e),
     }
     telemetry.finish(manifest)
@@ -322,18 +274,13 @@ fn repro_all(cli: &Cli) -> i32 {
     fn section(title: &str) {
         println!("\n=== {title} ===");
     }
-    fn manifest(cfg: &ExperimentConfig) -> RunManifest {
-        copernicus::manifest_for(
-            cfg,
-            &ex::fig07::all_class_workloads(cfg),
-            &FormatKind::CHARACTERIZED,
-            &ex::FIGURE_PARTITION_SIZES,
-        )
-        .with_note("binary=repro_all (trace covers all figures)")
-    }
 
     let mut telemetry = cli.telemetry();
     let cfg = &cli.cfg;
+    // Figs 7, 8, 9, 12 and 14 all read this one campaign; it also names
+    // the run in the manifest.
+    let shared = ex::fig07::sweep(cfg);
+    let manifest = || shared.manifest(cfg, "binary=repro_all (trace covers all figures)");
     // One runner for the whole reproduction: figures that revisit the same
     // (workload, partition size, format) cell — e.g. the p=16 row shared by
     // Figs 4-12 and the full campaign — are measured exactly once, and the
@@ -351,7 +298,7 @@ fn repro_all(cli: &Cli) -> i32 {
                 Err(e) => {
                     telemetry.record_error($name, &e);
                     if !cli.keep_going {
-                        return telemetry.finish(manifest(cfg));
+                        return telemetry.finish(manifest());
                     }
                     None
                 }
@@ -370,45 +317,29 @@ fn repro_all(cli: &Cli) -> i32 {
         emit_named(cli, "fig03", &ex::fig03::render(&rows));
     }
 
-    section("Fig 4: decompression overhead (SuiteSparse, p=16)");
-    if let Some(rows) = step!(
-        "fig04",
-        ex::fig04::run_on(&runner, cfg, &mut telemetry.instruments())
-    ) {
-        emit_named(cli, "fig04", &ex::fig04::render(&rows));
+    // Runs one per-workload figure on its own sweep through the shared
+    // runner and emits the table its view reads off the measurements.
+    macro_rules! figure {
+        ($title:expr, $fig:ident) => {
+            section($title);
+            let sweep = ex::$fig::sweep(cfg);
+            if let Some(ms) = step!(
+                stringify!($fig),
+                sweep.run_on(&runner, cfg, &mut telemetry.instruments())
+            ) {
+                let rows = ex::$fig::rows(&sweep, &ms);
+                emit_named(cli, stringify!($fig), &ex::$fig::render(&rows));
+            }
+        };
     }
-
-    section("Fig 5: decompression overhead vs density (random, p=16)");
-    if let Some(rows) = step!(
-        "fig05",
-        ex::fig05::run_on(&runner, cfg, &mut telemetry.instruments())
-    ) {
-        emit_named(cli, "fig05", &ex::fig05::render(&rows));
-    }
-
-    section("Fig 6: decompression overhead vs band width (p=16)");
-    if let Some(rows) = step!(
-        "fig06",
-        ex::fig06::run_on(&runner, cfg, &mut telemetry.instruments())
-    ) {
-        emit_named(cli, "fig06", &ex::fig06::render(&rows));
-    }
-
-    section("Fig 10: bandwidth utilization vs density (p=16)");
-    if let Some(rows) = step!(
-        "fig10",
-        ex::fig10::run_on(&runner, cfg, &mut telemetry.instruments())
-    ) {
-        emit_named(cli, "fig10", &ex::fig10::render(&rows));
-    }
-
-    section("Fig 11: bandwidth utilization vs band width (p=16)");
-    if let Some(rows) = step!(
-        "fig11",
-        ex::fig11::run_on(&runner, cfg, &mut telemetry.instruments())
-    ) {
-        emit_named(cli, "fig11", &ex::fig11::render(&rows));
-    }
+    figure!("Fig 4: decompression overhead (SuiteSparse, p=16)", fig04);
+    figure!(
+        "Fig 5: decompression overhead vs density (random, p=16)",
+        fig05
+    );
+    figure!("Fig 6: decompression overhead vs band width (p=16)", fig06);
+    figure!("Fig 10: bandwidth utilization vs density (p=16)", fig10);
+    figure!("Fig 11: bandwidth utilization vs band width (p=16)", fig11);
 
     // Figs 7, 8, 9, 12 and 14 all consume the same workload × format ×
     // partition-size campaign; run it once and aggregate. The fault-aware
@@ -418,9 +349,9 @@ fn repro_all(cli: &Cli) -> i32 {
     let outcome = step!(
         "campaign",
         runner.run_campaign(
-            &ex::fig07::all_class_workloads(cfg),
-            &FormatKind::CHARACTERIZED,
-            &ex::FIGURE_PARTITION_SIZES,
+            &shared.workloads,
+            &shared.formats,
+            &shared.partition_sizes,
             cfg,
             &mut telemetry.instruments(),
         )
@@ -456,32 +387,26 @@ fn repro_all(cli: &Cli) -> i32 {
         }
     }
 
-    section("Fig 7: mean decompression overhead per class and partition size");
-    emit_named(
-        cli,
-        "fig07",
-        &ex::fig07::render(&ex::fig07::aggregate(&campaign)),
+    // Reads one figure off the shared campaign.
+    macro_rules! shared {
+        ($title:expr, $fig:ident) => {
+            section($title);
+            let rows = ex::$fig::rows(&shared, &campaign);
+            emit_named(cli, stringify!($fig), &ex::$fig::render(&rows));
+        };
+    }
+    shared!(
+        "Fig 7: mean decompression overhead per class and partition size",
+        fig07
     );
 
-    section("Fig 8: memory vs compute latency (balance ratio)");
-    emit_named(
-        cli,
-        "fig08",
-        &ex::fig08::render(&ex::fig08::rows_from(&campaign)),
-    );
+    shared!("Fig 8: memory vs compute latency (balance ratio)", fig08);
 
-    section("Fig 9: throughput vs latency");
-    emit_named(
-        cli,
-        "fig09",
-        &ex::fig09::render(&ex::fig09::from_measurements(&campaign)),
-    );
+    shared!("Fig 9: throughput vs latency", fig09);
 
-    section("Fig 12: mean bandwidth utilization per class and partition size");
-    emit_named(
-        cli,
-        "fig12",
-        &ex::fig12::render(&ex::fig12::aggregate(&campaign)),
+    shared!(
+        "Fig 12: mean bandwidth utilization per class and partition size",
+        fig12
     );
 
     section("Table 2: FPGA resources & dynamic power");
@@ -498,12 +423,7 @@ fn repro_all(cli: &Cli) -> i32 {
         &ex::fig13::render(&ex::fig13::run(&[8, 16, 32])),
     );
 
-    section("Fig 14: normalized six-metric summary");
-    emit_named(
-        cli,
-        "fig14",
-        &ex::fig14::render(&copernicus::normalized_summary(&campaign)),
-    );
+    shared!("Fig 14: normalized six-metric summary", fig14);
 
     section("Section 8 insights, verified against this campaign");
     emit_named(
@@ -521,7 +441,7 @@ fn repro_all(cli: &Cli) -> i32 {
     );
     // One manifest covers the whole reproduction; the trace, metrics and
     // failure records accumulate across every figure above.
-    telemetry.finish(manifest(cfg))
+    telemetry.finish(manifest())
 }
 
 /// `ablation` — tables over the platform's design knobs: how σ, balance

@@ -315,18 +315,6 @@ impl Cli {
             profiler: Arc::new(PhaseProfiler::new()),
         }
     }
-
-    /// Parses the process arguments, exiting with the usage message on
-    /// error.
-    pub fn from_env() -> Cli {
-        match Cli::parse(std::env::args().skip(1)) {
-            Ok(cli) => cli,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -523,10 +511,12 @@ mod tests {
 /// every driver wires them identically:
 ///
 /// ```text
-/// let cli = Cli::from_env();
+/// let cli = Cli::parse(std::env::args().skip(1))?;
 /// let mut telemetry = cli.telemetry();
-/// let table = fig05::run_on(&cli.runner(), &cli.cfg, &mut telemetry.instruments())?;
-/// telemetry.finish(copernicus::manifest_for(..));
+/// let sweep = fig05::sweep(&cli.cfg);
+/// let ms = sweep.run_on(&cli.runner(), &cli.cfg, &mut telemetry.instruments())?;
+/// emit(&cli, &fig05::render(&fig05::rows(&sweep, &ms)));
+/// telemetry.finish(sweep.manifest(&cli.cfg, "figure=fig05"));
 /// ```
 ///
 /// [`Telemetry::finish`] writes the Chrome trace (`--trace`), the run
@@ -555,7 +545,7 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// The instruments to thread through `run_on`/`characterize_with`.
+    /// The instruments to thread through `Sweep::run_on`.
     ///
     /// The trace sink is only attached when `--trace` was given, so an
     /// untraced run keeps the zero-cost no-op path through the platform.
@@ -667,11 +657,6 @@ pub fn failure_summary(failures: &[CellFailure]) -> String {
         ]);
     }
     t.render()
-}
-
-/// [`Telemetry::finish`] + process exit, for the tail of a binary's `main`.
-pub fn finish_and_exit(telemetry: Telemetry, manifest: RunManifest) -> ! {
-    std::process::exit(telemetry.finish(manifest))
 }
 
 /// Converts an aligned table produced by the figure drivers into TSV:

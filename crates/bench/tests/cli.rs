@@ -109,3 +109,38 @@ fn explain_prints_the_pinned_breakdown() {
     assert_eq!(out.status.code(), Some(0));
     assert_eq!(String::from_utf8_lossy(&out.stdout), EXPLAIN_STDOUT);
 }
+
+#[test]
+fn standalone_figures_print_what_repro_all_writes() {
+    // `repro_all` reads Figs. 7, 8, 9, 12 and 14 off its shared campaign;
+    // each standalone command runs its own sweep. Both must print the same
+    // table.
+    let dir = std::env::temp_dir().join(format!("copernicus-cli-figures-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let flags = ["--jobs", "1", "--dim", "64", "--suite-dim", "96"];
+    let status = Command::new(BIN)
+        .arg("repro_all")
+        .args(flags)
+        .arg("--out")
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run repro_all");
+    assert_eq!(status.code(), Some(0));
+    for fig in [
+        "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig14",
+    ] {
+        let out = Command::new(BIN)
+            .arg(fig)
+            .args(flags)
+            .arg("--tsv")
+            .stderr(Stdio::null())
+            .output()
+            .expect("run a figure");
+        assert_eq!(out.status.code(), Some(0), "{fig}");
+        let written = std::fs::read_to_string(dir.join(format!("{fig}.tsv"))).expect(fig);
+        assert_eq!(String::from_utf8_lossy(&out.stdout), written, "{fig}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

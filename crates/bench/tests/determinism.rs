@@ -95,7 +95,7 @@ fn compound_artifacts_at(jobs: usize) -> (String, String) {
     .unwrap();
     let runner = cli.runner();
     let mut telemetry = cli.telemetry();
-    let rows = copernicus::experiments::ext_compound_scheme::run_on(
+    let rows = copernicus::experiments::ext_compound_scheme::run_per_codec(
         &runner,
         &cli.cfg,
         &mut telemetry.instruments(),
@@ -139,7 +139,7 @@ fn cpu_compound_artifacts_at(jobs: usize) -> (String, String) {
     .unwrap();
     let runner = cli.runner();
     let mut telemetry = cli.telemetry();
-    let rows = copernicus::experiments::ext_compound_scheme::run_on(
+    let rows = copernicus::experiments::ext_compound_scheme::run_per_codec(
         &runner,
         &cli.cfg,
         &mut telemetry.instruments(),
@@ -175,7 +175,7 @@ fn backend_split_artifacts_at(jobs: usize) -> (String, String) {
     let cli = Cli::parse(["--jobs".to_string(), jobs.to_string()]).unwrap();
     let runner = cli.runner();
     let mut telemetry = cli.telemetry();
-    let rows = copernicus::experiments::ext_backend_split::run_on(
+    let rows = copernicus::experiments::ext_backend_split::run_per_backend(
         &runner,
         &cli.cfg,
         &mut telemetry.instruments(),

@@ -31,8 +31,8 @@
 //! it is atomic and order-independent.
 //!
 //! Wall-clock observability (the optional
-//! [`ProgressReporter`](copernicus_telemetry::ProgressReporter) heartbeat
-//! and [`PhaseProfiler`](copernicus_telemetry::PhaseProfiler) phase/worker
+//! [`ProgressReporter`] heartbeat
+//! and [`PhaseProfiler`] phase/worker
 //! timings) rides alongside: workers tick shared atomic counters and local
 //! timers, none of which feed the deterministic artifacts above.
 //!

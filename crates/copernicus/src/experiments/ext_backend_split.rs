@@ -8,11 +8,12 @@
 //! The dispatcher uses the paper's §4.2 balance ratio as its signal, so the
 //! figure also shows how much of the gap per-partition dispatch recovers.
 
+use super::Sweep;
 use crate::measure::ExperimentConfig;
 use crate::table::{eng, f3, TextTable};
-use crate::CampaignError;
+use crate::{CampaignError, CampaignRunner, Instruments};
 use copernicus_hls::BackendKind;
-use copernicus_workloads::Workload;
+use copernicus_telemetry::RunManifest;
 use sparsemat::FormatKind;
 
 /// The structural formats compared: the paper's compressed baseline (CSR),
@@ -26,19 +27,15 @@ pub const SPLIT_BACKENDS: [BackendKind; 3] = BackendKind::ALL;
 /// Partition size for the comparison (the paper's default).
 pub const SPLIT_PARTITION: usize = super::DEFAULT_PARTITION;
 
-/// The two split workloads, shared with the compound-scheme figure: a
-/// banded matrix and a sparse random one.
-pub fn split_workloads(cfg: &ExperimentConfig) -> [Workload; 2] {
-    [
-        Workload::Band {
-            n: cfg.sweep_dim,
-            width: 8,
-        },
-        Workload::Random {
-            n: cfg.sweep_dim,
-            density: 0.02,
-        },
-    ]
+/// The compound-scheme figure's two workloads (a banded matrix and a
+/// sparse random one), the split formats, partition size 16. Every
+/// backend runs this sweep.
+pub fn sweep(cfg: &ExperimentConfig) -> Sweep {
+    Sweep::new(
+        super::ext_compound_scheme::sweep(cfg).workloads,
+        &SPLIT_FORMATS,
+        &[SPLIT_PARTITION],
+    )
 }
 
 /// One (workload, backend, format) point of the comparison.
@@ -71,37 +68,28 @@ pub struct BackendSplitRow {
 ///
 /// Propagates platform failures.
 pub fn run(cfg: &ExperimentConfig) -> Result<Vec<BackendSplitRow>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
-    )
+    run_per_backend(&CampaignRunner::sequential(), cfg, &mut Instruments::none())
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`. One
-/// runner serves all three backend sub-campaigns: the hardware config (backend
-/// included) is part of every memo key, so the sub-campaigns never alias each
-/// other's cells and the row stream is byte-identical at any job count.
+/// Runs the sweep once per backend on `runner`, in [`SPLIT_BACKENDS`]
+/// order. The hardware config (backend included) is part of every memo
+/// key, so the sub-campaigns never alias each other's cells and the row
+/// stream is byte-identical at any job count.
 ///
 /// # Errors
 ///
 /// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
+pub fn run_per_backend(
+    runner: &CampaignRunner,
     cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
+    instruments: &mut Instruments<'_>,
 ) -> Result<Vec<BackendSplitRow>, CampaignError> {
+    let sweep = sweep(cfg);
     let mut rows = Vec::new();
     for backend in SPLIT_BACKENDS {
         let mut cfg_backend = cfg.clone();
         cfg_backend.hw.backend = backend;
-        let ms = runner.characterize_with(
-            &split_workloads(cfg),
-            &SPLIT_FORMATS,
-            &[SPLIT_PARTITION],
-            &cfg_backend,
-            instruments,
-        )?;
+        let ms = sweep.run_on(runner, &cfg_backend, instruments)?;
         rows.extend(ms.iter().map(|m| BackendSplitRow {
             workload: m.workload.clone(),
             backend,
@@ -117,20 +105,12 @@ pub fn run_on(
     Ok(rows)
 }
 
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    let mut manifest = crate::manifest_for(
-        cfg,
-        &split_workloads(cfg),
-        &SPLIT_FORMATS,
-        &[SPLIT_PARTITION],
-    )
-    .with_note("figure=backend_split");
-    manifest.notes.push(format!(
-        "backends={}",
-        SPLIT_BACKENDS.map(|b| b.to_string()).join(",")
-    ));
-    manifest
+/// The sweep's manifest, noting the backends it runs on.
+pub fn manifest(cfg: &ExperimentConfig) -> RunManifest {
+    let backends = SPLIT_BACKENDS.map(|b| b.to_string()).join(",");
+    sweep(cfg)
+        .manifest(cfg, "figure=backend_split")
+        .with_note(format!("backends={backends}"))
 }
 
 /// The fastest backend for each (workload, format) cell, in row order —
@@ -228,14 +208,7 @@ mod tests {
         // config) characterization — the trait refactor changed nothing.
         let cfg = ExperimentConfig::quick();
         let rows = rows();
-        let plain = crate::CampaignRunner::sequential()
-            .characterize(
-                &split_workloads(&cfg),
-                &SPLIT_FORMATS,
-                &[SPLIT_PARTITION],
-                &cfg,
-            )
-            .unwrap();
+        let plain = sweep(&cfg).run(&cfg, |_, ms| ms.to_vec()).unwrap();
         for m in &plain {
             let row = rows
                 .iter()

@@ -7,10 +7,12 @@
 //! (CSR + delta-varint) once the entropy decoder's cycles are charged to
 //! the pipeline?
 
+use super::Sweep;
 use crate::measure::ExperimentConfig;
 use crate::table::{eng, f3, TextTable};
-use crate::CampaignError;
+use crate::{CampaignError, CampaignRunner, Instruments};
 use copernicus_hls::CodecKind;
+use copernicus_telemetry::RunManifest;
 use copernicus_workloads::Workload;
 use sparsemat::FormatKind;
 
@@ -25,19 +27,24 @@ pub const SCHEME_CODECS: [CodecKind; 4] = CodecKind::ALL;
 /// Partition size for the comparison (the paper's default).
 pub const SCHEME_PARTITION: usize = super::DEFAULT_PARTITION;
 
-/// The two scheme workloads: a banded matrix (sorted, small-delta index
-/// streams — delta-varint's best case) and a sparse random one.
-pub fn scheme_workloads(cfg: &ExperimentConfig) -> [Workload; 2] {
-    [
-        Workload::Band {
-            n: cfg.sweep_dim,
-            width: 8,
-        },
-        Workload::Random {
-            n: cfg.sweep_dim,
-            density: 0.02,
-        },
-    ]
+/// A banded matrix (sorted, small-delta index streams — delta-varint's
+/// best case) and a sparse random one, the scheme formats, partition
+/// size 16. Every codec runs this sweep.
+pub fn sweep(cfg: &ExperimentConfig) -> Sweep {
+    Sweep::new(
+        vec![
+            Workload::Band {
+                n: cfg.sweep_dim,
+                width: 8,
+            },
+            Workload::Random {
+                n: cfg.sweep_dim,
+                density: 0.02,
+            },
+        ],
+        &SCHEME_FORMATS,
+        &[SCHEME_PARTITION],
+    )
 }
 
 /// One (workload, codec, format) point of the comparison.
@@ -67,37 +74,28 @@ pub struct CompoundSchemeRow {
 ///
 /// Propagates platform failures.
 pub fn run(cfg: &ExperimentConfig) -> Result<Vec<CompoundSchemeRow>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
-    )
+    run_per_codec(&CampaignRunner::sequential(), cfg, &mut Instruments::none())
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`. One
-/// runner serves all four codec sub-campaigns: the hardware config (codec
-/// included) is part of every memo key, so the sub-campaigns never alias each
-/// other's cells and the row stream is byte-identical at any job count.
+/// Runs the sweep once per codec on `runner`, in [`SCHEME_CODECS`] order.
+/// The hardware config (codec included) is part of every memo key, so the
+/// sub-campaigns never alias each other's cells and the row stream is
+/// byte-identical at any job count.
 ///
 /// # Errors
 ///
 /// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
+pub fn run_per_codec(
+    runner: &CampaignRunner,
     cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
+    instruments: &mut Instruments<'_>,
 ) -> Result<Vec<CompoundSchemeRow>, CampaignError> {
+    let sweep = sweep(cfg);
     let mut rows = Vec::new();
     for codec in SCHEME_CODECS {
         let mut cfg_codec = cfg.clone();
         cfg_codec.hw.stream_codec = codec;
-        let ms = runner.characterize_with(
-            &scheme_workloads(cfg),
-            &SCHEME_FORMATS,
-            &[SCHEME_PARTITION],
-            &cfg_codec,
-            instruments,
-        )?;
+        let ms = sweep.run_on(runner, &cfg_codec, instruments)?;
         rows.extend(ms.iter().map(|m| CompoundSchemeRow {
             workload: m.workload.clone(),
             codec,
@@ -112,20 +110,12 @@ pub fn run_on(
     Ok(rows)
 }
 
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    let mut manifest = crate::manifest_for(
-        cfg,
-        &scheme_workloads(cfg),
-        &SCHEME_FORMATS,
-        &[SCHEME_PARTITION],
-    )
-    .with_note("figure=compound_scheme");
-    manifest.notes.push(format!(
-        "codecs={}",
-        SCHEME_CODECS.map(|c| c.to_string()).join(",")
-    ));
-    manifest
+/// The sweep's manifest, noting the codecs it runs under.
+pub fn manifest(cfg: &ExperimentConfig) -> RunManifest {
+    let codecs = SCHEME_CODECS.map(|c| c.to_string()).join(",");
+    sweep(cfg)
+        .manifest(cfg, "figure=compound_scheme")
+        .with_note(format!("codecs={codecs}"))
 }
 
 /// Renders the rows as an aligned table.

@@ -4,7 +4,8 @@
 //! partitioning of size 8×8 or at most 16×16 hurt the performance even
 //! though it might help reduce the memory footprint."
 
-use crate::measure::ExperimentConfig;
+use super::Sweep;
+use crate::measure::{ExperimentConfig, Measurement};
 use crate::table::{eng, f3, TextTable};
 use crate::CampaignError;
 use copernicus_workloads::Workload;
@@ -21,19 +22,18 @@ pub const SWEEP_FORMATS: [FormatKind; 4] = [
     FormatKind::Ell,
 ];
 
-/// The two sweep workloads: a sparse (0.01) and an NN-dense (0.3) random
-/// matrix.
-pub fn sweep_workloads(cfg: &ExperimentConfig) -> [Workload; 2] {
-    [
-        Workload::Random {
-            n: cfg.sweep_dim,
-            density: 0.01,
-        },
-        Workload::Random {
-            n: cfg.sweep_dim,
-            density: 0.3,
-        },
-    ]
+/// A sparse (0.01) and an NN-dense (0.3) random matrix, the sweep
+/// formats, every sweep size.
+pub fn sweep(cfg: &ExperimentConfig) -> Sweep {
+    let random = |density| Workload::Random {
+        n: cfg.sweep_dim,
+        density,
+    };
+    Sweep::new(
+        vec![random(0.01), random(0.3)],
+        &SWEEP_FORMATS,
+        &SWEEP_SIZES,
+    )
 }
 
 /// One point of the sweep.
@@ -53,41 +53,9 @@ pub struct PartitionSweepRow {
     pub total_bytes: u64,
 }
 
-/// Runs the sweep over a sparse (0.01) and an NN-dense (0.3) random matrix.
-///
-/// # Errors
-///
-/// Propagates platform failures.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<PartitionSweepRow>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
-    )
-}
-
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<PartitionSweepRow>, CampaignError> {
-    let ms = runner.characterize_with(
-        &sweep_workloads(cfg),
-        &SWEEP_FORMATS,
-        &SWEEP_SIZES,
-        cfg,
-        instruments,
-    )?;
-    Ok(ms
-        .iter()
+/// One point per measurement.
+pub fn rows(_sweep: &Sweep, ms: &[Measurement]) -> Vec<PartitionSweepRow> {
+    ms.iter()
         .map(|m| PartitionSweepRow {
             density: m.density,
             partition_size: m.partition_size,
@@ -96,13 +64,16 @@ pub fn run_on(
             sigma: m.sigma(),
             total_bytes: m.report.total_bytes,
         })
-        .collect())
+        .collect()
 }
 
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(cfg, &sweep_workloads(cfg), &SWEEP_FORMATS, &SWEEP_SIZES)
-        .with_note("figure=partition_sweep")
+/// Runs the sweep.
+///
+/// # Errors
+///
+/// Propagates platform failures.
+pub fn run(cfg: &ExperimentConfig) -> Result<Vec<PartitionSweepRow>, CampaignError> {
+    sweep(cfg).run(cfg, rows)
 }
 
 /// Renders the rows as an aligned table.

@@ -2,7 +2,8 @@
 //! SuiteSparse workloads, partition size 16 (lower is better; the darkness
 //! of the paper's bars encodes density, reported here as a column).
 
-use crate::measure::ExperimentConfig;
+use super::Sweep;
+use crate::measure::{ExperimentConfig, Measurement};
 use crate::table::{f3, TextTable};
 use crate::CampaignError;
 use copernicus_workloads::Workload;
@@ -21,59 +22,34 @@ pub struct Fig04Row {
     pub sigma: f64,
 }
 
-/// Runs Fig. 4 over the SuiteSparse stand-ins at partition size 16.
-///
-/// # Errors
-///
-/// Propagates platform failures.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig04Row>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
+/// The SuiteSparse stand-ins, every characterized format, partition size 16.
+pub fn sweep(_cfg: &ExperimentConfig) -> Sweep {
+    Sweep::new(
+        Workload::paper_suite(),
+        &FormatKind::CHARACTERIZED,
+        &[super::DEFAULT_PARTITION],
     )
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig04Row>, CampaignError> {
-    let ms = runner.characterize_with(
-        &Workload::paper_suite(),
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-        cfg,
-        instruments,
-    )?;
-    Ok(ms
-        .into_iter()
+/// One bar per measurement.
+pub fn rows(_sweep: &Sweep, ms: &[Measurement]) -> Vec<Fig04Row> {
+    ms.iter()
         .map(|m| Fig04Row {
             workload: m.workload.clone(),
             density: m.density,
             format: m.format,
             sigma: m.sigma(),
         })
-        .collect())
+        .collect()
 }
 
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &Workload::paper_suite(),
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-    )
-    .with_note("figure=fig04")
+/// Runs Fig. 4.
+///
+/// # Errors
+///
+/// Propagates platform failures.
+pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig04Row>, CampaignError> {
+    sweep(cfg).run(cfg, rows)
 }
 
 /// Renders the rows as an aligned table.

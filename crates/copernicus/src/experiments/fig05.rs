@@ -1,109 +1,98 @@
 //! Fig. 5 — σ of the seven formats on random matrices as density sweeps
-//! from 0.0001 to 0.5, partition size 16.
+//! from 0.0001 to 0.5, partition size 16. Fig. 10 reads its bandwidth
+//! column off the same rows.
 
-use crate::measure::ExperimentConfig;
+use super::Sweep;
+use crate::measure::{ExperimentConfig, Measurement};
 use crate::table::{f3, TextTable};
 use crate::CampaignError;
 use copernicus_workloads::Workload;
 use sparsemat::FormatKind;
 
-/// One bar of Fig. 5.
+/// One bar of Figs. 5 and 10: a format at one density of the sweep.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Fig05Row {
+pub struct DensityRow {
     /// Requested density of the random matrix.
     pub density: f64,
     /// Format.
     pub format: FormatKind,
-    /// Decompression overhead σ.
+    /// Decompression overhead σ (Fig. 5).
     pub sigma: f64,
+    /// Useful bytes over all transferred bytes (Fig. 10).
+    pub bandwidth_utilization: f64,
 }
 
-/// Runs Fig. 5 at partition size 16 over the paper's density sweep.
-///
-/// # Errors
-///
-/// Propagates platform failures.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig05Row>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
+/// The paper's random density sweep at `cfg.sweep_dim`, every
+/// characterized format, partition size 16.
+pub fn sweep(cfg: &ExperimentConfig) -> Sweep {
+    Sweep::new(
+        Workload::paper_random_sweep(cfg.sweep_dim),
+        &FormatKind::CHARACTERIZED,
+        &[super::DEFAULT_PARTITION],
     )
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig05Row>, CampaignError> {
-    let workloads = Workload::paper_random_sweep(cfg.sweep_dim);
-    let ms = runner.characterize_with(
-        &workloads,
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-        cfg,
-        instruments,
-    )?;
-    Ok(workloads
-        .iter()
-        .zip(ms.chunks(FormatKind::CHARACTERIZED.len()))
+/// One row per measurement, reporting the *requested* density so the
+/// sweep axis is exact even when rounding changes the generated nnz
+/// slightly.
+pub fn rows(sweep: &Sweep, ms: &[Measurement]) -> Vec<DensityRow> {
+    sweep
+        .by_workload(ms)
         .flat_map(|(w, chunk)| {
-            // Report the *requested* density so the sweep axis is exact even
-            // when rounding changes the generated nnz slightly.
             let density = match w {
                 Workload::Random { density, .. } => *density,
                 _ => unreachable!("random sweep only yields random workloads"),
             };
-            chunk.iter().map(move |m| Fig05Row {
+            chunk.iter().map(move |m| DensityRow {
                 density,
                 format: m.format,
                 sigma: m.sigma(),
+                bandwidth_utilization: m.bandwidth_utilization(),
             })
         })
-        .collect())
+        .collect()
 }
 
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &Workload::paper_random_sweep(cfg.sweep_dim),
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-    )
-    .with_note("figure=fig05")
+/// Runs Fig. 5.
+///
+/// # Errors
+///
+/// Propagates platform failures.
+pub fn run(cfg: &ExperimentConfig) -> Result<Vec<DensityRow>, CampaignError> {
+    sweep(cfg).run(cfg, rows)
 }
 
-/// Renders the rows as an aligned table.
-pub fn render(rows: &[Fig05Row]) -> String {
-    let mut t = TextTable::new(&["density", "format", "sigma"]);
+/// Renders the rows with `metric` under `header` as an aligned table.
+pub(crate) fn render_column(
+    rows: &[DensityRow],
+    header: &str,
+    metric: fn(&DensityRow) -> f64,
+) -> String {
+    let mut t = TextTable::new(&["density", "format", header]);
     for r in rows {
         t.row(&[
             format!("{:.4}", r.density),
             r.format.to_string(),
-            f3(r.sigma),
+            f3(metric(r)),
         ]);
     }
     t.render()
+}
+
+/// Renders the rows' σ as an aligned table.
+pub fn render(rows: &[DensityRow]) -> String {
+    render_column(rows, "sigma", |r| r.sigma)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rows() -> Vec<Fig05Row> {
+    fn rows() -> Vec<DensityRow> {
         run(&ExperimentConfig::quick()).unwrap()
     }
 
-    fn sigma_at(rows: &[Fig05Row], format: FormatKind, lo: f64, hi: f64) -> f64 {
+    fn sigma_at(rows: &[DensityRow], format: FormatKind, lo: f64, hi: f64) -> f64 {
         rows.iter()
             .filter(|r| r.format == format && r.density >= lo && r.density <= hi)
             .map(|r| r.sigma)

@@ -1,103 +1,93 @@
 //! Fig. 6 — σ of the seven formats on band matrices as the width sweeps
-//! from 1 (pure diagonal) to 64, partition size 16.
+//! from 1 (pure diagonal) to 64, partition size 16. Fig. 11 reads its
+//! bandwidth column off the same rows.
 
-use crate::measure::ExperimentConfig;
+use super::Sweep;
+use crate::measure::{ExperimentConfig, Measurement};
 use crate::table::{f3, TextTable};
 use crate::CampaignError;
 use copernicus_workloads::Workload;
 use sparsemat::FormatKind;
 
-/// One bar of Fig. 6.
+/// One bar of Figs. 6 and 11: a format at one band width of the sweep.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Fig06Row {
+pub struct WidthRow {
     /// Band width `k`.
     pub width: usize,
     /// Format.
     pub format: FormatKind,
-    /// Decompression overhead σ.
+    /// Decompression overhead σ (Fig. 6).
     pub sigma: f64,
+    /// Useful bytes over all transferred bytes (Fig. 11).
+    pub bandwidth_utilization: f64,
 }
 
-/// Runs Fig. 6 at partition size 16 over the paper's width sweep.
-///
-/// # Errors
-///
-/// Propagates platform failures.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig06Row>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
+/// The paper's band width sweep at `cfg.sweep_dim`, every characterized
+/// format, partition size 16.
+pub fn sweep(cfg: &ExperimentConfig) -> Sweep {
+    Sweep::new(
+        Workload::paper_band_sweep(cfg.sweep_dim),
+        &FormatKind::CHARACTERIZED,
+        &[super::DEFAULT_PARTITION],
     )
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig06Row>, CampaignError> {
-    let workloads = Workload::paper_band_sweep(cfg.sweep_dim);
-    let ms = runner.characterize_with(
-        &workloads,
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-        cfg,
-        instruments,
-    )?;
-    Ok(workloads
-        .iter()
-        .zip(ms.chunks(FormatKind::CHARACTERIZED.len()))
+/// One row per measurement, reporting the band width the workload asked
+/// for.
+pub fn rows(sweep: &Sweep, ms: &[Measurement]) -> Vec<WidthRow> {
+    sweep
+        .by_workload(ms)
         .flat_map(|(w, chunk)| {
             let width = match w {
                 Workload::Band { width, .. } => *width,
                 _ => unreachable!("band sweep only yields band workloads"),
             };
-            chunk.iter().map(move |m| Fig06Row {
+            chunk.iter().map(move |m| WidthRow {
                 width,
                 format: m.format,
                 sigma: m.sigma(),
+                bandwidth_utilization: m.bandwidth_utilization(),
             })
         })
-        .collect())
+        .collect()
 }
 
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &Workload::paper_band_sweep(cfg.sweep_dim),
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-    )
-    .with_note("figure=fig06")
+/// Runs Fig. 6.
+///
+/// # Errors
+///
+/// Propagates platform failures.
+pub fn run(cfg: &ExperimentConfig) -> Result<Vec<WidthRow>, CampaignError> {
+    sweep(cfg).run(cfg, rows)
 }
 
-/// Renders the rows as an aligned table.
-pub fn render(rows: &[Fig06Row]) -> String {
-    let mut t = TextTable::new(&["width", "format", "sigma"]);
+/// Renders the rows with `metric` under `header` as an aligned table.
+pub(crate) fn render_column(
+    rows: &[WidthRow],
+    header: &str,
+    metric: fn(&WidthRow) -> f64,
+) -> String {
+    let mut t = TextTable::new(&["width", "format", header]);
     for r in rows {
-        t.row(&[r.width.to_string(), r.format.to_string(), f3(r.sigma)]);
+        t.row(&[r.width.to_string(), r.format.to_string(), f3(metric(r))]);
     }
     t.render()
+}
+
+/// Renders the rows' σ as an aligned table.
+pub fn render(rows: &[WidthRow]) -> String {
+    render_column(rows, "sigma", |r| r.sigma)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rows() -> Vec<Fig06Row> {
+    fn rows() -> Vec<WidthRow> {
         run(&ExperimentConfig::quick()).unwrap()
     }
 
-    fn sigma(rows: &[Fig06Row], f: FormatKind, w: usize) -> f64 {
+    fn sigma(rows: &[WidthRow], f: FormatKind, w: usize) -> f64 {
         rows.iter()
             .find(|r| r.format == f && r.width == w)
             .unwrap()

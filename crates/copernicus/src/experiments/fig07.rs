@@ -1,24 +1,29 @@
 //! Fig. 7 — average σ of the seven formats for the three workload classes
-//! (SuiteSparse, random, band) at partition sizes 8, 16 and 32.
+//! (SuiteSparse, random, band) at partition sizes 8, 16 and 32. Fig. 12
+//! reads its bandwidth column off the same rows; Figs. 8, 9 and 14 share
+//! the sweep.
 
+use super::Sweep;
 use crate::measure::{ExperimentConfig, Measurement};
 use crate::table::{f3, TextTable};
 use crate::CampaignError;
 use copernicus_workloads::{Workload, WorkloadClass};
 use sparsemat::FormatKind;
 
-/// One bar of Fig. 7: a format's mean σ within one class at one partition
-/// size.
+/// One bar of Figs. 7 and 12: a format's means within one class at one
+/// partition size.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Fig07Row {
+pub struct ClassMeanRow {
     /// Workload class.
     pub class: WorkloadClass,
     /// Partition size.
     pub partition_size: usize,
     /// Format.
     pub format: FormatKind,
-    /// Mean σ over the class's workloads.
+    /// Mean σ over the class's workloads (Fig. 7).
     pub mean_sigma: f64,
+    /// Mean bandwidth utilization over the class's workloads (Fig. 12).
+    pub mean_utilization: f64,
 }
 
 /// The union of the paper's three workload sweeps, used by Figs. 7, 8, 12
@@ -30,29 +35,44 @@ pub fn all_class_workloads(cfg: &ExperimentConfig) -> Vec<Workload> {
     out
 }
 
-/// Aggregates measurements into Fig.-7 rows.
-pub fn aggregate(ms: &[Measurement]) -> Vec<Fig07Row> {
+/// Every class's workloads, every characterized format, at partition sizes
+/// 8, 16 and 32: the campaign of Figs. 7, 8, 12 and 14, and the one
+/// `repro_all` shares among them and Fig. 9.
+pub fn sweep(cfg: &ExperimentConfig) -> Sweep {
+    Sweep::new(
+        all_class_workloads(cfg),
+        &FormatKind::CHARACTERIZED,
+        &super::FIGURE_PARTITION_SIZES,
+    )
+}
+
+/// Averages the measurements per class, partition size and format, in the
+/// sweep's order; a combination with no measurement gets no row.
+pub fn rows(sweep: &Sweep, ms: &[Measurement]) -> Vec<ClassMeanRow> {
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let mut rows = Vec::new();
     for class in [
         WorkloadClass::SuiteSparse,
         WorkloadClass::Random,
         WorkloadClass::Band,
     ] {
-        for &p in &super::FIGURE_PARTITION_SIZES {
-            for format in FormatKind::CHARACTERIZED {
-                let sigmas: Vec<f64> = ms
+        for &p in &sweep.partition_sizes {
+            for &format in &sweep.formats {
+                let cell: Vec<&Measurement> = ms
                     .iter()
                     .filter(|m| m.class == class && m.partition_size == p && m.format == format)
-                    .map(Measurement::sigma)
                     .collect();
-                if sigmas.is_empty() {
+                if cell.is_empty() {
                     continue;
                 }
-                rows.push(Fig07Row {
+                let sigmas: Vec<f64> = cell.iter().map(|m| m.sigma()).collect();
+                let utils: Vec<f64> = cell.iter().map(|m| m.bandwidth_utilization()).collect();
+                rows.push(ClassMeanRow {
                     class,
                     partition_size: p,
                     format,
-                    mean_sigma: sigmas.iter().sum::<f64>() / sigmas.len() as f64,
+                    mean_sigma: mean(&sigmas),
+                    mean_utilization: mean(&utils),
                 });
             }
         }
@@ -60,76 +80,50 @@ pub fn aggregate(ms: &[Measurement]) -> Vec<Fig07Row> {
     rows
 }
 
-/// Runs the full Fig.-7 campaign.
+/// Runs Fig. 7.
 ///
 /// # Errors
 ///
 /// Propagates platform failures.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig07Row>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
-    )
+pub fn run(cfg: &ExperimentConfig) -> Result<Vec<ClassMeanRow>, CampaignError> {
+    sweep(cfg).run(cfg, rows)
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig07Row>, CampaignError> {
-    let ms = runner.characterize_with(
-        &all_class_workloads(cfg),
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-        cfg,
-        instruments,
-    )?;
-    Ok(aggregate(&ms))
-}
-
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &all_class_workloads(cfg),
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-    )
-    .with_note("figure=fig07")
-}
-
-/// Renders the rows as an aligned table.
-pub fn render(rows: &[Fig07Row]) -> String {
-    let mut t = TextTable::new(&["class", "p", "format", "mean_sigma"]);
+/// Renders the rows with `metric` under `header` as an aligned table.
+pub(crate) fn render_column(
+    rows: &[ClassMeanRow],
+    header: &str,
+    metric: fn(&ClassMeanRow) -> f64,
+) -> String {
+    let mut t = TextTable::new(&["class", "p", "format", header]);
     for r in rows {
         t.row(&[
             r.class.to_string(),
             r.partition_size.to_string(),
             r.format.to_string(),
-            f3(r.mean_sigma),
+            f3(metric(r)),
         ]);
     }
     t.render()
+}
+
+/// Renders the rows' mean σ as an aligned table.
+pub fn render(rows: &[ClassMeanRow]) -> String {
+    render_column(rows, "mean_sigma", |r| r.mean_sigma)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rows() -> Vec<Fig07Row> {
-        aggregate(crate::testsupport::campaign())
+    fn rows() -> Vec<ClassMeanRow> {
+        super::rows(
+            &sweep(&ExperimentConfig::quick()),
+            crate::testsupport::campaign(),
+        )
     }
 
-    fn mean(rows: &[Fig07Row], class: WorkloadClass, p: usize, f: FormatKind) -> f64 {
+    fn mean(rows: &[ClassMeanRow], class: WorkloadClass, p: usize, f: FormatKind) -> f64 {
         rows.iter()
             .find(|r| r.class == class && r.partition_size == p && r.format == f)
             .unwrap()

@@ -2,6 +2,7 @@
 //! format, workload and partition size (marker size in the paper encodes
 //! the partition size; points below the diagonal are compute-bound).
 
+use super::Sweep;
 use crate::measure::{ExperimentConfig, Measurement};
 use crate::table::{f3, TextTable};
 use crate::CampaignError;
@@ -34,8 +35,12 @@ impl Fig08Row {
     }
 }
 
-/// Converts a measurement campaign into Fig.-8 scatter points.
-pub fn rows_from(ms: &[Measurement]) -> Vec<Fig08Row> {
+/// Fig. 8 shares Fig. 7's sweep: every class at partition sizes 8, 16
+/// and 32.
+pub use super::fig07::sweep;
+
+/// One scatter point per measurement.
+pub fn rows(_sweep: &Sweep, ms: &[Measurement]) -> Vec<Fig08Row> {
     ms.iter().map(to_row).collect()
 }
 
@@ -51,51 +56,13 @@ fn to_row(m: &Measurement) -> Fig08Row {
     }
 }
 
-/// Runs the Fig.-8 campaign over all three workload classes.
+/// Runs Fig. 8.
 ///
 /// # Errors
 ///
 /// Propagates platform failures.
 pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig08Row>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
-    )
-}
-
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig08Row>, CampaignError> {
-    let ms = runner.characterize_with(
-        &super::fig07::all_class_workloads(cfg),
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-        cfg,
-        instruments,
-    )?;
-    Ok(rows_from(&ms))
-}
-
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &super::fig07::all_class_workloads(cfg),
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-    )
-    .with_note("figure=fig08")
+    sweep(cfg).run(cfg, rows)
 }
 
 /// Renders the rows as an aligned table.

@@ -2,10 +2,11 @@
 //! format, with one line per partition size (the paper draws thicker lines
 //! for larger partitions) and density as the parameter along each line.
 
+use super::Sweep;
 use crate::measure::{ExperimentConfig, Measurement};
 use crate::table::{eng, TextTable};
 use crate::CampaignError;
-use copernicus_workloads::Workload;
+use copernicus_workloads::{Workload, WorkloadClass};
 use sparsemat::FormatKind;
 
 /// One point along a Fig.-9 line.
@@ -23,48 +24,21 @@ pub struct Fig09Row {
     pub throughput_bps: f64,
 }
 
-/// Runs the Fig.-9 campaign: the random density sweep at `cfg.sweep_dim`
-/// (the paper's 8000×8000) across formats and partition sizes.
-///
-/// # Errors
-///
-/// Propagates platform failures.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig09Row>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
+/// The paper's random density sweep at `cfg.sweep_dim` (the paper's
+/// 8000×8000), every characterized format, partition sizes 8, 16 and 32.
+pub fn sweep(cfg: &ExperimentConfig) -> Sweep {
+    Sweep::new(
+        Workload::paper_random_sweep(cfg.sweep_dim),
+        &FormatKind::CHARACTERIZED,
+        &super::FIGURE_PARTITION_SIZES,
     )
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig09Row>, CampaignError> {
-    let workloads = Workload::paper_random_sweep(cfg.sweep_dim);
-    let ms = runner.characterize_with(
-        &workloads,
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-        cfg,
-        instruments,
-    )?;
-    Ok(from_measurements(&ms))
-}
-
-/// Converts a campaign's random-class measurements into Fig.-9 points.
-pub fn from_measurements(ms: &[Measurement]) -> Vec<Fig09Row> {
+/// One point per random-class measurement, so the view also reads Fig. 9
+/// off Fig. 7's all-class sweep.
+pub fn rows(_sweep: &Sweep, ms: &[Measurement]) -> Vec<Fig09Row> {
     ms.iter()
-        .filter(|m| m.class == copernicus_workloads::WorkloadClass::Random)
+        .filter(|m| m.class == WorkloadClass::Random)
         .map(|m| Fig09Row {
             format: m.format,
             partition_size: m.partition_size,
@@ -75,15 +49,13 @@ pub fn from_measurements(ms: &[Measurement]) -> Vec<Fig09Row> {
         .collect()
 }
 
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &Workload::paper_random_sweep(cfg.sweep_dim),
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-    )
-    .with_note("figure=fig09")
+/// Runs Fig. 9.
+///
+/// # Errors
+///
+/// Propagates platform failures.
+pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig09Row>, CampaignError> {
+    sweep(cfg).run(cfg, rows)
 }
 
 /// Renders the rows as an aligned table.

@@ -1,103 +1,31 @@
 //! Fig. 10 — memory-bandwidth utilization on random matrices as density
-//! sweeps from 0.0001 to 0.5, partition size 16 (higher is better).
+//! sweeps from 0.0001 to 0.5, partition size 16 (higher is better). The
+//! sweep and the rows are Fig. 5's.
 
+pub use super::fig05::{rows, sweep, DensityRow};
 use crate::measure::ExperimentConfig;
-use crate::table::{f3, TextTable};
 use crate::CampaignError;
-use copernicus_workloads::Workload;
-use sparsemat::FormatKind;
 
-/// One bar of Fig. 10.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Fig10Row {
-    /// Density of the random matrix.
-    pub density: f64,
-    /// Format.
-    pub format: FormatKind,
-    /// Useful bytes over all transferred bytes.
-    pub bandwidth_utilization: f64,
-}
-
-/// Runs Fig. 10 at partition size 16 over the density sweep.
+/// Runs Fig. 10.
 ///
 /// # Errors
 ///
 /// Propagates platform failures.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig10Row>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
-    )
+pub fn run(cfg: &ExperimentConfig) -> Result<Vec<DensityRow>, CampaignError> {
+    sweep(cfg).run(cfg, rows)
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig10Row>, CampaignError> {
-    let workloads = Workload::paper_random_sweep(cfg.sweep_dim);
-    let ms = runner.characterize_with(
-        &workloads,
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-        cfg,
-        instruments,
-    )?;
-    Ok(workloads
-        .iter()
-        .zip(ms.chunks(FormatKind::CHARACTERIZED.len()))
-        .flat_map(|(w, chunk)| {
-            let density = match w {
-                Workload::Random { density, .. } => *density,
-                _ => unreachable!("random sweep only yields random workloads"),
-            };
-            chunk.iter().map(move |m| Fig10Row {
-                density,
-                format: m.format,
-                bandwidth_utilization: m.bandwidth_utilization(),
-            })
-        })
-        .collect())
-}
-
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &Workload::paper_random_sweep(cfg.sweep_dim),
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-    )
-    .with_note("figure=fig10")
-}
-
-/// Renders the rows as an aligned table.
-pub fn render(rows: &[Fig10Row]) -> String {
-    let mut t = TextTable::new(&["density", "format", "bw_utilization"]);
-    for r in rows {
-        t.row(&[
-            format!("{:.4}", r.density),
-            r.format.to_string(),
-            f3(r.bandwidth_utilization),
-        ]);
-    }
-    t.render()
+/// Renders the rows' bandwidth utilization as an aligned table.
+pub fn render(rows: &[DensityRow]) -> String {
+    super::fig05::render_column(rows, "bw_utilization", |r| r.bandwidth_utilization)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparsemat::FormatKind;
 
-    fn rows() -> Vec<Fig10Row> {
+    fn rows() -> Vec<DensityRow> {
         run(&ExperimentConfig::quick()).unwrap()
     }
 

@@ -1,107 +1,35 @@
 //! Fig. 11 — memory-bandwidth utilization on band matrices as the width
-//! sweeps from 1 to 64, partition size 16.
+//! sweeps from 1 to 64, partition size 16. The sweep and the rows are
+//! Fig. 6's.
 
+pub use super::fig06::{rows, sweep, WidthRow};
 use crate::measure::ExperimentConfig;
-use crate::table::{f3, TextTable};
 use crate::CampaignError;
-use copernicus_workloads::Workload;
-use sparsemat::FormatKind;
 
-/// One bar of Fig. 11.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Fig11Row {
-    /// Band width `k`.
-    pub width: usize,
-    /// Format.
-    pub format: FormatKind,
-    /// Useful bytes over all transferred bytes.
-    pub bandwidth_utilization: f64,
-}
-
-/// Runs Fig. 11 at partition size 16 over the width sweep.
+/// Runs Fig. 11.
 ///
 /// # Errors
 ///
 /// Propagates platform failures.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig11Row>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
-    )
+pub fn run(cfg: &ExperimentConfig) -> Result<Vec<WidthRow>, CampaignError> {
+    sweep(cfg).run(cfg, rows)
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig11Row>, CampaignError> {
-    let workloads = Workload::paper_band_sweep(cfg.sweep_dim);
-    let ms = runner.characterize_with(
-        &workloads,
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-        cfg,
-        instruments,
-    )?;
-    Ok(workloads
-        .iter()
-        .zip(ms.chunks(FormatKind::CHARACTERIZED.len()))
-        .flat_map(|(w, chunk)| {
-            let width = match w {
-                Workload::Band { width, .. } => *width,
-                _ => unreachable!("band sweep only yields band workloads"),
-            };
-            chunk.iter().map(move |m| Fig11Row {
-                width,
-                format: m.format,
-                bandwidth_utilization: m.bandwidth_utilization(),
-            })
-        })
-        .collect())
-}
-
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &Workload::paper_band_sweep(cfg.sweep_dim),
-        &FormatKind::CHARACTERIZED,
-        &[super::DEFAULT_PARTITION],
-    )
-    .with_note("figure=fig11")
-}
-
-/// Renders the rows as an aligned table.
-pub fn render(rows: &[Fig11Row]) -> String {
-    let mut t = TextTable::new(&["width", "format", "bw_utilization"]);
-    for r in rows {
-        t.row(&[
-            r.width.to_string(),
-            r.format.to_string(),
-            f3(r.bandwidth_utilization),
-        ]);
-    }
-    t.render()
+/// Renders the rows' bandwidth utilization as an aligned table.
+pub fn render(rows: &[WidthRow]) -> String {
+    super::fig06::render_column(rows, "bw_utilization", |r| r.bandwidth_utilization)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparsemat::FormatKind;
 
-    fn rows() -> Vec<Fig11Row> {
+    fn rows() -> Vec<WidthRow> {
         run(&ExperimentConfig::quick()).unwrap()
     }
 
-    fn util(rows: &[Fig11Row], f: FormatKind, w: usize) -> f64 {
+    fn util(rows: &[WidthRow], f: FormatKind, w: usize) -> f64 {
         rows.iter()
             .find(|r| r.format == f && r.width == w)
             .unwrap()

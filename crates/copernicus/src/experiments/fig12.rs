@@ -1,125 +1,38 @@
 //! Fig. 12 — average memory-bandwidth utilization per workload class and
-//! partition size (higher is better).
+//! partition size (higher is better). The sweep and the rows are Fig. 7's.
 
-use crate::measure::{ExperimentConfig, Measurement};
-use crate::table::{f3, TextTable};
+pub use super::fig07::{rows, sweep, ClassMeanRow};
+use crate::measure::ExperimentConfig;
 use crate::CampaignError;
-use copernicus_workloads::WorkloadClass;
-use sparsemat::FormatKind;
 
-/// One bar of Fig. 12.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Fig12Row {
-    /// Workload class.
-    pub class: WorkloadClass,
-    /// Partition size.
-    pub partition_size: usize,
-    /// Format.
-    pub format: FormatKind,
-    /// Mean bandwidth utilization over the class's workloads.
-    pub mean_utilization: f64,
-}
-
-/// Aggregates measurements into Fig.-12 rows.
-pub fn aggregate(ms: &[Measurement]) -> Vec<Fig12Row> {
-    let mut rows = Vec::new();
-    for class in [
-        WorkloadClass::SuiteSparse,
-        WorkloadClass::Random,
-        WorkloadClass::Band,
-    ] {
-        for &p in &super::FIGURE_PARTITION_SIZES {
-            for format in FormatKind::CHARACTERIZED {
-                let utils: Vec<f64> = ms
-                    .iter()
-                    .filter(|m| m.class == class && m.partition_size == p && m.format == format)
-                    .map(Measurement::bandwidth_utilization)
-                    .collect();
-                if utils.is_empty() {
-                    continue;
-                }
-                rows.push(Fig12Row {
-                    class,
-                    partition_size: p,
-                    format,
-                    mean_utilization: utils.iter().sum::<f64>() / utils.len() as f64,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// Runs the Fig.-12 campaign over all three workload classes.
+/// Runs Fig. 12.
 ///
 /// # Errors
 ///
 /// Propagates platform failures.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig12Row>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
-    )
+pub fn run(cfg: &ExperimentConfig) -> Result<Vec<ClassMeanRow>, CampaignError> {
+    sweep(cfg).run(cfg, rows)
 }
 
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<Fig12Row>, CampaignError> {
-    let ms = runner.characterize_with(
-        &super::fig07::all_class_workloads(cfg),
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-        cfg,
-        instruments,
-    )?;
-    Ok(aggregate(&ms))
-}
-
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &super::fig07::all_class_workloads(cfg),
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-    )
-    .with_note("figure=fig12")
-}
-
-/// Renders the rows as an aligned table.
-pub fn render(rows: &[Fig12Row]) -> String {
-    let mut t = TextTable::new(&["class", "p", "format", "mean_bw_util"]);
-    for r in rows {
-        t.row(&[
-            r.class.to_string(),
-            r.partition_size.to_string(),
-            r.format.to_string(),
-            f3(r.mean_utilization),
-        ]);
-    }
-    t.render()
+/// Renders the rows' mean bandwidth utilization as an aligned table.
+pub fn render(rows: &[ClassMeanRow]) -> String {
+    super::fig07::render_column(rows, "mean_bw_util", |r| r.mean_utilization)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copernicus_workloads::WorkloadClass;
+    use sparsemat::FormatKind;
 
-    fn rows() -> Vec<Fig12Row> {
-        aggregate(crate::testsupport::campaign())
+    fn rows() -> Vec<ClassMeanRow> {
+        super::rows(
+            &sweep(&ExperimentConfig::quick()),
+            crate::testsupport::campaign(),
+        )
     }
 
-    fn util(rows: &[Fig12Row], c: WorkloadClass, p: usize, f: FormatKind) -> f64 {
+    fn util(rows: &[ClassMeanRow], c: WorkloadClass, p: usize, f: FormatKind) -> f64 {
         rows.iter()
             .find(|r| r.class == c && r.partition_size == p && r.format == f)
             .unwrap()

@@ -1,57 +1,28 @@
 //! Fig. 14 — the normalized six-metric summary per workload class
 //! (1 = best format on a metric within the class, 0 = worst).
 
-use crate::measure::ExperimentConfig;
+use super::Sweep;
+use crate::measure::{ExperimentConfig, Measurement};
 use crate::summary::{normalized_summary, MetricKind, SummaryRow};
 use crate::table::{f3, TextTable};
 use crate::CampaignError;
-use sparsemat::FormatKind;
 
-/// Runs the full campaign and normalizes into Fig.-14 rows.
+/// Fig. 14 shares Fig. 7's sweep: every class at partition sizes 8, 16
+/// and 32.
+pub use super::fig07::sweep;
+
+/// The measurements, normalized per class and metric.
+pub fn rows(_sweep: &Sweep, ms: &[Measurement]) -> Vec<SummaryRow> {
+    normalized_summary(ms)
+}
+
+/// Runs Fig. 14.
 ///
 /// # Errors
 ///
 /// Propagates platform failures.
 pub fn run(cfg: &ExperimentConfig) -> Result<Vec<SummaryRow>, CampaignError> {
-    run_on(
-        &crate::CampaignRunner::sequential(),
-        cfg,
-        &mut crate::Instruments::none(),
-    )
-}
-
-/// Like [`run`], with campaign instruments attached, executed on `runner`: the
-/// grid runs across the runner's worker threads and overlapping cells are
-/// served from its memoization cache, with rows identical — order and bytes —
-/// to the sequential path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_on(
-    runner: &crate::CampaignRunner,
-    cfg: &ExperimentConfig,
-    instruments: &mut crate::Instruments<'_>,
-) -> Result<Vec<SummaryRow>, CampaignError> {
-    let ms = runner.characterize_with(
-        &super::fig07::all_class_workloads(cfg),
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-        cfg,
-        instruments,
-    )?;
-    Ok(normalized_summary(&ms))
-}
-
-/// The reproducibility manifest for this figure's campaign.
-pub fn manifest(cfg: &ExperimentConfig) -> copernicus_telemetry::RunManifest {
-    crate::manifest_for(
-        cfg,
-        &super::fig07::all_class_workloads(cfg),
-        &FormatKind::CHARACTERIZED,
-        &super::FIGURE_PARTITION_SIZES,
-    )
-    .with_note("figure=fig14")
+    sweep(cfg).run(cfg, rows)
 }
 
 /// Renders the rows as an aligned table (one line per class × format).
@@ -71,9 +42,10 @@ pub fn render(rows: &[SummaryRow]) -> String {
 mod tests {
     use super::*;
     use copernicus_workloads::WorkloadClass;
+    use sparsemat::FormatKind;
 
     fn rows() -> Vec<SummaryRow> {
-        crate::summary::normalized_summary(crate::testsupport::campaign())
+        normalized_summary(crate::testsupport::campaign())
     }
 
     #[test]

@@ -8,22 +8,25 @@
 //! [`copernicus_workloads`] and reproduces every table and figure of the
 //! paper's evaluation:
 //!
-//! | Module | Reproduces |
-//! |---|---|
-//! | [`experiments::fig03`] | Fig. 3 — partition density & locality stats |
-//! | [`experiments::fig04`] | Fig. 4 — σ on SuiteSparse, p = 16 |
-//! | [`experiments::fig05`] | Fig. 5 — σ vs density (random) |
-//! | [`experiments::fig06`] | Fig. 6 — σ vs band width |
-//! | [`experiments::fig07`] | Fig. 7 — mean σ per class × partition size |
-//! | [`experiments::fig08`] | Fig. 8 — memory vs compute latency (balance) |
-//! | [`experiments::fig09`] | Fig. 9 — throughput vs latency |
-//! | [`experiments::fig10`] | Fig. 10 — bandwidth utilization vs density |
-//! | [`experiments::fig11`] | Fig. 11 — bandwidth utilization vs width |
-//! | [`experiments::fig12`] | Fig. 12 — mean bandwidth utilization |
-//! | [`experiments::table1`] | Table 1 — the workload registry |
-//! | [`experiments::table2`] | Table 2 — resources & dynamic power |
-//! | [`experiments::fig13`] | Fig. 13 — dynamic-power breakdown |
-//! | [`experiments::fig14`] | Fig. 14 — normalized six-metric summary |
+//! | Module | Reproduces | Sweep |
+//! |---|---|---|
+//! | [`experiments::fig03`] | Fig. 3 — partition density & locality stats | none (reads the workload cache) |
+//! | [`experiments::fig04`] | Fig. 4 — σ on SuiteSparse, p = 16 | its own |
+//! | [`experiments::fig05`] | Fig. 5 — σ vs density (random) | its own |
+//! | [`experiments::fig06`] | Fig. 6 — σ vs band width | its own |
+//! | [`experiments::fig07`] | Fig. 7 — mean σ per class × partition size | its own (all classes) |
+//! | [`experiments::fig08`] | Fig. 8 — memory vs compute latency (balance) | Fig. 7's |
+//! | [`experiments::fig09`] | Fig. 9 — throughput vs latency | its own |
+//! | [`experiments::fig10`] | Fig. 10 — bandwidth utilization vs density | Fig. 5's, same rows |
+//! | [`experiments::fig11`] | Fig. 11 — bandwidth utilization vs width | Fig. 6's, same rows |
+//! | [`experiments::fig12`] | Fig. 12 — mean bandwidth utilization | Fig. 7's, same rows |
+//! | [`experiments::table1`] | Table 1 — the workload registry | none |
+//! | [`experiments::table2`] | Table 2 — resources & dynamic power | none |
+//! | [`experiments::fig13`] | Fig. 13 — dynamic-power breakdown | none |
+//! | [`experiments::fig14`] | Fig. 14 — normalized six-metric summary | Fig. 7's |
+//!
+//! A sweep ([`experiments::Sweep`]) builds a figure's campaign and its
+//! manifest; the figure's rows are a view over its measurements.
 //!
 //! # Example
 //!
@@ -68,7 +71,7 @@ pub use campaign::{
     default_jobs, par_map_ordered, try_par_map_ordered, CampaignOutcome, CampaignRunner,
 };
 pub use fault::{CampaignError, CampaignPolicy, CellFailure, FailureKind, FaultKind, FaultPlan};
-pub use insights::{verify as verify_insights, InsightCheck};
+pub use insights::InsightCheck;
 pub use instrument::{manifest_for, Instruments};
 pub use measure::{characterize, characterize_with, ExperimentConfig, Measurement};
 pub use recommend::{recommend, recommend_measured, Goal, Recommendation};
@@ -79,25 +82,20 @@ pub(crate) mod testsupport {
     //! Shared quick campaign so the experiment tests don't each re-run the
     //! full workload × format × partition cross product.
 
-    use crate::experiments::fig07::all_class_workloads;
-    use crate::experiments::FIGURE_PARTITION_SIZES;
-    use crate::{characterize, ExperimentConfig, Measurement};
-    use sparsemat::FormatKind;
+    use crate::experiments::fig07::sweep;
+    use crate::{ExperimentConfig, Measurement};
     use std::sync::OnceLock;
 
     static CAMPAIGN: OnceLock<Vec<Measurement>> = OnceLock::new();
 
-    /// The quick-preset full campaign, computed once per test binary.
+    /// The quick-preset full campaign (Fig. 7's sweep), computed once per
+    /// test binary.
     pub fn campaign() -> &'static [Measurement] {
         CAMPAIGN.get_or_init(|| {
             let cfg = ExperimentConfig::quick();
-            characterize(
-                &all_class_workloads(&cfg),
-                &FormatKind::CHARACTERIZED,
-                &FIGURE_PARTITION_SIZES,
-                &cfg,
-            )
-            .expect("quick campaign runs")
+            sweep(&cfg)
+                .run(&cfg, |_, ms| ms.to_vec())
+                .expect("quick campaign runs")
         })
     }
 }

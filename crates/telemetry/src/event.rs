@@ -117,19 +117,6 @@ pub enum PipelineEvent {
 }
 
 impl PipelineEvent {
-    /// The modeled cycle this event is anchored at: span start for stage
-    /// spans, the recorded cycle for partition starts and run completions,
-    /// and 0 for run starts and functional mismatches (both are emitted
-    /// outside the modeled timeline).
-    pub fn cycle(&self) -> u64 {
-        match self {
-            PipelineEvent::RunStart { .. } | PipelineEvent::FunctionalMismatch { .. } => 0,
-            PipelineEvent::PartitionStart { cycle, .. } => *cycle,
-            PipelineEvent::StageSpan { start_cycle, .. } => *start_cycle,
-            PipelineEvent::RunComplete { total_cycles } => *total_cycles,
-        }
-    }
-
     /// Stable snake_case tag used as the `"type"` field in JSON.
     pub fn kind(&self) -> &'static str {
         match self {

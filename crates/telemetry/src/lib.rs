@@ -33,6 +33,4 @@ pub use manifest::{FailureRecord, RunManifest};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use profile::{Phase, PhaseAcc, PhaseProfiler, PhaseScope, WorkerStats};
 pub use progress::{ProgressReporter, ProgressSnapshot, StderrMode};
-pub use sink::{
-    merge_by_cycle, replay, ChromeTraceWriter, JsonlSink, NullSink, RecordingSink, TraceSink,
-};
+pub use sink::{replay, ChromeTraceWriter, JsonlSink, NullSink, RecordingSink, TraceSink};

@@ -88,27 +88,6 @@ pub fn replay<S: TraceSink + ?Sized>(events: &[PipelineEvent], sink: &mut S) {
     }
 }
 
-/// Merges per-worker event buffers into one stream ordered by modeled-cycle
-/// timestamp (stable: ties keep buffer order, then emission order). Each
-/// run's events start at cycle 0, so this interleaves concurrent runs on
-/// one timeline — the view a trace UI wants. For byte-identity with a
-/// sequential run, replay the buffers in grid order instead (see
-/// [`replay`]); the campaign executor does exactly that.
-pub fn merge_by_cycle(buffers: Vec<Vec<PipelineEvent>>) -> Vec<PipelineEvent> {
-    let mut keyed: Vec<(u64, usize, usize, PipelineEvent)> = buffers
-        .into_iter()
-        .enumerate()
-        .flat_map(|(b, events)| {
-            events
-                .into_iter()
-                .enumerate()
-                .map(move |(i, e)| (e.cycle(), b, i, e))
-        })
-        .collect();
-    keyed.sort_by_key(|&(cycle, b, i, _)| (cycle, b, i));
-    keyed.into_iter().map(|(_, _, _, e)| e).collect()
-}
-
 impl TraceSink for RecordingSink {
     fn record(&mut self, event: &PipelineEvent) {
         self.events.push(event.clone());
@@ -413,28 +392,6 @@ mod tests {
         // Disabled sinks swallow the replay without recording.
         let mut null = NullSink;
         replay(&events, &mut null);
-    }
-
-    #[test]
-    fn merge_by_cycle_orders_across_buffers_and_keeps_ties_stable() {
-        let a = vec![
-            span(Stage::MemRead, 0, Some(0), 0, 5),
-            span(Stage::Compute, 0, Some(0), 5, 9),
-        ];
-        let b = vec![
-            span(Stage::MemRead, 1, Some(1), 0, 3),
-            span(Stage::Compute, 1, Some(1), 3, 4),
-        ];
-        let merged = merge_by_cycle(vec![a.clone(), b.clone()]);
-        assert_eq!(merged.len(), 4);
-        // Nondecreasing timestamps, with buffer order breaking the tie at
-        // cycle 0.
-        let cycles: Vec<u64> = merged.iter().map(PipelineEvent::cycle).collect();
-        assert!(cycles.windows(2).all(|w| w[0] <= w[1]), "{cycles:?}");
-        assert_eq!(merged[0], a[0]);
-        assert_eq!(merged[1], b[0]);
-        assert_eq!(merged[2], b[1]);
-        assert_eq!(merged[3], a[1]);
     }
 
     #[test]
