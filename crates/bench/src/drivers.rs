@@ -95,16 +95,20 @@ pub fn run(cmd: &str, args: Vec<String>) -> i32 {
     match cmd.as_str() {
         "repro_all" => repro_all(&cli),
         "table1" => {
-            emit(&cli, &ex::table1::render());
+            emit_named(&cli, "table1", &ex::table1::render());
             0
         }
         "table2" => {
-            emit(&cli, &ex::table2::render(&ex::table2::run(&[8, 16, 32])));
+            emit_named(
+                &cli,
+                "table2",
+                &ex::table2::render(&ex::table2::run(&[8, 16, 32])),
+            );
             0
         }
         "fig03" => match ex::fig03::run(&cli.cfg) {
             Ok(rows) => {
-                emit(&cli, &ex::fig03::render(&rows));
+                emit_named(&cli, "fig03", &ex::fig03::render(&rows));
                 0
             }
             Err(e) => {
@@ -172,7 +176,11 @@ pub fn run(cmd: &str, args: Vec<String>) -> i32 {
         "fig11" => figure!(fig11),
         "fig12" => figure!(fig12),
         "fig13" => {
-            emit(&cli, &ex::fig13::render(&ex::fig13::run(&[8, 16, 32])));
+            emit_named(
+                &cli,
+                "fig13",
+                &ex::fig13::render(&ex::fig13::run(&[8, 16, 32])),
+            );
             0
         }
         "fig14" => figure!(fig14),
@@ -236,7 +244,7 @@ fn figure<R>(
     match sweep.run_on(&cli.runner(), &cli.cfg, &mut telemetry.instruments()) {
         Ok(ms) => {
             let rows = view(&sweep, &ms);
-            emit(cli, &render(&rows));
+            emit_named(cli, name, &render(&rows));
             if cli.chart {
                 chart(&rows);
             }

@@ -114,7 +114,8 @@ fn explain_prints_the_pinned_breakdown() {
 fn standalone_figures_print_what_repro_all_writes() {
     // `repro_all` reads Figs. 7, 8, 9, 12 and 14 off its shared campaign;
     // each standalone command runs its own sweep. Both must print the same
-    // table.
+    // table, and a standalone command's `--out D` must write it to
+    // `D/<name>.tsv` as `repro_all` does.
     let dir = std::env::temp_dir().join(format!("copernicus-cli-figures-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let flags = ["--jobs", "1", "--dim", "64", "--suite-dim", "96"];
@@ -129,18 +130,25 @@ fn standalone_figures_print_what_repro_all_writes() {
         .expect("run repro_all");
     assert_eq!(status.code(), Some(0));
     for fig in [
-        "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig14",
+        "table1", "table2", "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10",
+        "fig11", "fig12", "fig13", "fig14",
     ] {
+        let own = dir.join("standalone").join(fig);
         let out = Command::new(BIN)
             .arg(fig)
             .args(flags)
             .arg("--tsv")
+            .arg("--out")
+            .arg(&own)
             .stderr(Stdio::null())
             .output()
             .expect("run a figure");
         assert_eq!(out.status.code(), Some(0), "{fig}");
         let written = std::fs::read_to_string(dir.join(format!("{fig}.tsv"))).expect(fig);
         assert_eq!(String::from_utf8_lossy(&out.stdout), written, "{fig}");
+        let own_written = std::fs::read_to_string(own.join(format!("{fig}.tsv")))
+            .unwrap_or_else(|e| panic!("{fig} --out wrote no {fig}.tsv: {e}"));
+        assert_eq!(own_written, written, "{fig} --out");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -318,7 +318,10 @@ fn full_queue_sheds_with_429_and_retry_after() {
 #[test]
 fn drain_flips_readyz_refuses_work_and_answers_everything_admitted() {
     // One worker and a burst of jobs: the drain begins with work queued,
-    // giving the 503 window something to be true about.
+    // giving the 503 window something to be true about. Each n=1536 job
+    // takes ~0.1 s, far longer than the burst takes to be admitted, so
+    // jobs are still queued when the drain starts and the window stays
+    // open while the worker finishes them.
     let mut server = Server::spawn(&["--workers", "1", "--queue", "16"]);
     let jobs = 6;
     let mut handles = Vec::new();
@@ -329,17 +332,24 @@ fn drain_flips_readyz_refuses_work_and_answers_everything_admitted() {
                 &addr,
                 "POST",
                 "/characterize",
-                &spec(&format!("dr-{i}"), 48),
+                &spec(&format!("dr-{i}"), 1536),
             )
         }));
     }
     // Every job must be admitted before the drain request below: a job
-    // that reaches the server after the drain is rightly refused.
+    // that reaches the server after the drain is rightly refused. The
+    // last read before the drain must still see work queued, or the
+    // drain could find nothing left to do and exit before a probe.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let (_, _, stats) = http(&server.addr, "GET", "/stats", "").expect("stats");
         let doc: Value = serde::json::from_str(&stats).expect("stats JSON");
         if doc.get("accepted").and_then(Value::as_u64) == Some(jobs) {
+            let queued = doc.get("queue_depth").and_then(Value::as_u64);
+            assert!(
+                queued.is_some_and(|depth| depth > 0),
+                "every job finished before the drain: {stats}"
+            );
             break;
         }
         assert!(Instant::now() < deadline, "jobs never admitted: {stats}");

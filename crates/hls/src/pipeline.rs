@@ -180,9 +180,15 @@ impl RunReport {
     }
 }
 
-/// Incremental [`RunReport`] builder. Every run funnels its per-partition
-/// timings through one of these, so reports are identical no matter which
-/// path (instrumented or not) produced them.
+/// The §4.2 balance term of one partition: `mem / compute`.
+fn balance(timing: &PartitionTiming) -> f64 {
+    timing.mem_cycles as f64 / timing.compute_cycles.max(1) as f64
+}
+
+/// Incremental [`RunReport`] builder. Every run funnels its timings
+/// through one of these (per partition, or per class with its tile count),
+/// so reports are identical no matter which path (instrumented or not)
+/// produced them.
 struct ReportBuilder {
     report: RunReport,
     balance_sum: f64,
@@ -220,7 +226,15 @@ impl ReportBuilder {
         }
     }
 
+    /// Adds one partition, balance term included.
     fn push(&mut self, timing: &PartitionTiming) {
+        self.add(timing, 1);
+        self.balance_sum += balance(timing);
+    }
+
+    /// Adds `n > 0` partitions of one timing to every integer total; the
+    /// first call sets the pipeline fill. The balance term is the caller's.
+    fn add(&mut self, timing: &PartitionTiming, n: u64) {
         let bottleneck = timing
             .mem_cycles
             .max(timing.compute_cycles)
@@ -231,20 +245,19 @@ impl ReportBuilder {
             self.first_stage_max = bottleneck;
         }
         let r = &mut self.report;
-        r.partitions += 1;
-        r.total_mem_cycles += timing.mem_cycles;
-        r.total_compute_cycles += timing.compute_cycles;
-        r.total_decomp_cycles += timing.decomp_cycles;
-        r.total_entropy_cycles += timing.entropy_cycles;
-        r.total_writeback_cycles += timing.writeback_cycles;
-        r.total_dot_issues += timing.dot_issues;
-        r.total_bytes += timing.bytes;
-        r.total_coded_bytes += timing.coded_bytes;
-        r.useful_bytes += timing.useful_bytes;
-        r.total_bram_reads += timing.bram_reads;
-        r.total_cycles += bottleneck;
-        r.dense_equivalent_compute += self.dense_per_part;
-        self.balance_sum += timing.mem_cycles as f64 / timing.compute_cycles.max(1) as f64;
+        r.partitions += n as usize;
+        r.total_mem_cycles += n * timing.mem_cycles;
+        r.total_compute_cycles += n * timing.compute_cycles;
+        r.total_decomp_cycles += n * timing.decomp_cycles;
+        r.total_entropy_cycles += n * timing.entropy_cycles;
+        r.total_writeback_cycles += n * timing.writeback_cycles;
+        r.total_dot_issues += n * timing.dot_issues;
+        r.total_bytes += n * timing.bytes;
+        r.total_coded_bytes += n * timing.coded_bytes;
+        r.useful_bytes += n * timing.useful_bytes;
+        r.total_bram_reads += n * timing.bram_reads;
+        r.total_cycles += n * bottleneck;
+        r.dense_equivalent_compute += n * self.dense_per_part;
     }
 
     fn finish(mut self) -> RunReport {
@@ -257,6 +270,80 @@ impl ReportBuilder {
             self.report.balance_ratio = self.balance_sum / self.report.partitions as f64;
         }
         self.report
+    }
+}
+
+/// A measured run's class table priced for one format: per
+/// [`GridStats`] class, its timing and its balance term. Pooled on the
+/// session's [`EncodeScratch`].
+#[derive(Debug, Default)]
+pub(crate) struct ClassPrices {
+    pub(crate) timings: Vec<PartitionTiming>,
+    pub(crate) balances: Vec<f64>,
+}
+
+/// The online-LPT deal of the aggregated-lanes run (§5.1): transfers
+/// serialize on the shared memory channel, and each partition goes to the
+/// least-loaded lane.
+struct LaneDeal {
+    shared_mem_cycles: u64,
+    lane_compute: Vec<u64>,
+    lane_ready: Vec<u64>,
+}
+
+impl LaneDeal {
+    fn new(lanes: usize) -> Self {
+        LaneDeal {
+            shared_mem_cycles: 0,
+            lane_compute: vec![0; lanes],
+            lane_ready: vec![0; lanes],
+        }
+    }
+
+    /// Deals partition `idx`, at grid coordinates `(grid_row, grid_col)`,
+    /// and records its spans when `sink` is enabled.
+    fn place<S: TraceSink + ?Sized>(
+        &mut self,
+        sink: &mut S,
+        idx: usize,
+        (grid_row, grid_col): (usize, usize),
+        timing: &PartitionTiming,
+    ) {
+        let mem_start = self.shared_mem_cycles;
+        self.shared_mem_cycles += timing.mem_cycles;
+        // Deal to the least-loaded lane (online LPT).
+        let lane = self
+            .lane_compute
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &load)| load)
+            .map_or(0, |(i, _)| i);
+        self.lane_compute[lane] += timing.compute_cycles;
+        // The lane starts once its operands have crossed the shared
+        // channel and the engine is free.
+        let compute_start = self.shared_mem_cycles.max(self.lane_ready[lane]);
+        self.lane_ready[lane] = compute_start + timing.compute_cycles;
+        if sink.enabled() {
+            sink.record(&PipelineEvent::PartitionStart {
+                partition: idx,
+                grid_row,
+                grid_col,
+                cycle: mem_start,
+            });
+            for (stage, start_cycle, cycles) in [
+                (Stage::MemRead, mem_start, timing.mem_cycles),
+                (Stage::Compute, compute_start, timing.compute_cycles),
+                (Stage::Decompress, compute_start, timing.decomp_cycles),
+            ] {
+                sink.record(&PipelineEvent::StageSpan {
+                    stage,
+                    partition: idx,
+                    lane: Some(lane),
+                    start_cycle,
+                    cycles,
+                });
+            }
+        }
     }
 }
 
@@ -422,8 +509,12 @@ type TileResult = Result<(PartitionTiming, Decompression), PlatformError>;
 /// (the SpMV path).
 pub(crate) type RowConsumer<'a> = &'a mut dyn FnMut((usize, usize), &Decompression);
 
-/// The tiles a run walks: a built grid's partitions, or a matrix's
-/// measured tile classes (DESIGN.md §10).
+/// Reads each measured tile's `(index, grid coordinates, timing)`, in grid
+/// order (trace spans, the lane deal).
+type TileVisitor<'a> = &'a mut dyn FnMut(usize, (usize, usize), &PartitionTiming);
+
+/// The tiles of a run: a built grid's partitions, walked, or a matrix's
+/// measured tile classes, priced (DESIGN.md §10).
 #[derive(Clone, Copy)]
 pub(crate) enum Tiles<'a> {
     /// Every partition of a built grid.
@@ -478,10 +569,11 @@ impl Run<'_> {
         }
     }
 
-    /// A run through the single three-stage pipeline: each tile's
+    /// A run through the single three-stage pipeline: each walked tile's
     /// decompression goes to `consume` when there is one (the SpMV path
     /// applies the row contributions there), its spans to `sink` and its
-    /// timing to the report.
+    /// timing to the report. A measured run builds its report from the
+    /// class table and visits its tiles only to trace them.
     pub(crate) fn pipeline<S>(
         &self,
         tiles: Tiles<'_>,
@@ -494,20 +586,29 @@ impl Run<'_> {
         S: TraceSink + ?Sized,
     {
         self.record_run_start(sink, tiles, format);
-        let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
         let mut schedule = SpanScheduler::default();
-        self.for_each_tile(tiles, format, sink, scratch, |sink, idx, at, timing, d| {
-            // A consumer runs over a grid, whose tiles all walk, so its rows
-            // are present.
-            if let (Some(consume), Some(d)) = (consume.as_mut(), d) {
-                consume(at, d);
+        let report = match tiles {
+            Tiles::Measured(stats) => {
+                let traced = sink.enabled();
+                let mut spans = |idx, at, timing: &PartitionTiming| {
+                    emit_partition_spans(sink, &mut schedule, idx, at, timing);
+                };
+                self.measured(stats, format, scratch, traced.then_some(&mut spans))?
             }
-            if sink.enabled() {
-                emit_partition_spans(sink, &mut schedule, idx, at, timing);
+            Tiles::Grid(grid) => {
+                let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
+                self.for_each_tile(grid, format, sink, scratch, |sink, idx, at, timing, d| {
+                    if let Some(consume) = consume.as_mut() {
+                        consume(at, d);
+                    }
+                    if sink.enabled() {
+                        emit_partition_spans(sink, &mut schedule, idx, at, timing);
+                    }
+                    builder.push(timing);
+                })?;
+                builder.finish()
             }
-            builder.push(timing);
-        })?;
-        let report = builder.finish();
+        };
         if sink.enabled() {
             sink.record(&PipelineEvent::RunComplete {
                 total_cycles: report.total_cycles,
@@ -518,7 +619,9 @@ impl Run<'_> {
 
     /// The aggregated-lanes run (§5.1): the same per-tile work as
     /// [`Run::pipeline`], rescheduled onto `lanes` decompress+dot pipelines
-    /// that share one memory channel, dealt by online LPT.
+    /// that share one memory channel, dealt by online LPT. A walked grid
+    /// deals its tiles once every tile has walked; a measured run deals
+    /// each tile as its class timing comes up.
     pub(crate) fn lanes<S: TraceSink + ?Sized>(
         &self,
         tiles: Tiles<'_>,
@@ -531,54 +634,29 @@ impl Run<'_> {
             return Err(PlatformError::Config("lane count must be positive".into()));
         }
         self.record_run_start(sink, tiles, format);
-        let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
-        let mut timings = Vec::with_capacity(tiles.len());
-        self.for_each_tile(tiles, format, sink, scratch, |_, _, at, timing, _| {
-            builder.push(timing);
-            timings.push((at, *timing));
-        })?;
-        let single_lane = builder.finish();
-
-        let mut shared_mem_cycles = 0u64;
-        let mut lane_compute = vec![0u64; lanes];
-        let mut lane_ready = vec![0u64; lanes];
-        for (idx, ((grid_row, grid_col), timing)) in timings.iter().enumerate() {
-            let mem_start = shared_mem_cycles;
-            shared_mem_cycles += timing.mem_cycles;
-            // Deal to the least-loaded lane (online LPT).
-            let lane = lane_compute
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &load)| load)
-                .map_or(0, |(i, _)| i);
-            lane_compute[lane] += timing.compute_cycles;
-            // The lane starts once its operands have crossed the shared
-            // channel and the engine is free.
-            let compute_start = shared_mem_cycles.max(lane_ready[lane]);
-            lane_ready[lane] = compute_start + timing.compute_cycles;
-            if sink.enabled() {
-                sink.record(&PipelineEvent::PartitionStart {
-                    partition: idx,
-                    grid_row: *grid_row,
-                    grid_col: *grid_col,
-                    cycle: mem_start,
-                });
-                for (stage, start_cycle, cycles) in [
-                    (Stage::MemRead, mem_start, timing.mem_cycles),
-                    (Stage::Compute, compute_start, timing.compute_cycles),
-                    (Stage::Decompress, compute_start, timing.decomp_cycles),
-                ] {
-                    sink.record(&PipelineEvent::StageSpan {
-                        stage,
-                        partition: idx,
-                        lane: Some(lane),
-                        start_cycle,
-                        cycles,
-                    });
-                }
+        let mut deal = LaneDeal::new(lanes);
+        let single_lane = match tiles {
+            Tiles::Measured(stats) => {
+                let mut place = |idx, at, timing: &PartitionTiming| {
+                    deal.place(sink, idx, at, timing);
+                };
+                self.measured(stats, format, scratch, Some(&mut place))?
             }
-        }
-        let max_lane_compute_cycles = lane_compute.into_iter().max().unwrap_or(0);
+            Tiles::Grid(grid) => {
+                let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
+                let mut timings = Vec::with_capacity(grid.nonzero_tiles());
+                self.for_each_tile(grid, format, sink, scratch, |_, _, at, timing, _| {
+                    builder.push(timing);
+                    timings.push((at, *timing));
+                })?;
+                for (idx, (at, timing)) in timings.iter().enumerate() {
+                    deal.place(sink, idx, *at, timing);
+                }
+                builder.finish()
+            }
+        };
+        let shared_mem_cycles = deal.shared_mem_cycles;
+        let max_lane_compute_cycles = deal.lane_compute.into_iter().max().unwrap_or(0);
         let total_cycles = shared_mem_cycles.max(max_lane_compute_cycles);
         if sink.enabled() {
             sink.record(&PipelineEvent::RunComplete { total_cycles });
@@ -592,21 +670,70 @@ impl Run<'_> {
         })
     }
 
-    /// The one tile loop: processes every tile exactly once and hands
-    /// `(sink, index, grid coordinates, timing, decompression)` to `each`
-    /// in grid order, so every observable byte is the same at any worker
-    /// count. One worker processes each tile inline and recycles its
-    /// buffers into `scratch` right away; more workers run
+    /// A measured run (DESIGN.md §10), for when nothing reads the
+    /// decompressed rows (the session checks). The backend prices each
+    /// class once, every integer total is the class's tile count times its
+    /// timing, and the pipeline fill is class 0's, the first tile's (classes
+    /// are numbered in order of first appearance). Only the balance ratio
+    /// still sums one term per tile, in grid order: `f64` addition is not
+    /// associative, and a walked run sums it that way. `each`, when given,
+    /// gets `(index, grid coordinates, timing)` for every tile in grid
+    /// order (trace spans, the lane deal). The cancellation token is polled
+    /// before every tile.
+    fn measured(
+        &self,
+        stats: &GridStats,
+        format: FormatKind,
+        scratch: &mut EncodeScratch,
+        mut each: Option<TileVisitor<'_>>,
+    ) -> Result<RunReport, PlatformError> {
+        let run_start = self.profiler.map(|_| std::time::Instant::now());
+        let mut acc = PhaseAcc::new(self.profiler.is_some());
+        acc.mark();
+        let mut prices = scratch.take_class_prices();
+        for class in stats.classes() {
+            let timing = self
+                .backend
+                .price(&class.counters(format, self.cfg), self.cfg);
+            prices.timings.push(timing);
+            prices.balances.push(balance(&timing));
+        }
+        acc.lap(Phase::Encode);
+        let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
+        for (timing, &count) in prices.timings.iter().zip(stats.class_counts()) {
+            builder.add(timing, count);
+        }
+        let mut cancelled = false;
+        for (idx, &class) in stats.class_of().iter().enumerate() {
+            cancelled = self.cancelled();
+            if cancelled {
+                break;
+            }
+            builder.balance_sum += prices.balances[class];
+            if let Some(each) = each.as_mut() {
+                each(idx, stats.grid_coords(idx), &prices.timings[class]);
+            }
+        }
+        scratch.give_class_prices(prices);
+        if cancelled {
+            return Err(PlatformError::Cancelled);
+        }
+        if let (Some(profiler), Some(start)) = (self.profiler, run_start) {
+            profiler.flush_run(&acc, start.elapsed().as_secs_f64());
+        }
+        Ok(builder.finish())
+    }
+
+    /// The walked tile loop: processes every tile of `grid` exactly once
+    /// and hands `(sink, index, grid coordinates, timing, decompression)`
+    /// to `each` in grid order, so every observable byte is the same at
+    /// any worker count. One worker processes each tile inline and
+    /// recycles its buffers into `scratch` right away; more workers run
     /// [`Run::process_grid_parallel`] and reduce its slots in grid order.
     /// The cancellation token is polled before every tile in every mode.
-    ///
-    /// A grid's tiles are always walked. [`Tiles::Measured`] runs only when
-    /// nothing reads the decompressed rows (the session checks): the
-    /// backend prices each class once and the tiles are handed on inline,
-    /// in grid order, each with its class's timing and no decompression.
     fn for_each_tile<S, F>(
         &self,
-        tiles: Tiles<'_>,
+        grid: &PartitionGrid<f32>,
         format: FormatKind,
         sink: &mut S,
         scratch: &mut EncodeScratch,
@@ -614,7 +741,7 @@ impl Run<'_> {
     ) -> Result<(), PlatformError>
     where
         S: TraceSink + ?Sized,
-        F: FnMut(&mut S, usize, (usize, usize), &PartitionTiming, Option<&Decompression>),
+        F: FnMut(&mut S, usize, (usize, usize), &PartitionTiming, &Decompression),
     {
         let run_start = self.profiler.map(|_| std::time::Instant::now());
         let mut acc = PhaseAcc::new(self.profiler.is_some());
@@ -642,53 +769,28 @@ impl Run<'_> {
                     }
                 }
             })?;
-            each(sink, idx, (part.grid_row, part.grid_col), &timing, Some(&d));
+            each(sink, idx, (part.grid_row, part.grid_col), &timing, &d);
             recycle.recycle_decompression(d);
             Ok(())
         };
-        match tiles {
-            Tiles::Measured(stats) => {
-                acc.mark();
-                let mut timings = scratch.take_class_timings();
-                timings.extend(stats.classes().iter().map(|class| {
-                    self.backend
-                        .price(&class.counters(format, self.cfg), self.cfg)
-                }));
-                acc.lap(Phase::Encode);
-                let mut cancelled = false;
-                for (idx, &(at, class)) in stats.classed_tiles().iter().enumerate() {
-                    cancelled = self.cancelled();
-                    if cancelled {
-                        break;
-                    }
-                    each(sink, idx, at, &timings[class], None);
-                }
-                scratch.give_class_timings(timings);
-                if cancelled {
+        let parts = grid.partitions();
+        if self.tile_jobs > 1 && parts.len() > 1 {
+            let (mut pool, slots) = self.process_grid_parallel(parts, format, scratch, &mut acc);
+            // Workers claim tiles in grid order, so the first empty slot
+            // marks where they stopped on cancellation.
+            let reduced = slots.into_iter().enumerate().try_for_each(|(idx, slot)| {
+                let (wid, result) = slot.ok_or(PlatformError::Cancelled)?;
+                reduce(sink, &mut each, idx, &parts[idx], result, &mut pool[wid])
+            });
+            scratch.give_workers(pool);
+            reduced?;
+        } else {
+            for (idx, part) in parts.iter().enumerate() {
+                if self.cancelled() {
                     return Err(PlatformError::Cancelled);
                 }
-            }
-            Tiles::Grid(grid) if self.tile_jobs > 1 && grid.nonzero_tiles() > 1 => {
-                let parts = grid.partitions();
-                let (mut pool, slots) =
-                    self.process_grid_parallel(parts, format, scratch, &mut acc);
-                // Workers claim tiles in grid order, so the first empty slot
-                // marks where they stopped on cancellation.
-                let reduced = slots.into_iter().enumerate().try_for_each(|(idx, slot)| {
-                    let (wid, result) = slot.ok_or(PlatformError::Cancelled)?;
-                    reduce(sink, &mut each, idx, &parts[idx], result, &mut pool[wid])
-                });
-                scratch.give_workers(pool);
-                reduced?;
-            }
-            Tiles::Grid(grid) => {
-                for (idx, part) in grid.partitions().iter().enumerate() {
-                    if self.cancelled() {
-                        return Err(PlatformError::Cancelled);
-                    }
-                    let result = self.process_partition(part, format, scratch, &mut acc);
-                    reduce(sink, &mut each, idx, part, result, scratch)?;
-                }
+                let result = self.process_partition(part, format, scratch, &mut acc);
+                reduce(sink, &mut each, idx, part, result, scratch)?;
             }
         }
         if let (Some(profiler), Some(start)) = (self.profiler, run_start) {

@@ -18,7 +18,7 @@
 
 use crate::decomp::Decompression;
 use crate::encode::{EncodedPartition, Stream};
-use crate::pipeline::PartitionTiming;
+use crate::pipeline::ClassPrices;
 use crate::structure::StatsScratch;
 use sparsemat::{AnyMatrix, Coo, FormatKind, Matrix, Triplet};
 
@@ -62,9 +62,9 @@ pub struct EncodeScratch {
     tmp_triplets: Vec<Triplet<f32>>,
     /// Bitsets and counters of the structural tile pass.
     stats: StatsScratch,
-    /// One timing per [`GridStats`](crate::GridStats) class for a measured
-    /// run.
-    class_timings: Vec<PartitionTiming>,
+    /// One timing and one balance term per [`GridStats`](crate::GridStats)
+    /// class for a measured run.
+    class_prices: ClassPrices,
     /// Per-worker scratches for the intra-run tile-parallel path, kept warm
     /// between runs of the same session.
     workers: Vec<EncodeScratch>,
@@ -107,16 +107,17 @@ impl EncodeScratch {
         &mut self.stats
     }
 
-    /// Takes the (empty) per-class timing list for a measured run.
-    pub(crate) fn take_class_timings(&mut self) -> Vec<PartitionTiming> {
-        let mut timings = std::mem::take(&mut self.class_timings);
-        timings.clear();
-        timings
+    /// Takes the (empty) per-class lists for a measured run.
+    pub(crate) fn take_class_prices(&mut self) -> ClassPrices {
+        let mut prices = std::mem::take(&mut self.class_prices);
+        prices.timings.clear();
+        prices.balances.clear();
+        prices
     }
 
-    /// Returns the per-class timing list after a measured run.
-    pub(crate) fn give_class_timings(&mut self, timings: Vec<PartitionTiming>) {
-        self.class_timings = timings;
+    /// Returns the per-class lists after a measured run.
+    pub(crate) fn give_class_prices(&mut self, prices: ClassPrices) {
+        self.class_prices = prices;
     }
 
     /// Takes exactly `n` worker scratches for a tile-parallel pass,

@@ -44,7 +44,8 @@ pub enum Input<'a> {
     /// re-tiling).
     Grid(&'a PartitionGrid<f32>),
     /// The [`GridStats`] from [`Session::measure`]: each distinct tile is
-    /// priced once per run instead of once per tile, and no grid is built.
+    /// priced once per run instead of once per tile, the report is built
+    /// from the class table, and no grid is built.
     Measured(&'a GridStats),
 }
 
@@ -105,8 +106,10 @@ impl<'a> RunRequest<'a> {
     }
 
     /// A run over a matrix whose pattern [`Session::measure`] has measured:
-    /// each distinct tile is priced once from the class table and every
-    /// tile reduced in grid order, with the same report and trace as the
+    /// each distinct tile is priced once and the report built from the
+    /// class table (each class's tile count times its timing; the balance
+    /// ratio summed per tile in grid order), with the same report and
+    /// trace as the
     /// walked [`RunRequest::grid`] over the matrix's grid. Nothing here
     /// holds the tiles' rows, so a run that reads them (an SpMV consumer,
     /// or a session that verifies or uses a codec) is rejected with
@@ -633,6 +636,36 @@ mod tests {
         assert!(verifying
             .run(RunRequest::grid(&grid, FormatKind::Ell))
             .is_ok());
+    }
+
+    #[test]
+    fn measured_balance_sums_per_tile_in_grid_order() {
+        // Thousands of tiles over many interleaved classes: a balance summed
+        // per class, or in any order but the grid's, lands on other f64
+        // bits than the walked run's per-tile sum.
+        let m = copernicus_workloads::Workload::Random {
+            n: 512,
+            density: 0.05,
+        }
+        .generate(512, 7);
+        let grid = PartitionGrid::new(&m, 8).unwrap();
+        let mut oracle = Session::new(HwConfig::with_partition_size(8)).unwrap();
+        let mut session = Session::new(structural(8)).unwrap();
+        let stats = session.measure(&pattern(&m)).unwrap();
+        assert!(stats.tiles() > 3000 && stats.classes().len() > 20);
+        for kind in FormatKind::CHARACTERIZED {
+            let want = oracle.run(RunRequest::grid(&grid, kind)).unwrap().report;
+            let got = session
+                .run(RunRequest::measured(&stats, kind))
+                .unwrap()
+                .report;
+            assert_eq!(got, want, "{kind}");
+            assert_eq!(
+                got.balance_ratio.to_bits(),
+                want.balance_ratio.to_bits(),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

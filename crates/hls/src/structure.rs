@@ -17,18 +17,21 @@
 //! The closed forms assume the encoded structure holds exactly the tile's
 //! entries. A tile with a duplicate coordinate (the formats merge it, and
 //! the merge may cancel) or an explicit zero (the formats drop it) breaks
-//! that, so [`TileStats::measure`] declines such tiles. Entry order does
-//! not matter.
+//! that, so [`TileStats::measure`] checks a [`Coo`] tile first and
+//! declines such tiles. Entry order does not matter.
 //!
 //! A tile's counts depend on the tile, `p` and the BCSR block size, not on
 //! the format or the backend, so [`GridStats`] measures a whole matrix
 //! once, without building a grid: a table of its distinct [`TileStats`]
-//! and, per tile, its grid coordinates and class id. Its tiles come from
-//! the matrix's [`RowPattern`], one band of `p` rows at a time; a pattern
-//! holds no repeat or zero, so none is declined. A matrix without a
-//! pattern is walked through its grid instead. A run over the stats
-//! prices each class once and hands every tile its class's timing in grid
-//! order.
+//! with each class's tile count and, per tile, its grid coordinates and
+//! class id. Its tiles come from the matrix's [`RowPattern`], one band of
+//! `p` rows at a time; a pattern holds no repeat or zero, so its tiles are
+//! counted without the check. A matrix without a pattern is walked
+//! through its grid instead. A run over the stats prices each class once
+//! and builds its report from the class table: every total is a sum over
+//! classes of tile count times class timing, and only the balance ratio
+//! (an `f64` sum, whose order shows in the last bit) still adds one term
+//! per tile, in grid order.
 
 use crate::backend::TileCounters;
 use crate::{EncodeScratch, HwConfig, PlatformError};
@@ -36,11 +39,13 @@ use sparsemat::{Coo, FormatKind, Matrix, RowPattern, SparseError, Triplet};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Reusable bitsets and counters for [`TileStats::measure`], kept zeroed
-/// between tiles by clearing exactly the slots the last tile touched.
+/// Reusable bitsets and counters for the counting pass, kept zeroed
+/// between tiles by clearing the slots the last tile touched, or the
+/// fitted tables whole after a tile with more entries than slots.
 #[derive(Debug, Default)]
 pub(crate) struct StatsScratch {
-    /// One bit per tile cell (`r·p + c`): duplicate detection.
+    /// One bit per tile cell (`r·p + c`): the duplicate check of
+    /// [`TileStats::measure`]. A pattern tile needs none.
     cells: Vec<u64>,
     /// Entries per row.
     rows: Vec<u32>,
@@ -83,6 +88,31 @@ impl StatsScratch {
         self.block_of.extend((0..p).map(|i| i / b));
         self.fitted = (p, b);
     }
+
+    /// Whether a fitted `p×p` tile's entries hold no repeated coordinate
+    /// and no explicit zero. Leaves the bitset zero again.
+    fn distinct_and_nonzero<'t>(
+        &mut self,
+        entries: impl Iterator<Item = &'t Triplet<f32>> + Clone,
+        p: usize,
+    ) -> bool {
+        let mut clean = true;
+        let mut seen = 0;
+        for t in entries.clone() {
+            let cell = t.row * p + t.col;
+            let (word, bit) = (cell / 64, 1u64 << (cell % 64));
+            if t.val == 0.0 || self.cells[word] & bit != 0 {
+                clean = false;
+                break;
+            }
+            self.cells[word] |= bit;
+            seen += 1;
+        }
+        for t in entries.take(seen) {
+            self.cells[(t.row * p + t.col) / 64] = 0;
+        }
+        clean
+    }
 }
 
 /// The structural counts of one `p×p` tile that every format's cost is a
@@ -123,25 +153,27 @@ impl TileStats {
     /// would no longer match the tile's entries.
     pub fn measure(tile: &Coo<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Option<Self> {
         let p = cfg.partition_size;
-        if tile.nrows() != p || tile.ncols() != p {
+        if tile.nrows() != p || tile.ncols() != p || cfg.bcsr_block == 0 {
             return None;
         }
-        Self::measure_local(tile.iter().copied(), cfg, scratch)
+        let s = scratch.stats_scratch();
+        s.fit(p, cfg.bcsr_block);
+        s.distinct_and_nonzero(tile.iter(), p)
+            .then(|| Self::count(tile.iter().map(|t| (t.row, t.col)), cfg, scratch))
     }
 
-    /// The one measuring pass, over a `p×p` tile's entries in tile-local
-    /// coordinates: a [`Coo`] tile's, or a pattern tile's shifted by its
-    /// origin. `entries` is read twice, the second time to clear the
-    /// slots the first touched.
-    fn measure_local<I>(entries: I, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Option<Self>
+    /// The one counting pass, over the `(row, col)` coordinates of a `p×p`
+    /// tile's entries in tile-local coordinates: a [`Coo`] tile's, or a
+    /// pattern tile's shifted by its origin. The coordinates must be
+    /// distinct (the caller's check, or the pattern's guarantee). A sparse
+    /// tile's `entries` are read twice, the second time to clear the slots
+    /// the first touched.
+    fn count<I>(entries: I, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Self
     where
-        I: Iterator<Item = Triplet<f32>> + Clone,
+        I: Iterator<Item = (usize, usize)> + Clone,
     {
         let p = cfg.partition_size;
         let b = cfg.bcsr_block;
-        if b == 0 {
-            return None;
-        }
         let s = scratch.stats_scratch();
         s.fit(p, b);
         let nb = p.div_ceil(b);
@@ -157,29 +189,20 @@ impl TileStats {
             nbr: 0,
             block_row_lines: 0,
         };
-        let mut clean = true;
-        let mut seen = 0;
-        for t in entries.clone() {
-            let cell = t.row * p + t.col;
-            let (word, bit) = (cell / 64, 1u64 << (cell % 64));
-            if t.val == 0.0 || s.cells[word] & bit != 0 {
-                clean = false;
-                break;
-            }
-            s.cells[word] |= bit;
-            seen += 1;
-            let row = &mut s.rows[t.row];
+        for (r, c) in entries.clone() {
+            stats.nnz += 1;
+            let row = &mut s.rows[r];
             stats.nzr += u64::from(*row == 0);
             *row += 1;
             stats.max_row = stats.max_row.max(u64::from(*row));
-            let col = &mut s.cols[t.col];
+            let col = &mut s.cols[c];
             *col += 1;
             stats.max_col = stats.max_col.max(u64::from(*col));
-            let diag = &mut s.diags[t.col + p - 1 - t.row];
+            let diag = &mut s.diags[c + p - 1 - r];
             stats.ndiag += u64::from(!*diag);
             *diag = true;
-            let br = s.block_of[t.row];
-            let block = &mut s.blocks[br * nb + s.block_of[t.col]];
+            let br = s.block_of[r];
+            let block = &mut s.blocks[br * nb + s.block_of[c]];
             stats.nblk += u64::from(!*block);
             *block = true;
             let block_row = &mut s.block_rows[br];
@@ -189,18 +212,26 @@ impl TileStats {
                 stats.block_row_lines += b.min(p - br * b) as u64;
             }
         }
-        // Zero every slot this tile touched, so the next tile starts clean.
-        for t in entries.take(seen) {
-            let br = s.block_of[t.row];
-            s.cells[(t.row * p + t.col) / 64] = 0;
-            s.rows[t.row] = 0;
-            s.cols[t.col] = 0;
-            s.diags[t.col + p - 1 - t.row] = false;
-            s.blocks[br * nb + s.block_of[t.col]] = false;
-            s.block_rows[br] = false;
+        // Zero every slot this tile touched, so the next tile starts clean:
+        // entry by entry for a sparse tile, and by filling the tables when
+        // the tile has more entries than they have slots.
+        if stats.nnz as usize > 4 * p + nb * nb {
+            s.rows[..p].fill(0);
+            s.cols[..p].fill(0);
+            s.diags[..2 * p - 1].fill(false);
+            s.blocks[..nb * nb].fill(false);
+            s.block_rows[..nb].fill(false);
+        } else {
+            for (r, c) in entries {
+                let br = s.block_of[r];
+                s.rows[r] = 0;
+                s.cols[c] = 0;
+                s.diags[c + p - 1 - r] = false;
+                s.blocks[br * nb + s.block_of[c]] = false;
+                s.block_rows[br] = false;
+            }
         }
-        stats.nnz = seen as u64;
-        clean.then_some(stats)
+        stats
     }
 
     /// The counters the walked path would read off this tile encoded in
@@ -295,9 +326,9 @@ impl Hasher for ClassHasher {
 
 /// The structural counts of every non-zero tile of one matrix, measured
 /// once and priced for any format and backend: a table of the distinct
-/// [`TileStats`] values, in order of first appearance, and per tile, in
-/// grid order, its grid coordinates and the id of its class. No tile is
-/// ever built.
+/// [`TileStats`] values, in order of first appearance, with the number of
+/// tiles in each, and per tile, in grid order, its grid coordinates and
+/// the id of its class. No tile is ever built.
 ///
 /// Built by [`Session::measure`](crate::Session::measure) from the
 /// matrix's [`RowPattern`], and consumed by
@@ -310,20 +341,26 @@ pub struct GridStats {
     b: usize,
     /// Distinct tile statistics.
     classes: Vec<TileStats>,
-    /// Every non-zero tile, in grid order: its grid coordinates and the
-    /// index of its class in `classes`.
-    tiles: Vec<((usize, usize), usize)>,
+    /// Tiles per class, indexed as `classes`.
+    counts: Vec<u64>,
+    /// Every non-zero tile's grid coordinates, in grid order. A pattern's
+    /// dimensions fit `u32`, so its grid coordinates do.
+    at: Vec<(u32, u32)>,
+    /// Every non-zero tile's index in `classes`, in grid order: apart
+    /// from `at`, so the balance sum of a run reads only the ids.
+    class_of: Vec<usize>,
 }
 
 impl GridStats {
     /// Measures every tile of a matrix's [`RowPattern`] at the configured
     /// partition and block size, as the tiles arrive in grid order. The
-    /// tile list is sized once for the most tiles there can be (one per
+    /// tile lists are sized once for the most tiles there can be (one per
     /// entry, and one per grid cell) and trimmed at the end: as many
     /// allocations for ten tiles as for a million.
     ///
     /// A pattern holds no duplicate coordinate, no explicit zero and no
-    /// entry outside its tile, so every tile measures.
+    /// entry outside its tile, so its tiles are counted without
+    /// [`TileStats::measure`]'s check.
     pub(crate) fn measure(
         pattern: &RowPattern,
         cfg: &HwConfig,
@@ -335,27 +372,33 @@ impl GridStats {
         let mut ids: HashMap<TileStats, usize, BuildHasherDefault<ClassHasher>> =
             HashMap::default();
         let mut classes = Vec::new();
-        let mut tiles = Vec::with_capacity(pattern.nnz().min(cells));
+        let mut counts = Vec::new();
+        let most = pattern.nnz().min(cells);
+        let (mut at, mut class_of) = (Vec::with_capacity(most), Vec::with_capacity(most));
         pattern.tiles(p, |grid_row, grid_col, run| {
             let (row0, col0) = (grid_row * p, grid_col * p);
             let local = run
                 .iter()
-                .map(move |&(r, c)| Triplet::new(r as usize - row0, c as usize - col0, 1.0));
-            let Some(stats) = TileStats::measure_local(local, cfg, scratch) else {
-                unreachable!("a row pattern's tile holds no repeat, zero or stray entry");
-            };
+                .map(move |&(r, c)| (r as usize - row0, c as usize - col0));
+            let stats = TileStats::count(local, cfg, scratch);
             let class = *ids.entry(stats).or_insert_with(|| {
                 classes.push(stats);
+                counts.push(0);
                 classes.len() - 1
             });
-            tiles.push(((grid_row, grid_col), class));
+            counts[class] += 1;
+            at.push((grid_row as u32, grid_col as u32));
+            class_of.push(class);
         })?;
-        tiles.shrink_to_fit();
+        at.shrink_to_fit();
+        class_of.shrink_to_fit();
         Ok(GridStats {
             p,
             b: cfg.bcsr_block,
             classes,
-            tiles,
+            counts,
+            at,
+            class_of,
         })
     }
 
@@ -364,15 +407,26 @@ impl GridStats {
         &self.classes
     }
 
-    /// Number of non-zero tiles measured.
-    pub fn tiles(&self) -> usize {
-        self.tiles.len()
+    /// Tiles per class, indexed as [`GridStats::classes`].
+    pub(crate) fn class_counts(&self) -> &[u64] {
+        &self.counts
     }
 
-    /// Per tile in grid order: its grid coordinates and the index of its
-    /// class in [`GridStats::classes`].
-    pub(crate) fn classed_tiles(&self) -> &[((usize, usize), usize)] {
-        &self.tiles
+    /// Number of non-zero tiles measured.
+    pub fn tiles(&self) -> usize {
+        self.class_of.len()
+    }
+
+    /// Per tile in grid order: the index of its class in
+    /// [`GridStats::classes`].
+    pub(crate) fn class_of(&self) -> &[usize] {
+        &self.class_of
+    }
+
+    /// The grid coordinates of the tile at `idx` in grid order.
+    pub(crate) fn grid_coords(&self, idx: usize) -> (usize, usize) {
+        let (row, col) = self.at[idx];
+        (row as usize, col as usize)
     }
 
     /// Checks that these stats were measured under `cfg`'s partition and
