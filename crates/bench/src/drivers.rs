@@ -184,20 +184,15 @@ pub fn run(cmd: &str, args: Vec<String>) -> i32 {
             0
         }
         "fig14" => figure!(fig14),
-        "partition_sweep" => {
-            let sweep = ex::ext_partition_sweep::sweep(&cli.cfg);
-            extension(
-                &cli,
-                "partition_sweep",
-                sweep.manifest(&cli.cfg, "figure=partition_sweep"),
-                |runner, instruments| {
-                    let ms = sweep.run_on(runner, &cli.cfg, instruments)?;
-                    Ok(ex::ext_partition_sweep::rows(&sweep, &ms))
-                },
-                ex::ext_partition_sweep::render,
-            )
-        }
-        "compound" => extension(
+        "partition_sweep" => figure(
+            &cli,
+            "partition_sweep",
+            ex::ext_partition_sweep::sweep(&cli.cfg),
+            ex::ext_partition_sweep::rows,
+            ex::ext_partition_sweep::render,
+            |_| {},
+        ),
+        "compound" => command(
             &cli,
             "compound",
             ex::ext_compound_scheme::manifest(&cli.cfg),
@@ -205,8 +200,9 @@ pub fn run(cmd: &str, args: Vec<String>) -> i32 {
                 ex::ext_compound_scheme::run_per_codec(runner, &cli.cfg, instruments)
             },
             ex::ext_compound_scheme::render,
+            |_| {},
         ),
-        "backend_split" => extension(
+        "backend_split" => command(
             &cli,
             "backend_split",
             ex::ext_backend_split::manifest(&cli.cfg),
@@ -214,7 +210,14 @@ pub fn run(cmd: &str, args: Vec<String>) -> i32 {
                 ex::ext_backend_split::run_per_backend(runner, &cli.cfg, instruments)
             },
             ex::ext_backend_split::render,
+            |_| {},
         ),
+        // These write no files (`ablation` prints several tables, which no
+        // one `<out>/<name>.tsv` holds), so an `--out` would go unheeded.
+        "ablation" | "scaling" | "explain" if cli.out_dir.is_some() => {
+            eprintln!("{cmd} writes no files and takes no --out");
+            2
+        }
         "ablation" => ablation(&cli),
         "scaling" => scaling(&cli),
         "explain" => explain(&cli),
@@ -228,9 +231,8 @@ pub fn run(cmd: &str, args: Vec<String>) -> i32 {
     }
 }
 
-/// The common shape of the per-figure commands: run the figure's sweep on
-/// a fresh runner, read the rows off it with `view`, emit the table,
-/// optionally chart, write the telemetry.
+/// The common shape of the per-figure commands and `partition_sweep`: run
+/// the sweep on a fresh runner and read the rows off it with `view`.
 fn figure<R>(
     cli: &Cli,
     name: &str,
@@ -240,10 +242,26 @@ fn figure<R>(
     chart: impl FnOnce(&[R]),
 ) -> i32 {
     let manifest = sweep.manifest(&cli.cfg, &format!("figure={name}"));
+    let rows = |runner: &CampaignRunner, instruments: &mut Instruments<'_>| {
+        Ok(view(&sweep, &sweep.run_on(runner, &cli.cfg, instruments)?))
+    };
+    command(cli, name, manifest, rows, render, chart)
+}
+
+/// The common shape of the campaign commands: `rows` runs the experiment on
+/// a fresh runner; emit the table (also to `<out>/<name>.tsv`), optionally
+/// chart it, and write the telemetry.
+fn command<R>(
+    cli: &Cli,
+    name: &str,
+    manifest: RunManifest,
+    rows: impl FnOnce(&CampaignRunner, &mut Instruments<'_>) -> Result<Vec<R>, CampaignError>,
+    render: impl FnOnce(&[R]) -> String,
+    chart: impl FnOnce(&[R]),
+) -> i32 {
     let mut telemetry = cli.telemetry();
-    match sweep.run_on(&cli.runner(), &cli.cfg, &mut telemetry.instruments()) {
-        Ok(ms) => {
-            let rows = view(&sweep, &ms);
+    match rows(&cli.runner(), &mut telemetry.instruments()) {
+        Ok(rows) => {
             emit_named(cli, name, &render(&rows));
             if cli.chart {
                 chart(&rows);
@@ -254,30 +272,14 @@ fn figure<R>(
     telemetry.finish(manifest)
 }
 
-/// The common shape of the beyond-paper commands: `rows` runs the
-/// experiment on a fresh runner; the table also goes to `<out>/<name>.tsv`.
-fn extension<R>(
-    cli: &Cli,
-    name: &str,
-    manifest: RunManifest,
-    rows: impl FnOnce(&CampaignRunner, &mut Instruments<'_>) -> Result<Vec<R>, CampaignError>,
-    render: impl FnOnce(&[R]) -> String,
-) -> i32 {
-    let mut telemetry = cli.telemetry();
-    match rows(&cli.runner(), &mut telemetry.instruments()) {
-        Ok(rows) => emit_named(cli, name, &render(&rows)),
-        Err(e) => telemetry.record_error(name, &e),
-    }
-    telemetry.finish(manifest)
-}
-
 /// `repro_all` — regenerates every table and figure of the paper in one
-/// run, printing each with a heading.
+/// run, printing each with a heading. After Table 1 and Fig 3 it runs one
+/// campaign, the shared Fig 7 sweep, and reads every figure off it.
 ///
-/// Fault tolerance: under `--keep-going` a failed figure is reported and
-/// skipped (and the shared campaign keeps its surviving cells for the
-/// aggregate figures); otherwise the first failure ends the run. Either
-/// way failed cells reach the manifest and the process exits nonzero.
+/// Fault tolerance: under `--keep-going` a p=16 figure that lost a cell is
+/// named on stderr and skipped, and the aggregate figures cover the
+/// surviving cells; otherwise the first failure ends the run. Either way
+/// failed cells reach the manifest and the process exits nonzero.
 fn repro_all(cli: &Cli) -> i32 {
     fn section(title: &str) {
         println!("\n=== {title} ===");
@@ -285,92 +287,47 @@ fn repro_all(cli: &Cli) -> i32 {
 
     let mut telemetry = cli.telemetry();
     let cfg = &cli.cfg;
-    // Figs 7, 8, 9, 12 and 14 all read this one campaign; it also names
-    // the run in the manifest.
+    // Every cell of every campaign figure is a cell of this sweep; it also
+    // names the run in the manifest.
     let shared = ex::fig07::sweep(cfg);
     let manifest = || shared.manifest(cfg, "binary=repro_all (trace covers all figures)");
-    // One runner for the whole reproduction: figures that revisit the same
-    // (workload, partition size, format) cell — e.g. the p=16 row shared by
-    // Figs 4-12 and the full campaign — are measured exactly once, and the
-    // runner's workload cache generates/tiles each suite matrix exactly
-    // once across all of them.
+    // One runner for the whole reproduction, so its workload cache
+    // generates and tiles each matrix once for Fig 3 and the campaign.
     let runner = cli.runner();
     let started = std::time::Instant::now();
-
-    // Runs one fallible figure step. A failure is recorded for the manifest
-    // and the end-of-run summary; without --keep-going it ends the run.
-    macro_rules! step {
-        ($name:expr, $result:expr) => {
-            match $result.map_err(CampaignError::from) {
-                Ok(v) => Some(v),
-                Err(e) => {
-                    telemetry.record_error($name, &e);
-                    if !cli.keep_going {
-                        return telemetry.finish(manifest());
-                    }
-                    None
-                }
-            }
-        };
-    }
 
     section("Table 1: SuiteSparse workloads");
     emit_named(cli, "table1", &ex::table1::render());
 
     section("Fig 3: partition density & locality");
-    if let Some(rows) = step!(
-        "fig03",
-        ex::fig03::run_on(&runner, cfg, &mut telemetry.instruments())
-    ) {
-        emit_named(cli, "fig03", &ex::fig03::render(&rows));
-    }
-
-    // Runs one per-workload figure on its own sweep through the shared
-    // runner and emits the table its view reads off the measurements.
-    macro_rules! figure {
-        ($title:expr, $fig:ident) => {
-            section($title);
-            let sweep = ex::$fig::sweep(cfg);
-            if let Some(ms) = step!(
-                stringify!($fig),
-                sweep.run_on(&runner, cfg, &mut telemetry.instruments())
-            ) {
-                let rows = ex::$fig::rows(&sweep, &ms);
-                emit_named(cli, stringify!($fig), &ex::$fig::render(&rows));
+    match ex::fig03::run_on(&runner, cfg, &mut telemetry.instruments()) {
+        Ok(rows) => emit_named(cli, "fig03", &ex::fig03::render(&rows)),
+        Err(e) => {
+            telemetry.record_error("fig03", &e.into());
+            if !cli.keep_going {
+                return telemetry.finish(manifest());
             }
-        };
-    }
-    figure!("Fig 4: decompression overhead (SuiteSparse, p=16)", fig04);
-    figure!(
-        "Fig 5: decompression overhead vs density (random, p=16)",
-        fig05
-    );
-    figure!("Fig 6: decompression overhead vs band width (p=16)", fig06);
-    figure!("Fig 10: bandwidth utilization vs density (p=16)", fig10);
-    figure!("Fig 11: bandwidth utilization vs band width (p=16)", fig11);
-
-    // Figs 7, 8, 9, 12 and 14 all consume the same workload × format ×
-    // partition-size campaign; run it once and aggregate. The fault-aware
-    // entry point keeps the surviving cells under --keep-going, so the
-    // aggregates below still cover every cell that could be measured.
-    eprintln!("[repro_all] running the shared full campaign ...");
-    let outcome = step!(
-        "campaign",
-        runner.run_campaign(
-            &shared.workloads,
-            &shared.formats,
-            &shared.partition_sizes,
-            cfg,
-            &mut telemetry.instruments(),
-        )
-    );
-    let campaign = match outcome {
-        Some(outcome) => {
-            telemetry.record_failures(&outcome.failures);
-            outcome.measurements
         }
-        None => Vec::new(),
+    }
+
+    // Under --keep-going the campaign finishes the grid and reports its
+    // failed cells beside the surviving ones, which the figures below read.
+    eprintln!("[repro_all] running the shared full campaign ...");
+    let outcome = match runner.run_campaign(
+        &shared.workloads,
+        &shared.formats,
+        &shared.partition_sizes,
+        cfg,
+        &mut telemetry.instruments(),
+    ) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            telemetry.record_error("campaign", &e);
+            return telemetry.finish(manifest());
+        }
     };
+    telemetry.record_failures(&outcome.failures);
+    let campaign = outcome.measurements;
 
     if let Some(dir) = &cli.out_dir {
         // One object holding both halves of the outcome, so a clean run and
@@ -395,27 +352,43 @@ fn repro_all(cli: &Cli) -> i32 {
         }
     }
 
-    // Reads one figure off the shared campaign.
-    macro_rules! shared {
-        ($title:expr, $fig:ident) => {
-            section($title);
+    // Reads one figure off the campaign. A figure of the shared sweep
+    // aggregates whatever cells it holds; a p=16 figure reads its own
+    // sweep's cells out of it and is skipped when one is missing.
+    macro_rules! view {
+        ($fig:ident, shared) => {
             let rows = ex::$fig::rows(&shared, &campaign);
             emit_named(cli, stringify!($fig), &ex::$fig::render(&rows));
         };
+        ($fig:ident) => {
+            let sweep = ex::$fig::sweep(cfg);
+            match sweep.cells_in(&campaign) {
+                Ok(ms) => {
+                    let rows = ex::$fig::rows(&sweep, &ms);
+                    emit_named(cli, stringify!($fig), &ex::$fig::render(&rows));
+                }
+                Err(missing) => eprintln!("[repro_all] skipping {}: {missing}", stringify!($fig)),
+            }
+        };
     }
-    shared!(
-        "Fig 7: mean decompression overhead per class and partition size",
-        fig07
-    );
-
-    shared!("Fig 8: memory vs compute latency (balance ratio)", fig08);
-
-    shared!("Fig 9: throughput vs latency", fig09);
-
-    shared!(
-        "Fig 12: mean bandwidth utilization per class and partition size",
-        fig12
-    );
+    section("Fig 4: decompression overhead (SuiteSparse, p=16)");
+    view!(fig04);
+    section("Fig 5: decompression overhead vs density (random, p=16)");
+    view!(fig05);
+    section("Fig 6: decompression overhead vs band width (p=16)");
+    view!(fig06);
+    section("Fig 10: bandwidth utilization vs density (p=16)");
+    view!(fig10);
+    section("Fig 11: bandwidth utilization vs band width (p=16)");
+    view!(fig11);
+    section("Fig 7: mean decompression overhead per class and partition size");
+    view!(fig07, shared);
+    section("Fig 8: memory vs compute latency (balance ratio)");
+    view!(fig08, shared);
+    section("Fig 9: throughput vs latency");
+    view!(fig09, shared);
+    section("Fig 12: mean bandwidth utilization per class and partition size");
+    view!(fig12, shared);
 
     section("Table 2: FPGA resources & dynamic power");
     emit_named(
@@ -431,7 +404,8 @@ fn repro_all(cli: &Cli) -> i32 {
         &ex::fig13::render(&ex::fig13::run(&[8, 16, 32])),
     );
 
-    shared!("Fig 14: normalized six-metric summary", fig14);
+    section("Fig 14: normalized six-metric summary");
+    view!(fig14, shared);
 
     section("Section 8 insights, verified against this campaign");
     emit_named(
@@ -448,7 +422,7 @@ fn repro_all(cli: &Cli) -> i32 {
         runner.resumed_cells(),
     );
     // One manifest covers the whole reproduction; the trace, metrics and
-    // failure records accumulate across every figure above.
+    // failure records accumulate across Fig 3 and the campaign.
     telemetry.finish(manifest())
 }
 
@@ -692,6 +666,10 @@ mod tests {
         assert_eq!(run("perf", vec!["--iters".to_string(), "0".to_string()]), 2);
         assert_eq!(run("report", vec![]), 2);
         assert_eq!(run("report", vec!["--what".to_string()]), 2);
+        for cmd in ["ablation", "scaling", "explain"] {
+            let out = vec!["--out".to_string(), "no-such-dir".to_string()];
+            assert_eq!(run(cmd, out), 2, "{cmd} must refuse --out");
+        }
     }
 
     #[test]

@@ -112,8 +112,8 @@ fn explain_prints_the_pinned_breakdown() {
 
 #[test]
 fn standalone_figures_print_what_repro_all_writes() {
-    // `repro_all` reads Figs. 7, 8, 9, 12 and 14 off its shared campaign;
-    // each standalone command runs its own sweep. Both must print the same
+    // `repro_all` reads every campaign figure off its one campaign; each
+    // standalone command runs its own sweep. Both must print the same
     // table, and a standalone command's `--out D` must write it to
     // `D/<name>.tsv` as `repro_all` does.
     let dir = std::env::temp_dir().join(format!("copernicus-cli-figures-{}", std::process::id()));

@@ -212,3 +212,56 @@ fn transient_faults_are_retried_through_the_cli_policy() {
         "retry telemetry missing from metrics TSV:\n{tsv}"
     );
 }
+
+#[test]
+fn repro_all_keep_going_skips_only_the_views_missing_the_failed_cell() {
+    // Cell 488 of the shared campaign is the first format of the first
+    // random workload at p=16: (20 suite workloads x 3 sizes + 1) x 8
+    // formats. Figs. 5 and 10 read that cell; Figs. 4 and 6 do not, and the
+    // aggregate figures cover the surviving cells.
+    let dir = scratch_dir("repro-all-keep-going");
+    let manifest_path = dir.join("manifest.json");
+    let out = dir.join("out");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_copernicus-bench"))
+        .args([
+            "repro_all",
+            "--jobs",
+            "2",
+            "--dim",
+            "64",
+            "--suite-dim",
+            "96",
+            "--keep-going",
+            "--max-retries",
+            "0",
+            "--inject-faults",
+            "panic:cell=488",
+        ])
+        .arg("--out")
+        .arg(&out)
+        .arg("--manifest")
+        .arg(&manifest_path)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("run repro_all");
+    assert_eq!(status.code(), Some(1), "a failed cell must exit nonzero");
+    for absent in ["fig05", "fig10"] {
+        assert!(!out.join(format!("{absent}.tsv")).exists(), "{absent}");
+    }
+    for written in ["fig04", "fig06", "fig07", "insights"] {
+        assert!(out.join(format!("{written}.tsv")).exists(), "{written}");
+    }
+
+    let text = std::fs::read_to_string(out.join("measurements.json")).expect("measurements");
+    let doc = serde::json::parse(&text).expect("measurements.json parses");
+    let len = |key: &str| doc.get(key).and_then(serde::Value::as_seq).map(<[_]>::len);
+    assert_eq!(len("measurements"), Some(815));
+    assert_eq!(len("failures"), Some(1));
+    let manifest = RunManifest::from_json(&std::fs::read_to_string(&manifest_path).unwrap())
+        .expect("manifest parses");
+    assert_eq!(manifest.failures.len(), 1);
+    assert_eq!(manifest.failures[0].cell, 488);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -335,5 +335,27 @@ fn repro_all_laps_every_generation_and_every_grid_lookup() {
         count("cache_lookup"),
         metrics_counter(&dir, "cache.grid_hits") + metrics_counter(&dir, "cache.grid_misses")
     );
+
+    // One campaign: every dispatched cell is a distinct measurement, and
+    // the only grid hits are the campaign's lookups of the grids Fig. 3
+    // primed, so no cell is a memo replay.
+    let measurements = serde::json::parse(
+        &std::fs::read_to_string(dir.join("measurements.json")).expect("measurements"),
+    )
+    .expect("measurements.json parses");
+    let cells = measurements
+        .get("measurements")
+        .and_then(Value::as_seq)
+        .map_or(0, <[_]>::len) as u64;
+    assert_eq!(metrics_counter(&dir, "runs"), 816);
+    assert_eq!(metrics_counter(&dir, "runs"), cells);
+    assert_eq!(metrics_counter(&dir, "cache.grid_hits"), 60);
+    assert_eq!(metrics_counter(&dir, "cache.grid_misses"), 102);
+    assert_eq!(metrics_counter(&dir, "cache.matrix_hits"), 68);
+    assert_eq!(metrics_counter(&dir, "cache.matrix_misses"), 34);
+    let progress = check_stream(&dir.join("progress.jsonl"));
+    let last = progress.last().expect("non-empty progress stream");
+    assert_eq!(last.get("total").and_then(Value::as_u64), Some(816));
+    assert_eq!(last.get("cached").and_then(Value::as_u64), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }

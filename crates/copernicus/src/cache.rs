@@ -1,9 +1,9 @@
 //! The campaign-scoped workload cache: each `(workload, seed, cap)` matrix
 //! is generated once and each `(workload, seed, cap, p)` tiling entry is
 //! made once, then shared — across the 8-format sweep of a unit, across the
-//! partition-size axis, and across every overlapping campaign a
-//! [`CampaignRunner`](crate::CampaignRunner) executes (`repro_all`'s
-//! figures re-visit the same suite matrices up to ten times).
+//! partition-size axis, and across every campaign a
+//! [`CampaignRunner`](crate::CampaignRunner) executes (`repro_all`'s Fig. 3
+//! primes the grids its campaign then looks up).
 //!
 //! A tiling entry ([`CachedGrid`]) holds its matrix and builds the
 //! [`PartitionGrid`] only on first use by a run that walks tiles, keeping

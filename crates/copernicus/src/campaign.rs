@@ -39,13 +39,13 @@
 //! # Memoization
 //!
 //! The runner carries a cache keyed on `(workload spec, seed, suite cap,
-//! partition size, format, HwConfig)`. Figure campaigns overlap heavily —
-//! `repro_all`'s shared campaign re-sweeps every cell Figs. 4–6/10/11
-//! already computed — so one runner handed to every figure computes each
-//! overlapping cell exactly once. Cache hits replay the stored
-//! [`Measurement`] without re-running the platform (and therefore without
-//! re-emitting trace spans); hit/miss behavior depends only on the call
-//! sequence, never on `jobs`, so determinism is preserved.
+//! partition size, format, HwConfig)`: campaigns that overlap on one
+//! runner compute each shared cell once, and a resumed campaign reloads
+//! its checkpoint into it (`repro_all` runs one campaign, so it replays
+//! none). Cache hits replay the stored [`Measurement`] without re-running
+//! the platform (and therefore without re-emitting trace spans); hit/miss
+//! behavior depends only on the call sequence, never on `jobs`, so
+//! determinism is preserved.
 //!
 //! Below the cell memo sits the [`WorkloadCache`](crate::cache): cells that
 //! do run share one generated matrix per `(workload, seed, cap)` and one

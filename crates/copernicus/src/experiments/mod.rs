@@ -114,6 +114,29 @@ impl Sweep {
             .with_note(note)
     }
 
+    /// This sweep's cells, in its order, out of `ms`: the measurements of a
+    /// campaign over a sweep that holds them all. A cell is matched on
+    /// workload label, partition size and format.
+    ///
+    /// # Errors
+    ///
+    /// Names the first cell `ms` lacks.
+    pub fn cells_in(&self, ms: &[Measurement]) -> Result<Vec<Measurement>, String> {
+        let mut cells = Vec::new();
+        for label in self.workloads.iter().map(Workload::label) {
+            for &p in &self.partition_sizes {
+                for &f in &self.formats {
+                    let cell = ms
+                        .iter()
+                        .find(|m| m.workload == label && m.partition_size == p && m.format == f);
+                    let missing = || format!("no measurement of {label} at p={p} in {f}");
+                    cells.push(cell.ok_or_else(missing)?.clone());
+                }
+            }
+        }
+        Ok(cells)
+    }
+
     /// Pairs each workload with its measurements, for views that report a
     /// workload's requested parameters rather than the generated matrix's.
     pub(crate) fn by_workload<'a>(
