@@ -415,10 +415,9 @@ fn repro_all(cli: &Cli) -> i32 {
     );
 
     eprintln!(
-        "[repro_all] done in {:.2}s ({} jobs, {} memoized cells, {} resumed)",
+        "[repro_all] done in {:.2}s ({} jobs, {} resumed)",
         started.elapsed().as_secs_f64(),
         runner.jobs(),
-        runner.cached_cells(),
         runner.resumed_cells(),
     );
     // One manifest covers the whole reproduction; the trace, metrics and

@@ -298,8 +298,9 @@ fn metrics_counter(dir: &std::path::Path, name: &str) -> u64 {
 #[test]
 fn repro_all_laps_every_generation_and_every_grid_lookup() {
     // Every figure of `repro_all`, Fig. 3's direct cache lookups included,
-    // laps what it generates and looks up. One worker, so no lost insert
-    // race generates a matrix that the counters score as a hit.
+    // laps what it generates and looks up. The cache is single-flight and
+    // no quick-preset matrix exceeds the entry cap, so each generation is
+    // exactly one counted miss.
     let dir = scratch_dir("repro-all-laps");
     let status = std::process::Command::new(env!("CARGO_BIN_EXE_copernicus-bench"))
         .args([

@@ -14,6 +14,14 @@
 //! workload is measured from one build. A matrix without a pattern is
 //! walked through its grid.
 //!
+//! # Single flight
+//!
+//! A lookup takes the cache's lock once: it finds the tiling entry, or
+//! makes one over the matrix entry it finds or inserts empty. The matrix is
+//! generated outside the lock, on first use of the entry, so concurrent
+//! lookups of one matrix wait for one generation. An entry whose generation
+//! panicked stays empty, and the next use fills it.
+//!
 //! # Determinism
 //!
 //! Workload generation is a pure function of the key, so a cached matrix is
@@ -21,34 +29,36 @@
 //! function of the campaign's unit list — independent of the worker count,
 //! of checkpoint resume, and of fault/retry schedules:
 //!
-//! * the campaign runner performs exactly **one counted grid lookup per
-//!   unit**, at unit start, whether or not the unit's cells are already
-//!   memoized or resumed from a checkpoint; refills after a failed attempt
-//!   use the uncounted variants, so retries repeat work without repeating
-//!   counts;
+//! * the campaign runner performs exactly **one grid lookup per unit**, at
+//!   unit start, whether or not the unit's cells are already memoized or
+//!   resumed from a checkpoint; every attempt at the unit's cells reads
+//!   that lookup's result, so retries repeat work without repeating counts;
 //! * grid keys are unique within one campaign (one unit per `(workload,
 //!   p)`), so the set of grid lookups — and each lookup's hit/miss status,
 //!   which only prior campaigns determine — never depends on scheduling;
-//! * matrix lookups happen exactly once per grid *miss*; when two units of
-//!   the same workload race to generate it, generation runs outside the
-//!   lock and only the thread whose insert wins counts a miss — the loser
-//!   counts the hit it would have scored under the sequential schedule.
+//! * a lookup of a matrix over [`MAX_ENTRY_BYTES`] counts a miss in both
+//!   layers. Any other lookup counts a grid hit when its tiling entry was
+//!   in the map, and otherwise a grid miss plus a matrix hit or miss, by
+//!   whether its matrix was. The first lookup of a key inserts it under
+//!   the lock whichever worker runs it, so the totals are the sequential
+//!   schedule's.
 //!
 //! # Bounds
 //!
-//! Entries larger than [`MAX_ENTRY_BYTES`] are never admitted (they are
-//! rebuilt per lookup, exactly the pre-cache behavior, and each rebuild
-//! counts as a miss). A tiling entry is sized by what it holds: its
-//! matrix, which decides admission (the matrix layer's own cap), and the
-//! grid once built. A built grid over the cap is handed to the unit that
-//! built it and not kept, so each unit that walks it builds it again. A
-//! matrix's row pattern is built lazily, only by a unit that measures, and
-//! counts with its matrix: 8 bytes per row plus 4 per entry, against the
-//! matrix's 24 per entry. It lives and is evicted with its matrix, so an
-//! oversized matrix, never admitted, builds its pattern once per unit. The
-//! resident total — matrices with their patterns, plus the grids kept (an
-//! entry's matrix is the matrix layer's) — is pruned back to
-//! [`BUDGET_BYTES`] at the end of every campaign — on the coordinator
+//! A matrix larger than [`MAX_ENTRY_BYTES`] is not kept. Once generated, it
+//! moves to a map of weak references: later lookups share it while a unit
+//! still holds it through its [`CachedGrid`], and it is freed when its last
+//! holder drops it. Its tiling entries are not kept either. Every other
+//! tiling entry is sized by what it holds: its matrix, which decides
+//! admission (the matrix layer's own cap), and the grid once built. A
+//! built grid over the cap is handed to the unit that built it and not
+//! kept, so each unit that walks it builds it again. A matrix's row
+//! pattern is built lazily, only by a unit that measures, and counts with
+//! its matrix: 8 bytes per row plus 4 per entry, against the matrix's 24
+//! per entry. It lives and is evicted with its matrix. The resident total —
+//! matrices with their patterns, plus the grids kept (an entry's matrix is
+//! the matrix layer's); weakly held matrices carry none — is pruned back
+//! to [`BUDGET_BYTES`] at the end of every campaign — on the coordinator
 //! thread, in descending key order (grids before matrices), so eviction is
 //! deterministic and never perturbs an in-flight unit.
 
@@ -58,37 +68,60 @@ use copernicus_workloads::Workload;
 use sparsemat::{
     check_partition_size, Coo, Matrix, PartitionGrid, RowPattern, SparseError, Triplet,
 };
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-/// Per-entry admission cap: anything larger is rebuilt per lookup instead
-/// of cached (paper-scale dense-ish sweeps would otherwise evict the whole
-/// suite).
+/// Per-entry admission cap: a matrix or grid any larger is not kept
+/// (paper-scale dense-ish sweeps would otherwise evict the whole suite).
 pub const MAX_ENTRY_BYTES: u64 = 32 << 20;
 
 /// Total resident budget the end-of-campaign prune enforces.
 pub const BUDGET_BYTES: u64 = 256 << 20;
 
-/// One generated matrix and, once a unit that prices from structure has
-/// measured it, its [`RowPattern`]: built on first use and shared by every
-/// partition size's tiling entry.
+/// One matrix, generated on first use, and, once a unit that prices from
+/// structure has measured it, its [`RowPattern`]: built on first use and
+/// shared by every partition size's tiling entry.
 #[derive(Debug)]
 struct CachedMatrix {
-    coo: Arc<Coo<f32>>,
-    /// `RowPattern::new(&coo)`, once built (`None` inside: the matrix has
+    workload: Workload,
+    max_dim: usize,
+    seed: u64,
+    /// `workload.generate(max_dim, seed)`, once generated.
+    coo: OnceLock<Coo<f32>>,
+    /// `RowPattern::new(coo)`, once built (`None` inside: the matrix has
     /// no pattern).
     pattern: OnceLock<Option<RowPattern>>,
 }
 
 impl CachedMatrix {
-    fn new(coo: Coo<f32>) -> Self {
+    fn new(workload: Workload, max_dim: usize, seed: u64) -> Self {
         CachedMatrix {
-            coo: Arc::new(coo),
+            workload,
+            max_dim,
+            seed,
+            coo: OnceLock::new(),
             pattern: OnceLock::new(),
         }
+    }
+
+    /// The matrix, generated on first use; concurrent callers wait for
+    /// the one generation. Also the generation's wall time, when this call
+    /// ran it.
+    fn generate(&self) -> (&Coo<f32>, Option<Duration>) {
+        let mut took = None;
+        let coo = self.coo.get_or_init(|| {
+            let start = Instant::now();
+            let coo = self.workload.generate(self.max_dim, self.seed);
+            took = Some(start.elapsed());
+            coo
+        });
+        (coo, took)
+    }
+
+    fn coo(&self) -> &Coo<f32> {
+        self.generate().0
     }
 
     /// The row pattern, built on first use (lapped as
@@ -98,26 +131,24 @@ impl CachedMatrix {
         self.pattern
             .get_or_init(|| {
                 let _lap = profiler.map(|p| p.scope(Phase::Partition));
-                RowPattern::new(&self.coo)
+                RowPattern::new(self.coo())
             })
             .as_ref()
     }
 
-    /// Resident bytes: the triplets, plus the pattern once built.
+    /// Resident bytes: the triplets, plus the pattern once built; 0 while
+    /// the matrix is not generated.
     fn resident_bytes(&self) -> u64 {
         let pattern = self.pattern.get().and_then(Option::as_ref);
-        coo_bytes(&self.coo) + pattern.map_or(0, |p| p.heap_bytes() as u64)
+        self.coo.get().map_or(0, coo_bytes) + pattern.map_or(0, |p| p.heap_bytes() as u64)
     }
 }
 
-/// One `(workload, seed, cap, p)` tiling entry: the generated matrix, the
-/// density every [`Measurement`](crate::Measurement) needs, and the
-/// [`PartitionGrid`], built on first use by a run that walks tiles. Grid
-/// hits skip the matrix layer entirely.
+/// One `(workload, seed, cap, p)` tiling entry: the generated matrix and
+/// the [`PartitionGrid`], built on first use by a run that walks tiles.
+/// Grid hits skip the matrix layer entirely.
 #[derive(Debug)]
 pub struct CachedGrid {
-    /// Density of the generating matrix.
-    pub density: f64,
     matrix: Arc<CachedMatrix>,
     p: usize,
     /// The tiling, once built, when it fits [`MAX_ENTRY_BYTES`].
@@ -127,7 +158,6 @@ pub struct CachedGrid {
 impl CachedGrid {
     fn new(matrix: Arc<CachedMatrix>, p: usize) -> Self {
         CachedGrid {
-            density: matrix.coo.density(),
             matrix,
             p,
             grid: OnceLock::new(),
@@ -136,7 +166,13 @@ impl CachedGrid {
 
     /// The generated matrix.
     pub fn matrix(&self) -> &Coo<f32> {
-        &self.matrix.coo
+        self.matrix.coo()
+    }
+
+    /// Density of the generated matrix, which every
+    /// [`Measurement`](crate::Measurement) records.
+    pub fn density(&self) -> f64 {
+        self.matrix().density()
     }
 
     /// The tiling, built on first use (the build lapped as
@@ -183,11 +219,13 @@ impl CachedGrid {
 pub struct CacheStats {
     /// Matrix lookups served from the cache.
     pub matrix_hits: u64,
-    /// Matrix lookups that generated (first access, lost race, oversized).
+    /// Matrix lookups that generated (first access) or found a matrix over
+    /// the entry cap.
     pub matrix_misses: u64,
     /// Grid lookups served from the cache.
     pub grid_hits: u64,
-    /// Grid lookups that partitioned.
+    /// Grid lookups that made a tiling entry, or found one over the entry
+    /// cap.
     pub grid_misses: u64,
     /// Entries evicted by the end-of-campaign prune.
     pub evictions: u64,
@@ -210,12 +248,46 @@ struct Exported {
     evictions: u64,
 }
 
+/// Both layers' entries, behind one lock.
+#[derive(Debug, Default)]
+struct Entries {
+    grids: BTreeMap<String, Arc<CachedGrid>>,
+    matrices: BTreeMap<String, Arc<CachedMatrix>>,
+    /// Matrices over [`MAX_ENTRY_BYTES`], shared while a unit holds one.
+    held: BTreeMap<String, Weak<CachedMatrix>>,
+}
+
+impl Entries {
+    /// The matrix entry under `key`, kept or still held, and whether it
+    /// was there; otherwise a new one, not yet generated, inserted.
+    fn matrix(
+        &mut self,
+        key: &str,
+        workload: &Workload,
+        max_dim: usize,
+        seed: u64,
+    ) -> (Arc<CachedMatrix>, bool) {
+        let found = self
+            .matrices
+            .get(key)
+            .cloned()
+            .or_else(|| self.held.get(key).and_then(Weak::upgrade));
+        match found {
+            Some(m) => (m, true),
+            None => {
+                let m = Arc::new(CachedMatrix::new(*workload, max_dim, seed));
+                self.matrices.insert(key.to_string(), Arc::clone(&m));
+                (m, false)
+            }
+        }
+    }
+}
+
 /// Thread-safe, bounded matrix + tiling cache. See the [module
 /// docs](self) for the key scheme and the determinism argument.
 #[derive(Debug, Default)]
 pub struct WorkloadCache {
-    matrices: Mutex<BTreeMap<String, Arc<CachedMatrix>>>,
-    grids: Mutex<BTreeMap<String, Arc<CachedGrid>>>,
+    entries: Mutex<Entries>,
     matrix_hits: AtomicU64,
     matrix_misses: AtomicU64,
     grid_hits: AtomicU64,
@@ -230,141 +302,77 @@ impl WorkloadCache {
         WorkloadCache::default()
     }
 
-    /// The matrix layer's lookup: the generated matrix for `workload` under
-    /// `(max_dim, seed)`, shared when cached. Generation happens outside the
-    /// lock; on a lost insert race the winner's copy is returned (identical
-    /// bytes — generation is pure) and the lookup counts as the hit it
-    /// would have been under the sequential schedule. A generation is
-    /// lapped as [`Phase::Generate`] into `profiler`, and its wall time
-    /// added to `generating`.
-    fn matrix_impl(
-        &self,
-        workload: &Workload,
-        max_dim: usize,
-        seed: u64,
-        counted: bool,
-        profiler: Option<&PhaseProfiler>,
-        generating: &mut Duration,
-    ) -> Arc<CachedMatrix> {
-        let count = |c: &AtomicU64| {
-            if counted {
-                c.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        let key = workload.cache_key(max_dim, seed);
-        if let Some(m) = lock_clean(&self.matrices).get(&key) {
-            count(&self.matrix_hits);
-            return Arc::clone(m);
-        }
-        let start = Instant::now();
-        let generated = Arc::new(CachedMatrix::new(workload.generate(max_dim, seed)));
-        let took = start.elapsed();
-        *generating += took;
-        if let Some(profiler) = profiler {
-            profiler.record(Phase::Generate, took.as_secs_f64());
-        }
-        if coo_bytes(&generated.coo) > MAX_ENTRY_BYTES {
-            count(&self.matrix_misses);
-            return generated;
-        }
-        match lock_clean(&self.matrices).entry(key) {
-            Entry::Occupied(e) => {
-                count(&self.matrix_hits);
-                Arc::clone(e.get())
-            }
-            Entry::Vacant(v) => {
-                count(&self.matrix_misses);
-                v.insert(Arc::clone(&generated));
-                generated
-            }
-        }
-    }
-
-    /// The tiling entry of `workload` at partition size `p` (with its
-    /// matrix density), shared when cached. A miss pulls the matrix through
-    /// the matrix layer — so one unit's generation feeds every other
+    /// The tiling entry of `workload` at partition size `p` under
+    /// `(max_dim, seed)`, shared when cached. A miss makes the entry over
+    /// the matrix layer's — so one unit's generation feeds every other
     /// partition size of the same workload — and builds no grid:
-    /// [`CachedGrid::grid`] does, on first use. The entry is admitted when
-    /// its matrix fits [`MAX_ENTRY_BYTES`].
+    /// [`CachedGrid::grid`] does, on first use. See the module docs for
+    /// the single flight, the counters and the entry cap.
     ///
     /// The lookup is lapped into `profiler`: a generation as
-    /// [`Phase::Generate`], the rest of the lookup as
-    /// [`Phase::CacheLookup`], so the two never overlap. With `counted`
-    /// off it touches neither layer's hit/miss counters: the campaign
-    /// runner meters exactly one counted grid lookup per unit, and refills
-    /// after a failed attempt go uncounted so retries never skew the
-    /// counters (which must stay a pure function of the campaign's unit
-    /// list — see the module docs).
+    /// [`Phase::Generate`], the rest of the lookup (waits on another
+    /// lookup's generation included) as [`Phase::CacheLookup`], so the two
+    /// never overlap.
     ///
     /// # Errors
     ///
-    /// Propagates partitioning failures (invalid `p`).
+    /// An invalid `p`, before anything is generated or counted.
     pub(crate) fn lookup(
         &self,
         workload: &Workload,
         p: usize,
         max_dim: usize,
         seed: u64,
-        counted: bool,
         profiler: Option<&PhaseProfiler>,
     ) -> Result<Arc<CachedGrid>, SparseError> {
+        check_partition_size(p)?;
         let start = Instant::now();
-        let mut generating = Duration::ZERO;
-        let entry = self.grid_impl(
-            workload,
-            p,
-            max_dim,
-            seed,
-            counted,
-            profiler,
-            &mut generating,
-        );
-        if let Some(profiler) = profiler {
-            let looking = start.elapsed().saturating_sub(generating);
-            profiler.record(Phase::CacheLookup, looking.as_secs_f64());
-        }
-        entry
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn grid_impl(
-        &self,
-        workload: &Workload,
-        p: usize,
-        max_dim: usize,
-        seed: u64,
-        counted: bool,
-        profiler: Option<&PhaseProfiler>,
-        generating: &mut Duration,
-    ) -> Result<Arc<CachedGrid>, SparseError> {
-        let count = |c: &AtomicU64| {
-            if counted {
-                c.fetch_add(1, Ordering::Relaxed);
+        let key = workload.cache_key(max_dim, seed);
+        let grid_key = format!("{key}|p={p}");
+        let (entry, grid_found, matrix_found) = {
+            let mut entries = lock_clean(&self.entries);
+            match entries.grids.get(&grid_key) {
+                Some(g) => (Arc::clone(g), true, true),
+                None => {
+                    let (matrix, found) = entries.matrix(&key, workload, max_dim, seed);
+                    let g = Arc::new(CachedGrid::new(matrix, p));
+                    entries.grids.insert(grid_key.clone(), Arc::clone(&g));
+                    (g, false, found)
+                }
             }
         };
-        let key = format!("{}|p={p}", workload.cache_key(max_dim, seed));
-        if let Some(g) = lock_clean(&self.grids).get(&key) {
+        let (coo, generating) = entry.matrix.generate();
+        let kept = coo_bytes(coo) <= MAX_ENTRY_BYTES;
+        if !kept {
+            // Keep neither entry; lookups share the matrix only while a
+            // unit holds it.
+            let mut entries = lock_clean(&self.entries);
+            entries.grids.remove(&grid_key);
+            if let Some(m) = entries.matrices.remove(&key) {
+                entries.held.insert(key, Arc::downgrade(&m));
+            }
+        }
+        let count = |c: &AtomicU64| c.fetch_add(1, Ordering::Relaxed);
+        if kept && grid_found {
             count(&self.grid_hits);
-            return Ok(Arc::clone(g));
-        }
-        let matrix = self.matrix_impl(workload, max_dim, seed, counted, profiler, generating);
-        check_partition_size(p)?;
-        let built = Arc::new(CachedGrid::new(matrix, p));
-        if coo_bytes(built.matrix()) > MAX_ENTRY_BYTES {
+        } else {
             count(&self.grid_misses);
-            return Ok(built);
+            count(if kept && matrix_found {
+                &self.matrix_hits
+            } else {
+                &self.matrix_misses
+            });
         }
-        match lock_clean(&self.grids).entry(key) {
-            Entry::Occupied(e) => {
-                count(&self.grid_hits);
-                Ok(Arc::clone(e.get()))
+        if let Some(profiler) = profiler {
+            if let Some(took) = generating {
+                profiler.record(Phase::Generate, took.as_secs_f64());
             }
-            Entry::Vacant(v) => {
-                count(&self.grid_misses);
-                v.insert(Arc::clone(&built));
-                Ok(built)
-            }
+            let looking = start
+                .elapsed()
+                .saturating_sub(generating.unwrap_or_default());
+            profiler.record(Phase::CacheLookup, looking.as_secs_f64());
         }
+        Ok(entry)
     }
 
     /// Counter and occupancy snapshot.
@@ -383,40 +391,28 @@ impl WorkloadCache {
     }
 
     /// Evicts entries — grids first, each layer in descending key order —
-    /// until the resident estimate fits [`BUDGET_BYTES`]. Called by the
-    /// runner on the coordinator thread after each campaign, so eviction
-    /// order (and therefore every later hit/miss) is deterministic.
+    /// until the resident estimate fits [`BUDGET_BYTES`], and forgets the
+    /// weakly held matrices no unit holds any more. Called by the runner
+    /// on the coordinator thread after each campaign, so eviction order
+    /// (and therefore every later hit/miss) is deterministic.
     pub fn prune(&self) {
         let (_, _, mut resident) = self.occupancy();
-        if resident <= BUDGET_BYTES {
-            return;
-        }
+        let mut entries = lock_clean(&self.entries);
+        entries.held.retain(|_, m| m.strong_count() > 0);
         let mut evicted = 0u64;
-        {
-            let mut grids = lock_clean(&self.grids);
-            while resident > BUDGET_BYTES {
-                let Some((key, g)) = grids.last_key_value().map(|(k, g)| (k.clone(), g.clone()))
-                else {
-                    break;
-                };
-                resident = resident.saturating_sub(g.resident_bytes());
-                grids.remove(&key);
-                evicted += 1;
-            }
+        while resident > BUDGET_BYTES {
+            let Some((_, g)) = entries.grids.pop_last() else {
+                break;
+            };
+            resident = resident.saturating_sub(g.resident_bytes());
+            evicted += 1;
         }
-        {
-            let mut matrices = lock_clean(&self.matrices);
-            while resident > BUDGET_BYTES {
-                let Some((key, m)) = matrices
-                    .last_key_value()
-                    .map(|(k, m)| (k.clone(), m.clone()))
-                else {
-                    break;
-                };
-                resident = resident.saturating_sub(m.resident_bytes());
-                matrices.remove(&key);
-                evicted += 1;
-            }
+        while resident > BUDGET_BYTES {
+            let Some((_, m)) = entries.matrices.pop_last() else {
+                break;
+            };
+            resident = resident.saturating_sub(m.resident_bytes());
+            evicted += 1;
         }
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
@@ -445,11 +441,18 @@ impl WorkloadCache {
     }
 
     fn occupancy(&self) -> (usize, usize, u64) {
-        let matrices = lock_clean(&self.matrices);
-        let grids = lock_clean(&self.grids);
-        let bytes = matrices.values().map(|m| m.resident_bytes()).sum::<u64>()
-            + grids.values().map(|g| g.resident_bytes()).sum::<u64>();
-        (matrices.len(), grids.len(), bytes)
+        let entries = lock_clean(&self.entries);
+        let bytes = entries
+            .matrices
+            .values()
+            .map(|m| m.resident_bytes())
+            .sum::<u64>()
+            + entries
+                .grids
+                .values()
+                .map(|g| g.resident_bytes())
+                .sum::<u64>();
+        (entries.matrices.len(), entries.grids.len(), bytes)
     }
 }
 
@@ -480,8 +483,8 @@ mod tests {
         // Two partition sizes of one workload: two tiling entries over one
         // generated matrix.
         let cache = WorkloadCache::new();
-        let a = cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
-        let b = cache.lookup(&w(64, 0.1), 8, 0, 7, true, None).unwrap();
+        let a = cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
+        let b = cache.lookup(&w(64, 0.1), 8, 0, 7, None).unwrap();
         assert!(Arc::ptr_eq(&a.matrix, &b.matrix));
         assert_eq!(*a.matrix(), w(64, 0.1).generate(0, 7));
         let s = cache.stats();
@@ -494,9 +497,7 @@ mod tests {
     fn keys_separate_seed_cap_and_spec() {
         let cache = WorkloadCache::new();
         let lookup = |workload: &Workload, max_dim, seed| {
-            cache
-                .lookup(workload, 16, max_dim, seed, true, None)
-                .unwrap();
+            cache.lookup(workload, 16, max_dim, seed, None).unwrap();
         };
         lookup(&w(64, 0.1), 0, 7);
         lookup(&w(64, 0.1), 0, 8); // seed differs
@@ -512,16 +513,16 @@ mod tests {
     #[test]
     fn grid_hits_skip_the_matrix_layer() {
         let cache = WorkloadCache::new();
-        let g1 = cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
-        let g2 = cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
+        let g1 = cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
+        let g2 = cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
         assert!(Arc::ptr_eq(&g1, &g2));
-        assert_eq!(g1.density, g2.density);
+        assert_eq!(g1.density(), g2.density());
         let s = cache.stats();
         assert_eq!((s.grid_misses, s.grid_hits), (1, 1));
         // The hit never consulted the matrix layer.
         assert_eq!((s.matrix_misses, s.matrix_hits), (1, 0));
         // A second partition size shares the generated matrix.
-        cache.lookup(&w(64, 0.1), 8, 0, 7, true, None).unwrap();
+        cache.lookup(&w(64, 0.1), 8, 0, 7, None).unwrap();
         let s = cache.stats();
         assert_eq!((s.matrix_misses, s.matrix_hits), (1, 1));
         assert_eq!(s.grids, 2);
@@ -530,50 +531,72 @@ mod tests {
     #[test]
     fn cached_grid_is_byte_identical_to_a_fresh_build() {
         let cache = WorkloadCache::new();
-        let cached = cache.lookup(&w(48, 0.2), 16, 0, 3, true, None).unwrap();
+        let cached = cache.lookup(&w(48, 0.2), 16, 0, 3, None).unwrap();
         let matrix = w(48, 0.2).generate(0, 3);
         let fresh = PartitionGrid::new(&matrix, 16).unwrap();
         assert_eq!(*cached.matrix(), matrix);
         assert_eq!(cached.grid(None).unwrap().partitions(), fresh.partitions());
-        assert_eq!(cached.density, matrix.density());
+        assert_eq!(cached.density(), matrix.density());
     }
 
     #[test]
-    fn concurrent_lookups_count_like_the_sequential_schedule() {
-        // 4 threads race the same (workload, p): one miss wins, three hits
-        // — the exact totals a sequential 4-lookup schedule produces.
-        let cache = std::sync::Arc::new(WorkloadCache::new());
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = std::sync::Arc::clone(&cache);
-                scope.spawn(move || cache.lookup(&w(96, 0.05), 16, 0, 9, true, None).unwrap());
-            }
-        });
-        let s = cache.stats();
-        assert_eq!(s.grid_misses + s.grid_hits, 4);
-        assert_eq!(s.grid_misses, 1);
-        assert_eq!(s.matrix_misses, 1);
-        assert_eq!(s.grids, 1);
-    }
-
-    #[test]
-    fn uncounted_lookups_share_entries_but_never_touch_the_counters() {
+    fn concurrent_lookups_share_one_generation() {
+        // 4 threads look one key up at once, on a matrix that takes
+        // milliseconds to generate: one generation, one miss, three hits —
+        // the sequential schedule's totals.
         let cache = WorkloadCache::new();
-        // A cold uncounted lookup generates and inserts silently …
-        let a = cache.lookup(&w(64, 0.1), 16, 0, 7, false, None).unwrap();
+        let profiler = PhaseProfiler::new();
+        let start = std::sync::Barrier::new(4);
+        let entries: Vec<Arc<CachedGrid>> = std::thread::scope(|scope| {
+            let lookups: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache
+                            .lookup(&w(2000, 0.05), 16, 0, 9, Some(&profiler))
+                            .unwrap()
+                    })
+                })
+                .collect();
+            lookups.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])));
+        let laps = profiler.histogram(Phase::Generate).map_or(0, |h| h.count());
+        assert_eq!(laps, 1);
         let s = cache.stats();
-        assert_eq!((s.grid_misses, s.grid_hits), (0, 0));
-        assert_eq!((s.matrix_misses, s.matrix_hits), (0, 0));
+        assert_eq!((s.grid_misses, s.grid_hits), (1, 3));
+        assert_eq!((s.matrix_misses, s.matrix_hits), (1, 0));
         assert_eq!((s.grids, s.matrices), (1, 1));
-        // … a warm one reads the shared entry silently …
-        let b = cache.lookup(&w(64, 0.1), 16, 0, 7, false, None).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().grid_hits, 0);
-        // … and a later counted lookup meters as if it ran the schedule
-        // alone (here: a hit on the silently-inserted entry).
-        cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
+    }
+
+    #[test]
+    fn a_matrix_over_the_entry_cap_is_shared_only_while_held() {
+        // About 1.6M entries, 39 MB of triplets: over the entry cap.
+        let big = Workload::Band {
+            n: 25_000,
+            width: 64,
+        };
+        let cache = WorkloadCache::new();
+        let profiler = PhaseProfiler::new();
+        let laps = || profiler.histogram(Phase::Generate).map_or(0, |h| h.count());
+        let at8 = cache.lookup(&big, 8, 0, 42, Some(&profiler)).unwrap();
+        assert!(coo_bytes(at8.matrix()) > MAX_ENTRY_BYTES);
+        let at16 = cache.lookup(&big, 16, 0, 42, Some(&profiler)).unwrap();
+        assert!(Arc::ptr_eq(&at8.matrix, &at16.matrix));
+        assert_eq!(laps(), 1);
         let s = cache.stats();
-        assert_eq!((s.grid_misses, s.grid_hits), (0, 1));
+        assert_eq!((s.grid_misses, s.grid_hits), (2, 0));
+        assert_eq!((s.matrix_misses, s.matrix_hits), (2, 0));
+        assert_eq!((s.grids, s.matrices, s.resident_bytes), (0, 0, 0));
+        // Once no unit holds it, it is freed, and the next lookup generates
+        // it again.
+        drop((at8, at16));
+        cache.lookup(&big, 8, 0, 42, Some(&profiler)).unwrap();
+        assert_eq!(laps(), 2);
+        assert_eq!(cache.stats().matrix_misses, 3);
+        // The prune forgets the weak references no unit holds.
+        cache.prune();
+        assert!(lock_clean(&cache.entries).held.is_empty());
     }
 
     fn structural(p: usize) -> Session {
@@ -587,7 +610,7 @@ mod tests {
     #[test]
     fn measuring_builds_no_grid() {
         let cache = WorkloadCache::new();
-        let entry = cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
+        let entry = cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
         let unmeasured = cache.stats().resident_bytes;
         let pattern = entry.pattern(None).unwrap();
         let stats = structural(16).measure(pattern).unwrap();
@@ -612,9 +635,9 @@ mod tests {
         let profiler = PhaseProfiler::new();
         let mut resident = 0;
         for p in sparsemat::partition::PAPER_PARTITION_SIZES {
-            looked_up.lookup(&w(64, 0.1), p, 0, 7, true, None).unwrap();
+            looked_up.lookup(&w(64, 0.1), p, 0, 7, None).unwrap();
             let entry = measured
-                .lookup(&w(64, 0.1), p, 0, 7, true, Some(&profiler))
+                .lookup(&w(64, 0.1), p, 0, 7, Some(&profiler))
                 .unwrap();
             if resident == 0 {
                 resident = measured.stats().resident_bytes;
@@ -648,7 +671,7 @@ mod tests {
         // matrix, is admitted; its grid is not.
         let big = w(8000, 0.01);
         let cache = WorkloadCache::new();
-        let entry = cache.lookup(&big, 8, 0, 42, true, None).unwrap();
+        let entry = cache.lookup(&big, 8, 0, 42, None).unwrap();
         let unbuilt = cache.stats().resident_bytes;
         let grid = entry.grid(None).unwrap();
         assert!(grid_bytes(&grid) > MAX_ENTRY_BYTES);
@@ -658,7 +681,7 @@ mod tests {
         // The next lookup is a hit on the admitted entry.
         assert!(Arc::ptr_eq(
             &entry,
-            &cache.lookup(&big, 8, 0, 42, true, None).unwrap()
+            &cache.lookup(&big, 8, 0, 42, None).unwrap()
         ));
         let s = cache.stats();
         assert_eq!((s.grid_misses, s.grid_hits, s.grids), (1, 1, 1));
@@ -668,7 +691,7 @@ mod tests {
     fn prune_evicts_in_descending_key_order_until_budget() {
         let cache = WorkloadCache::new();
         for seed in 0..6 {
-            cache.lookup(&w(64, 0.2), 16, 0, seed, true, None).unwrap();
+            cache.lookup(&w(64, 0.2), 16, 0, seed, None).unwrap();
         }
         // Budget is far above these tiny entries: prune is a no-op.
         cache.prune();
@@ -679,8 +702,8 @@ mod tests {
     #[test]
     fn export_emits_nonzero_deltas_once() {
         let cache = WorkloadCache::new();
-        cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
-        cache.lookup(&w(64, 0.1), 16, 0, 7, true, None).unwrap();
+        cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
+        cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
         let metrics = MetricsRegistry::new();
         cache.export(&metrics);
         assert_eq!(metrics.counter("cache.grid_misses"), 1);

@@ -90,7 +90,7 @@ use copernicus_telemetry::{
     WorkerStats,
 };
 use copernicus_workloads::Workload;
-use sparsemat::{FormatKind, PartitionGrid};
+use sparsemat::{FormatKind, PartitionGrid, SparseError};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufWriter, Write};
@@ -459,25 +459,23 @@ impl CampaignRunner {
         let mut sink = RecordingSink::new();
         let mut cells = Vec::with_capacity(formats.len());
         let mut retries: u64 = 0;
-        // Exactly one *counted* cache lookup per unit, performed whether or
-        // not the cells below are memoized or resumed from a checkpoint:
-        // the hit/miss counters then meter the campaign's unit list itself,
+        // Exactly one cache lookup per unit, performed whether or not the
+        // cells below are memoized or resumed from a checkpoint: the
+        // hit/miss counters then meter the campaign's unit list itself,
         // which keeps metrics.tsv byte-identical across `--jobs` and across
         // interrupted-then-resumed runs. A failure here is not the unit's
-        // failure — `compute_cell` repeats the lookup (uncounted) with full
-        // typed-failure handling per cell. Sessions stay lazy: a fully
-        // memoized unit never builds one.
-        let unit_grid = self
-            .workloads
-            .lookup(
-                workload,
-                p,
-                cfg.suite_max_dim,
-                cfg.seed,
-                true,
-                observers.profiler.as_deref(),
-            )
-            .ok();
+        // failure: every attempt at every cell reads this one result, so
+        // each cell fails with the same typed failure. The unit holds the
+        // entry until it ends, so units of the workload's other partition
+        // sizes that run meanwhile share a matrix the cache does not keep.
+        // Sessions stay lazy: a fully memoized unit never builds one.
+        let unit_grid = self.workloads.lookup(
+            workload,
+            p,
+            cfg.suite_max_dim,
+            cfg.seed,
+            observers.profiler.as_deref(),
+        );
         let mut prepared: Option<Prepared> = None;
         for (fi, &format) in formats.iter().enumerate() {
             let key = cell_key(workload, p, format, cfg, hw);
@@ -499,7 +497,7 @@ impl CampaignRunner {
                             trace,
                             tile_jobs,
                             cell_base + fi,
-                            unit_grid.as_ref(),
+                            &unit_grid,
                             &mut prepared,
                             &mut sink,
                             &mut retries,
@@ -545,7 +543,7 @@ impl CampaignRunner {
         trace: bool,
         tile_jobs: usize,
         cell: usize,
-        unit_grid: Option<&Arc<CachedGrid>>,
+        unit_grid: &Result<Arc<CachedGrid>, SparseError>,
         prepared: &mut Option<Prepared>,
         sink: &mut RecordingSink,
         retries: &mut u64,
@@ -577,21 +575,8 @@ impl CampaignRunner {
                         None => {}
                     }
                     if prepared.is_none() {
-                        // The unit-level lookup already metered this key
-                        // once; reuse its entry, or — after a unit-level
-                        // lookup error — repeat the lookup *uncounted*, so
-                        // neither retries nor error paths skew the counters.
-                        let entry = match unit_grid {
-                            Some(entry) => Arc::clone(entry),
-                            None => self.workloads.lookup(
-                                workload,
-                                p,
-                                cfg.suite_max_dim,
-                                cfg.seed,
-                                false,
-                                observers.profiler.as_deref(),
-                            )?,
-                        };
+                        // The unit's one lookup: its entry, or its error.
+                        let entry = unit_grid.clone()?;
                         let mut session = cfg.session(p)?;
                         session.set_profiler(observers.profiler.clone());
                         session.set_tile_jobs(tile_jobs);
@@ -647,7 +632,7 @@ impl CampaignRunner {
                     Ok(Measurement {
                         workload: workload.label(),
                         class: workload.class(),
-                        density: entry.density,
+                        density: entry.density(),
                         format,
                         partition_size: p,
                         report,
@@ -715,7 +700,7 @@ impl CampaignRunner {
 /// What one `(workload, partition size)` unit prepares once and shares
 /// across its format sweep.
 struct Prepared {
-    /// The cached tiling entry, plus the matrix density.
+    /// The cached tiling entry.
     entry: Arc<CachedGrid>,
     /// The session whose scratch buffers the eight format runs reuse.
     session: Session,
@@ -746,8 +731,8 @@ impl From<PlatformError> for AttemptError {
     }
 }
 
-impl From<sparsemat::SparseError> for AttemptError {
-    fn from(e: sparsemat::SparseError) -> Self {
+impl From<SparseError> for AttemptError {
+    fn from(e: SparseError) -> Self {
         AttemptError::Platform(e.into())
     }
 }
@@ -1243,6 +1228,33 @@ mod tests {
             assert_eq!(failure.retries, 0, "permanent failures never retry");
             assert!(failure.message.contains("invalid hardware config"));
         }
+    }
+
+    #[test]
+    fn a_failed_unit_lookup_fails_every_cell_alike_at_any_job_count() {
+        // p = 0 fails each unit's one cache lookup; every cell reads that
+        // result and fails with the same typed failure, at any job count.
+        let (w, f, _, cfg) = grid();
+        let failures = |jobs| {
+            CampaignRunner::new(jobs)
+                .with_policy(CampaignPolicy::default().with_keep_going())
+                .run_campaign(&w, &f, &[0], &cfg, &mut Instruments::none())
+                .expect("keep-going campaigns complete")
+                .failures
+        };
+        let sequential = failures(1);
+        assert_eq!(sequential.len(), w.len() * f.len());
+        for failure in &sequential {
+            assert_eq!(failure.kind, FailureKind::Input, "{failure}");
+            assert_eq!(failure.message, sequential[0].message);
+            assert_eq!(failure.retries, 0, "permanent failures never retry");
+        }
+        assert!(
+            sequential[0].message.contains("partition size"),
+            "{}",
+            sequential[0]
+        );
+        assert_eq!(failures(4), sequential);
     }
 
     #[test]

@@ -52,14 +52,10 @@ pub fn run_on(
     let mut rows = Vec::new();
     for workload in Workload::paper_suite() {
         for &p in &super::FIGURE_PARTITION_SIZES {
-            let entry = runner.workloads().lookup(
-                &workload,
-                p,
-                cfg.suite_max_dim,
-                cfg.seed,
-                true,
-                profiler,
-            )?;
+            let entry =
+                runner
+                    .workloads()
+                    .lookup(&workload, p, cfg.suite_max_dim, cfg.seed, profiler)?;
             let stats = entry.grid(profiler)?.stats();
             rows.push(Fig03Row {
                 workload: workload.label(),

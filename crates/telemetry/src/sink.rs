@@ -176,10 +176,13 @@ impl ChromeTraceWriter {
         ])
     }
 
-    fn name_process(&mut self, label: &str) {
+    /// Names the trace's one process, which every run shares: each run's
+    /// format and partition size are on its `run_start` instant.
+    fn name_process(&mut self) {
         if !self.process_named {
             self.process_named = true;
-            self.entries.insert(0, Self::meta("process_name", 0, label));
+            self.entries
+                .insert(0, Self::meta("process_name", 0, "copernicus"));
         }
     }
 
@@ -262,7 +265,7 @@ impl TraceSink for ChromeTraceWriter {
                 partitions,
                 partition_size,
             } => {
-                self.name_process(&format!("copernicus {format} (p={partition_size})"));
+                self.name_process();
                 self.instant(
                     "run_start",
                     tid::for_stage(Stage::MemRead),
