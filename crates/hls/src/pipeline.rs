@@ -2,7 +2,7 @@
 //! (decompress + dot-product) → memory-write, pipelined across partitions.
 
 use crate::backend::Backend;
-use crate::{decompress_with, Decompression, EncodeScratch, EncodedPartition, GridStats, HwConfig};
+use crate::{decompress_with, EncodeScratch, EncodedPartition, GridStats, HwConfig};
 use copernicus_telemetry::{
     CancelToken, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
 };
@@ -404,41 +404,6 @@ fn emit_partition_spans<S: TraceSink + ?Sized>(
     }
 }
 
-/// The dot-product engine consuming one decompressed partition, at grid
-/// coordinates `(grid_row, grid_col)`, during SpMV: element-wise multiply
-/// of each contributed row against the operand slice, then the balanced
-/// adder tree (here a sum), accumulated into `y`. Rows or columns hanging
-/// past the true matrix shape (edge tiles are padded to `p×p`) are ignored.
-pub(crate) fn apply_contributions(
-    (grid_row, grid_col): (usize, usize),
-    d: &Decompression,
-    p: usize,
-    x: &[f32],
-    y: &mut [f32],
-) {
-    let row0 = grid_row * p;
-    let col0 = grid_col * p;
-    for (lr, row) in &d.contributions {
-        let gr = row0 + lr;
-        if gr >= y.len() {
-            continue;
-        }
-        let dot: f32 = row
-            .iter()
-            .enumerate()
-            .map(|(lc, &v)| {
-                let gc = col0 + lc;
-                if gc < x.len() {
-                    v * x[gc]
-                } else {
-                    0.0
-                }
-            })
-            .sum();
-        y[gr] += dot;
-    }
-}
-
 /// Result of running the platform with several aggregated compute
 /// instances (§5.1: "Instances of this architecture can be aggregated for
 /// implementing coarse-grain parallelism").
@@ -501,13 +466,12 @@ impl ParallelReport {
     }
 }
 
-/// One walked partition's outcome from a tile worker, reduced in grid
-/// order: its timing and its decompression.
-type TileResult = Result<(PartitionTiming, Decompression), PlatformError>;
+/// One walked partition's outcome, reduced in grid order: its timing and
+/// its SpMV `(global row, dot)` list (empty without an operand).
+type TileResult = Result<(PartitionTiming, Vec<(usize, f32)>), PlatformError>;
 
-/// Reads each walked tile's decompressed rows, with its grid coordinates
-/// (the SpMV path).
-pub(crate) type RowConsumer<'a> = &'a mut dyn FnMut((usize, usize), &Decompression);
+/// The SpMV operand of a walked run and the matrix's row count.
+type Operand<'a> = (&'a [f32], usize);
 
 /// Reads each measured tile's `(index, grid coordinates, timing)`, in grid
 /// order (trace spans, the lane deal).
@@ -570,21 +534,23 @@ impl Run<'_> {
     }
 
     /// A run through the single three-stage pipeline: each walked tile's
-    /// decompression goes to `consume` when there is one (the SpMV path
-    /// applies the row contributions there), its spans to `sink` and its
-    /// timing to the report. A measured run builds its report from the
-    /// class table and visits its tiles only to trace them.
+    /// spans go to `sink` and its timing to the report, and with an SpMV
+    /// `(x, y)` its row dot products are added into `y`, in grid order. A
+    /// measured run builds its report from the class table and visits its
+    /// tiles only to trace them.
     pub(crate) fn pipeline<S>(
         &self,
         tiles: Tiles<'_>,
         format: FormatKind,
         sink: &mut S,
         scratch: &mut EncodeScratch,
-        mut consume: Option<RowConsumer<'_>>,
+        spmv: Option<(&[f32], &mut [f32])>,
     ) -> Result<RunReport, PlatformError>
     where
         S: TraceSink + ?Sized,
     {
+        let operand = spmv.as_ref().map(|(x, y)| (*x, y.len()));
+        let mut y = spmv.map(|(_, y)| y);
         self.record_run_start(sink, tiles, format);
         let mut schedule = SpanScheduler::default();
         let report = match tiles {
@@ -597,15 +563,24 @@ impl Run<'_> {
             }
             Tiles::Grid(grid) => {
                 let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
-                self.for_each_tile(grid, format, sink, scratch, |sink, idx, at, timing, d| {
-                    if let Some(consume) = consume.as_mut() {
-                        consume(at, d);
-                    }
-                    if sink.enabled() {
-                        emit_partition_spans(sink, &mut schedule, idx, at, timing);
-                    }
-                    builder.push(timing);
-                })?;
+                self.for_each_tile(
+                    grid,
+                    format,
+                    operand,
+                    sink,
+                    scratch,
+                    |sink, idx, at, timing, dots| {
+                        if let Some(y) = y.as_deref_mut() {
+                            for &(gr, dot) in dots {
+                                y[gr] += dot;
+                            }
+                        }
+                        if sink.enabled() {
+                            emit_partition_spans(sink, &mut schedule, idx, at, timing);
+                        }
+                        builder.push(timing);
+                    },
+                )?;
                 builder.finish()
             }
         };
@@ -645,7 +620,7 @@ impl Run<'_> {
             Tiles::Grid(grid) => {
                 let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
                 let mut timings = Vec::with_capacity(grid.nonzero_tiles());
-                self.for_each_tile(grid, format, sink, scratch, |_, _, at, timing, _| {
+                self.for_each_tile(grid, format, None, sink, scratch, |_, _, at, timing, _| {
                     builder.push(timing);
                     timings.push((at, *timing));
                 })?;
@@ -724,24 +699,27 @@ impl Run<'_> {
         Ok(builder.finish())
     }
 
-    /// The walked tile loop: processes every tile of `grid` exactly once
-    /// and hands `(sink, index, grid coordinates, timing, decompression)`
-    /// to `each` in grid order, so every observable byte is the same at
-    /// any worker count. One worker processes each tile inline and
-    /// recycles its buffers into `scratch` right away; more workers run
+    /// The walked tile loop: runs [`Run::process_partition`] on every tile
+    /// of `grid` exactly once and hands `(sink, index, grid coordinates,
+    /// timing, dots)` to `each` in grid order, so every observable byte is
+    /// the same at any worker count. `dots` holds the tile's SpMV
+    /// `(global row, dot)` products against `spmv`'s operand (empty
+    /// without one); its buffer goes back to the scratch that filled it.
+    /// One worker processes each tile inline; more workers run
     /// [`Run::process_grid_parallel`] and reduce its slots in grid order.
     /// The cancellation token is polled before every tile in every mode.
     fn for_each_tile<S, F>(
         &self,
         grid: &PartitionGrid<f32>,
         format: FormatKind,
+        spmv: Option<Operand<'_>>,
         sink: &mut S,
         scratch: &mut EncodeScratch,
         mut each: F,
     ) -> Result<(), PlatformError>
     where
         S: TraceSink + ?Sized,
-        F: FnMut(&mut S, usize, (usize, usize), &PartitionTiming, &Decompression),
+        F: FnMut(&mut S, usize, (usize, usize), &PartitionTiming, &[(usize, f32)]),
     {
         let run_start = self.profiler.map(|_| std::time::Instant::now());
         let mut acc = PhaseAcc::new(self.profiler.is_some());
@@ -756,7 +734,7 @@ impl Run<'_> {
                       result: TileResult,
                       recycle: &mut EncodeScratch|
          -> Result<(), PlatformError> {
-            let (timing, d) = result.inspect_err(|e| {
+            let (timing, dots) = result.inspect_err(|e| {
                 if let PlatformError::FunctionalMismatch { format, grid } = e {
                     if sink.enabled() {
                         sink.record(&PipelineEvent::FunctionalMismatch {
@@ -769,13 +747,14 @@ impl Run<'_> {
                     }
                 }
             })?;
-            each(sink, idx, (part.grid_row, part.grid_col), &timing, &d);
-            recycle.recycle_decompression(d);
+            each(sink, idx, (part.grid_row, part.grid_col), &timing, &dots);
+            recycle.give_dots(dots);
             Ok(())
         };
         let parts = grid.partitions();
         if self.tile_jobs > 1 && parts.len() > 1 {
-            let (mut pool, slots) = self.process_grid_parallel(parts, format, scratch, &mut acc);
+            let (mut pool, slots) =
+                self.process_grid_parallel(parts, format, spmv, scratch, &mut acc);
             // Workers claim tiles in grid order, so the first empty slot
             // marks where they stopped on cancellation.
             let reduced = slots.into_iter().enumerate().try_for_each(|(idx, slot)| {
@@ -789,7 +768,7 @@ impl Run<'_> {
                 if self.cancelled() {
                     return Err(PlatformError::Cancelled);
                 }
-                let result = self.process_partition(part, format, scratch, &mut acc);
+                let result = self.process_partition(part, format, spmv, scratch, &mut acc);
                 reduce(sink, &mut each, idx, part, result, scratch)?;
             }
         }
@@ -800,15 +779,18 @@ impl Run<'_> {
     }
 
     /// Encode → decompress → (optional) functional verification → backend
-    /// pricing for one tile; the one place real per-partition work
-    /// happens. All buffers come from (and the encoded structure returns
-    /// to) `scratch`. Phase wall time accumulates into `acc` (a no-op
-    /// unless a profiler is attached); the modeled timing never reads the
-    /// clock.
+    /// pricing → (with an SpMV operand) row dot products for one tile; the
+    /// one place real per-partition work happens, on whichever thread
+    /// claimed the tile. All buffers come from and return to `scratch`, so
+    /// a decompression never leaves it; only the timing and the dot list
+    /// (handed back by the reduce) do. Phase wall time accumulates into
+    /// `acc` (a no-op unless a profiler is attached); the modeled timing
+    /// never reads the clock.
     fn process_partition(
         &self,
         part: &Partition<f32>,
         format: FormatKind,
+        spmv: Option<Operand<'_>>,
         scratch: &mut EncodeScratch,
         acc: &mut PhaseAcc,
     ) -> TileResult {
@@ -834,20 +816,54 @@ impl Run<'_> {
         // against exactly that compute-side surcharge.
         let timing = self.backend.partition_timing(&encoded, &d, self.cfg);
         scratch.recycle_encoded(encoded);
-        Ok((timing, d))
+        // The dot-product engine takes each contributed row as it leaves
+        // the decompressor: the element-wise product with the operand slice,
+        // then the balanced adder tree (here a sum). Rows or columns hanging
+        // past the true matrix shape (edge tiles are padded to `p×p`) are
+        // skipped or read as zero.
+        let mut dots = Vec::new();
+        if let Some((x, nrows)) = spmv {
+            let p = self.cfg.partition_size;
+            let (row0, col0) = (part.grid_row * p, part.grid_col * p);
+            dots = scratch.take_dots();
+            for (lr, row) in &d.contributions {
+                let gr = row0 + lr;
+                if gr >= nrows {
+                    continue;
+                }
+                let dot: f32 = row
+                    .iter()
+                    .enumerate()
+                    .map(|(lc, &v)| {
+                        let gc = col0 + lc;
+                        if gc < x.len() {
+                            v * x[gc]
+                        } else {
+                            0.0
+                        }
+                    })
+                    .sum();
+                dots.push((gr, dot));
+            }
+        }
+        scratch.recycle_decompression(d);
+        Ok((timing, dots))
     }
 
     /// Processes `parts` on up to [`Run::tile_jobs`] scoped worker threads:
     /// one pooled [`EncodeScratch`] per worker, tiles claimed from an
     /// atomic cursor, each worker polling the cancellation token before it
-    /// claims. Returns the worker scratches (for buffer recycling plus
-    /// hand-back) and one `(worker, result)` slot per partition, empty for
+    /// claims and finishing each claimed tile, dot products and buffer
+    /// recycling included, with [`Run::process_partition`]. Returns the
+    /// worker scratches (to take back each slot's dot list, then be handed
+    /// back) and one `(worker, result)` slot per partition, empty for
     /// tiles nobody claimed. Worker phase time folds into `acc` (summed
     /// across workers).
     fn process_grid_parallel(
         &self,
         parts: &[Partition<f32>],
         format: FormatKind,
+        spmv: Option<Operand<'_>>,
         scratch: &mut EncodeScratch,
         acc: &mut PhaseAcc,
     ) -> (Vec<EncodeScratch>, Vec<Option<(usize, TileResult)>>) {
@@ -871,8 +887,13 @@ impl Run<'_> {
                             if idx >= n {
                                 break;
                             }
-                            let result =
-                                self.process_partition(&parts[idx], format, &mut ws, &mut wacc);
+                            let result = self.process_partition(
+                                &parts[idx],
+                                format,
+                                spmv,
+                                &mut ws,
+                                &mut wacc,
+                            );
                             done.push((idx, result));
                         }
                         (ws, wacc, done)

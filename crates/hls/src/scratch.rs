@@ -36,6 +36,10 @@ pub struct EncodeScratch {
     rows: Vec<Vec<f32>>,
     /// Pool of contribution lists for [`Decompression`].
     contribs: Vec<Vec<(usize, Vec<f32>)>>,
+    /// Pool of walked tiles' SpMV `(global row, dot)` lists. Serially one
+    /// list cycles; a tile worker's pool holds one per tile it walked in a
+    /// run, since the lists wait for the grid-order reduce.
+    dots: Vec<Vec<(usize, f32)>>,
     /// COO scatter table (`rows[r]` while the tuple pass runs).
     opt_rows: Vec<Option<Vec<f32>>>,
     /// BCSR per-block-row staging list (holds `b` rows while one block-row
@@ -175,6 +179,22 @@ impl EncodeScratch {
         let mut contribs = self.contribs.pop().unwrap_or_default();
         contribs.clear();
         contribs
+    }
+
+    /// Takes an empty `(global row, dot)` list for one tile's SpMV dot
+    /// products.
+    pub(crate) fn take_dots(&mut self) -> Vec<(usize, f32)> {
+        let mut dots = self.dots.pop().unwrap_or_default();
+        dots.clear();
+        dots
+    }
+
+    /// Returns a tile's dot list once its products have reached `y`; an
+    /// unallocated list (a run without SpMV) is not pooled.
+    pub(crate) fn give_dots(&mut self, dots: Vec<(usize, f32)>) {
+        if dots.capacity() > 0 {
+            self.dots.push(dots);
+        }
     }
 
     /// Takes the COO scatter table, cleared and sized to `p` empty slots.

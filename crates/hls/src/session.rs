@@ -24,7 +24,7 @@
 //! assert!(report.total_cycles > 0);
 //! ```
 
-use crate::pipeline::{apply_contributions, Run, Tiles};
+use crate::pipeline::{Run, Tiles};
 use crate::{
     backend_for, EncodeScratch, GridStats, HwConfig, ParallelReport, PlatformError, RunReport,
 };
@@ -137,7 +137,10 @@ impl<'a> RunRequest<'a> {
 
     /// Feeds each decompressed partition to the dot-product engine against
     /// operand `x`, producing `y = A·x` in [`RunOutcome::y`]. The same
-    /// encode+decompress pass feeds both the timing report and the product.
+    /// encode+decompress pass feeds both the timing report and the product:
+    /// each tile's row dot products are taken on the thread that
+    /// decompressed it, and added into `y` in grid order, so `y` is the same
+    /// at any tile worker count.
     #[must_use]
     pub fn consume_spmv(mut self, x: &'a [f32]) -> Self {
         self.spmv_x = Some(x);
@@ -384,15 +387,8 @@ impl Session {
                 found: (x.len(), 1),
             }));
         }
-        let p = self.cfg.partition_size;
         let mut y = vec![0.0f32; nrows];
-        let report = run.pipeline(
-            tiles,
-            format,
-            sink,
-            scratch,
-            Some(&mut |at, d| apply_contributions(at, d, p, x, &mut y)),
-        )?;
+        let report = run.pipeline(tiles, format, sink, scratch, Some((x, &mut y)))?;
         Ok(RunOutcome {
             report,
             y: Some(y),

@@ -3,7 +3,8 @@
 //! encode → codec → decompress → verify — or, with verification and the
 //! codec off, through encode → decompress alone, or over a measured
 //! matrix's class table — performs **zero** steady-state heap allocations
-//! per tile; measuring a matrix allocates per matrix, not per tile. A counting global allocator meters the runs; any
+//! per tile; an SpMV run allocates only its product vector; measuring a
+//! matrix allocates per matrix, not per tile. A counting global allocator meters the runs; any
 //! new allocation in the per-tile loops (a fresh `Vec`, a `format!`, a map
 //! rebuild) fails this test before it can show up as a throughput cliff.
 
@@ -148,6 +149,41 @@ fn warm_structural_sessions_run_allocation_free_per_tile() {
             (small_allocs, large_allocs),
             (0, 0),
             "{kind}: warm structural runs allocated"
+        );
+    }
+}
+
+#[test]
+fn warm_spmv_sessions_allocate_only_the_product() {
+    // A serial SpMV run walks every tile with verification on and takes
+    // each tile's row dot products into a pooled list: once warm, a run
+    // allocates its `y` and nothing per tile, so 9 and 36 tiles cost the
+    // same.
+    let cfg = HwConfig::default();
+    let small = matrix(48);
+    let large = matrix(96);
+    let small_grid = PartitionGrid::new(&small, cfg.partition_size).unwrap();
+    let large_grid = PartitionGrid::new(&large, cfg.partition_size).unwrap();
+    let x: Vec<f32> = (0..96).map(|i| (i % 7) as f32 - 3.0).collect();
+    let (small_x, large_x) = (&x[..48], &x[..]);
+
+    for kind in FormatKind::CHARACTERIZED {
+        let mut session = Session::new(cfg.clone()).unwrap();
+        let mut spmv = |grid: &PartitionGrid<f32>, x: &[f32]| {
+            session
+                .run(RunRequest::grid(grid, kind).consume_spmv(x))
+                .unwrap()
+        };
+        for _ in 0..2 {
+            spmv(&small_grid, small_x);
+            spmv(&large_grid, large_x);
+        }
+        let (small_allocs, _) = count_allocs(|| spmv(&small_grid, small_x));
+        let (large_allocs, _) = count_allocs(|| spmv(&large_grid, large_x));
+        assert_eq!(
+            (small_allocs, large_allocs),
+            (1, 1),
+            "{kind}: a warm SpMV run should allocate only its y vector"
         );
     }
 }

@@ -72,6 +72,65 @@ fn spmv_vectors_identical_under_tile_parallelism() {
     }
 }
 
+/// A 50×37 matrix over 16-wide tiles: a 4×3 grid whose last tile row
+/// (rows 48–49) and last tile column (columns 32–36) are partial, so the
+/// decompressed edge tiles carry padded rows and columns the SpMV must skip.
+fn edge_matrix() -> Coo<f32> {
+    let mut coo = Coo::new(50, 37);
+    for i in 0..50usize {
+        coo.push(i, i % 37, 1.0 + 0.5 * i as f32).unwrap();
+        if i % 3 == 0 {
+            coo.push(i, (5 * i + 2) % 37, -0.75).unwrap();
+        }
+    }
+    for (r, c, v) in [
+        (48, 36, 4.0),
+        (49, 0, -2.5),
+        (49, 33, 1.25),
+        (2, 35, 3.0),
+        (17, 32, -1.5),
+    ] {
+        coo.push(r, c, v).unwrap();
+    }
+    coo
+}
+
+#[test]
+fn spmv_edge_tiles_identical_under_tile_parallelism() {
+    let m = edge_matrix();
+    let x: Vec<f32> = (0..m.ncols()).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
+    let reference = m.spmv(&x).unwrap();
+    let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut serial = Session::new(HwConfig::default()).unwrap();
+    for kind in FormatKind::CHARACTERIZED {
+        let base = serial
+            .run(RunRequest::matrix(&m, kind).consume_spmv(&x))
+            .unwrap();
+        let y = base.y.as_deref().unwrap();
+        assert_eq!(y.len(), 50, "{kind}");
+        assert!(
+            y.iter()
+                .zip(&reference)
+                .all(|(a, b)| (a - b).abs() <= 1e-3 * (1.0 + b.abs())),
+            "{kind} SpMV disagrees with Matrix::spmv"
+        );
+        for jobs in [1usize, 2, 3, 8] {
+            let mut par = Session::new(HwConfig::default())
+                .unwrap()
+                .with_tile_jobs(jobs);
+            let tiled = par
+                .run(RunRequest::matrix(&m, kind).consume_spmv(&x))
+                .unwrap();
+            assert_eq!(
+                bits(y),
+                bits(tiled.y.as_deref().unwrap()),
+                "{kind} SpMV bits diverged at tile_jobs={jobs}"
+            );
+            assert_eq!(base.report, tiled.report, "{kind} at tile_jobs={jobs}");
+        }
+    }
+}
+
 #[test]
 fn lane_scaling_reports_identical_under_tile_parallelism() {
     let m = matrix();
