@@ -28,7 +28,13 @@
 //! form would be larger than the structural form are transferred raw
 //! (`coded_bytes == bytes`), so second-stage coding never inflates a
 //! transfer; the cost model charges entropy-decode cycles only for streams
-//! that actually shipped coded.
+//! that actually shipped coded. That store-raw escape lives in
+//! [`Codec::transfer_len`], which the encode path calls to price a stream:
+//! RLE and delta-varint encode and measure, while Huffman computes its
+//! coded length from the byte histogram (the bitstream's length is the sum
+//! of the merge weights), so the walked path writes no Huffman bitstream.
+//! `encode_bytes`/`decode_bytes` remain the wire-format oracle that
+//! `transfer_len` must match exactly.
 
 use std::fmt;
 use std::str::FromStr;
@@ -165,6 +171,21 @@ pub trait Codec: Sync {
 
     /// The second-stage decoder cost model.
     fn cost_model(&self) -> CodecCost;
+
+    /// Bytes of `src` that cross the bus: `min(src.len(), coded length)`,
+    /// or `src.len()` when [`Codec::encode_bytes`] rejects the stream —
+    /// the store-raw escape, in one place.
+    ///
+    /// The default encodes into `scratch` and measures the result; a codec
+    /// whose coded length has a closed form overrides it, and must agree
+    /// with this default exactly (property-tested).
+    fn transfer_len(&self, src: &[u8], scratch: &mut Vec<u8>) -> u64 {
+        let raw = src.len() as u64;
+        match self.encode_bytes(src, scratch) {
+            Ok(()) => raw.min(scratch.len() as u64),
+            Err(_) => raw,
+        }
+    }
 }
 
 /// The codec registry: the static dispatch table mapping a [`CodecKind`] to
@@ -363,6 +384,76 @@ pub struct Huffman;
 /// 255 internal nodes.
 const MAX_NODES: usize = 511;
 
+/// Bytes of Huffman's wire header: the `u32` length plus the 256
+/// code-length bytes.
+const HEADER_BYTES: u64 = 4 + 256;
+
+/// The byte histogram of `src`. Four independent sub-histograms keep the
+/// count chains out of each other's way; u64 adds commute, so the merged
+/// counts are exact.
+fn histogram(src: &[u8]) -> [u64; 256] {
+    let mut lanes = [[0u64; 256]; 4];
+    let mut chunks = src.chunks_exact(4);
+    for quad in chunks.by_ref() {
+        lanes[0][quad[0] as usize] += 1;
+        lanes[1][quad[1] as usize] += 1;
+        lanes[2][quad[2] as usize] += 1;
+        lanes[3][quad[3] as usize] += 1;
+    }
+    for &b in chunks.remainder() {
+        lanes[0][b as usize] += 1;
+    }
+    let mut counts = [0u64; 256];
+    for (i, c) in counts.iter_mut().enumerate() {
+        *c = lanes[0][i] + lanes[1][i] + lanes[2][i] + lanes[3][i];
+    }
+    counts
+}
+
+/// Bits of the Huffman bitstream for `counts`, `Σ count × code length`,
+/// without building the code. Every Huffman tree of a histogram has the
+/// same weighted path length, and it equals the sum of the internal-node
+/// weights of any merge order, so a two-queue merge over the sorted
+/// counts (leaves ascending, merged nodes created in ascending order)
+/// sums them in O(k log k). A lone symbol gets [`code_lengths`]' 1-bit
+/// code; an empty histogram codes to nothing.
+fn coded_bits(counts: &[u64; 256]) -> u64 {
+    let mut leaves = [0u64; 256];
+    let mut k = 0;
+    for &c in counts {
+        if c > 0 {
+            leaves[k] = c;
+            k += 1;
+        }
+    }
+    match k {
+        0 => return 0,
+        1 => return leaves[0],
+        _ => {}
+    }
+    let leaves = &mut leaves[..k];
+    leaves.sort_unstable();
+    let mut merged = [0u64; 255];
+    let (mut li, mut mi, mut mlen) = (0, 0, 0);
+    let mut bits = 0u64;
+    for _ in 1..k {
+        let mut pop = || {
+            if mi == mlen || (li < k && leaves[li] <= merged[mi]) {
+                li += 1;
+                leaves[li - 1]
+            } else {
+                mi += 1;
+                merged[mi - 1]
+            }
+        };
+        let w = pop() + pop();
+        merged[mlen] = w;
+        mlen += 1;
+        bits += w;
+    }
+    bits
+}
+
 /// Width of the primary decode lookup table in bits (capped by the actual
 /// maximum code length). 11 bits covers every code of the characterized
 /// stream histograms while keeping the table at 2 KiB of `u16`s.
@@ -505,24 +596,7 @@ impl Codec for Huffman {
             ));
         }
         out.extend_from_slice(&(src.len() as u32).to_le_bytes());
-        // Four independent sub-histograms keep the count chains out of each
-        // other's way; u64 adds commute, so the merged counts are exact.
-        let mut lanes = [[0u64; 256]; 4];
-        let mut chunks = src.chunks_exact(4);
-        for quad in chunks.by_ref() {
-            lanes[0][quad[0] as usize] += 1;
-            lanes[1][quad[1] as usize] += 1;
-            lanes[2][quad[2] as usize] += 1;
-            lanes[3][quad[3] as usize] += 1;
-        }
-        for &b in chunks.remainder() {
-            lanes[0][b as usize] += 1;
-        }
-        let mut counts = [0u64; 256];
-        for (i, c) in counts.iter_mut().enumerate() {
-            *c = lanes[0][i] + lanes[1][i] + lanes[2][i] + lanes[3][i];
-        }
-        let lengths = code_lengths(&counts);
+        let lengths = code_lengths(&histogram(src));
         out.extend_from_slice(&lengths);
         let mut codes = [(0u8, 0u64, 0u8); 256];
         let ncodes = canonical_codes_into(&lengths, &mut codes);
@@ -645,6 +719,19 @@ impl Codec for Huffman {
             setup_cycles: 64,
             cycles_per_byte: 2,
         }
+    }
+
+    /// The coded length from the histogram alone: `260 + ⌈bits/8⌉`, where
+    /// `bits = Σ count × code length` is the sum of the merge weights.
+    /// Every code is at least one bit long, so a stream of `n` bytes codes
+    /// to at least `260 + ⌈n/8⌉` bytes and one of 298 bytes or fewer never
+    /// shrinks.
+    fn transfer_len(&self, src: &[u8], _scratch: &mut Vec<u8>) -> u64 {
+        let n = src.len() as u64;
+        if HEADER_BYTES + n.div_ceil(8) >= n || src.len() > u32::MAX as usize {
+            return n;
+        }
+        n.min(HEADER_BYTES + coded_bits(&histogram(src)).div_ceil(8))
     }
 }
 
@@ -854,6 +941,81 @@ mod tests {
                 "case {case}"
             );
         }
+    }
+
+    /// `Σ count × code length` over the code `code_lengths` builds.
+    fn weighted_code_bits(counts: &[u64; 256]) -> u64 {
+        let lengths = code_lengths(counts);
+        counts
+            .iter()
+            .zip(lengths)
+            .map(|(&c, l)| c * u64::from(l))
+            .sum()
+    }
+
+    #[test]
+    fn closed_form_bits_equal_the_weighted_code_lengths() {
+        // Random histograms: sparse and dense alphabets, tiny counts full of
+        // ties and wide ones up to ~1M per symbol.
+        let mut state = 0x9E3779B97F4A7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for case in 0..500u64 {
+            let mut counts = [0u64; 256];
+            let symbols = 1 + (case as usize * 13) % 256;
+            let range = [3, 17, 1000, 1 << 20][case as usize % 4];
+            for c in counts.iter_mut().take(symbols) {
+                *c = next() % range;
+            }
+            assert_eq!(
+                coded_bits(&counts),
+                weighted_code_bits(&counts),
+                "case {case}"
+            );
+        }
+        // Edge histograms: empty, one symbol (a 1-bit code), two symbols.
+        let mut counts = [0u64; 256];
+        assert_eq!(coded_bits(&counts), 0);
+        counts[200] = 77;
+        assert_eq!(coded_bits(&counts), 77);
+        assert_eq!(coded_bits(&counts), weighted_code_bits(&counts));
+        counts[3] = 5;
+        assert_eq!(coded_bits(&counts), 82);
+        // Fibonacci counts: codes deeper than the primary decode table.
+        let mut counts = [0u64; 256];
+        let (mut a, mut b) = (1u64, 1u64);
+        for c in counts.iter_mut().take(40) {
+            *c = a;
+            (a, b) = (b, a + b);
+        }
+        assert!(code_lengths(&counts)
+            .iter()
+            .any(|&l| l as usize > PRIMARY_BITS));
+        assert_eq!(coded_bits(&counts), weighted_code_bits(&counts));
+    }
+
+    #[test]
+    fn huffman_transfer_len_matches_the_encoder_at_the_store_raw_bound() {
+        // n <= 298 never shrinks (260 + ⌈n/8⌉ >= n); from 299 on a
+        // one-symbol stream does.
+        for n in [0usize, 1, 8, 290, 297, 298, 299, 300, 310] {
+            for src in [vec![0u8; n], (0..n).map(|i| (i * 7) as u8).collect()] {
+                let mut coded = Vec::new();
+                Huffman.encode_bytes(&src, &mut coded).expect("encodes");
+                let expect = n.min(coded.len()) as u64;
+                assert_eq!(
+                    Huffman.transfer_len(&src, &mut Vec::new()),
+                    expect,
+                    "n = {n}"
+                );
+            }
+        }
+        assert_eq!(Huffman.transfer_len(&[0u8; 298], &mut Vec::new()), 298);
+        assert_eq!(Huffman.transfer_len(&[0u8; 299], &mut Vec::new()), 298);
     }
 
     #[test]

@@ -301,7 +301,7 @@ fn lil(m: &sparsemat::Lil<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> 
 /// ELL (Listing 5): the copy loop is *fully unrolled* over the partitioned
 /// slot arrays, so each row decompresses in one cycle regardless of its
 /// width — §5.2: "reducing ELL_MAX_COMP_ROW_LENGTH in the ELL
-/// implementation [...] only impact[s] the resource utilization of FPGA,
+/// implementation [...] only impact\[s\] the resource utilization of FPGA,
 /// not the performance." All-zero rows cannot be skipped, and each row's
 /// dot product runs on the dedicated narrow (width-6) compute path, which
 /// is why ELL's compute cost is exactly `p` issues independent of the

@@ -225,9 +225,10 @@ impl EncodedPartition {
             }
         };
 
-        // Second stage: run each stream's serialized bytes through the
-        // configured codec. Streams whose coded form is no smaller ship raw
-        // (`coded_bytes == bytes`), so the second stage never inflates a
+        // Second stage: price each stream's serialized bytes under the
+        // configured codec. `transfer_len` ships a stream raw
+        // (`coded_bytes == bytes`) when its coded form is no smaller or the
+        // codec cannot represent it, so the second stage never inflates a
         // transfer.
         let (payload, coded) = scratch.byte_pools();
         if let Some(codec) = codec_for(cfg.stream_codec) {
@@ -240,11 +241,7 @@ impl EncodedPartition {
                     s.name,
                     matrix.kind()
                 );
-                // A stream the codec cannot represent (e.g. beyond Huffman's
-                // u32 length header) ships raw rather than truncated.
-                if codec.encode_bytes(payload, coded).is_ok() {
-                    s.coded_bytes = s.bytes.min(coded.len() as u64);
-                }
+                s.coded_bytes = codec.transfer_len(payload, coded);
             }
         }
 

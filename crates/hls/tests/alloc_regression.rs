@@ -86,40 +86,42 @@ fn matrix(n: usize) -> Coo<f32> {
 
 #[test]
 fn warm_sessions_run_allocation_free_per_tile() {
-    // Functional verification on (quick preset) and the heaviest
-    // second-stage codec: the measured path is the full
-    // encode → Huffman encode/decode cost model → decompress → verify
-    // chain.
-    let cfg = HwConfig {
-        stream_codec: CodecKind::Huffman,
-        ..HwConfig::default()
-    };
-    assert!(cfg.verify_functional);
+    // Functional verification on (quick preset) under every second-stage
+    // codec: the measured path is the full encode → codec pricing →
+    // decompress → verify chain (RLE and delta-varint encode into the
+    // pooled byte buffer, Huffman prices from the histogram).
     let small = matrix(48); // 3×3 tiles at p=16
     let large = matrix(96); // 6×6 tiles
-    let small_grid = PartitionGrid::new(&small, cfg.partition_size).unwrap();
-    let large_grid = PartitionGrid::new(&large, cfg.partition_size).unwrap();
+    for codec in [CodecKind::Rle, CodecKind::DeltaVarint, CodecKind::Huffman] {
+        let cfg = HwConfig {
+            stream_codec: codec,
+            ..HwConfig::default()
+        };
+        assert!(cfg.verify_functional);
+        let small_grid = PartitionGrid::new(&small, cfg.partition_size).unwrap();
+        let large_grid = PartitionGrid::new(&large, cfg.partition_size).unwrap();
 
-    for kind in FormatKind::CHARACTERIZED {
-        let mut session = Session::new(cfg.clone()).unwrap();
-        // Two warmup passes per grid: the first grows every pool to the
-        // format's working-set size, the second settles reuse order.
-        for _ in 0..2 {
-            session.run(RunRequest::grid(&small_grid, kind)).unwrap();
-            session.run(RunRequest::grid(&large_grid, kind)).unwrap();
+        for kind in FormatKind::CHARACTERIZED {
+            let mut session = Session::new(cfg.clone()).unwrap();
+            // Two warmup passes per grid: the first grows every pool to the
+            // format's working-set size, the second settles reuse order.
+            for _ in 0..2 {
+                session.run(RunRequest::grid(&small_grid, kind)).unwrap();
+                session.run(RunRequest::grid(&large_grid, kind)).unwrap();
+            }
+            let (small_allocs, _) =
+                count_allocs(|| session.run(RunRequest::grid(&small_grid, kind)).unwrap());
+            let (large_allocs, _) =
+                count_allocs(|| session.run(RunRequest::grid(&large_grid, kind)).unwrap());
+            assert_eq!(
+                small_allocs, 0,
+                "{codec}/{kind}: a warm 3×3 run allocated {small_allocs} time(s)"
+            );
+            assert_eq!(
+                large_allocs, 0,
+                "{codec}/{kind}: a warm 6×6 run allocated {large_allocs} time(s)"
+            );
         }
-        let (small_allocs, _) =
-            count_allocs(|| session.run(RunRequest::grid(&small_grid, kind)).unwrap());
-        let (large_allocs, _) =
-            count_allocs(|| session.run(RunRequest::grid(&large_grid, kind)).unwrap());
-        assert_eq!(
-            small_allocs, 0,
-            "{kind}: a warm 3×3 run allocated {small_allocs} time(s)"
-        );
-        assert_eq!(
-            large_allocs, 0,
-            "{kind}: a warm 6×6 run allocated {large_allocs} time(s)"
-        );
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property tests for the second-stage stream codecs: round-trip identity
-//! on arbitrary byte streams, and the per-stream byte-accounting invariant
+//! on arbitrary byte streams, `transfer_len` agreeing exactly with the
+//! encoder's store-raw length, and the per-stream byte-accounting invariant
 //! (`coded_bytes <= bytes`, with equality under `CodecKind::None`) for
 //! every codec × characterized format.
 
@@ -40,6 +41,37 @@ fn stream_strategy() -> impl Strategy<Value = Vec<u8>> {
             }
             out
         }),
+    ]
+}
+
+/// Streams up to 4096 bytes whose lengths and histograms probe the priced
+/// length: lengths around Huffman's 298-byte store-raw bound, one repeated
+/// symbol, every byte value, and skewed histograms.
+fn priced_stream_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        stream_strategy(),
+        proptest::collection::vec(0u8..=255, 0..=4096),
+        // 290–310 bytes over alphabets of 1 to 256 symbols.
+        (1u16..=256, 290usize..=310)
+            .prop_flat_map(|(k, n)| { proptest::collection::vec((0..k).prop_map(|s| s as u8), n) }),
+        (0u8..=255, 0usize..=4096).prop_map(|(b, n)| vec![b; n]),
+        // Every byte value, then more bytes cycling from a random start.
+        (0usize..=3840, 0u8..=255).prop_map(|(extra, start)| {
+            (0..256 + extra)
+                .map(|i| (i as u8).wrapping_add(start))
+                .collect()
+        }),
+        // Skewed: symbol `k` appears about twice as often as `k + 1`.
+        (
+            1u32..=16,
+            proptest::collection::vec(0u32..=u32::MAX, 0..=4096)
+        )
+            .prop_map(|(bits, draws)| {
+                draws
+                    .into_iter()
+                    .map(|d| (d % (1 << bits)).leading_zeros() as u8)
+                    .collect()
+            }),
     ]
 }
 
@@ -86,6 +118,27 @@ proptest! {
                     prop_assert_eq!(e.entropy_cycles(&cfg), 0);
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    // Cheap per case, and the agreement is exact, so sample widely.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn transfer_len_is_the_store_raw_encoded_length(src in priced_stream_strategy()) {
+        for kind in CODECS {
+            let codec = codec_for(kind).expect("registered");
+            let mut coded = Vec::new();
+            codec.encode_bytes(&src, &mut coded).expect("encodable");
+            let expect = src.len().min(coded.len()) as u64;
+            let mut scratch = Vec::new();
+            prop_assert_eq!(
+                codec.transfer_len(&src, &mut scratch),
+                expect,
+                "{} on {} bytes", kind, src.len()
+            );
         }
     }
 }
