@@ -5,22 +5,26 @@
 //! [`CampaignRunner`](crate::CampaignRunner) executes (`repro_all`'s Fig. 3
 //! primes the grids its campaign then looks up).
 //!
-//! A tiling entry ([`CachedGrid`]) holds its matrix and builds the
-//! [`PartitionGrid`] only on first use by a run that walks tiles, keeping
-//! it for later units when it fits [`MAX_ENTRY_BYTES`]. A unit that prices
-//! from structure measures the matrix's [`RowPattern`] instead
-//! ([`CachedGrid::pattern`]) and never builds one: the pattern is built on
-//! first use and kept beside the matrix, so every partition size of a
-//! workload is measured from one build. A matrix without a pattern is
-//! walked through its grid.
+//! A cached matrix is made in the form each unit needs. A unit that prices
+//! from structure (verification and codec off) gets only its
+//! [`RowPattern`], generated straight from the workload
+//! ([`Workload::pattern`]) with no triplet list ever made, and measures it
+//! ([`CachedGrid::pattern`]): every partition size of a workload is
+//! measured from that one pattern, and no grid is built. A unit that walks
+//! tiles gets the generated [`Coo`], and its tiling entry ([`CachedGrid`])
+//! builds the [`PartitionGrid`] on first use, keeping it for later units
+//! when it fits [`MAX_ENTRY_BYTES`]. A matrix without a pattern is
+//! generated as a [`Coo`] for structural units too, and walked through its
+//! grid. A matrix asked for in both forms holds both; a pattern asked for
+//! after the matrix was generated is read off it.
 //!
 //! # Single flight
 //!
 //! A lookup takes the cache's lock once: it finds the tiling entry, or
-//! makes one over the matrix entry it finds or inserts empty. The matrix is
-//! generated outside the lock, on first use of the entry, so concurrent
-//! lookups of one matrix wait for one generation. An entry whose generation
-//! panicked stays empty, and the next use fills it.
+//! makes one over the matrix entry it finds or inserts empty. The matrix or
+//! its pattern is generated outside the lock, on first use of the entry,
+//! so concurrent lookups of one matrix wait for one generation. An entry
+//! whose generation panicked stays empty, and the next use fills it.
 //!
 //! # Determinism
 //!
@@ -45,22 +49,24 @@
 //!
 //! # Bounds
 //!
-//! A matrix larger than [`MAX_ENTRY_BYTES`] is not kept. Once generated, it
+//! A lookup is charged and admitted at the size of what it made: a
+//! structural lookup at its pattern's heap bytes (8 per row plus 4 per
+//! entry), any other at its matrix's triplets (24 per entry); so a
+//! matrix over the cap as triplets may be kept as a pattern. A matrix
+//! whose lookup comes out larger than [`MAX_ENTRY_BYTES`] is not kept. It
 //! moves to a map of weak references: later lookups share it while a unit
 //! still holds it through its [`CachedGrid`], and it is freed when its last
 //! holder drops it. Its tiling entries are not kept either. Every other
 //! tiling entry is sized by what it holds: its matrix, which decides
 //! admission (the matrix layer's own cap), and the grid once built. A
 //! built grid over the cap is handed to the unit that built it and not
-//! kept, so each unit that walks it builds it again. A matrix's row
-//! pattern is built lazily, only by a unit that measures, and counts with
-//! its matrix: 8 bytes per row plus 4 per entry, against the matrix's 24
-//! per entry. It lives and is evicted with its matrix. The resident total —
-//! matrices with their patterns, plus the grids kept (an entry's matrix is
-//! the matrix layer's); weakly held matrices carry none — is pruned back
-//! to [`BUDGET_BYTES`] at the end of every campaign — on the coordinator
-//! thread, in descending key order (grids before matrices), so eviction is
-//! deterministic and never perturbs an in-flight unit.
+//! kept, so each unit that walks it builds it again. The resident total —
+//! every matrix's triplets and pattern, whichever it holds, plus the grids
+//! kept (an entry's matrix is the matrix layer's); weakly held matrices
+//! carry none — is pruned back to [`BUDGET_BYTES`] at the end of every
+//! campaign — on the coordinator thread, in descending key order (grids
+//! before matrices), so eviction is deterministic and never perturbs an
+//! in-flight unit.
 
 use crate::campaign::lock_clean;
 use copernicus_telemetry::{MetricsRegistry, Phase, PhaseProfiler};
@@ -80,9 +86,10 @@ pub const MAX_ENTRY_BYTES: u64 = 32 << 20;
 /// Total resident budget the end-of-campaign prune enforces.
 pub const BUDGET_BYTES: u64 = 256 << 20;
 
-/// One matrix, generated on first use, and, once a unit that prices from
-/// structure has measured it, its [`RowPattern`]: built on first use and
-/// shared by every partition size's tiling entry.
+/// One matrix, in the forms its units have asked for, each made on first
+/// use: its [`Coo`], for units that walk tiles, and its [`RowPattern`],
+/// for units that price from structure. A matrix that only units pricing
+/// from structure have asked for holds no triplets.
 #[derive(Debug)]
 struct CachedMatrix {
     workload: Workload,
@@ -90,8 +97,8 @@ struct CachedMatrix {
     seed: u64,
     /// `workload.generate(max_dim, seed)`, once generated.
     coo: OnceLock<Coo<f32>>,
-    /// `RowPattern::new(coo)`, once built (`None` inside: the matrix has
-    /// no pattern).
+    /// `workload.pattern(max_dim, seed)`, once made (`None` inside: the
+    /// matrix has no pattern).
     pattern: OnceLock<Option<RowPattern>>,
 }
 
@@ -124,29 +131,58 @@ impl CachedMatrix {
         self.generate().0
     }
 
-    /// The row pattern, built on first use (lapped as
-    /// [`Phase::Partition`] into `profiler`); concurrent callers wait for
-    /// the one build.
-    fn pattern(&self, profiler: Option<&PhaseProfiler>) -> Option<&RowPattern> {
-        self.pattern
-            .get_or_init(|| {
+    /// The row pattern, made on first use; concurrent callers wait for the
+    /// one making. It is read off the matrix when that is already
+    /// generated (lapped as [`Phase::Partition`] into `profiler`), and
+    /// otherwise generated straight from the workload
+    /// ([`Workload::pattern`]), whose wall time is returned to this call.
+    fn pattern(&self, profiler: Option<&PhaseProfiler>) -> (Option<&RowPattern>, Option<Duration>) {
+        let mut took = None;
+        let pattern = self.pattern.get_or_init(|| match self.coo.get() {
+            Some(coo) => {
                 let _lap = profiler.map(|p| p.scope(Phase::Partition));
-                RowPattern::new(self.coo())
-            })
-            .as_ref()
+                RowPattern::new(coo)
+            }
+            None => {
+                let start = Instant::now();
+                let pattern = self.workload.pattern(self.max_dim, self.seed);
+                took = Some(start.elapsed());
+                pattern
+            }
+        });
+        (pattern.as_ref(), took)
     }
 
-    /// Resident bytes: the triplets, plus the pattern once built; 0 while
-    /// the matrix is not generated.
+    /// What a lookup fills, on first use: the pattern for a unit that
+    /// prices from structure, or the matrix for one that walks (and for a
+    /// unit pricing from structure, when the matrix has no pattern). Also
+    /// the bytes the lookup is charged and admitted at, and the wall time
+    /// this call spent generating.
+    fn fill(&self, structural: bool, profiler: Option<&PhaseProfiler>) -> (u64, Option<Duration>) {
+        let (pattern, made) = if structural {
+            self.pattern(profiler)
+        } else {
+            (None, None)
+        };
+        if let Some(pattern) = pattern {
+            return (pattern.heap_bytes() as u64, made);
+        }
+        let (coo, generated) = self.generate();
+        let took = [made, generated].into_iter().flatten().reduce(|a, b| a + b);
+        (coo_bytes(coo), took)
+    }
+
+    /// Resident bytes: the triplets once generated, plus the pattern once
+    /// made.
     fn resident_bytes(&self) -> u64 {
         let pattern = self.pattern.get().and_then(Option::as_ref);
         self.coo.get().map_or(0, coo_bytes) + pattern.map_or(0, |p| p.heap_bytes() as u64)
     }
 }
 
-/// One `(workload, seed, cap, p)` tiling entry: the generated matrix and
-/// the [`PartitionGrid`], built on first use by a run that walks tiles.
-/// Grid hits skip the matrix layer entirely.
+/// One `(workload, seed, cap, p)` tiling entry: the matrix, and the
+/// [`PartitionGrid`], built on first use by a run that walks tiles. Grid
+/// hits skip the matrix layer entirely.
 #[derive(Debug)]
 pub struct CachedGrid {
     matrix: Arc<CachedMatrix>,
@@ -164,15 +200,20 @@ impl CachedGrid {
         }
     }
 
-    /// The generated matrix.
+    /// The generated matrix, generated on first use.
     pub fn matrix(&self) -> &Coo<f32> {
         self.matrix.coo()
     }
 
-    /// Density of the generated matrix, which every
-    /// [`Measurement`](crate::Measurement) records.
+    /// Density of the matrix, which every
+    /// [`Measurement`](crate::Measurement) records: read off the pattern
+    /// when the matrix has one made, otherwise off the generated matrix.
+    /// The two agree to the bit.
     pub fn density(&self) -> f64 {
-        self.matrix().density()
+        match self.matrix.pattern.get() {
+            Some(Some(pattern)) => pattern.density(),
+            _ => self.matrix().density(),
+        }
     }
 
     /// The tiling, built on first use (the build lapped as
@@ -200,12 +241,13 @@ impl CachedGrid {
     }
 
     /// The matrix's row pattern, which a unit that prices from structure
-    /// measures instead of building the grid: built on first use (lapped
-    /// as [`Phase::Partition`] into `profiler`) and shared with every other
-    /// partition size of the same matrix. `None` when the matrix has no
+    /// measures instead of building the grid, shared with every other
+    /// partition size of the same matrix: the one a structural lookup
+    /// generated, or else read off the generated matrix now (lapped as
+    /// [`Phase::Partition`] into `profiler`). `None` when the matrix has no
     /// pattern, and its units walk the grid.
     pub fn pattern(&self, profiler: Option<&PhaseProfiler>) -> Option<&RowPattern> {
-        self.matrix.pattern(profiler)
+        self.matrix.pattern(profiler).0
     }
 
     /// Resident bytes: the grid if kept. The matrix is the matrix layer's.
@@ -306,8 +348,11 @@ impl WorkloadCache {
     /// `(max_dim, seed)`, shared when cached. A miss makes the entry over
     /// the matrix layer's — so one unit's generation feeds every other
     /// partition size of the same workload — and builds no grid:
-    /// [`CachedGrid::grid`] does, on first use. See the module docs for
-    /// the single flight, the counters and the entry cap.
+    /// [`CachedGrid::grid`] does, on first use. The matrix is filled in
+    /// the form the unit needs: its row pattern alone when the unit prices
+    /// from `structural` data, otherwise (and for a matrix without a
+    /// pattern) its generated triplets. See the module docs for the single
+    /// flight, the counters and the entry cap.
     ///
     /// The lookup is lapped into `profiler`: a generation as
     /// [`Phase::Generate`], the rest of the lookup (waits on another
@@ -323,6 +368,7 @@ impl WorkloadCache {
         p: usize,
         max_dim: usize,
         seed: u64,
+        structural: bool,
         profiler: Option<&PhaseProfiler>,
     ) -> Result<Arc<CachedGrid>, SparseError> {
         check_partition_size(p)?;
@@ -341,8 +387,8 @@ impl WorkloadCache {
                 }
             }
         };
-        let (coo, generating) = entry.matrix.generate();
-        let kept = coo_bytes(coo) <= MAX_ENTRY_BYTES;
+        let (bytes, generating) = entry.matrix.fill(structural, profiler);
+        let kept = bytes <= MAX_ENTRY_BYTES;
         if !kept {
             // Keep neither entry; lookups share the matrix only while a
             // unit holds it.
@@ -474,6 +520,11 @@ mod tests {
     use super::*;
     use copernicus_hls::{HwConfig, Session};
 
+    /// A lookup's `structural` argument: for a unit that walks tiles, or
+    /// for one that prices from structure.
+    const WALK: bool = false;
+    const MEASURE: bool = true;
+
     fn w(n: usize, density: f64) -> Workload {
         Workload::Random { n, density }
     }
@@ -483,8 +534,8 @@ mod tests {
         // Two partition sizes of one workload: two tiling entries over one
         // generated matrix.
         let cache = WorkloadCache::new();
-        let a = cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
-        let b = cache.lookup(&w(64, 0.1), 8, 0, 7, None).unwrap();
+        let a = cache.lookup(&w(64, 0.1), 16, 0, 7, WALK, None).unwrap();
+        let b = cache.lookup(&w(64, 0.1), 8, 0, 7, WALK, None).unwrap();
         assert!(Arc::ptr_eq(&a.matrix, &b.matrix));
         assert_eq!(*a.matrix(), w(64, 0.1).generate(0, 7));
         let s = cache.stats();
@@ -497,7 +548,9 @@ mod tests {
     fn keys_separate_seed_cap_and_spec() {
         let cache = WorkloadCache::new();
         let lookup = |workload: &Workload, max_dim, seed| {
-            cache.lookup(workload, 16, max_dim, seed, None).unwrap();
+            cache
+                .lookup(workload, 16, max_dim, seed, WALK, None)
+                .unwrap();
         };
         lookup(&w(64, 0.1), 0, 7);
         lookup(&w(64, 0.1), 0, 8); // seed differs
@@ -513,8 +566,8 @@ mod tests {
     #[test]
     fn grid_hits_skip_the_matrix_layer() {
         let cache = WorkloadCache::new();
-        let g1 = cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
-        let g2 = cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
+        let g1 = cache.lookup(&w(64, 0.1), 16, 0, 7, WALK, None).unwrap();
+        let g2 = cache.lookup(&w(64, 0.1), 16, 0, 7, WALK, None).unwrap();
         assert!(Arc::ptr_eq(&g1, &g2));
         assert_eq!(g1.density(), g2.density());
         let s = cache.stats();
@@ -522,7 +575,7 @@ mod tests {
         // The hit never consulted the matrix layer.
         assert_eq!((s.matrix_misses, s.matrix_hits), (1, 0));
         // A second partition size shares the generated matrix.
-        cache.lookup(&w(64, 0.1), 8, 0, 7, None).unwrap();
+        cache.lookup(&w(64, 0.1), 8, 0, 7, WALK, None).unwrap();
         let s = cache.stats();
         assert_eq!((s.matrix_misses, s.matrix_hits), (1, 1));
         assert_eq!(s.grids, 2);
@@ -531,7 +584,7 @@ mod tests {
     #[test]
     fn cached_grid_is_byte_identical_to_a_fresh_build() {
         let cache = WorkloadCache::new();
-        let cached = cache.lookup(&w(48, 0.2), 16, 0, 3, None).unwrap();
+        let cached = cache.lookup(&w(48, 0.2), 16, 0, 3, WALK, None).unwrap();
         let matrix = w(48, 0.2).generate(0, 3);
         let fresh = PartitionGrid::new(&matrix, 16).unwrap();
         assert_eq!(*cached.matrix(), matrix);
@@ -553,7 +606,7 @@ mod tests {
                     scope.spawn(|| {
                         start.wait();
                         cache
-                            .lookup(&w(2000, 0.05), 16, 0, 9, Some(&profiler))
+                            .lookup(&w(2000, 0.05), 16, 0, 9, WALK, Some(&profiler))
                             .unwrap()
                     })
                 })
@@ -579,9 +632,11 @@ mod tests {
         let cache = WorkloadCache::new();
         let profiler = PhaseProfiler::new();
         let laps = || profiler.histogram(Phase::Generate).map_or(0, |h| h.count());
-        let at8 = cache.lookup(&big, 8, 0, 42, Some(&profiler)).unwrap();
+        let at8 = cache.lookup(&big, 8, 0, 42, WALK, Some(&profiler)).unwrap();
         assert!(coo_bytes(at8.matrix()) > MAX_ENTRY_BYTES);
-        let at16 = cache.lookup(&big, 16, 0, 42, Some(&profiler)).unwrap();
+        let at16 = cache
+            .lookup(&big, 16, 0, 42, WALK, Some(&profiler))
+            .unwrap();
         assert!(Arc::ptr_eq(&at8.matrix, &at16.matrix));
         assert_eq!(laps(), 1);
         let s = cache.stats();
@@ -591,7 +646,7 @@ mod tests {
         // Once no unit holds it, it is freed, and the next lookup generates
         // it again.
         drop((at8, at16));
-        cache.lookup(&big, 8, 0, 42, Some(&profiler)).unwrap();
+        cache.lookup(&big, 8, 0, 42, WALK, Some(&profiler)).unwrap();
         assert_eq!(laps(), 2);
         assert_eq!(cache.stats().matrix_misses, 3);
         // The prune forgets the weak references no unit holds.
@@ -608,60 +663,134 @@ mod tests {
     }
 
     #[test]
-    fn measuring_builds_no_grid() {
+    fn a_structural_lookup_makes_the_pattern_alone() {
+        // The pattern is made straight from the workload: the cache holds
+        // its bytes and no triplets, and measuring builds no grid.
         let cache = WorkloadCache::new();
-        let entry = cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
-        let unmeasured = cache.stats().resident_bytes;
-        let pattern = entry.pattern(None).unwrap();
+        let profiler = PhaseProfiler::new();
+        let count = |phase| profiler.histogram(phase).map_or(0, |h| h.count());
+        let entry = cache
+            .lookup(&w(64, 0.1), 16, 0, 7, MEASURE, Some(&profiler))
+            .unwrap();
+        let pattern = entry.pattern(Some(&profiler)).unwrap();
+        assert_eq!(Some(pattern), w(64, 0.1).pattern(0, 7).as_ref());
+        assert!(entry.matrix.coo.get().is_none());
+        // The matrix layer holds the pattern; the tiling entry, its header.
+        assert_eq!(entry.matrix.resident_bytes(), pattern.heap_bytes() as u64);
+        assert_eq!(
+            cache.stats().resident_bytes,
+            entry.resident_bytes() + pattern.heap_bytes() as u64
+        );
+        assert_eq!((count(Phase::Generate), count(Phase::Partition)), (1, 0));
         let stats = structural(16).measure(pattern).unwrap();
         assert!(entry.grid.get().is_none());
-        // Measuring keeps the matrix's row pattern, and nothing else.
-        let unbuilt = cache.stats().resident_bytes;
-        assert_eq!(unbuilt, unmeasured + pattern.heap_bytes() as u64);
-        // A walking run builds the grid once; only then is it resident.
-        let grid = entry.grid(None).unwrap();
+        assert_eq!(
+            entry.density().to_bits(),
+            w(64, 0.1).generate(0, 7).density().to_bits()
+        );
+        // A later walking lookup of the key is a hit that gets the
+        // generated matrix; its grid is built once, and both stay.
+        let walked = cache.lookup(&w(64, 0.1), 16, 0, 7, WALK, None).unwrap();
+        assert!(Arc::ptr_eq(&entry, &walked));
+        assert_eq!(*walked.matrix(), w(64, 0.1).generate(0, 7));
+        let grid = walked.grid(None).unwrap();
         assert_eq!(grid.nonzero_tiles(), stats.tiles());
-        assert!(Arc::ptr_eq(&grid, &entry.grid(None).unwrap()));
-        assert!(cache.stats().resident_bytes > unbuilt);
+        assert!(Arc::ptr_eq(&grid, &walked.grid(None).unwrap()));
+        let s = cache.stats();
+        assert_eq!((s.grid_misses, s.grid_hits, s.matrix_misses), (1, 1, 1));
+        assert!(s.resident_bytes > coo_bytes(walked.matrix()) + pattern.heap_bytes() as u64);
     }
 
     #[test]
-    fn partition_sizes_share_one_pattern_build_and_the_counters_hold() {
-        // The three paper partition sizes of one workload: one generation
-        // and one pattern build, whose bytes join the matrix's; lookups
-        // count exactly as they do when nothing is measured.
-        let looked_up = WorkloadCache::new();
+    fn a_pattern_is_read_off_a_matrix_already_generated() {
+        // A walking lookup generated the matrix: a unit that measures
+        // later reads the pattern off it, lapped as a partition build.
+        let cache = WorkloadCache::new();
+        let profiler = PhaseProfiler::new();
+        let count = |phase| profiler.histogram(phase).map_or(0, |h| h.count());
+        let entry = cache
+            .lookup(&w(64, 0.1), 16, 0, 7, WALK, Some(&profiler))
+            .unwrap();
+        let unmeasured = cache.stats().resident_bytes;
+        let pattern = entry.pattern(Some(&profiler)).unwrap();
+        assert_eq!(Some(pattern), RowPattern::new(entry.matrix()).as_ref());
+        assert_eq!((count(Phase::Generate), count(Phase::Partition)), (1, 1));
+        assert_eq!(
+            cache.stats().resident_bytes,
+            unmeasured + pattern.heap_bytes() as u64
+        );
+    }
+
+    #[test]
+    fn partition_sizes_share_one_pattern_and_the_counters_hold() {
+        // The three paper partition sizes of one workload, measured: one
+        // generation, of the pattern alone, and no partition build; the
+        // lookups count exactly as walking ones do.
+        let walked = WorkloadCache::new();
         let measured = WorkloadCache::new();
         let profiler = PhaseProfiler::new();
-        let mut resident = 0;
         for p in sparsemat::partition::PAPER_PARTITION_SIZES {
-            looked_up.lookup(&w(64, 0.1), p, 0, 7, None).unwrap();
+            walked.lookup(&w(64, 0.1), p, 0, 7, WALK, None).unwrap();
             let entry = measured
-                .lookup(&w(64, 0.1), p, 0, 7, Some(&profiler))
+                .lookup(&w(64, 0.1), p, 0, 7, MEASURE, Some(&profiler))
                 .unwrap();
-            if resident == 0 {
-                resident = measured.stats().resident_bytes;
-            }
             let pattern = entry.pattern(Some(&profiler)).unwrap();
             let stats = structural(p).measure(pattern).unwrap();
-            let fresh = RowPattern::new(entry.matrix()).unwrap();
+            let fresh = RowPattern::new(&w(64, 0.1).generate(0, 7)).unwrap();
             assert_eq!(stats, structural(p).measure(&fresh).unwrap());
         }
         let count = |phase| profiler.histogram(phase).map_or(0, |h| h.count());
         assert_eq!(count(Phase::Generate), 1);
-        assert_eq!(count(Phase::Partition), 1);
+        assert_eq!(count(Phase::Partition), 0);
         assert_eq!(count(Phase::CacheLookup), 3);
-        let (a, b) = (looked_up.stats(), measured.stats());
+        let (a, b) = (walked.stats(), measured.stats());
         assert_eq!(
             (a.matrix_hits, a.matrix_misses, a.grid_hits, a.grid_misses),
             (b.matrix_hits, b.matrix_misses, b.grid_hits, b.grid_misses)
         );
         assert_eq!((b.matrix_misses, b.matrix_hits, b.grid_misses), (1, 2, 3));
-        // The pattern is resident with its matrix: 65 row pointers and
-        // one `u32` per entry.
+        // 65 row pointers and one `u32` per entry, against 24 bytes an
+        // entry of triplets.
         let entries = w(64, 0.1).generate(0, 7).nnz() as u64;
-        assert_eq!(b.resident_bytes, a.resident_bytes + 65 * 8 + 4 * entries);
-        assert!(b.resident_bytes > resident);
+        let grids = 3 * std::mem::size_of::<CachedGrid>() as u64;
+        assert_eq!(b.resident_bytes, grids + 65 * 8 + 4 * entries);
+        assert!(a.resident_bytes > grids + 24 * entries);
+    }
+
+    #[test]
+    fn a_matrix_is_admitted_at_the_size_of_what_its_lookup_made() {
+        // 1.6M entries: 39 MB of triplets, over the entry cap, but a
+        // 6.6 MB pattern, which a structural lookup is charged and keeps.
+        let big = Workload::Band {
+            n: 25_000,
+            width: 64,
+        };
+        let cache = WorkloadCache::new();
+        let entry = cache.lookup(&big, 8, 0, 42, MEASURE, None).unwrap();
+        let bytes = entry.pattern(None).unwrap().heap_bytes() as u64;
+        assert!(bytes < MAX_ENTRY_BYTES);
+        cache.lookup(&big, 16, 0, 42, MEASURE, None).unwrap();
+        let s = cache.stats();
+        assert_eq!((s.matrix_misses, s.matrix_hits, s.matrices), (1, 1, 1));
+        let grids = 2 * std::mem::size_of::<CachedGrid>() as u64;
+        assert_eq!(s.resident_bytes, grids + bytes);
+    }
+
+    #[test]
+    fn a_matrix_without_a_pattern_is_generated_once_for_a_structural_lookup() {
+        // 5 entries over 70,000 rows: no pattern, so the lookup generates
+        // the matrix its units walk, in one lap.
+        let sparse = w(70_000, 1e-9);
+        let cache = WorkloadCache::new();
+        let profiler = PhaseProfiler::new();
+        let entry = cache
+            .lookup(&sparse, 16, 0, 7, MEASURE, Some(&profiler))
+            .unwrap();
+        assert!(entry.pattern(Some(&profiler)).is_none());
+        assert_eq!(*entry.matrix(), sparse.generate(0, 7));
+        let laps = profiler.histogram(Phase::Generate).map_or(0, |h| h.count());
+        assert_eq!(laps, 1);
+        assert_eq!(cache.stats().matrix_misses, 1);
     }
 
     #[test]
@@ -671,7 +800,7 @@ mod tests {
         // matrix, is admitted; its grid is not.
         let big = w(8000, 0.01);
         let cache = WorkloadCache::new();
-        let entry = cache.lookup(&big, 8, 0, 42, None).unwrap();
+        let entry = cache.lookup(&big, 8, 0, 42, WALK, None).unwrap();
         let unbuilt = cache.stats().resident_bytes;
         let grid = entry.grid(None).unwrap();
         assert!(grid_bytes(&grid) > MAX_ENTRY_BYTES);
@@ -681,7 +810,7 @@ mod tests {
         // The next lookup is a hit on the admitted entry.
         assert!(Arc::ptr_eq(
             &entry,
-            &cache.lookup(&big, 8, 0, 42, None).unwrap()
+            &cache.lookup(&big, 8, 0, 42, WALK, None).unwrap()
         ));
         let s = cache.stats();
         assert_eq!((s.grid_misses, s.grid_hits, s.grids), (1, 1, 1));
@@ -691,7 +820,7 @@ mod tests {
     fn prune_evicts_in_descending_key_order_until_budget() {
         let cache = WorkloadCache::new();
         for seed in 0..6 {
-            cache.lookup(&w(64, 0.2), 16, 0, seed, None).unwrap();
+            cache.lookup(&w(64, 0.2), 16, 0, seed, WALK, None).unwrap();
         }
         // Budget is far above these tiny entries: prune is a no-op.
         cache.prune();
@@ -702,8 +831,8 @@ mod tests {
     #[test]
     fn export_emits_nonzero_deltas_once() {
         let cache = WorkloadCache::new();
-        cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
-        cache.lookup(&w(64, 0.1), 16, 0, 7, None).unwrap();
+        cache.lookup(&w(64, 0.1), 16, 0, 7, WALK, None).unwrap();
+        cache.lookup(&w(64, 0.1), 16, 0, 7, WALK, None).unwrap();
         let metrics = MetricsRegistry::new();
         cache.export(&metrics);
         assert_eq!(metrics.counter("cache.grid_misses"), 1);

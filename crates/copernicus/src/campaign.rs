@@ -474,6 +474,7 @@ impl CampaignRunner {
             p,
             cfg.suite_max_dim,
             cfg.seed,
+            cfg.hw.prices_from_structure(),
             observers.profiler.as_deref(),
         );
         let mut prepared: Option<Prepared> = None;

@@ -4,7 +4,9 @@
 
 use crate::measure::ExperimentConfig;
 use crate::table::{f3, TextTable};
+use copernicus_telemetry::Phase;
 use copernicus_workloads::Workload;
+use sparsemat::PartitionStats;
 
 /// One bar group of Fig. 3: a workload's statistics at one partition size.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -36,8 +38,11 @@ pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Fig03Row>, sparsemat::SparseErr
 
 /// Like [`run`], served from `runner`'s workload cache: the suite matrices
 /// and tilings measured here are the same objects every later campaign on
-/// that runner sweeps, so `repro_all` generates each exactly once. Each
-/// generation, lookup and grid build is lapped into the instruments'
+/// that runner sweeps, so `repro_all` generates each exactly once. A
+/// configuration that prices from structure reads the statistics off each
+/// matrix's row pattern, as its campaign units measure it, and builds no
+/// grid; one that walks tiles builds the grid its units walk. Each
+/// generation, lookup and tiling is lapped into the instruments'
 /// profiler, like a campaign unit's.
 ///
 /// # Errors
@@ -49,14 +54,25 @@ pub fn run_on(
     instruments: &mut crate::Instruments<'_>,
 ) -> Result<Vec<Fig03Row>, sparsemat::SparseError> {
     let profiler = instruments.profiler.as_deref();
+    let structural = cfg.hw.prices_from_structure();
     let mut rows = Vec::new();
     for workload in Workload::paper_suite() {
         for &p in &super::FIGURE_PARTITION_SIZES {
-            let entry =
-                runner
-                    .workloads()
-                    .lookup(&workload, p, cfg.suite_max_dim, cfg.seed, profiler)?;
-            let stats = entry.grid(profiler)?.stats();
+            let entry = runner.workloads().lookup(
+                &workload,
+                p,
+                cfg.suite_max_dim,
+                cfg.seed,
+                structural,
+                profiler,
+            )?;
+            let stats = match structural.then(|| entry.pattern(profiler)).flatten() {
+                Some(pattern) => {
+                    let _lap = profiler.map(|prof| prof.scope(Phase::Partition));
+                    PartitionStats::of_pattern(pattern, p)?
+                }
+                None => entry.grid(profiler)?.stats(),
+            };
             rows.push(Fig03Row {
                 workload: workload.label(),
                 partition_size: p,

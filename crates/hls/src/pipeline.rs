@@ -684,6 +684,7 @@ impl Run<'_> {
             if cancelled {
                 break;
             }
+            let class = class as usize;
             builder.balance_sum += prices.balances[class];
             if let Some(each) = each.as_mut() {
                 each(idx, stats.grid_coords(idx), &prices.timings[class]);

@@ -348,7 +348,7 @@ pub struct GridStats {
     at: Vec<(u32, u32)>,
     /// Every non-zero tile's index in `classes`, in grid order: apart
     /// from `at`, so the balance sum of a run reads only the ids.
-    class_of: Vec<usize>,
+    class_of: Vec<u32>,
 }
 
 impl GridStats {
@@ -369,8 +369,7 @@ impl GridStats {
         let p = cfg.partition_size;
         let (nrows, ncols) = pattern.shape();
         let cells = nrows.div_ceil(p).saturating_mul(ncols.div_ceil(p));
-        let mut ids: HashMap<TileStats, usize, BuildHasherDefault<ClassHasher>> =
-            HashMap::default();
+        let mut ids: HashMap<TileStats, u32, BuildHasherDefault<ClassHasher>> = HashMap::default();
         let mut classes = Vec::new();
         let mut counts = Vec::new();
         let most = pattern.nnz().min(cells);
@@ -384,9 +383,11 @@ impl GridStats {
             let class = *ids.entry(stats).or_insert_with(|| {
                 classes.push(stats);
                 counts.push(0);
-                classes.len() - 1
+                // Every class keeps its `TileStats`: 2^32 of them would
+                // not fit in memory, so the ids fit `u32`.
+                (classes.len() - 1) as u32
             });
-            counts[class] += 1;
+            counts[class as usize] += 1;
             at.push((grid_row as u32, grid_col as u32));
             class_of.push(class);
         })?;
@@ -419,7 +420,7 @@ impl GridStats {
 
     /// Per tile in grid order: the index of its class in
     /// [`GridStats::classes`].
-    pub(crate) fn class_of(&self) -> &[usize] {
+    pub(crate) fn class_of(&self) -> &[u32] {
         &self.class_of
     }
 

@@ -7,7 +7,7 @@
 //! `p×p` partitions, keeps only the non-zero ones, and computes the Fig.-3
 //! statistics (partition density, non-zero-row density, non-zero-row share).
 
-use crate::{Coo, Matrix, Scalar, SparseError, Triplet};
+use crate::{Coo, Matrix, RowPattern, Scalar, SparseError, Triplet};
 
 /// The partition sizes the paper sweeps ("practical partition sizes of 8,
 /// 16, and 32", §4.2).
@@ -183,10 +183,10 @@ impl<T: Scalar> PartitionGrid<T> {
 /// and, within a run, their input order.
 ///
 /// [`PartitionGrid::from_triplets`] builds a [`Partition`] from each run; a
-/// caller that only reads where the entries are walks a
-/// [`RowPattern`](crate::RowPattern) instead. Scratch beyond `triplets` is
-/// one triplet buffer and `2^11` counters per radix pass (at most six
-/// passes per axis), whatever the matrix's dimensions.
+/// caller that only reads where the entries are walks a [`RowPattern`]
+/// instead. Scratch beyond `triplets` is one triplet buffer and `2^11`
+/// counters per radix pass (at most six passes per axis), whatever the
+/// matrix's dimensions.
 ///
 /// # Errors
 ///
@@ -330,41 +330,74 @@ pub struct PartitionStats {
 impl PartitionStats {
     /// Measures the statistics of a tiled matrix.
     pub fn measure<T: Scalar>(grid: &PartitionGrid<T>) -> Self {
-        let p = grid.size() as f64;
-        let n = grid.nonzero_tiles();
-        if n == 0 {
-            return PartitionStats {
-                partition_density_pct: 0.0,
-                row_density_pct: 0.0,
-                nonzero_row_share_pct: 0.0,
-                nonzero_partitions: 0,
-                nonzero_tile_share: 0.0,
-            };
-        }
-        let mut density_sum = 0.0;
-        let mut row_share_sum = 0.0;
-        let mut row_density_sum = 0.0;
-        let mut row_density_count = 0usize;
+        let mut sums = StatsSums::default();
         for part in grid.partitions() {
-            density_sum += part.nnz() as f64 / (p * p);
-            row_share_sum += part.nonzero_rows() as f64 / p;
-            for count in part.coo.row_counts() {
-                if count > 0 {
-                    row_density_sum += count as f64 / p;
-                    row_density_count += 1;
-                }
-            }
+            sums.add(grid.size() as f64, part.nnz(), &part.coo.row_counts());
         }
+        sums.finish(grid.total_tiles())
+    }
+
+    /// The statistics of `pattern` tiled at `size`, equal to the bit to
+    /// [`PartitionGrid::stats`] on the matrix the pattern was read from:
+    /// the tiles come in the same grid order, and each tile's rows are
+    /// summed in the same row order. No tile is built.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseError::InvalidBlockSize`] when `size == 0`.
+    pub fn of_pattern(pattern: &RowPattern, size: usize) -> Result<Self, SparseError> {
+        let (nrows, ncols) = pattern.shape();
+        let mut sums = StatsSums::default();
+        // A tile's rows past the matrix's last row hold nothing.
+        let mut counts = vec![0usize; size.min(nrows)];
+        pattern.tiles(size, |grid_row, _, run| {
+            counts.fill(0);
+            for &(r, _) in run {
+                counts[r as usize - grid_row * size] += 1;
+            }
+            sums.add(size as f64, run.len(), &counts);
+        })?;
+        Ok(sums.finish(nrows.div_ceil(size) * ncols.div_ceil(size)))
+    }
+}
+
+/// The running sums behind [`PartitionStats`], added to one non-zero tile
+/// at a time in grid order.
+#[derive(Default)]
+struct StatsSums {
+    tiles: usize,
+    density: f64,
+    row_share: f64,
+    row_density: f64,
+    nonzero_rows: usize,
+}
+
+impl StatsSums {
+    /// One non-zero `p × p` tile of `nnz` entries, `row_counts` holding
+    /// its per-row entry counts in row order.
+    fn add(&mut self, p: f64, nnz: usize, row_counts: &[usize]) {
+        let rows = row_counts.iter().filter(|&&count| count > 0).count();
+        self.tiles += 1;
+        self.density += nnz as f64 / (p * p);
+        self.row_share += rows as f64 / p;
+        for &count in row_counts.iter().filter(|&&count| count > 0) {
+            self.row_density += count as f64 / p;
+        }
+        self.nonzero_rows += rows;
+    }
+
+    /// The averages over the tiles added, of a grid of `total_tiles`.
+    fn finish(self, total_tiles: usize) -> PartitionStats {
+        let pct = |sum: f64, n: usize| if n == 0 { 0.0 } else { 100.0 * sum / n as f64 };
         PartitionStats {
-            partition_density_pct: 100.0 * density_sum / n as f64,
-            row_density_pct: if row_density_count == 0 {
-                0.0
-            } else {
-                100.0 * row_density_sum / row_density_count as f64
+            partition_density_pct: pct(self.density, self.tiles),
+            row_density_pct: pct(self.row_density, self.nonzero_rows),
+            nonzero_row_share_pct: pct(self.row_share, self.tiles),
+            nonzero_partitions: self.tiles,
+            nonzero_tile_share: match self.tiles {
+                0 => 0.0,
+                n => n as f64 / total_tiles as f64,
             },
-            nonzero_row_share_pct: 100.0 * row_share_sum / n as f64,
-            nonzero_partitions: n,
-            nonzero_tile_share: n as f64 / grid.total_tiles() as f64,
         }
     }
 }
@@ -522,6 +555,48 @@ mod tests {
         assert!((stats.partition_density_pct - expect).abs() < 1e-12);
         // Non-zero rows: tile (0,0) rows {0,1}; tile (1,1) rows {1,3}.
         assert!((stats.nonzero_row_share_pct - 50.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pattern_stats_equal_the_grid_s_to_the_bit() {
+        // 37 × 29, neither a multiple of any size below: ragged edge tiles,
+        // rows of every length, an empty band, and entries pushed out of
+        // order.
+        let mut coo = Coo::<f32>::new(37, 29);
+        for k in 0..300usize {
+            let (r, c) = ((k * 17 + k / 7) % 37, (k * 11 + k * k) % 29);
+            if !(12..15).contains(&r) && coo.get(r, c) == 0.0 {
+                coo.push(r, c, 1.0 + (k % 5) as f32).unwrap();
+            }
+        }
+        let pattern = RowPattern::new(&coo).unwrap();
+        for size in [1, 3, 8, 16] {
+            let grid = PartitionGrid::new(&coo, size).unwrap().stats();
+            let of_pattern = PartitionStats::of_pattern(&pattern, size).unwrap();
+            let bits = |s: &PartitionStats| {
+                [
+                    s.partition_density_pct,
+                    s.row_density_pct,
+                    s.nonzero_row_share_pct,
+                    s.nonzero_tile_share,
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(bits(&of_pattern), bits(&grid), "size {size}");
+            assert_eq!(of_pattern.nonzero_partitions, grid.nonzero_partitions);
+        }
+        let empty = RowPattern::new(&Coo::<f32>::new(16, 16)).unwrap();
+        let stats = PartitionStats::of_pattern(&empty, 8).unwrap();
+        assert_eq!(
+            stats,
+            PartitionGrid::new(&Coo::<f32>::new(16, 16), 8)
+                .unwrap()
+                .stats()
+        );
+        assert!(matches!(
+            PartitionStats::of_pattern(&pattern, 0),
+            Err(SparseError::InvalidBlockSize { .. })
+        ));
     }
 
     #[test]

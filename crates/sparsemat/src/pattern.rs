@@ -3,20 +3,38 @@
 //!
 //! A [`PartitionGrid`](crate::PartitionGrid) copies and sorts the whole
 //! triplet list for every partition size it tiles. A caller that only reads
-//! where the entries are (the structural measure, which never looks at
-//! values) builds a [`RowPattern`] once instead and walks its tiles at each
-//! size with [`RowPattern::tiles`]: one band of `size` rows at a time, with
-//! scratch bounded by the largest band.
+//! where the entries are (the structural measure and the Fig.-3 statistics,
+//! neither of which looks at values) builds a [`RowPattern`] once instead
+//! and walks its tiles at each size with [`RowPattern::tiles`]: one band of
+//! `size` rows at a time, with scratch bounded by the largest band.
+//!
+//! Every pattern is made by [`RowPattern::from_row_major`] from its cells
+//! in row-major order, which holds the rules a pattern keeps (`u32`
+//! dimensions, no more rows than entries allow, strictly ascending
+//! columns). [`RowPattern::new`] sorts a [`Coo`]'s entries into that order
+//! first; a generator that knows its cells row by row (a band, or a
+//! uniform random matrix read off its placed-cell set) feeds them in
+//! directly, and no triplet list ever exists.
 
 use crate::{check_partition_size, Coo, Matrix, Scalar, SparseError};
 
 /// A pattern keeps one row pointer per row, so a matrix with far more rows
 /// than entries is left to its grid, whose memory does not scale with the
-/// dimensions: [`RowPattern::new`] declines a matrix with more than this
-/// many rows per entry ...
+/// dimensions: [`RowPattern::from_row_major`] declines a matrix with more
+/// than this many rows per entry ...
 const ROWS_PER_ENTRY: usize = 4;
 /// ... plus this allowance, so every small matrix has a pattern.
 const ROWS_ALLOWED: usize = 1 << 12;
+
+/// Whether an `nrows × ncols` matrix of `nnz` entries may have a pattern:
+/// its dimensions fit the `u32` indices and its rows do not outweigh its
+/// entries.
+fn admits(nrows: usize, ncols: usize, nnz: usize) -> bool {
+    let rows_allowed = nnz
+        .saturating_mul(ROWS_PER_ENTRY)
+        .saturating_add(ROWS_ALLOWED);
+    nrows <= rows_allowed && u32::try_from(nrows.max(ncols)).is_ok()
+}
 
 /// The zero-free, row-sorted non-zero pattern of a matrix: row pointers
 /// plus `u32` column indices, with no values.
@@ -32,55 +50,96 @@ pub struct RowPattern {
 
 impl RowPattern {
     /// The pattern of `coo`'s non-zero entries: one counting pass by row,
-    /// then a sort of each row that is not already in column order.
+    /// a sort of each row that is not already in column order, then
+    /// [`RowPattern::from_row_major`] over the sorted cells.
     ///
     /// Returns `None`, leaving the matrix to be walked through its
     /// [`PartitionGrid`](crate::PartitionGrid), when
-    /// - a coordinate repeats after explicit zeros are dropped (a pattern
-    ///   has no values to merge it with);
-    /// - a dimension exceeds `u32::MAX` (the indices are `u32`);
-    /// - the matrix has more than 4 rows per entry beyond the first 4096
-    ///   rows (the row pointers would outweigh the entries);
-    /// - an entry lies outside the shape (which the grid build reports).
+    /// [`RowPattern::from_row_major`] would, or when an entry lies outside
+    /// the shape (which the grid build reports). A repeated coordinate
+    /// (after explicit zeros are dropped) is such a case: a pattern has no
+    /// values to merge it with.
     pub fn new<T: Scalar>(coo: &Coo<T>) -> Option<Self> {
         let (nrows, ncols) = (coo.nrows(), coo.ncols());
-        let rows_allowed = coo
-            .nnz()
-            .saturating_mul(ROWS_PER_ENTRY)
-            .saturating_add(ROWS_ALLOWED);
-        if nrows > rows_allowed || u32::try_from(nrows.max(ncols)).is_err() {
+        let nonzero = || coo.iter().filter(|t| !t.val.is_zero());
+        let nnz = nonzero().count();
+        // Rejected before any per-row memory is allocated.
+        if !admits(nrows, ncols, nnz) {
             return None;
         }
-        // `row_ptr[r + 1]` counts row `r`; the prefix sum turns the counts
+        // `starts[r + 1]` counts row `r`; the prefix sum turns the counts
         // into starts, the scatter advances each start to its row's end,
         // and the shift moves the ends back up to be the next row's start.
-        let mut row_ptr = vec![0usize; nrows + 1];
-        for t in coo.iter() {
+        let mut starts = vec![0usize; nrows + 1];
+        for t in nonzero() {
             if t.row >= nrows || t.col >= ncols {
                 return None;
             }
-            row_ptr[t.row + 1] += usize::from(!t.val.is_zero());
+            starts[t.row + 1] += 1;
         }
         for r in 1..=nrows {
-            row_ptr[r] += row_ptr[r - 1];
+            starts[r] += starts[r - 1];
         }
-        let mut cols = vec![0u32; row_ptr[nrows]];
-        for t in coo.iter().filter(|t| !t.val.is_zero()) {
-            let slot = &mut row_ptr[t.row];
+        let mut cols = vec![0u32; nnz];
+        for t in nonzero() {
+            let slot = &mut starts[t.row];
             cols[*slot] = t.col as u32;
             *slot += 1;
         }
-        row_ptr.copy_within(..nrows, 1);
-        row_ptr[0] = 0;
-        for row in row_ptr.windows(2) {
+        starts.copy_within(..nrows, 1);
+        starts[0] = 0;
+        for row in starts.windows(2) {
             let row = &mut cols[row[0]..row[1]];
             if !row.is_sorted() {
                 row.sort_unstable();
             }
-            if row.windows(2).any(|w| w[0] == w[1]) {
+        }
+        let row = |r: usize| &cols[starts[r]..starts[r + 1]];
+        let cells = (0..nrows).flat_map(|r| row(r).iter().map(move |&c| (r, c as usize)));
+        Self::from_row_major(nrows, ncols, nnz, cells)
+    }
+
+    /// The pattern of `nnz` cells given as `(row, col)` in row-major order:
+    /// the one constructor every builder goes through, a generator that
+    /// emits its matrix row by row included.
+    ///
+    /// Returns `None`, leaving the matrix to be walked through its
+    /// [`PartitionGrid`](crate::PartitionGrid), when
+    /// - a dimension exceeds `u32::MAX` (the indices are `u32`);
+    /// - the matrix has more than 4 rows per entry beyond the first 4096
+    ///   rows (the row pointers would outweigh the entries);
+    /// - the cells are not strictly ascending in row-major order (a
+    ///   repeated coordinate included), a cell lies outside the shape, or
+    ///   `cells` does not yield exactly `nnz` of them.
+    ///
+    /// The first two are decided from the arguments, before anything is
+    /// allocated or `cells` is read.
+    pub fn from_row_major(
+        nrows: usize,
+        ncols: usize,
+        nnz: usize,
+        cells: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Option<Self> {
+        if !admits(nrows, ncols, nnz) {
+            return None;
+        }
+        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        row_ptr.push(0);
+        let mut cols = Vec::with_capacity(nnz);
+        let mut last = None;
+        for (r, c) in cells {
+            if r >= nrows || c >= ncols || cols.len() == nnz || last >= Some((r, c)) {
                 return None;
             }
+            // Rows up to `r` start here, or already started.
+            row_ptr.resize(r + 1, cols.len());
+            cols.push(c as u32);
+            last = Some((r, c));
         }
+        if cols.len() != nnz {
+            return None;
+        }
+        row_ptr.resize(nrows + 1, nnz);
         Some(RowPattern {
             nrows,
             ncols,
@@ -97,6 +156,18 @@ impl RowPattern {
     /// Number of entries.
     pub fn nnz(&self) -> usize {
         self.cols.len()
+    }
+
+    /// Density: `nnz / (nrows · ncols)`, zero for an empty shape; the
+    /// same division as [`Matrix::density`], so a matrix and its pattern
+    /// agree to the bit.
+    pub fn density(&self) -> f64 {
+        let cells = self.nrows * self.ncols;
+        if cells == 0 {
+            0.0
+        } else {
+            self.nnz() as f64 / cells as f64
+        }
     }
 
     /// Heap bytes held: the row pointers and the column indices.
@@ -263,6 +334,39 @@ mod tests {
             pattern.tiles(0, |_, _, _| {}),
             Err(SparseError::InvalidBlockSize { .. })
         ));
+    }
+
+    #[test]
+    fn row_major_cells_build_the_pattern_their_matrix_has() {
+        // Empty rows at the start, between and at the end.
+        let cells = [(1, 0), (1, 4), (3, 2), (3, 3), (4, 1)];
+        let direct = RowPattern::from_row_major(6, 5, cells.len(), cells).unwrap();
+        let triplets = cells.iter().map(|&(r, c)| Triplet::new(r, c, 1.0f32));
+        let coo = Coo::from_triplets(6, 5, triplets.collect()).unwrap();
+        assert_eq!(Some(&direct), RowPattern::new(&coo).as_ref());
+        assert_eq!(direct.density().to_bits(), coo.density().to_bits());
+        assert_eq!(
+            RowPattern::from_row_major(0, 0, 0, []).unwrap().density(),
+            0.0
+        );
+    }
+
+    #[test]
+    fn cells_out_of_order_out_of_shape_or_miscounted_have_no_pattern() {
+        let build = |nnz: usize, cells: &[(usize, usize)]| {
+            RowPattern::from_row_major(4, 4, nnz, cells.iter().copied())
+        };
+        assert!(build(3, &[(0, 1), (0, 2), (2, 0)]).is_some());
+        assert_eq!(build(3, &[(0, 2), (0, 1), (2, 0)]), None, "columns descend");
+        assert_eq!(build(3, &[(0, 1), (0, 1), (2, 0)]), None, "a repeat");
+        assert_eq!(build(3, &[(2, 0), (0, 1), (0, 2)]), None, "rows descend");
+        assert_eq!(build(3, &[(0, 1), (0, 2), (4, 0)]), None, "a stray row");
+        assert_eq!(build(3, &[(0, 1), (0, 2), (2, 4)]), None, "a stray column");
+        assert_eq!(build(2, &[(0, 1), (0, 2), (2, 0)]), None, "too many");
+        assert_eq!(build(4, &[(0, 1), (0, 2), (2, 0)]), None, "too few");
+        // The shape is declined before any cell is read.
+        let unread = std::iter::from_fn(|| -> Option<(usize, usize)> { unreachable!() });
+        assert_eq!(RowPattern::from_row_major(1 << 40, 8, 1, unread), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::nonzero_value;
 use rand::Rng;
-use sparsemat::Coo;
+use sparsemat::{Coo, RowPattern};
 
 /// The matrix size the paper's band experiments use.
 pub const PAPER_SIZE: usize = 8000;
@@ -26,17 +26,39 @@ pub const PAPER_WIDTHS: [usize; 6] = [1, 2, 4, 16, 32, 64];
 /// Panics if `width == 0` (a width-0 band has no cells by the paper's
 /// definition, which would make `nnz = 0`; ask for what you mean instead).
 pub fn band<R: Rng>(n: usize, width: usize, rng: &mut R) -> Coo<f32> {
-    assert!(width > 0, "band width must be positive (1 = diagonal)");
-    let half = width / 2;
+    let half = half_width(width);
     let mut coo = Coo::with_capacity(n, n, n * (2 * half + 1));
     for i in 0..n {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half).min(n.saturating_sub(1));
-        for j in lo..=hi {
+        for j in row_span(n, half, i) {
             coo.push(i, j, nonzero_value(rng)).expect("cell in range");
         }
     }
     coo
+}
+
+/// The pattern of [`band`]`(n, width, _)`, written row by row: a band's
+/// cells do not depend on its values, so no value is drawn and no triplet
+/// is made. `None` where [`RowPattern::from_row_major`] declines the
+/// shape.
+///
+/// # Panics
+///
+/// Panics if `width == 0`, as [`band`] does.
+pub fn band_pattern(n: usize, width: usize) -> Option<RowPattern> {
+    let half = half_width(width);
+    let cells = (0..n).flat_map(|i| row_span(n, half, i).map(move |j| (i, j)));
+    RowPattern::from_row_major(n, n, band_nnz(n, width), cells)
+}
+
+/// `width / 2`, for a positive band width.
+fn half_width(width: usize) -> usize {
+    assert!(width > 0, "band width must be positive (1 = diagonal)");
+    width / 2
+}
+
+/// The columns row `i` of an `n × n` band of half-width `half` fills.
+fn row_span(n: usize, half: usize, i: usize) -> std::ops::RangeInclusive<usize> {
+    i.saturating_sub(half)..=(i + half).min(n.saturating_sub(1))
 }
 
 /// Generates the pure `n × n` diagonal matrix (band width 1).
@@ -49,7 +71,10 @@ pub fn diagonal<R: Rng>(n: usize, rng: &mut R) -> Coo<f32> {
 pub fn band_nnz(n: usize, width: usize) -> usize {
     let half = width / 2;
     (0..n)
-        .map(|i| (i + half).min(n.saturating_sub(1)) - i.saturating_sub(half) + 1)
+        .map(|i| {
+            let span = row_span(n, half, i);
+            span.end() - span.start() + 1
+        })
         .sum()
 }
 
@@ -108,6 +133,25 @@ mod tests {
             .map(|&w| Dia::from(&band(100, w, &mut seeded_rng(4))).bandwidth())
             .collect();
         assert!(widths.windows(2).all(|w| w[0] <= w[1]), "{widths:?}");
+    }
+
+    #[test]
+    fn the_pattern_is_that_of_the_generated_band() {
+        // The diagonal, a tridiagonal, a wide band, and a band wider than
+        // the matrix, which fills it.
+        for (n, width) in [(40, 1), (40, 2), (200, 64), (20, 100)] {
+            let direct = band_pattern(n, width).unwrap();
+            let coo = band(n, width, &mut seeded_rng(6));
+            assert_eq!(Some(&direct), RowPattern::new(&coo).as_ref(), "{n} {width}");
+            assert_eq!(direct.nnz(), band_nnz(n, width));
+        }
+        assert_eq!(band_pattern(20, 100).unwrap().nnz(), 400);
+    }
+
+    #[test]
+    #[should_panic(expected = "band width must be positive")]
+    fn zero_width_pattern_rejected() {
+        band_pattern(8, 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use crate::nonzero_value;
 use rand::Rng;
-use sparsemat::Coo;
-use std::collections::HashSet;
+use sparsemat::{Coo, RowPattern};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiplicative hasher for cell indices. The set only answers
@@ -119,14 +119,7 @@ fn uniform_placed<R: Rng>(
     rng: &mut R,
     membership: impl FnOnce(usize, usize) -> Placed,
 ) -> Coo<f32> {
-    assert!(
-        (0.0..=1.0).contains(&density),
-        "density {density} outside [0, 1]"
-    );
-    let cells = nrows
-        .checked_mul(ncols)
-        .unwrap_or_else(|| panic!("a {nrows}x{ncols} matrix has more cells than usize counts"));
-    let target = (density * cells as f64).round() as usize;
+    let (cells, target) = cells_and_target(nrows, ncols, density);
     let mut coo = Coo::with_capacity(nrows, ncols, target);
     if cells == 0 || target == 0 {
         return coo;
@@ -134,15 +127,10 @@ fn uniform_placed<R: Rng>(
     if target * 3 < cells {
         // Sparse regime: sample distinct cells.
         let mut used = membership(cells, target);
-        let mut placed = 0;
-        while placed < target {
-            let cell = rng.gen_range(0..cells);
-            if used.insert(cell) {
-                placed += 1;
-                coo.push(cell / ncols, cell % ncols, nonzero_value(rng))
-                    .expect("cell in range");
-            }
-        }
+        place_sparse(rng, cells, target, &mut used, |rng, cell| {
+            coo.push(cell / ncols, cell % ncols, nonzero_value(rng))
+                .expect("cell in range");
+        });
     } else {
         // Dense regime: one Bernoulli draw per cell hits the expected count;
         // then top up / trim to the exact target for determinism of nnz.
@@ -175,6 +163,160 @@ fn uniform_placed<R: Rng>(
         }
     }
     coo
+}
+
+/// The pattern of [`uniform`]`(nrows, ncols, density, rng)`, from the same
+/// draws, with no triplet made: equal to `RowPattern::new` of that matrix.
+///
+/// In the sparse regime each placed cell's value is still drawn, in turn
+/// after the cell, so the cells drawn after it are [`uniform`]'s; the
+/// pattern is then read off the placed set in row-major order (the bitset
+/// scanned, or the set's cells sorted). In the dense regime the values
+/// come after every placement and are not drawn: the Bernoulli sweep marks
+/// a bitset, the trim is replayed on it and the top-up marks it, and the
+/// bitset is scanned. `None` where [`RowPattern::from_row_major`] declines
+/// the shape, which happens only to a matrix with few entries.
+///
+/// # Panics
+///
+/// As [`uniform`].
+pub fn uniform_pattern<R: Rng>(
+    nrows: usize,
+    ncols: usize,
+    density: f64,
+    rng: &mut R,
+) -> Option<RowPattern> {
+    let (cells, target) = cells_and_target(nrows, ncols, density);
+    let placed = if cells == 0 || target == 0 {
+        Placed::set(0)
+    } else if target * 3 < cells {
+        let mut used = Placed::for_draws(cells, target);
+        place_sparse(rng, cells, target, &mut used, |rng, _| {
+            nonzero_value(rng);
+        });
+        used
+    } else {
+        dense_placed(rng, cells, target, density)
+    };
+    let at = |cell: usize| (cell / ncols, cell % ncols);
+    match placed {
+        Placed::Bits(words) => {
+            RowPattern::from_row_major(nrows, ncols, target, set_bits(&words).map(at))
+        }
+        Placed::Set(set) => {
+            let mut cells: Vec<usize> = set.into_iter().collect();
+            cells.sort_unstable();
+            RowPattern::from_row_major(nrows, ncols, target, cells.into_iter().map(at))
+        }
+    }
+}
+
+/// The cell count of an `nrows × ncols` matrix and the entries `density`
+/// places in it.
+///
+/// # Panics
+///
+/// Panics if `density` is not within `[0, 1]`, or if the matrix has more
+/// cells than `usize` can count.
+fn cells_and_target(nrows: usize, ncols: usize, density: f64) -> (usize, usize) {
+    assert!(
+        (0.0..=1.0).contains(&density),
+        "density {density} outside [0, 1]"
+    );
+    let cells = nrows
+        .checked_mul(ncols)
+        .unwrap_or_else(|| panic!("a {nrows}x{ncols} matrix has more cells than usize counts"));
+    (cells, (density * cells as f64).round() as usize)
+}
+
+/// The sparse regime's draws: distinct cells, drawn until `target` are
+/// placed in `used`, each fresh one handed to `place` with the generator
+/// to draw its value from.
+fn place_sparse<R: Rng>(
+    rng: &mut R,
+    cells: usize,
+    target: usize,
+    used: &mut Placed,
+    mut place: impl FnMut(&mut R, usize),
+) {
+    let mut placed = 0;
+    while placed < target {
+        let cell = rng.gen_range(0..cells);
+        if used.insert(cell) {
+            placed += 1;
+            place(rng, cell);
+        }
+    }
+}
+
+/// The dense regime's placement as a bitset, from [`uniform_placed`]'s
+/// draws. Its `placed` list holds the swept cells in ascending order
+/// before the trim swap-removes drawn positions from it; here a position
+/// no swap has overwritten is found as the n-th set bit of the swept
+/// bitset, and the few that have are kept in a map, so the list is never
+/// held.
+fn dense_placed<R: Rng>(rng: &mut R, cells: usize, target: usize, density: f64) -> Placed {
+    let mut words = vec![0u64; cells.div_ceil(64)];
+    let mut len = 0;
+    for cell in 0..cells {
+        if rng.gen_bool(density) {
+            words[cell / 64] |= 1 << (cell % 64);
+            len += 1;
+        }
+    }
+    if len > target {
+        // `before[w]`: the set bits in the words before `w`.
+        let before: Vec<usize> = words
+            .iter()
+            .scan(0, |seen, word| {
+                let at = *seen;
+                *seen += word.count_ones() as usize;
+                Some(at)
+            })
+            .collect();
+        let nth = |i: usize| {
+            let w = before.partition_point(|&b| b <= i) - 1;
+            let mut word = words[w];
+            for _ in before[w]..i {
+                word &= word - 1;
+            }
+            w * 64 + word.trailing_zeros() as usize
+        };
+        let mut moved: HashMap<usize, usize, BuildHasherDefault<CellHasher>> = HashMap::default();
+        let mut removed = Vec::with_capacity(len - target);
+        while len > target {
+            let k = rng.gen_range(0..len);
+            let at = |i: usize| moved.get(&i).copied().unwrap_or_else(|| nth(i));
+            removed.push(at(k));
+            let last = at(len - 1);
+            moved.insert(k, last);
+            len -= 1;
+        }
+        for cell in removed {
+            words[cell / 64] &= !(1 << (cell % 64));
+        }
+    }
+    let mut used = Placed::Bits(words);
+    while len < target {
+        if used.insert(rng.gen_range(0..cells)) {
+            len += 1;
+        }
+    }
+    used
+}
+
+/// The set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Square convenience wrapper around [`uniform`].
@@ -291,6 +433,60 @@ mod tests {
     fn rejects_a_cell_count_past_usize() {
         let n = 1usize << 40;
         uniform_square(n, 1e-30, &mut seeded_rng(0));
+    }
+
+    /// `RowPattern::new` of [`uniform`]'s matrix: what [`uniform_pattern`]
+    /// must equal.
+    fn oracle(nrows: usize, ncols: usize, density: f64, seed: u64) -> Option<RowPattern> {
+        RowPattern::new(&uniform(nrows, ncols, density, &mut seeded_rng(seed)))
+    }
+
+    #[test]
+    fn the_pattern_is_that_of_the_generated_matrix_in_every_regime() {
+        // Rectangular, so row and column are not interchangeable. At
+        // d = 1e-3 the 90 draws over 90,000 cells keep a set; at d = 1e-2
+        // the 900 draws keep a bitset; d ≥ 1/3 sweeps.
+        let (nrows, ncols) = (250, 360);
+        let cells = nrows * ncols;
+        assert!(matches!(Placed::for_draws(cells, 90), Placed::Set(_)));
+        assert!(matches!(Placed::for_draws(cells, 900), Placed::Bits(_)));
+        for density in [0.0, 1e-3, 1e-2, 0.3, 0.5, 1.0] {
+            for seed in 0..3 {
+                let direct = uniform_pattern(nrows, ncols, density, &mut seeded_rng(seed));
+                assert_eq!(direct, oracle(nrows, ncols, density, seed), "d {density}");
+                let target = (density * cells as f64).round() as usize;
+                assert_eq!(direct.map(|p| p.nnz()), Some(target), "d {density}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_dense_pattern_replays_the_trim_and_the_top_up() {
+        // d = 0.5 sweeps 90,000 cells for a target of 45,000; the sweep
+        // lands over it for some seeds (trimmed) and under for others
+        // (topped up).
+        let (n, density, target) = (300, 0.5, 45_000);
+        let (mut trimmed, mut topped) = (0, 0);
+        for seed in 0..12 {
+            let mut rng = seeded_rng(seed);
+            let swept = (0..n * n).filter(|_| rng.gen_bool(density)).count();
+            trimmed += usize::from(swept > target);
+            topped += usize::from(swept < target);
+            let direct = uniform_pattern(n, n, density, &mut seeded_rng(seed));
+            assert_eq!(direct, oracle(n, n, density, seed), "seed {seed}");
+        }
+        assert!(
+            trimmed > 0 && topped > 0,
+            "{trimmed} trimmed, {topped} topped up"
+        );
+    }
+
+    #[test]
+    fn a_row_heavy_matrix_has_no_pattern_either_way() {
+        // 5 entries over 70,000 rows: past the rows a pattern allows.
+        let direct = uniform_pattern(70_000, 70_000, 1e-9, &mut seeded_rng(4));
+        assert_eq!(direct, None);
+        assert_eq!(oracle(70_000, 70_000, 1e-9, 4), None);
     }
 
     #[test]

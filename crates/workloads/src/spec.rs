@@ -3,7 +3,7 @@
 
 use crate::suite::SuiteMatrix;
 use crate::{band, random, seeded_rng};
-use sparsemat::Coo;
+use sparsemat::{Coo, RowPattern};
 
 /// The three workload classes of the paper's evaluation (§6: "SuiteSparse,
 /// random, and structured band matrices").
@@ -89,6 +89,26 @@ impl Workload {
         }
     }
 
+    /// The row pattern of the matrix [`generate`](Workload::generate)
+    /// makes, for a caller that reads only where the entries are.
+    ///
+    /// The contract: for every workload, `max_dim` and `seed`,
+    /// `self.pattern(max_dim, seed) == RowPattern::new(&self.generate(max_dim, seed))`,
+    /// `None` included. Band and random workloads build the pattern
+    /// directly, in row-major order, and never make a triplet: a band from
+    /// its shape, a random matrix from [`generate`](Workload::generate)'s
+    /// own draws. A suite stand-in, capped at `max_dim`, is generated and
+    /// its triplets dropped once the pattern is read off them.
+    pub fn pattern(&self, max_dim: usize, seed: u64) -> Option<RowPattern> {
+        match *self {
+            Workload::Suite(m) => RowPattern::new(&m.generate(max_dim, seed)),
+            Workload::Random { n, density } => {
+                random::uniform_pattern(n, n, density, &mut seeded_rng(seed))
+            }
+            Workload::Band { n, width } => band::band_pattern(n, width),
+        }
+    }
+
     /// All 20 SuiteSparse workloads in Table-1 order.
     pub fn paper_suite() -> Vec<Workload> {
         crate::SUITE.iter().map(Workload::Suite).collect()
@@ -155,6 +175,53 @@ mod tests {
 
         let b = Workload::Band { n: 32, width: 4 }.generate(0, 1);
         assert_eq!(b.nnz(), crate::band::band_nnz(32, 4));
+    }
+
+    /// `w.pattern(..)`, checked against `RowPattern::new` of the generated
+    /// matrix, whose density it must also give to the bit.
+    fn pattern_of(w: Workload, max_dim: usize, seed: u64) -> Option<RowPattern> {
+        let direct = w.pattern(max_dim, seed);
+        let coo = w.generate(max_dim, seed);
+        assert_eq!(direct, RowPattern::new(&coo), "{w:?} at cap {max_dim}");
+        if let Some(pattern) = &direct {
+            assert_eq!(
+                pattern.density().to_bits(),
+                coo.density().to_bits(),
+                "{w:?}"
+            );
+        }
+        direct
+    }
+
+    #[test]
+    fn a_suite_pattern_is_that_of_its_generated_matrix_in_every_family() {
+        let mut families = Vec::new();
+        for m in crate::SUITE.iter() {
+            let family = std::mem::discriminant(&m.family);
+            if !families.contains(&family) {
+                families.push(family);
+                for cap in [96, 1024] {
+                    pattern_of(Workload::Suite(m), cap, 42);
+                }
+            }
+        }
+        assert_eq!(families.len(), 7);
+    }
+
+    #[test]
+    fn band_and_random_patterns_are_those_of_their_generated_matrices() {
+        for w in Workload::paper_band_sweep(300)
+            .into_iter()
+            .chain(Workload::paper_random_sweep(300))
+        {
+            assert!(pattern_of(w, 0, 7).is_some(), "{w:?}");
+        }
+        // Row-heavy: no pattern, from either side.
+        let sparse = Workload::Random {
+            n: 70_000,
+            density: 1e-9,
+        };
+        assert_eq!(pattern_of(sparse, 0, 7), None);
     }
 
     #[test]
